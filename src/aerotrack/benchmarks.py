@@ -1,7 +1,8 @@
 """Builtin benchmark scenarios: sharp turns behind obstacles, relocation turns.
 
-These dict builders are the canonical definitions; the JSON files under
-``scenarios/`` are generated from them (``python -m aerotrack.benchmarks``)
+These dict builders are the canonical definitions; no scenario file is kept
+in the repository. ``python -m aerotrack.benchmarks [DIR]`` writes one JSON
+file per scenario into ``DIR`` (default ``scenarios``, created if missing)
 so the CLI benchmark can consume a plain directory.
 """
 

@@ -47,3 +47,7 @@ class SingularSystem(RuntimeError):
 
 class BarrierDomainViolated(RuntimeError):
     """A waypoint left the interior of its corridor intersection."""
+
+
+class DescentFailed(RuntimeError):
+    """The trajectory descent ended at a higher cost than it started from."""

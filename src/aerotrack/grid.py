@@ -259,7 +259,15 @@ _OBSTACLE_TYPES = ("box", "cylinder", "forest")
 
 @dataclass
 class MapSpec:
-    """Declarative map description (see ``docs in README``: mapspec JSON schema)."""
+    """Declarative map description, parsed from a JSON object by :meth:`from_dict`.
+
+    Required keys: ``origin`` (3-vector, m), ``resolution`` (m per voxel) and
+    ``dims`` (3 positive voxel counts). Optional: ``seed`` (int, for forests),
+    ``occ_threshold`` and ``obstacles``, a list of objects whose ``type`` is
+    ``box`` (``min``, ``max``), ``cylinder`` (``center`` [x, y], ``radius``,
+    optional ``zmin``/``zmax``) or ``forest`` (``density`` in trees per m^2,
+    ``radius``, optional ``keep_clear`` list of [x, y, r] discs).
+    """
 
     origin: np.ndarray
     resolution: float

@@ -174,57 +174,102 @@ def localize(features: ImageFeatures, params: RegressionParams, cam_pose: Pose
 # Regression fitting
 # ----------------------------------------------------------------------
 
-def _damped_gauss_newton(resid_jac, p0, max_iter: int = 200, tol: float = 1e-10):
-    """Levenberg-damped Gauss-Newton; ``resid_jac(p) -> (residuals, jacobian)``."""
-    p = np.asarray(p0, dtype=float).copy()
-    r, J = resid_jac(p)
-    cost = float(r @ r)
-    mu = 1e-4
+def _lockstep_gauss_newton(resid_jac, starts, max_iter: int = 200, tol: float = 1e-10):
+    """Levenberg-damped Gauss-Newton run on every start at once.
+
+    ``starts`` is ``(S, K)``; ``resid_jac(P) -> (residuals, jacobian)`` maps
+    ``(S', K)`` parameters to ``(S', N)`` residuals and ``(S', N, K)``
+    jacobians. Each row keeps its own damping, accept/reject decision and
+    stopping test, and a stopped row leaves the batch, so every row follows
+    the same iterates as a one-row run from its start. Returns the final
+    ``(P, cost, J)`` of all rows.
+    """
+    P = np.array(starts, dtype=float)
+    R, J = resid_jac(P)
+    cost = _sq_norms(R)
+    mu = np.full(len(P), 1e-4)
+    diag = np.arange(P.shape[1])
+    active = np.ones(len(P), dtype=bool)
     for _ in range(max_iter):
-        A = J.T @ J
-        g = J.T @ r
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        Jr = J[rows]
+        A = Jr.transpose(0, 2, 1) @ Jr
+        g = Jr.transpose(0, 2, 1) @ R[rows][:, :, None]
+        damping = np.zeros_like(A)
+        damping[:, diag, diag] = np.maximum(A[:, diag, diag], 1e-12)
+        M = A + mu[rows, None, None] * damping
         try:
-            step = np.linalg.solve(A + mu * np.diag(np.maximum(np.diag(A), 1e-12)), -g)
+            step = np.linalg.solve(M, -g)
         except np.linalg.LinAlgError:
-            mu *= 10.0
-            continue
-        p_new = p + step
-        r_new, J_new = resid_jac(p_new)
-        cost_new = float(r_new @ r_new)
-        if np.isfinite(cost_new) and cost_new < cost:
-            rel_drop = (cost - cost_new) / max(cost, 1e-300)
-            p, r, J, cost = p_new, r_new, J_new, cost_new
-            mu = max(mu * 0.3, 1e-12)
-            if rel_drop < tol:
-                break
-        else:
-            mu *= 10.0
-            if mu > 1e12:
-                break
-    return p, cost, J
+            # find the singular rows; they raise their damping and sit out
+            step = np.empty_like(g)
+            solved = np.ones(rows.size, dtype=bool)
+            for i in range(rows.size):
+                try:
+                    step[i] = np.linalg.solve(M[i], -g[i])
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+            mu[rows[~solved]] *= 10.0
+            rows, step = rows[solved], step[solved]
+            if rows.size == 0:
+                continue
+        P_new = P[rows] + step[:, :, 0]
+        R_new, J_new = resid_jac(P_new)
+        cost_new = _sq_norms(R_new)
+        better = np.isfinite(cost_new) & (cost_new < cost[rows])
+        acc, rej = rows[better], rows[~better]
+        rel_drop = (cost[acc] - cost_new[better]) / np.maximum(cost[acc], 1e-300)
+        P[acc], R[acc], J[acc], cost[acc] = (
+            P_new[better], R_new[better], J_new[better], cost_new[better])
+        mu[acc] = np.maximum(mu[acc] * 0.3, 1e-12)
+        mu[rej] *= 10.0
+        active[acc[rel_drop < tol]] = False
+        active[rej[mu[rej] > 1e12]] = False
+    return P, cost, J
+
+
+def _sq_norms(R):
+    """Row-wise ``r @ r`` through the same dot kernel a single vector uses.
+
+    ``einsum`` sums in another order and moves the fitted values in the last
+    digits.
+    """
+    return (R[:, None, :] @ R[:, :, None])[:, 0, 0]
+
+
+def _best_start(resid_jac, starts):
+    """Lowest-cost finite result of the lockstep solve, ties to the lowest norm."""
+    P, cost, J = _lockstep_gauss_newton(resid_jac, starts)
+    finite = [i for i in range(len(P)) if np.all(np.isfinite(P[i])) and np.isfinite(cost[i])]
+    if not finite:
+        raise FitDiverged("no regression start converged")
+    i = min(finite, key=lambda i: (cost[i], float(np.linalg.norm(P[i]))))
+    return float(cost[i]), P[i], J[i]
 
 
 def _depth_resid_jac(L, x_gt):
-    def fn(p):
-        l1, l2, k1, k2 = p
+    def fn(P):
+        l1, l2, k1, k2 = P.T[:, :, None]
         e1 = np.exp(np.clip(k1 * L, -60, 60))
         e2 = np.exp(np.clip(k2 * L, -60, 60))
         r = l1 * e1 + l2 * e2 - x_gt
-        J = np.column_stack([e1, e2, l1 * L * e1, l2 * L * e2])
+        J = np.stack([e1, e2, l1 * L * e1, l2 * L * e2], axis=-1)
         return r, J
     return fn
 
 
 def _lateral_resid_jac(u, x_hat, y_gt):
-    def fn(p):
-        l3, l4, k3, k4, a, b = p
+    def fn(P):
+        l3, l4, k3, k4, a, b = P.T[:, :, None]
         e3 = np.exp(np.clip(k3 * u, -60, 60))
         e4 = np.exp(np.clip(k4 * u, -60, 60))
         g = l3 * e3 + l4 * e4
         s = a * x_hat + b
         r = g * s - y_gt
-        J = np.column_stack([e3 * s, e4 * s, l3 * u * e3 * s, l4 * u * e4 * s,
-                             g * x_hat, g])
+        J = np.stack([e3 * s, e4 * s, l3 * u * e3 * s, l4 * u * e4 * s,
+                      g * x_hat, g], axis=-1)
         return r, J
     return fn
 
@@ -233,8 +278,10 @@ def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionPara
     """Fit the localization regression from (ImageFeatures, camera-frame truth) pairs.
 
     Multi-start damped Gauss-Newton on each of the two maps; the depth map is
-    fitted first because the lateral map consumes its estimate. Ties between
-    converged starts break by lowest residual, then lowest parameter norm.
+    fitted first because the lateral map consumes its estimate. All starts of
+    a map advance in lockstep through one batched solve per iteration, each
+    with its own damping and stopping test. The lowest residual wins, ties
+    broken by the lowest parameter norm, then by start order.
     Raises FitDiverged when no start converges or the dataset is rank
     deficient (for example, all samples at a single range).
     """
@@ -246,17 +293,6 @@ def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionPara
     x_gt, y_gt, z_gt = truth[:, 0], truth[:, 1], truth[:, 2]
     rng = np.random.default_rng(seed)
 
-    def run_starts(resid_jac, starts):
-        results = []
-        for p0 in starts:
-            p, cost, J = _damped_gauss_newton(resid_jac, p0)
-            if np.all(np.isfinite(p)) and np.isfinite(cost):
-                results.append((cost, float(np.linalg.norm(p)), p, J))
-        if not results:
-            raise FitDiverged("no regression start converged")
-        results.sort(key=lambda t: (t[0], t[1]))
-        return results[0]
-
     # depth map starts: exponent pairs log-uniform, amplitudes by linear solve
     depth_starts = []
     for _ in range(n_starts):
@@ -264,7 +300,7 @@ def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionPara
         A = np.column_stack([np.exp(k[0] * L), np.exp(k[1] * L)])
         lam, *_ = np.linalg.lstsq(A, x_gt, rcond=None)
         depth_starts.append(np.array([lam[0], lam[1], k[0], k[1]]))
-    cost_x, _, p_x, J_x = run_starts(_depth_resid_jac(L, x_gt), depth_starts)
+    cost_x, p_x, J_x = _best_start(_depth_resid_jac(L, x_gt), depth_starts)
 
     sv = np.linalg.svd(J_x, compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
@@ -281,7 +317,7 @@ def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionPara
         A = np.column_stack([np.exp(k[0] * u), np.exp(k[1] * u)])
         lam, *_ = np.linalg.lstsq(A, ratio, rcond=None)
         lateral_starts.append(np.array([lam[0], lam[1], k[0], k[1], 1.0, 0.0]))
-    cost_y, _, p_y, _ = run_starts(_lateral_resid_jac(u, x_hat, y_gt), lateral_starts)
+    cost_y, p_y, _ = _best_start(_lateral_resid_jac(u, x_hat, y_gt), lateral_starts)
 
     rms = float(np.sqrt((cost_x + cost_y) / len(dataset)))
     return RegressionParams(
@@ -352,5 +388,6 @@ def gimbal_track_step(g: GimbalState, u_px: float, cam: CameraModel, dt: float,
 
 def gimbal_search_step(g: GimbalState, dt: float, omega_search: float = 1.5) -> GimbalState:
     """Constant-rate sweep with persistent direction; yaw wraps freely."""
-    assert g.mode == "searching", "search step requires searching mode"
+    if g.mode != "searching":
+        raise ValueError(f"search step requires searching mode, got {g.mode!r}")
     return replace(g, yaw=g.yaw + g.search_dir * omega_search * dt, integrator=0.0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corridor import Corridor
-from .errors import BarrierDomainViolated, OutOfDomain, SingularSystem
+from .errors import BarrierDomainViolated, DescentFailed, OutOfDomain, SingularSystem
 from .solvers import lbfgs_minimize
 
 
@@ -432,7 +432,9 @@ def optimize(corridor: Corridor, boundary: BoundaryConditions,
         x0 = np.concatenate([q0.ravel(), np.log(T0 - w.t_min)])
         x_opt, J_opt, history = lbfgs_minimize(
             objective, x0, grad_tol=w.grad_tol, max_iter=w.max_iter)
-        assert history[-1] <= history[0] + 1e-12, "descent must not increase cost"
+        if history[-1] > history[0] + 1e-12:
+            raise DescentFailed(
+                f"descent raised the cost from {history[0]!r} to {history[-1]!r}")
         q_int = x_opt[: 3 * (M - 1)].reshape(M - 1, 3)
         T = w.t_min + np.exp(x_opt[3 * (M - 1):])
         traj = inner_trajectory(np.vstack([boundary.p0, q_int, boundary.p1]), T, boundary)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aerotrack import perception
 from aerotrack.errors import FitDiverged
 from aerotrack.grid import OccupancyGrid
 from aerotrack.perception import (
@@ -140,6 +141,101 @@ class TestRegression:
         assert loaded.to_dict() == fitted_params.to_dict()
 
 
+class TestRegressionExactness:
+    """The lockstep multi-start fit reproduces the one-start-at-a-time solver."""
+
+    def test_default_dataset_values(self):
+        # the dataset of tracker.default_regression_params; values recorded
+        # from the sequential per-start solver this one replaced
+        dataset = make_calibration_dataset(
+            DEFAULT_CAMERA, BODY_LEN, n=320, seed=0, sigma_u=2.0, sigma_len=2.0)
+        assert fit_regression(dataset) == RegressionParams(
+            lam1=11.734251601184775, lam2=3.306732808769607,
+            k1=-0.05315664123597001, k2=-0.008046828862302404,
+            lam3=-3.9177658979864916, lam4=4.469482542814797,
+            k3=0.00019842135915234087, k4=-0.00021314314545097912,
+            a=1.7094179195155277, b=0.03281011307144085,
+            z_const=0.8880153255388319, rms_residual=0.12946028779754523)
+
+    @staticmethod
+    def _depth_problem():
+        L = np.linspace(35.0, 150.0, 120)
+        p_true = np.array([11.7, 3.3, -0.053, -0.008])
+        model = perception._depth_resid_jac(L, 0.0)
+        x_gt = model(p_true[None])[0][0]
+        starts = np.array([
+            p_true,                         # exact optimum: cost 0 never drops
+            [10.0, 4.0, -0.05, -0.01],
+            [1.0, 1.0, -0.2, -0.001],
+            [12.5, 2.5, -0.06, -0.007],
+            [0.0, 0.0, 0.5, 0.5],           # saturated exponentials
+        ])
+        return perception._depth_resid_jac(L, x_gt), starts
+
+    @staticmethod
+    def _counting(fn):
+        calls = [0]
+
+        def counted(P):
+            calls[0] += 1
+            return fn(P)
+        return counted, calls
+
+    def _assert_rows_independent(self, fn, starts):
+        P, cost, J = perception._lockstep_gauss_newton(fn, starts)
+        for i, p0 in enumerate(starts):
+            P1, cost1, J1 = perception._lockstep_gauss_newton(fn, p0[None])
+            assert np.array_equal(P[i], P1[0], equal_nan=True)
+            assert np.array_equal(cost[i], cost1[0], equal_nan=True)
+            assert np.array_equal(J[i], J1[0], equal_nan=True)
+        return P, cost
+
+    def test_rows_match_one_row_runs(self):
+        fn, starts = self._depth_problem()
+        P, cost = self._assert_rows_independent(fn, starts)
+        assert cost[0] == 0.0 and np.array_equal(P[0], starts[0])
+        # the exact start is rejected until mu exceeds 1e12: 17 tenfold
+        # raises from 1e-4, each after one evaluation, plus the first one
+        counted, calls = self._counting(fn)
+        perception._lockstep_gauss_newton(counted, starts[:1])
+        assert calls[0] == 1 + 17
+
+    def test_lateral_rows_match_one_row_runs(self):
+        rng = np.random.default_rng(5)
+        u = rng.uniform(0.0, 640.0, 80)
+        x_hat = rng.uniform(1.0, 5.0, 80)
+        y_gt = (u - 320.0) / 400.0 * x_hat
+        starts = np.column_stack([
+            rng.normal(0.0, 3.0, (4, 2)), rng.uniform(-5e-3, 5e-3, (4, 2)),
+            np.ones(4), np.zeros(4)])
+        self._assert_rows_independent(
+            perception._lateral_resid_jac(u, x_hat, y_gt), starts)
+
+    def test_singular_rows_alone_raise_damping(self, monkeypatch):
+        # a row whose damped system does not solve sits out every iteration
+        # while the other rows advance as they would alone
+        fn, starts = self._depth_problem()
+        starts[4] = [1.0, 1.0, 1.0, 1.0]
+        real_solve = np.linalg.solve
+
+        def solve(M, b):
+            if np.any(M[..., 0, 0] > 1e40):
+                raise np.linalg.LinAlgError("singular matrix")
+            return real_solve(M, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        P, _ = self._assert_rows_independent(fn, starts)
+        assert np.array_equal(P[4], starts[4])
+        counted, calls = self._counting(fn)
+        perception._lockstep_gauss_newton(counted, starts[4:])
+        assert calls[0] == 1  # max_iter spent without one evaluation
+
+    def test_too_small_dataset_diverges(self):
+        dataset = make_calibration_dataset(DEFAULT_CAMERA, BODY_LEN, n=320, seed=0)
+        with pytest.raises(FitDiverged, match="too small"):
+            fit_regression(dataset[:7])
+
+
 class TestGimbal:
     def test_zero_error_holds(self):
         g = GimbalState(yaw=0.5)
@@ -180,6 +276,10 @@ class TestGimbal:
     def test_search_zero_dt(self):
         g = GimbalState(yaw=1.0, mode="searching")
         assert gimbal_search_step(g, 0.0).yaw == pytest.approx(1.0)
+
+    def test_search_requires_searching_mode(self):
+        with pytest.raises(ValueError, match="searching mode"):
+            gimbal_search_step(GimbalState(yaw=1.0), 0.1)
 
     def test_search_full_revolution(self):
         omega = 1.5

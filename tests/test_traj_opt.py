@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from aerotrack.corridor import Corridor, build_corridor
-from aerotrack.errors import BarrierDomainViolated, OutOfDomain, SingularSystem
+from aerotrack import traj_opt
+from aerotrack.errors import (
+    BarrierDomainViolated, DescentFailed, OutOfDomain, SingularSystem)
 from aerotrack.grid import Cube, OccupancyGrid
 from aerotrack.kino_search import KinoState, SearchWeights, search
 from aerotrack.perception import TargetObservation
@@ -188,6 +190,15 @@ class TestOptimize:
         w = OptWeights()
         T_star = (3600.0 * float((p1 - p0) @ (p1 - p0)) / w.rho_t) ** (1.0 / 6.0)
         assert T == pytest.approx(T_star, rel=1e-2)
+
+    def test_rising_descent_raises(self, monkeypatch):
+        def rising(fun, x0, **kwargs):
+            return x0, 2.0, [1.0, 2.0]
+
+        monkeypatch.setattr(traj_opt, "lbfgs_minimize", rising)
+        bc = BoundaryConditions.rest_to_rest((0.4, 0.8, 0.8), (4.4, 0.8, 0.8))
+        with pytest.raises(DescentFailed):
+            optimize(chain_corridor(5), bc)
 
     def test_descent_and_containment(self):
         cor = chain_corridor(5)
