@@ -126,29 +126,18 @@ def obvp_cost(x_c: KinoState, x_g: KinoState, rho: float) -> tuple[float, float]
     """Minimal energy-time cost and its duration between two full states.
 
     Minimizes ``integral |u|^2 dt + rho*T`` over T for the double integrator
-    with both endpoint positions and velocities fixed; the stationary points
-    are the positive real roots of a quartic. Falls back to a dense scan over
-    (0, 20] when root finding yields no usable minimum.
+    with both endpoint positions and velocities fixed: a one-row call of
+    ``_obvp_batch``. Without a time weight (``rho <= 0``) the minimum is
+    taken from a dense scan over (0, 20].
     """
-    dp = x_g.p - x_c.p
-    alpha, beta, gamma = _obvp_coeffs(dp[None, :], x_c.v[None, :], x_g.v[None, :])
-    alpha, beta, gamma = float(alpha[0]), float(beta[0]), float(gamma[0])
+    dp, v0, vf = (x_g.p - x_c.p)[None, :], x_c.v[None, :], x_g.v[None, :]
+    alpha, beta, gamma = (float(c[0]) for c in _obvp_coeffs(dp, v0, vf))
     if alpha < 1e-14 and gamma < 1e-14:
         return 0.0, 0.0
     if rho <= 0:
         return _scan_minimum(alpha, beta, gamma, max(rho, 0.0))
-    roots = np.roots([rho, 0.0, -gamma, -2.0 * beta, -3.0 * alpha])
-    best = None
-    for r in roots:
-        if abs(r.imag) > 1e-8 * max(1.0, abs(r.real)) or r.real <= 1e-9:
-            continue
-        T = float(r.real)
-        J = rho * T + alpha / T**3 + beta / T**2 + gamma / T
-        if best is None or J < best[0]:
-            best = (J, T)
-    if best is None:
-        return _scan_minimum(alpha, beta, gamma, rho)
-    return best
+    J, T = _obvp_batch(dp, v0, vf, rho)
+    return float(J[0]), float(T[0])
 
 
 def _quartic_roots(p, q, r):
@@ -186,18 +175,11 @@ def _quartic_roots(p, q, r):
     return roots
 
 
-def _obvp_batch(dp, v0, vf, rho):
-    """Vectorized obvp_cost over rows; returns (J, T*) arrays."""
-    alpha, beta, gamma = _obvp_coeffs(dp, v0, vf)
-    B = alpha.shape[0]
-    J_out = np.zeros(B)
-    T_out = np.zeros(B)
-    live = ~((alpha < 1e-14) & (gamma < 1e-14))
-    if not live.any():
-        return J_out, T_out
-    a, b, g = alpha[live], beta[live], gamma[live]
-    # dJ/dT = 0  <=>  T^4 - (g/rho) T^2 - (2b/rho) T - (3a/rho) = 0
-    roots = _quartic_roots(-g / rho, -2.0 * b / rho, -3.0 * a / rho)
+def _cheapest_stationary(roots, a, b, g, rho):
+    """Newton-polished positive real roots per row and the cheapest one.
+
+    Returns (J, T) per row; J is inf where no root is positive and real.
+    """
     T_re = roots.real
     ok = (np.abs(roots.imag) <= 1e-4 * np.maximum(1.0, np.abs(T_re))) & (T_re > 1e-9)
     T_c = np.where(ok, T_re, 1.0)
@@ -210,9 +192,41 @@ def _obvp_batch(dp, v0, vf, rho):
     J = rho * T_safe + a[:, None] / T_safe**3 + b[:, None] / T_safe**2 + g[:, None] / T_safe
     J = np.where(ok, J, np.inf)
     pick = np.argmin(J, axis=1)
-    J_best = J[np.arange(len(pick)), pick]
-    T_best = T_safe[np.arange(len(pick)), pick]
-    for i in np.nonzero(~np.isfinite(J_best))[0]:  # rare: no positive real root
+    return J[np.arange(len(pick)), pick], T_safe[np.arange(len(pick)), pick]
+
+
+def _obvp_batch(dp, v0, vf, rho):
+    """Minimal energy-time cost per row for ``rho > 0``; returns (J, T*) arrays.
+
+    The stationary points are the positive real roots of a quartic, solved in
+    closed form and polished by Newton steps. A row whose pick is not a
+    stationary point takes the companion-matrix eigenvalues instead, and a
+    row without a positive real root falls back to the dense scan.
+    """
+    alpha, beta, gamma = _obvp_coeffs(dp, v0, vf)
+    B = alpha.shape[0]
+    J_out = np.zeros(B)
+    T_out = np.zeros(B)
+    live = ~((alpha < 1e-14) & (gamma < 1e-14))
+    if not live.any():
+        return J_out, T_out
+    a, b, g = alpha[live], beta[live], gamma[live]
+    # dJ/dT = 0  <=>  T^4 - (g/rho) T^2 - (2b/rho) T - (3a/rho) = 0
+    p, q, r = -g / rho, -2.0 * b / rho, -3.0 * a / rho
+    J_best, T_best = _cheapest_stationary(_quartic_roots(p, q, r), a, b, g, rho)
+    # For b ~ 0 (both ends at rest, say) Cardano can hand Ferrari a rounding-
+    # level resolvent root w ~ 0, and q/u then wrecks every root: the pick
+    # is no stationary point
+    resid = rho * T_best**4 - g * T_best**2 - 2.0 * b * T_best - 3.0 * a
+    size = rho * T_best**4 + g * T_best**2 + 2.0 * np.abs(b) * T_best + 3.0 * a
+    lost = np.isfinite(J_best) & (np.abs(resid) > 1e-6 * size)
+    if lost.any():
+        companion = np.zeros((int(lost.sum()), 4, 4))
+        companion[:, 0, 1:] = -np.stack([p[lost], q[lost], r[lost]], axis=1)
+        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+        J_best[lost], T_best[lost] = _cheapest_stationary(
+            np.linalg.eigvals(companion), a[lost], b[lost], g[lost], rho)
+    for i in np.nonzero(~np.isfinite(J_best))[0]:  # no positive real root found
         J_best[i], T_best[i] = _scan_minimum(a[i], b[i], g[i], rho)
     J_out[live] = J_best
     T_out[live] = T_best
@@ -251,6 +265,44 @@ def _controls(w: SearchWeights) -> np.ndarray:
     return np.array(list(product(*axes)))
 
 
+class _NodeStore:
+    """Search nodes as rows of flat arrays that double in length when full.
+
+    Row ``i`` holds one node's position, velocity, cost-to-come ``g``, time,
+    parent row (-1 for the start) and the index of the control that reached
+    it. The arrays own their data, so no row refers to an expansion's
+    collision samples.
+    """
+
+    _COLUMNS = ("p", "v", "g", "t", "parent", "ctrl")
+
+    def __init__(self, capacity: int = 256):
+        self.p = np.empty((capacity, 3))
+        self.v = np.empty((capacity, 3))
+        self.g = np.empty(capacity)
+        self.t = np.empty(capacity)
+        self.parent = np.empty(capacity, dtype=np.intp)
+        self.ctrl = np.empty(capacity, dtype=np.intp)
+        self.size = 0
+
+    def new_row(self) -> int:
+        if self.size == len(self.g):
+            for name in self._COLUMNS:
+                old = getattr(self, name)
+                grown = np.empty((2 * len(old),) + old.shape[1:], dtype=old.dtype)
+                grown[:self.size] = old
+                setattr(self, name, grown)
+        self.size += 1
+        return self.size - 1
+
+    def write(self, rows, p, v, g, t, parent, ctrl) -> None:
+        self.p[rows], self.v[rows], self.g[rows] = p, v, g
+        self.t[rows], self.parent[rows], self.ctrl[rows] = t, parent, ctrl
+
+    def state(self, row: int) -> KinoState:
+        return KinoState(p=self.p[row].copy(), v=self.v[row].copy(), t=float(self.t[row]))
+
+
 def search(start: KinoState, traj: PredictedTrajectory | None, grid: OccupancyGrid,
            w: SearchWeights, goal: KinoState | None = None,
            occlusion_target=None) -> KinoPath:
@@ -271,24 +323,21 @@ def search(start: KinoState, traj: PredictedTrajectory | None, grid: OccupancyGr
         occlusion_target, _ = traj.evaluate(min(traj.t_c + w.t_lookahead, traj.t_p))
     x_tp = None if occlusion_target is None else np.asarray(occlusion_target, dtype=float)
 
-    def reached(s: KinoState) -> bool:
-        return (np.linalg.norm(s.p - goal.p) <= w.r_goal
-                and np.linalg.norm(s.v - goal.v) <= w.v_goal_tol)
+    def reached(p: np.ndarray, v: np.ndarray) -> bool:
+        return (np.linalg.norm(p - goal.p) <= w.r_goal
+                and np.linalg.norm(v - goal.v) <= w.v_goal_tol)
 
-    if reached(start):
+    if reached(start.p, start.v):
         return KinoPath([], start, 0.0, info={"expansions": 0, "reached_goal": True})
 
     res = grid.resolution
     inv_res = 1.0 / res
     inv_bin = 1.0 / w.vel_bin
-    ox, oy, oz = (float(v) for v in grid.origin)
-    floor = np.floor
 
-    def node_key(s: KinoState):
-        p, v = s.p, s.v
-        return (int((p[0] - ox) * inv_res // 1), int((p[1] - oy) * inv_res // 1),
-                int((p[2] - oz) * inv_res // 1), int(v[0] * inv_bin // 1),
-                int(v[1] * inv_bin // 1), int(v[2] * inv_bin // 1))
+    def node_keys(p: np.ndarray, v: np.ndarray) -> list[tuple]:
+        """Voxel and velocity-bin identity of each row of ``p`` and ``v``."""
+        cells = np.concatenate(((p - grid.origin) * inv_res // 1, v * inv_bin // 1), axis=1)
+        return list(map(tuple, cells.astype(np.int64).tolist()))
 
     occ_memo: dict[tuple, float] = {}
 
@@ -302,87 +351,88 @@ def search(start: KinoState, traj: PredictedTrajectory | None, grid: OccupancyGr
         return pen
 
     controls = _controls(w)
-    n_ctrl = len(controls)
     tau = w.tau
     edge_costs = (np.sum(controls**2, axis=1) + w.rho) * tau
     # collision sampling times, quarter-voxel spacing at the speed bound
     n_samp = max(int(np.ceil(np.sqrt(3) * w.v_max * tau / (0.25 * res))), 4)
     ts = np.linspace(0.0, tau, n_samp + 1)[1:]
 
-    start_key = node_key(start)
-    nodes = {start_key: (0.0, start, None, None)}  # key -> (g, state, parent_key, u)
+    nodes = _NodeStore()
+    start_key = node_keys(start.p[None, :], start.v[None, :])[0]
+    row = nodes.new_row()
+    nodes.write(row, start.p, start.v, 0.0, start.t, -1, -1)
+    rows = {start_key: row}
     h0, T0 = obvp_cost(start, goal, w.rho)
     open_heap = [(h0 + w.c_time * T0 + occ_pen(start.p, start_key[:3]), 0.0, start_key)]
     expansions = 0
-    best_fb = (float(np.linalg.norm(start.p - goal.p)), 0.0, start_key)
-    goal_key = None
+    best_fb = (float(np.linalg.norm(start.p - goal.p)), 0.0, row)
+    goal_row = None
 
     while open_heap and expansions < w.node_budget:
         f, neg_g, key = heapq.heappop(open_heap)
-        g, state, _, _ = nodes[key]
+        row = rows[key]
+        g, p, v = nodes.g[row], nodes.p[row], nodes.v[row]
         if -neg_g < g - 1e-12:  # stale heap entry
             continue
-        if reached(state):
-            goal_key = key
+        if reached(p, v):
+            goal_row = row
             break
         expansions += 1
-        dist = float(np.linalg.norm(state.p - goal.p))
+        dist = float(np.linalg.norm(p - goal.p))
         if (dist, f) < (best_fb[0], best_fb[1]):
-            best_fb = (dist, f, key)
+            best_fb = (dist, f, row)
 
-        end_v = state.v[None, :] + controls * tau
+        end_v = v[None, :] + controls * tau
         feasible = np.all(np.abs(end_v) <= w.v_max + 1e-9, axis=1)
         # sample all primitives at once: (n_ctrl, n_samp, 3)
-        pos = (state.p[None, None, :]
-               + state.v[None, None, :] * ts[None, :, None]
+        pos = (p[None, None, :]
+               + v[None, None, :] * ts[None, :, None]
                + 0.5 * controls[:, None, :] * (ts[None, :, None] ** 2))
         idx = np.floor((pos - grid.origin) / res).astype(int)
         oob = np.any(idx < 0, axis=2) | np.any(idx >= grid.dims, axis=2)
         idx_safe = np.clip(idx, 0, grid.dims - 1)
         hit = grid._occ[idx_safe[..., 0], idx_safe[..., 1], idx_safe[..., 2]] | oob
-        collision_free = ~hit.any(axis=1)
-        keep = feasible & collision_free
-        if not keep.any():
+        kept = np.nonzero(feasible & ~hit.any(axis=1))[0]
+        if not len(kept):
             continue
-        end_p = pos[:, -1, :]
+        # rows of the kept children; fancy indexing copies them out of pos
+        child_p, child_v = pos[kept, -1, :], end_v[kept]
+        child_g = g + edge_costs[kept]
+        child_t = nodes.t[row] + tau
+        keys = node_keys(child_p, child_v)
         # dominance check first; the heuristic is only solved for survivors
-        survivors = []
-        for ci in np.nonzero(keep)[0]:
-            child = KinoState(p=end_p[ci], v=end_v[ci], t=state.t + tau)
-            ckey = node_key(child)
-            g_child = g + edge_costs[ci]
-            existing = nodes.get(ckey)
-            if existing is not None and existing[0] <= g_child + 1e-12:
-                continue
-            survivors.append((ci, child, ckey, g_child))
-        if not survivors:
+        surv = [j for j, (ckey, g_child) in enumerate(zip(keys, child_g.tolist()))
+                if (r := rows.get(ckey)) is None or nodes.g[r] > g_child + 1e-12]
+        if not surv:
             continue
-        sel = np.array([s[0] for s in survivors])
-        dp = goal.p[None, :] - end_p[sel]
-        D, T_star = _obvp_batch(dp, end_v[sel], np.tile(goal.v, (len(sel), 1)), w.rho)
-        for j, (ci, child, ckey, g_child) in enumerate(survivors):
-            nodes[ckey] = (g_child, child, key, controls[ci])
-            h = D[j] + w.c_time * T_star[j] + occ_pen(child.p, ckey[:3])
-            heapq.heappush(open_heap, (g_child + h, -g_child, ckey))
+        sp, sv, sg = child_p[surv], child_v[surv], child_g[surv]
+        D, T_star = _obvp_batch(goal.p[None, :] - sp, sv, np.tile(goal.v, (len(surv), 1)), w.rho)
+        pen = [occ_pen(sp[j], keys[i][:3]) for j, i in enumerate(surv)]
+        f_child = sg + (D + w.c_time * T_star + np.array(pen))
+        # a key reached twice in this expansion keeps its last child
+        last = {}
+        for j, (i, f_j, g_j) in enumerate(zip(surv, f_child.tolist(), sg.tolist())):
+            ckey = keys[i]
+            r = rows.get(ckey)
+            if r is None:
+                r = rows[ckey] = nodes.new_row()
+            last[r] = j
+            heapq.heappush(open_heap, (f_j, -g_j, ckey))
+        dst = np.fromiter(last.keys(), np.intp, len(last))
+        src = np.fromiter(last.values(), np.intp, len(last))
+        nodes.write(dst, sp[src], sv[src], sg[src], child_t, row, kept[surv][src])
 
-    if goal_key is None and len(nodes) == 1:
+    if goal_row is None and len(rows) == 1:
         raise NoPath("no primitive could be expanded from the start state")
-    final_key = goal_key if goal_key is not None else best_fb[2]
+    final = goal_row if goal_row is not None else best_fb[2]
 
     # reconstruct
-    chain = []
-    key = final_key
-    while True:
-        g, state, parent_key, u = nodes[key]
-        if parent_key is None:
-            break
-        chain.append((parent_key, u, state))
-        key = parent_key
+    chain = [final]
+    while nodes.parent[chain[-1]] >= 0:
+        chain.append(int(nodes.parent[chain[-1]]))
     chain.reverse()
-    primitives = []
-    for parent_key, u, end_state in chain:
-        start_state = nodes[parent_key][1]
-        primitives.append(MotionPrimitive(u=u, tau=tau, start=start_state, end=end_state))
-    end_state = nodes[final_key][1]
-    return KinoPath(primitives, end_state, nodes[final_key][0],
-                    info={"expansions": expansions, "reached_goal": goal_key is not None})
+    states = [nodes.state(r) for r in chain]
+    primitives = [MotionPrimitive(u=controls[nodes.ctrl[r]].copy(), tau=tau, start=a, end=b)
+                  for r, a, b in zip(chain[1:], states, states[1:])]
+    return KinoPath(primitives, states[-1], float(nodes.g[final]),
+                    info={"expansions": expansions, "reached_goal": goal_row is not None})

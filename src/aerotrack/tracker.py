@@ -229,10 +229,10 @@ def _plan_goal(world: TrackerWorld):
     return kino_search.KinoState(p=goal_p, v=goal_v), occl
 
 
-def step(world: TrackerWorld, dt: float | None = None) -> TrackerWorld:
-    """Advance the closed loop by one replanning cycle."""
+def step(world: TrackerWorld) -> TrackerWorld:
+    """Advance the closed loop by one replanning cycle of ``world.dt`` seconds."""
     sc = world.scenario
-    dt = world.dt if dt is None else dt
+    dt = world.dt
     t_now = world._time()
 
     # target motion

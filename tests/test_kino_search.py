@@ -7,6 +7,8 @@ from aerotrack.kino_search import (
     KinoState,
     SearchWeights,
     _obvp_batch,
+    _obvp_coeffs,
+    _scan_minimum,
     edge_cost,
     goal_state,
     obvp_cost,
@@ -100,16 +102,39 @@ class TestObvp:
             assert D == pytest.approx(Js.min(), rel=1e-4, abs=1e-9)
 
     def test_batch_matches_scalar(self):
+        # the batch solver against the dense scan, not against itself
         rng = np.random.default_rng(2)
         p0 = rng.uniform(-3, 3, (40, 3))
         pf = rng.uniform(-3, 3, (40, 3))
         v0 = rng.uniform(-2, 2, (40, 3))
         vf = rng.uniform(-2, 2, (40, 3))
         J, T = _obvp_batch(pf - p0, v0, vf, 1.0)
+        alpha, beta, gamma = _obvp_coeffs(pf - p0, v0, vf)
         for i in range(40):
-            Js, Ts = obvp_cost(KinoState(p0[i], v0[i]), KinoState(pf[i], vf[i]), 1.0)
-            assert J[i] == pytest.approx(Js, rel=1e-8)
-            assert T[i] == pytest.approx(Ts, rel=1e-6)
+            Js, Ts = _scan_minimum(alpha[i], beta[i], gamma[i], 1.0)
+            assert J[i] <= Js + 1e-12  # a true minimum is never above the grid's
+            assert J[i] == pytest.approx(Js, rel=1e-6)
+            assert T[i] == pytest.approx(Ts, abs=1.5e-3)
+
+    def test_batch_degenerate_rows_match_scan(self):
+        # beta ~ 0 (both ends at rest, opposite end velocities, or a position
+        # step orthogonal to v0 + vf) leaves w ~ 0 as a resolvent root
+        rng = np.random.default_rng(4)
+        dp = rng.uniform(-3, 3, (30, 3))
+        v0 = rng.uniform(-2, 2, (30, 3))
+        vf = rng.uniform(-2, 2, (30, 3))
+        v0[:10] = vf[:10] = 0.0
+        vf[10:20] = -v0[10:20]
+        s = v0[20:] + vf[20:]
+        dp[20:] -= (np.sum(dp[20:] * s, axis=1) / np.sum(s * s, axis=1))[:, None] * s
+        J, T = _obvp_batch(dp, v0, vf, 1.0)
+        alpha, beta, gamma = _obvp_coeffs(dp, v0, vf)
+        assert np.all(np.abs(beta) < 1e-12)
+        for i in range(30):
+            Js, Ts = _scan_minimum(alpha[i], beta[i], gamma[i], 1.0)
+            assert J[i] <= Js + 1e-12
+            assert J[i] == pytest.approx(Js, rel=1e-6)
+            assert T[i] == pytest.approx(Ts, abs=1.5e-3)
 
     def test_admissibility_vs_primitives(self):
         # closed-form optimum never exceeds any concrete primitive rollout cost

@@ -1,7 +1,18 @@
 import numpy as np
+import pytest
 
+from aerotrack import benchmarks
 from aerotrack.perception import TargetObservation
-from aerotrack.tracker import RELOCATING, TRACKING, ModeState, relocation_update
+from aerotrack.scenario import Scenario
+from aerotrack.tracker import (
+    RELOCATING,
+    TRACE_COLUMNS,
+    TRACKING,
+    ModeState,
+    TrackerWorld,
+    relocation_update,
+    step,
+)
 
 DT = 0.125  # exact in binary, so streak sums hit the timeout exactly
 
@@ -56,3 +67,16 @@ class TestRelocationUpdate:
         for _ in range(3):
             state = relocation_update(state, lost(), DT, loss_timeout=0.5)
         assert state.mode == TRACKING
+
+
+class TestStep:
+    def test_time_and_motion_share_one_clock(self):
+        world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]()))
+        with pytest.raises(TypeError):
+            step(world, 2 * world.dt)  # the cycle length is the world's, not the caller's
+        for _ in range(8):
+            step(world)
+        t_col, ok_col = TRACE_COLUMNS.index("t"), TRACE_COLUMNS.index("plan_ok")
+        assert [row[t_col] for row in world.trace_rows] == [k * world.dt for k in range(8)]
+        assert world.trace_rows[-1][ok_col] == 1
+        assert world.traj_clock == world.dt  # a new trajectory, flown for one cycle
