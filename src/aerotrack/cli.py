@@ -90,7 +90,7 @@ def _cmd_gen_map(args) -> int:
     }
     if args.out:
         np.savez_compressed(
-            args.out, values=grid.values, origin=grid.origin,
+            args.out, values=grid.occupied.astype(np.float32), origin=grid.origin,
             resolution=grid.resolution, occ_threshold=grid.occ_threshold)
         summary["saved"] = args.out
     print(json.dumps(summary, indent=2))

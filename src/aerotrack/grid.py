@@ -1,11 +1,13 @@
 """Voxel occupancy environment: membership, visibility, and free-box queries.
 
-The grid stores occupancy probabilities in [0, 1] on a dense voxel lattice.
-A voxel counts as occupied once its value reaches ``occ_threshold``; anything
-outside the lattice is treated as occupied so planners stay conservative near
-map edges. Visibility uses a supercover segment traversal: every voxel the
-segment touches is checked, and a segment grazing a voxel corner checks the
-voxels on both sides so rays cannot leak diagonally between occupied cells.
+The grid stores boolean occupancy on a dense voxel lattice, one byte per
+voxel. Occupancy probabilities in [0, 1] are accepted at construction and
+thresholded there: a voxel is occupied once its value reaches
+``occ_threshold``. Anything outside the lattice is treated as occupied so
+planners stay conservative near map edges. Visibility uses a supercover
+segment traversal: every voxel the segment touches is checked, and a segment
+grazing a voxel corner checks the voxels on both sides so rays cannot leak
+diagonally between occupied cells.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ class Cube:
 
 
 class OccupancyGrid:
-    """Dense voxel occupancy map.
+    """Dense boolean voxel occupancy map.
+
+    ``occupied`` is the one voxel array, of shape ``dims``; probabilities given
+    as ``values`` are thresholded once, here, and not kept.
 
     Parameters
     ----------
@@ -87,16 +92,12 @@ class OccupancyGrid:
             raise ValueError("dims must be positive")
         self.occ_threshold = float(occ_threshold)
         if values is None:
-            values = np.zeros(tuple(self.dims), dtype=np.float32)
+            self.occupied = np.zeros(tuple(self.dims), dtype=bool)
         else:
             values = np.asarray(values, dtype=np.float32).reshape(tuple(self.dims))
             if values.min() < 0.0 or values.max() > 1.0:
                 raise ValueError("occupancy values must lie in [0, 1]")
-        self.values = values
-        self._refresh_occ()
-
-    def _refresh_occ(self):
-        self._occ = self.values >= self.occ_threshold
+            self.occupied = values >= self.occ_threshold
 
     # ------------------------------------------------------------------
     # Coordinate helpers
@@ -122,21 +123,23 @@ class OccupancyGrid:
     # ------------------------------------------------------------------
 
     def set_occupied_box(self, min_corner, max_corner, value: float = 1.0):
-        """Mark all voxels overlapping the box with positive volume as ``value``."""
+        """Set all voxels overlapping the box with positive volume to ``value``.
+
+        ``value`` is an occupancy probability; it is thresholded on write.
+        """
         lo_g = (np.asarray(min_corner, dtype=float) - self.origin) / self.resolution
         hi_g = (np.asarray(max_corner, dtype=float) - self.origin) / self.resolution
         lo = np.maximum(np.floor(lo_g + 1e-9).astype(int), 0)
         hi = np.minimum(np.ceil(hi_g - 1e-9).astype(int), self.dims)
         if np.any(lo >= hi):
             return
-        self.values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = value
-        self._refresh_occ()
+        self.occupied[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = value >= self.occ_threshold
 
     def is_occupied_voxel(self, idx) -> bool:
         if not self.in_bounds(idx):
             return True
         i, j, k = (int(v) for v in idx)
-        return bool(self._occ[i, j, k])
+        return bool(self.occupied[i, j, k])
 
     def is_occupied(self, p) -> bool:
         """Occupancy of the voxel containing ``p``; out-of-bounds is occupied."""
@@ -148,10 +151,10 @@ class OccupancyGrid:
         oob = np.any(idx < 0, axis=1) | np.any(idx >= self.dims, axis=1)
         if oob.any():
             return True
-        return bool(self._occ[idx[:, 0], idx[:, 1], idx[:, 2]].any())
+        return bool(self.occupied[idx[:, 0], idx[:, 1], idx[:, 2]].any())
 
     def occupied_fraction(self) -> float:
-        return float(self._occ.mean())
+        return float(self.occupied.mean())
 
     # ------------------------------------------------------------------
     # Visibility
@@ -188,7 +191,7 @@ class OccupancyGrid:
         vox = self._segment_voxels(a, b)
         if (vox < 0).any() or (vox >= self.dims).any():
             return False
-        return not bool(self._occ[vox[:, 0], vox[:, 1], vox[:, 2]].any())
+        return not bool(self.occupied[vox[:, 0], vox[:, 1], vox[:, 2]].any())
 
     # ------------------------------------------------------------------
     # Free-box inflation
@@ -215,7 +218,7 @@ class OccupancyGrid:
                 return False
             sl = [slice(lo[0], hi[0] + 1), slice(lo[1], hi[1] + 1), slice(lo[2], hi[2] + 1)]
             sl[ax] = slice(index, index + 1)
-            return not bool(self._occ[tuple(sl)].any())
+            return not bool(self.occupied[tuple(sl)].any())
 
         growing = [True] * 6
         while any(growing):
@@ -247,7 +250,7 @@ class OccupancyGrid:
         hi = np.ceil((cube.max_corner - self.origin) / self.resolution - 1e-9).astype(int)
         if np.any(lo < 0) or np.any(hi > self.dims):
             return False
-        return not bool(self._occ[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].any())
+        return not bool(self.occupied[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].any())
 
 
 # ----------------------------------------------------------------------
@@ -375,8 +378,8 @@ def _rasterize_cylinder(grid: OccupancyGrid, center, radius: float, zmin: float,
     hi_k = min(int(np.ceil((zmax - grid.origin[2]) / res)), int(grid.dims[2]))
     if lo_k >= hi_k:
         return
-    block = grid.values[lo_i:hi_i, lo_j:hi_j, lo_k:hi_k]
-    block[hit, :] = 1.0
+    block = grid.occupied[lo_i:hi_i, lo_j:hi_j, lo_k:hi_k]
+    block[hit, :] = True
 
 
 def build_map(spec: MapSpec) -> OccupancyGrid:
@@ -410,5 +413,4 @@ def build_map(spec: MapSpec) -> OccupancyGrid:
                 if any(np.hypot(tx - c[0], ty - c[1]) < c[2] + radius for c in keep_clear):
                     continue
                 _rasterize_cylinder(grid, (tx, ty), radius, zmin_map, zmax_map)
-    grid._refresh_occ()
     return grid

@@ -391,7 +391,7 @@ def search(start: KinoState, traj: PredictedTrajectory | None, grid: OccupancyGr
         idx = np.floor((pos - grid.origin) / res).astype(int)
         oob = np.any(idx < 0, axis=2) | np.any(idx >= grid.dims, axis=2)
         idx_safe = np.clip(idx, 0, grid.dims - 1)
-        hit = grid._occ[idx_safe[..., 0], idx_safe[..., 1], idx_safe[..., 2]] | oob
+        hit = grid.occupied[idx_safe[..., 0], idx_safe[..., 1], idx_safe[..., 2]] | oob
         kept = np.nonzero(feasible & ~hit.any(axis=1))[0]
         if not len(kept):
             continue

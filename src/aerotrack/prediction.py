@@ -91,6 +91,16 @@ def evaluate(traj: PredictedTrajectory, t: float) -> tuple[np.ndarray, np.ndarra
     return traj.evaluate(t)
 
 
+def _second_difference(n: int) -> np.ndarray:
+    """(n-1, n+1) stencil with rows c_i - 2 c_{i+1} + c_{i+2}."""
+    D2 = np.zeros((n - 1, n + 1))
+    for i in range(n - 1):
+        D2[i, i] = 1.0
+        D2[i, i + 1] = -2.0
+        D2[i, i + 2] = 1.0
+    return D2
+
+
 def _fit_matrices(times_s: np.ndarray, weights: np.ndarray, w: PredictionWeights, scale: float):
     """Quadratic form pieces shared by all three axes."""
     n = w.degree
@@ -99,11 +109,7 @@ def _fit_matrices(times_s: np.ndarray, weights: np.ndarray, w: PredictionWeights
         Phi[:, i] = [bernstein(n, i, s) for s in times_s]
     PhiW = Phi * weights[:, None]
     # second hodograph: f = D2 c with f_i = n(n-1)(c_{i+2} - 2 c_{i+1} + c_i)
-    D2 = np.zeros((n - 1, n + 1))
-    for i in range(n - 1):
-        D2[i, i] = 1.0
-        D2[i, i + 1] = -2.0
-        D2[i, i + 2] = 1.0
+    D2 = _second_difference(n)
     D2 *= n * (n - 1)
     M = _bezier_l2_matrix(n - 2)
     R = (w.smooth_weight / scale**3) * (D2.T @ M @ D2)
@@ -118,12 +124,7 @@ def _constraint_rows(n: int, scale: float):
         D1[i, i] = -1.0
         D1[i, i + 1] = 1.0
     V = n * D1 / scale
-    D2 = np.zeros((n - 1, n + 1))
-    for i in range(n - 1):
-        D2[i, i] = 1.0
-        D2[i, i + 1] = -2.0
-        D2[i, i + 2] = 1.0
-    A = n * (n - 1) * D2 / scale**2
+    A = n * (n - 1) * _second_difference(n) / scale**2
     return np.vstack([V, -V, A, -A]), V.shape[0], A.shape[0]
 
 
@@ -175,18 +176,3 @@ def fit_predicted_trajectory(observations, t_c: float, w: PredictionWeights | No
         fit_info={"kkt_residual": kkt, "n_obs": len(usable), "residual": objective},
     )
 
-
-def unconstrained_fit_oracle(observations, t_c: float, w: PredictionWeights) -> np.ndarray:
-    """Dense weighted normal-equation solution, ignoring the box constraints."""
-    n = w.degree
-    t0 = t_c - w.window
-    scale = w.window + w.horizon
-    usable = [o for o in observations
-              if o.valid and t0 - 1e-9 <= o.timestamp <= t_c + 1e-9]
-    times = np.array([o.timestamp for o in usable])
-    pts = np.array([o.position_world for o in usable])
-    conf = np.exp(-(t_c - times) / w.tau_w)
-    s_vals = (times - t0) / scale
-    Phi, PhiW, H = _fit_matrices(s_vals, conf, w, scale)
-    rhs = 2.0 * (PhiW.T @ pts)
-    return np.linalg.solve(H, rhs)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -473,6 +472,9 @@ def benchmark(scenario_dicts: list, variants: list, n_runs: int,
     jobs = [(sd, v, i)
             for sd in scenario_dicts for v in variants for i in range(n_runs)]
     if workers > 1 and len(jobs) > 1:
+        # imported here so that importing the package does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, jobs))
     else:

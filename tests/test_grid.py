@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from aerotrack import benchmarks
 from aerotrack.errors import InvalidSpec, SeedOccupied
 from aerotrack.grid import Cube, MapSpec, OccupancyGrid, build_map
 
@@ -21,18 +24,21 @@ class TestOccupancy:
 
     def test_single_voxel(self):
         g = empty_grid()
-        g.values[5, 5, 5] = 1.0
-        g._refresh_occ()
+        g.occupied[5, 5, 5] = True
         assert g.is_occupied((0.55, 0.55, 0.55))
         assert not g.is_occupied((0.45, 0.55, 0.55))
 
     def test_threshold(self):
-        g = OccupancyGrid((0, 0, 0), 0.1, (4, 4, 4), occ_threshold=0.5)
-        g.values[1, 1, 1] = 0.49
-        g._refresh_occ()
+        values = np.zeros((4, 4, 4))
+        values[1, 1, 1] = 0.49
+        g = OccupancyGrid((0, 0, 0), 0.1, (4, 4, 4), values=values, occ_threshold=0.5)
         assert not g.is_occupied((0.15, 0.15, 0.15))
-        g.values[1, 1, 1] = 0.5
-        g._refresh_occ()
+        values[1, 1, 1] = 0.5
+        g = OccupancyGrid((0, 0, 0), 0.1, (4, 4, 4), values=values, occ_threshold=0.5)
+        assert g.is_occupied((0.15, 0.15, 0.15))
+        g.set_occupied_box((0.1, 0.1, 0.1), (0.2, 0.2, 0.2), value=0.49)
+        assert not g.is_occupied((0.15, 0.15, 0.15))
+        g.set_occupied_box((0.1, 0.1, 0.1), (0.2, 0.2, 0.2), value=0.5)
         assert g.is_occupied((0.15, 0.15, 0.15))
 
     def test_values_validated(self):
@@ -63,8 +69,7 @@ class TestLineOfSight:
         g = empty_grid(16)
         rng = np.random.default_rng(4)
         for _ in range(30):
-            g.values[tuple(rng.integers(0, 16, 3))] = 1.0
-        g._refresh_occ()
+            g.occupied[tuple(rng.integers(0, 16, 3))] = True
         for _ in range(200):
             a = rng.uniform(0.05, 1.55, 3)
             b = rng.uniform(0.05, 1.55, 3)
@@ -75,8 +80,7 @@ class TestLineOfSight:
         g = empty_grid(16)
         rng = np.random.default_rng(11)
         for _ in range(40):
-            g.values[tuple(rng.integers(0, 16, 3))] = 1.0
-        g._refresh_occ()
+            g.occupied[tuple(rng.integers(0, 16, 3))] = True
         for _ in range(300):
             a = rng.uniform(0.05, 1.55, 3)
             b = rng.uniform(0.05, 1.55, 3)
@@ -90,9 +94,8 @@ class TestLineOfSight:
         # two occupied voxels sharing only an edge: a ray exactly through the
         # shared corner must be blocked
         g = empty_grid(4)
-        g.values[1, 1, 1] = 1.0
-        g.values[2, 2, 1] = 1.0
-        g._refresh_occ()
+        g.occupied[1, 1, 1] = True
+        g.occupied[2, 2, 1] = True
         # ray exactly through the corner the occupied voxels share: blocked
         assert not g.line_of_sight((0.1, 0.1, 0.15), (0.3, 0.3, 0.15))
         # the free diagonal voxels touch only at that corner, so the
@@ -123,10 +126,9 @@ class TestInflateBox:
         assert g.cube_is_free(cube)
 
     def test_one_voxel_corridor(self):
-        g = empty_grid(10)
-        g.values[:, :, :] = 1.0
-        g.values[:, 5, 5] = 0.0  # free line along x
-        g._refresh_occ()
+        values = np.ones((10, 10, 10))
+        values[:, 5, 5] = 0.0  # free line along x
+        g = OccupancyGrid((0.0, 0.0, 0.0), 0.1, (10, 10, 10), values=values)
         cube = g.inflate_box((0.55, 0.55, 0.55), max_extent=1.0)
         assert cube.sides[1] == pytest.approx(g.resolution)
         assert cube.sides[2] == pytest.approx(g.resolution)
@@ -135,8 +137,7 @@ class TestInflateBox:
 
     def test_occupied_seed_raises(self):
         g = empty_grid()
-        g.values[5, 5, 5] = 1.0
-        g._refresh_occ()
+        g.occupied[5, 5, 5] = True
         with pytest.raises(SeedOccupied):
             g.inflate_box((0.55, 0.55, 0.55), max_extent=1.0)
 
@@ -144,8 +145,7 @@ class TestInflateBox:
         rng = np.random.default_rng(3)
         g = empty_grid(20)
         for _ in range(60):
-            g.values[tuple(rng.integers(0, 20, 3))] = 1.0
-        g._refresh_occ()
+            g.occupied[tuple(rng.integers(0, 20, 3))] = True
         for _ in range(50):
             seed = rng.uniform(0.1, 1.9, 3)
             if g.is_occupied(seed):
@@ -183,7 +183,7 @@ class TestBuildMap:
         }
         g1 = build_map(MapSpec.from_dict(raw))
         g2 = build_map(MapSpec.from_dict(raw))
-        assert np.array_equal(g1.values, g2.values)
+        assert np.array_equal(g1.occupied, g2.occupied)
 
     def test_forest_fraction_near_expectation(self):
         density, radius = 0.02, 1.0
@@ -208,6 +208,18 @@ class TestBuildMap:
         }
         g = build_map(MapSpec.from_dict(raw))
         assert g.is_occupied((0.35, 0.35, 0.35))
+
+    def test_build_peak_memory_per_voxel(self):
+        # one byte of occupancy per voxel and no full-grid temporaries
+        spec = MapSpec.from_dict(benchmarks.ALL["sharp_turn_low"]()["map"])
+        tracemalloc.start()
+        try:
+            g = build_map(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * int(np.prod(spec.dims))
+        assert g.occupied.dtype == bool
 
     def test_invalid_spec_diagnostics(self):
         with pytest.raises(InvalidSpec) as err:

@@ -5,11 +5,11 @@ from aerotrack.errors import InsufficientData, OutOfDomain
 from aerotrack.perception import TargetObservation
 from aerotrack.prediction import (
     PredictionWeights,
+    _fit_matrices,
     bernstein,
     de_casteljau,
     fit_predicted_trajectory,
     hodograph,
-    unconstrained_fit_oracle,
 )
 
 
@@ -18,6 +18,21 @@ def make_obs(times, positions):
         TargetObservation(position_world=np.asarray(p, float), timestamp=float(t), valid=True)
         for t, p in zip(times, positions)
     ]
+
+
+def unconstrained_fit_oracle(observations, t_c: float, w: PredictionWeights) -> np.ndarray:
+    """Dense weighted normal-equation solution, ignoring the box constraints."""
+    t0 = t_c - w.window
+    scale = w.window + w.horizon
+    usable = [o for o in observations
+              if o.valid and t0 - 1e-9 <= o.timestamp <= t_c + 1e-9]
+    times = np.array([o.timestamp for o in usable])
+    pts = np.array([o.position_world for o in usable])
+    conf = np.exp(-(t_c - times) / w.tau_w)
+    s_vals = (times - t0) / scale
+    Phi, PhiW, H = _fit_matrices(s_vals, conf, w, scale)
+    rhs = 2.0 * (PhiW.T @ pts)
+    return np.linalg.solve(H, rhs)
 
 
 class TestBernstein:

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from aerotrack import benchmarks
+from aerotrack import benchmarks, kino_search
+from aerotrack.errors import NoPath
 from aerotrack.perception import TargetObservation
 from aerotrack.scenario import Scenario
 from aerotrack.tracker import (
@@ -10,9 +16,12 @@ from aerotrack.tracker import (
     TRACKING,
     ModeState,
     TrackerWorld,
+    benchmark,
     relocation_update,
     step,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 DT = 0.125  # exact in binary, so streak sums hit the timeout exactly
 
@@ -80,3 +89,48 @@ class TestStep:
         assert [row[t_col] for row in world.trace_rows] == [k * world.dt for k in range(8)]
         assert world.trace_rows[-1][ok_col] == 1
         assert world.traj_clock == world.dt  # a new trajectory, flown for one cycle
+
+
+class TestStageFailures:
+    @staticmethod
+    def planning_world():
+        """A sharp_turn_low world stepped past its warm-up, so the next step plans."""
+        world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]()))
+        for _ in range(8):
+            step(world)
+        return world
+
+    def test_planning_failure_is_named(self, monkeypatch):
+        world = self.planning_world()
+        failures = world.plan_failures
+
+        def enclosed(*args, **kwargs):
+            raise NoPath("start is enclosed")
+
+        monkeypatch.setattr(kino_search, "search", enclosed)
+        step(world)
+        assert world.last_plan_error == "NoPath: start is enclosed"
+        assert world.plan_failures == failures + 1
+        assert world.trace_rows[-1][TRACE_COLUMNS.index("plan_ok")] == 0
+
+
+class TestBenchmark:
+    def test_import_leaves_process_pool_unloaded(self):
+        code = ("import sys, aerotrack; "
+                "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+                "if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+    def test_workers_give_the_same_rows(self):
+        scenario = dict(benchmarks.ALL["sharp_turn_low"](), duration=1.0)
+        serial = benchmark([scenario], ["full"], 2, workers=1)
+        pooled = benchmark([scenario], ["full"], 2, workers=2)
+
+        def outcome(rows):  # plan_ms is wall-clock time
+            return [{k: v for k, v in r.items() if k != "plan_ms"} for r in rows]
+
+        assert [r["run"] for r in serial] == [0, 1]
+        assert outcome(pooled) == outcome(serial)
