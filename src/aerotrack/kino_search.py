@@ -247,14 +247,6 @@ def goal_state(traj: PredictedTrajectory, t_c: float, w: SearchWeights) -> KinoS
     return KinoState(p=p, v=v, t=t_c)
 
 
-def occlusion_penalty(x_c: KinoState, target_pred, grid: OccupancyGrid,
-                      w: SearchWeights) -> float:
-    """Zero when the node sees the predicted target position, else the penalty."""
-    if grid.line_of_sight(x_c.p, np.asarray(target_pred, dtype=float)):
-        return 0.0
-    return w.p_occ
-
-
 # ----------------------------------------------------------------------
 # Search
 # ----------------------------------------------------------------------

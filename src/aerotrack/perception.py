@@ -9,6 +9,7 @@ constant in the camera frame since target motion is assumed horizontal.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 
@@ -79,7 +80,7 @@ class TargetObservation:
         return TargetObservation(position_world=None, timestamp=timestamp, valid=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegressionParams:
     """Fitted localization parameters.
 
@@ -274,6 +275,10 @@ def _lateral_resid_jac(u, x_hat, y_gt):
     return fn
 
 
+# Fits kept per process; each holds one small RegressionParams.
+_FIT_CACHE_SIZE = 8
+
+
 def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionParams:
     """Fit the localization regression from (ImageFeatures, camera-frame truth) pairs.
 
@@ -284,12 +289,28 @@ def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionPara
     broken by the lowest parameter norm, then by start order.
     Raises FitDiverged when no start converges or the dataset is rank
     deficient (for example, all samples at a single range).
+
+    Results are memoized per process in ``_fit_arrays``, an LRU cache of
+    ``_FIT_CACHE_SIZE`` fits keyed on ``(L.tobytes(), u.tobytes(),
+    truth.tobytes(), truth.shape, n_starts, seed)``: the exact inputs, so a
+    hit is bit-identical to a fresh fit. Failures are not cached.
     """
     if len(dataset) < 8:
         raise FitDiverged(f"dataset of {len(dataset)} samples is too small to fit")
     L = np.array([f.body_len_px for f, _ in dataset], dtype=float)
     u = np.array([f.u_px for f, _ in dataset], dtype=float)
     truth = np.array([np.asarray(p, dtype=float) for _, p in dataset])
+    return _fit_arrays(L.tobytes(), u.tobytes(), truth.tobytes(), truth.shape,
+                       n_starts, seed)
+
+
+@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
+def _fit_arrays(L_bytes: bytes, u_bytes: bytes, truth_bytes: bytes, truth_shape: tuple,
+                n_starts: int, seed: int) -> RegressionParams:
+    """The fit of :func:`fit_regression` on its arrays, passed as raw bytes."""
+    L = np.frombuffer(L_bytes)
+    u = np.frombuffer(u_bytes)
+    truth = np.frombuffer(truth_bytes).reshape(truth_shape)
     x_gt, y_gt, z_gt = truth[:, 0], truth[:, 1], truth[:, 2]
     rng = np.random.default_rng(seed)
 
@@ -319,7 +340,7 @@ def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionPara
         lateral_starts.append(np.array([lam[0], lam[1], k[0], k[1], 1.0, 0.0]))
     cost_y, p_y, _ = _best_start(_lateral_resid_jac(u, x_hat, y_gt), lateral_starts)
 
-    rms = float(np.sqrt((cost_x + cost_y) / len(dataset)))
+    rms = float(np.sqrt((cost_x + cost_y) / len(L)))
     return RegressionParams(
         lam1=p_x[0], lam2=p_x[1], k1=p_x[2], k2=p_x[3],
         lam3=p_y[0], lam4=p_y[1], k3=p_y[2], k4=p_y[3], a=p_y[4], b=p_y[5],

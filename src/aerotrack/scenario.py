@@ -32,8 +32,12 @@ class TargetScript:
         self.waypoints = np.asarray(self.waypoints, dtype=float)
         if self.waypoints.ndim != 2 or self.waypoints.shape[1] != 3:
             raise InvalidScenario("target waypoints must be (K, 3)")
-        if self.speed <= 0:
-            raise InvalidScenario("target speed must be > 0")
+        if not np.all(np.isfinite(self.waypoints)):
+            raise InvalidScenario("target waypoints must be finite")
+        if not 0 < self.speed < np.inf:
+            raise InvalidScenario("target speed must be finite and > 0")
+        if not np.isfinite(self.smoothing):
+            raise InvalidScenario("target smoothing must be finite")
         legs = np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
         self._knot_times = np.concatenate([[0.0], np.cumsum(legs / self.speed)])
 
@@ -112,6 +116,8 @@ class Scenario:
 
     def __post_init__(self):
         self.quad_start = np.asarray(self.quad_start, dtype=float)
+        if self.quad_start.shape != (3,) or not np.all(np.isfinite(self.quad_start)):
+            raise InvalidScenario("quad_start must be 3 finite numbers")
         lo = self.map_spec.origin
         hi = self.map_spec.origin + self.map_spec.dims * self.map_spec.resolution
         for i, p in enumerate(self.target.waypoints):
@@ -121,8 +127,8 @@ class Scenario:
             raise InvalidScenario(
                 f"target speed {self.target.speed} exceeds prediction bound "
                 f"{self.prediction.v_max}")
-        if self.duration <= 0:
-            raise InvalidScenario("duration must be > 0")
+        if not 0 < self.duration < np.inf:
+            raise InvalidScenario("duration must be finite and > 0")
 
     @staticmethod
     def from_dict(raw: dict) -> "Scenario":
@@ -144,40 +150,48 @@ class Scenario:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidScenario(f"target: {exc}")
 
-        def build(cls, key):
+        def section(key):
             cfg = raw.get(key, {})
             if not isinstance(cfg, dict):
                 raise InvalidScenario(f"{key}: expected an object")
+            return dict(cfg)
+
+        def build(cls, key, cfg=None, **fixed):
             try:
-                return cls(**cfg)
+                return cls(**fixed, **(section(key) if cfg is None else cfg))
             except TypeError as exc:
                 raise InvalidScenario(f"{key}: {exc}")
 
-        perception_raw = dict(raw.get("perception", {}))
+        def convert(key, fn, value):
+            try:
+                return fn(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidScenario(f"{key}: {exc}")
+
+        perception_raw = section("perception")
         fov = perception_raw.pop("horizontal_fov_deg", None)
-        camera = DEFAULT_CAMERA if fov is None else CameraModel.from_fov(np.deg2rad(fov))
-        try:
-            perception = PerceptionConfig(camera=camera, **perception_raw)
-        except TypeError as exc:
-            raise InvalidScenario(f"perception: {exc}")
-        search_raw = dict(raw.get("search", {}))
+        if fov is None:
+            camera = DEFAULT_CAMERA
+        elif isinstance(fov, (int, float)) and 0 < fov < 180:
+            camera = CameraModel.from_fov(np.deg2rad(fov))
+        else:
+            raise InvalidScenario(
+                f"perception: horizontal_fov_deg must be a number in (0, 180), got {fov!r}")
+        search_raw = section("search")
         if "u_grid" in search_raw:
-            search_raw["u_grid"] = tuple(search_raw["u_grid"])
+            search_raw["u_grid"] = convert("search", tuple, search_raw["u_grid"])
         search_raw.setdefault("freeze_z", True)
-        try:
-            search_w = SearchWeights(**search_raw)
-        except TypeError as exc:
-            raise InvalidScenario(f"search: {exc}")
         return Scenario(
             name=str(raw["name"]),
             map_spec=MapSpec.from_dict(raw["map"]),
             target=target,
-            quad_start=np.asarray(raw["quad_start"], dtype=float),
-            duration=float(raw["duration"]),
-            seed=int(raw.get("seed", 0)),
-            perception=perception,
+            quad_start=convert("quad_start", lambda v: np.asarray(v, dtype=float),
+                               raw["quad_start"]),
+            duration=convert("duration", float, raw["duration"]),
+            seed=convert("seed", int, raw.get("seed", 0)),
+            perception=build(PerceptionConfig, "perception", perception_raw, camera=camera),
             prediction=build(PredictionWeights, "prediction"),
-            search=search_w,
+            search=build(SearchWeights, "search", search_raw),
             opt=build(OptWeights, "opt"),
             tracker=build(TrackerParams, "tracker"),
         )

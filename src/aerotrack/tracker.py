@@ -161,7 +161,12 @@ class TrackerWorld:
 
 
 def default_regression_params(scenario: Scenario):
-    """Fit the localization regression once from a synthetic mocap dataset."""
+    """Localization regression fitted to a synthetic mocap dataset.
+
+    The dataset is rebuilt for every call, but ``fit_regression`` memoizes on
+    its exact inputs, so each process fits once per set of calibration inputs
+    (camera, body length, noise sigmas) and every later world reuses that fit.
+    """
     cfg = scenario.perception
     dataset = make_calibration_dataset(
         cfg.camera, cfg.body_len, n=320, seed=0,

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from aerotrack import benchmarks
 from aerotrack.cli import main
 from aerotrack.grid import MapSpec, build_map
 
@@ -45,3 +46,8 @@ class TestRun:
     def test_missing_scenario_exits_1(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 1
         assert "file not found" in capsys.readouterr().err
+
+    def test_invalid_scenario_exits_1(self, tmp_path, capsys):
+        raw = dict(benchmarks.ALL["sharp_turn_low"](), duration="abc")
+        assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
+        assert "duration" in capsys.readouterr().err

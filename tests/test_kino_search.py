@@ -12,7 +12,6 @@ from aerotrack.kino_search import (
     edge_cost,
     goal_state,
     obvp_cost,
-    occlusion_penalty,
     propagate,
     search,
 )
@@ -171,20 +170,6 @@ class TestGoalState:
             g = goal_state(traj, 2.0, SearchWeights(w_goal=wg))
             assert np.allclose(g.p, (2.0, 3.0, 1.0), atol=1e-5)
             assert np.linalg.norm(g.v) < 1e-5
-
-
-class TestOcclusionPenalty:
-    def test_free_map(self):
-        g = open_grid()
-        s = KinoState(p=(1, 1, 1), v=(0, 0, 0))
-        assert occlusion_penalty(s, (5, 5, 2), g, SearchWeights()) == 0.0
-
-    def test_behind_wall(self):
-        g = open_grid()
-        g.set_occupied_box((3.0, 0.0, 0.0), (3.1, 12.0, 3.0))
-        s = KinoState(p=(1, 5, 1), v=(0, 0, 0))
-        w = SearchWeights()
-        assert occlusion_penalty(s, (5, 5, 1), g, w) == w.p_occ
 
 
 class TestSearch:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,13 @@ from aerotrack.perception import (
 BODY_LEN = 0.45
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(autouse=True)
+def cold_fit_cache():
+    """Every test starts with no memoized fit, so its first fit really runs."""
+    perception._fit_arrays.cache_clear()
+
+
+@pytest.fixture
 def fitted_params():
     dataset = make_calibration_dataset(DEFAULT_CAMERA, BODY_LEN, n=320, seed=0)
     return fit_regression(dataset)
@@ -234,6 +242,49 @@ class TestRegressionExactness:
         dataset = make_calibration_dataset(DEFAULT_CAMERA, BODY_LEN, n=320, seed=0)
         with pytest.raises(FitDiverged, match="too small"):
             fit_regression(dataset[:7])
+
+
+class TestRegressionMemo:
+    """``fit_regression`` reuses a fit only for byte-identical inputs."""
+
+    @staticmethod
+    def dataset():
+        return make_calibration_dataset(
+            DEFAULT_CAMERA, BODY_LEN, n=320, seed=0, sigma_u=2.0, sigma_len=2.0)
+
+    def test_hit_equals_cold_fit(self):
+        first = fit_regression(self.dataset())
+        hit = fit_regression(self.dataset())
+        info = perception._fit_arrays.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert hit is first
+        perception._fit_arrays.cache_clear()
+        assert hit == fit_regression(self.dataset())
+
+    def test_one_ulp_in_one_sample_misses(self):
+        dataset = self.dataset()
+        f, p = dataset[17]
+        nudged = dataclasses.replace(
+            f, body_len_px=float(np.nextafter(f.body_len_px, np.inf)))
+        fit_regression(dataset)
+        fit_regression(dataset[:17] + [(nudged, p)] + dataset[18:])
+        info = perception._fit_arrays.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+
+    def test_failures_are_raised_on_every_call(self):
+        pose = Pose(np.zeros(3), 0.0)
+        samples = []
+        for i in range(10):
+            target = np.array([3.0, 0.1 * i - 0.5, 1.0])
+            samples.append((project_target(target, BODY_LEN, DEFAULT_CAMERA, pose), target))
+        for _ in range(2):
+            with pytest.raises(FitDiverged, match="rank deficient"):
+                fit_regression(samples)
+        assert perception._fit_arrays.cache_info().misses == 2
+
+    def test_params_are_frozen(self, fitted_params):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fitted_params.lam1 = 0.0
 
 
 class TestGimbal:
