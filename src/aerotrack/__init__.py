@@ -1,117 +1,3 @@
 """Occlusion-aware aerial target tracking library and closed-loop simulator."""
 
-from .corridor import Corridor, build_corridor, cube_intersection
-from .grid import Cube, MapSpec, OccupancyGrid, build_map
-from .kino_search import (
-    KinoPath,
-    KinoState,
-    MotionPrimitive,
-    SearchWeights,
-    edge_cost,
-    goal_state,
-    obvp_cost,
-    propagate,
-    search,
-)
-from .perception import (
-    CameraModel,
-    GimbalState,
-    ImageFeatures,
-    Pose,
-    RegressionParams,
-    TargetObservation,
-    fit_regression,
-    gimbal_search_step,
-    gimbal_track_step,
-    localize,
-    make_calibration_dataset,
-    project_target,
-)
-from .prediction import (
-    PredictedTrajectory,
-    PredictionWeights,
-    bernstein,
-    evaluate,
-    fit_predicted_trajectory,
-    hodograph,
-)
-from .scenario import PerceptionConfig, Scenario, TargetScript, TrackerParams
-from .tracker import (
-    Metrics,
-    ModeState,
-    TrackerWorld,
-    benchmark,
-    benchmark_table,
-    relocation_update,
-    run_scenario,
-    step,
-    write_trace,
-)
-from .traj_opt import (
-    BoundaryConditions,
-    OptWeights,
-    PiecewiseTrajectory,
-    cost_and_gradient,
-    inner_trajectory,
-    optimize,
-    sample,
-)
-
-__all__ = [
-    "BoundaryConditions",
-    "CameraModel",
-    "Corridor",
-    "Cube",
-    "GimbalState",
-    "ImageFeatures",
-    "KinoPath",
-    "KinoState",
-    "MapSpec",
-    "Metrics",
-    "ModeState",
-    "MotionPrimitive",
-    "OccupancyGrid",
-    "OptWeights",
-    "PerceptionConfig",
-    "PiecewiseTrajectory",
-    "Pose",
-    "PredictedTrajectory",
-    "PredictionWeights",
-    "RegressionParams",
-    "Scenario",
-    "SearchWeights",
-    "TargetObservation",
-    "TargetScript",
-    "TrackerParams",
-    "TrackerWorld",
-    "benchmark",
-    "benchmark_table",
-    "bernstein",
-    "build_corridor",
-    "build_map",
-    "cost_and_gradient",
-    "cube_intersection",
-    "edge_cost",
-    "evaluate",
-    "fit_predicted_trajectory",
-    "fit_regression",
-    "gimbal_search_step",
-    "gimbal_track_step",
-    "goal_state",
-    "hodograph",
-    "inner_trajectory",
-    "localize",
-    "make_calibration_dataset",
-    "obvp_cost",
-    "optimize",
-    "project_target",
-    "propagate",
-    "relocation_update",
-    "run_scenario",
-    "sample",
-    "search",
-    "step",
-    "write_trace",
-]
-
 __version__ = "0.1.0"

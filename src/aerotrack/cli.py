@@ -91,7 +91,7 @@ def _cmd_gen_map(args) -> int:
     if args.out:
         np.savez_compressed(
             args.out, values=grid.occupied.astype(np.float32), origin=grid.origin,
-            resolution=grid.resolution, occ_threshold=grid.occ_threshold)
+            resolution=grid.resolution)
         summary["saved"] = args.out
     print(json.dumps(summary, indent=2))
     return 0

@@ -34,9 +34,6 @@ class Corridor:
     def __len__(self) -> int:
         return len(self.cubes)
 
-    def contains(self, p, margin: float = 0.0) -> bool:
-        return any(c.contains(p, margin) for c in self.cubes)
-
     def contains_all(self, points, margin: float = 0.0) -> bool:
         pts = np.asarray(points)
         inside = np.zeros(len(pts), dtype=bool)

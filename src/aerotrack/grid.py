@@ -1,18 +1,18 @@
 """Voxel occupancy environment: membership, visibility, and free-box queries.
 
 The grid stores boolean occupancy on a dense voxel lattice, one byte per
-voxel. Occupancy probabilities in [0, 1] are accepted at construction and
-thresholded there: a voxel is occupied once its value reaches
-``occ_threshold``. Anything outside the lattice is treated as occupied so
-planners stay conservative near map edges. Visibility uses a supercover
-segment traversal: every voxel the segment touches is checked, and a segment
-grazing a voxel corner checks the voxels on both sides so rays cannot leak
-diagonally between occupied cells.
+voxel; there are no occupancy probabilities. ``OccupancyGrid.occupied_at`` is
+the one mapping from world points to occupancy, and anything outside the
+lattice reads as occupied so planners stay conservative near map edges.
+Visibility uses a supercover segment traversal: every voxel the segment
+touches is checked, and a segment grazing a voxel corner checks the voxels on
+both sides so rays cannot leak diagonally between occupied cells.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -52,18 +52,12 @@ class Cube:
             np.all(p >= self.min_corner - margin) and np.all(p <= self.max_corner + margin)
         )
 
-    def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (A, b) with A x <= b, rows being the six outward axis normals."""
-        A = np.vstack([np.eye(3), -np.eye(3)])
-        b = np.concatenate([self.max_corner, -self.min_corner])
-        return A, b
-
 
 class OccupancyGrid:
     """Dense boolean voxel occupancy map.
 
-    ``occupied`` is the one voxel array, of shape ``dims``; probabilities given
-    as ``values`` are thresholded once, here, and not kept.
+    ``occupied`` is the one voxel array, of shape ``dims``: a voxel is either
+    occupied or free, and a new grid is all free.
 
     Parameters
     ----------
@@ -73,85 +67,54 @@ class OccupancyGrid:
         Voxel edge length [m], > 0.
     dims:
         Number of voxels along each axis.
-    values:
-        Occupancy probabilities, shape ``dims``, all in [0, 1]. Defaults to
-        an all-free grid.
-    occ_threshold:
-        A voxel is occupied once its value is >= this threshold, in (0, 1).
     """
 
-    def __init__(self, origin, resolution: float, dims, values=None, occ_threshold: float = 0.5):
+    def __init__(self, origin, resolution: float, dims):
         self.origin = np.asarray(origin, dtype=float)
         self.resolution = float(resolution)
         self.dims = np.asarray(dims, dtype=int)
         if self.resolution <= 0:
             raise ValueError("resolution must be > 0")
-        if not (0.0 < occ_threshold < 1.0):
-            raise ValueError("occ_threshold must lie in (0, 1)")
         if np.any(self.dims <= 0):
             raise ValueError("dims must be positive")
-        self.occ_threshold = float(occ_threshold)
-        if values is None:
-            self.occupied = np.zeros(tuple(self.dims), dtype=bool)
-        else:
-            values = np.asarray(values, dtype=np.float32).reshape(tuple(self.dims))
-            if values.min() < 0.0 or values.max() > 1.0:
-                raise ValueError("occupancy values must lie in [0, 1]")
-            self.occupied = values >= self.occ_threshold
+        self.occupied = np.zeros(tuple(self.dims), dtype=bool)
 
     # ------------------------------------------------------------------
     # Coordinate helpers
     # ------------------------------------------------------------------
 
-    @property
-    def max_corner(self) -> np.ndarray:
-        return self.origin + self.dims * self.resolution
-
     def world_to_voxel(self, p) -> np.ndarray:
         """Integer voxel index containing world point ``p`` (may be out of bounds)."""
         return np.floor((np.asarray(p) - self.origin) / self.resolution).astype(int)
-
-    def voxel_center(self, idx) -> np.ndarray:
-        return self.origin + (np.asarray(idx) + 0.5) * self.resolution
-
-    def in_bounds(self, idx) -> bool:
-        idx = np.asarray(idx)
-        return bool(np.all(idx >= 0) and np.all(idx < self.dims))
 
     # ------------------------------------------------------------------
     # Occupancy queries
     # ------------------------------------------------------------------
 
-    def set_occupied_box(self, min_corner, max_corner, value: float = 1.0):
-        """Set all voxels overlapping the box with positive volume to ``value``.
-
-        ``value`` is an occupancy probability; it is thresholded on write.
-        """
+    def set_occupied_box(self, min_corner, max_corner):
+        """Occupy all voxels overlapping the box with positive volume."""
         lo_g = (np.asarray(min_corner, dtype=float) - self.origin) / self.resolution
         hi_g = (np.asarray(max_corner, dtype=float) - self.origin) / self.resolution
         lo = np.maximum(np.floor(lo_g + 1e-9).astype(int), 0)
         hi = np.minimum(np.ceil(hi_g - 1e-9).astype(int), self.dims)
         if np.any(lo >= hi):
             return
-        self.occupied[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = value >= self.occ_threshold
+        self.occupied[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
 
-    def is_occupied_voxel(self, idx) -> bool:
-        if not self.in_bounds(idx):
-            return True
-        i, j, k = (int(v) for v in idx)
-        return bool(self.occupied[i, j, k])
+    def occupied_at(self, points) -> np.ndarray:
+        """Occupancy of the voxel holding each world point, shape ``points.shape[:-1]``.
+
+        ``points`` has any leading shape and 3 coordinates last. A point
+        outside the lattice reads as occupied.
+        """
+        idx = self.world_to_voxel(points)
+        outside = np.any(idx < 0, axis=-1) | np.any(idx >= self.dims, axis=-1)
+        idx = np.clip(idx, 0, self.dims - 1)
+        return self.occupied[idx[..., 0], idx[..., 1], idx[..., 2]] | outside
 
     def is_occupied(self, p) -> bool:
-        """Occupancy of the voxel containing ``p``; out-of-bounds is occupied."""
-        return self.is_occupied_voxel(self.world_to_voxel(p))
-
-    def any_occupied(self, points: np.ndarray) -> bool:
-        """True if any of the (N, 3) world points sits in an occupied or outside voxel."""
-        idx = np.floor((np.asarray(points) - self.origin) / self.resolution).astype(int)
-        oob = np.any(idx < 0, axis=1) | np.any(idx >= self.dims, axis=1)
-        if oob.any():
-            return True
-        return bool(self.occupied[idx[:, 0], idx[:, 1], idx[:, 2]].any())
+        """Occupancy of the voxel containing the one point ``p``."""
+        return bool(self.occupied_at(p))
 
     def occupied_fraction(self) -> float:
         return float(self.occupied.mean())
@@ -207,11 +170,10 @@ class OccupancyGrid:
         under that growth order.
         """
         seed = np.asarray(seed, dtype=float)
-        svox = self.world_to_voxel(seed)
-        if self.is_occupied_voxel(svox):
+        if self.is_occupied(seed):
             raise SeedOccupied(f"inflation seed {seed.tolist()} is occupied")
-        lo = svox.copy()
-        hi = svox.copy()  # inclusive voxel index range
+        lo = self.world_to_voxel(seed)
+        hi = lo.copy()  # inclusive voxel index range
 
         def layer_free(ax: int, index: int) -> bool:
             if index < 0 or index >= self.dims[ax]:
@@ -260,13 +222,34 @@ class OccupancyGrid:
 _OBSTACLE_TYPES = ("box", "cylinder", "forest")
 
 
+def _number(x) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _positive(x) -> bool:
+    return _number(x) and x > 0
+
+
+def _count(x) -> bool:
+    """A non-negative int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _numbers(x, n=None) -> bool:
+    """A list of finite numbers, of length ``n`` when given."""
+    return (isinstance(x, (list, tuple)) and all(_number(c) for c in x)
+            and (n is None or len(x) == n))
+
+
 @dataclass
 class MapSpec:
     """Declarative map description, parsed from a JSON object by :meth:`from_dict`.
 
     Required keys: ``origin`` (3-vector, m), ``resolution`` (m per voxel) and
-    ``dims`` (3 positive voxel counts). Optional: ``seed`` (int, for forests),
-    ``occ_threshold`` and ``obstacles``, a list of objects whose ``type`` is
+    ``dims`` (3 positive voxel counts). Optional: ``seed`` (int, for forests)
+    and ``obstacles``, a list of objects whose ``type`` is
     ``box`` (``min``, ``max``), ``cylinder`` (``center`` [x, y], ``radius``,
     optional ``zmin``/``zmax``) or ``forest`` (``density`` in trees per m^2,
     ``radius``, optional ``keep_clear`` list of [x, y, r] discs).
@@ -277,42 +260,30 @@ class MapSpec:
     dims: np.ndarray
     obstacles: list
     seed: int = 0
-    occ_threshold: float = 0.5
 
     @staticmethod
     def from_dict(raw: dict) -> "MapSpec":
-        problems = []
         if not isinstance(raw, dict):
             raise InvalidSpec("map spec must be a JSON object")
-
-        def need(field, types, default=None):
-            if field not in raw:
-                if default is not None:
-                    return default
-                problems.append(f"{field}: missing required field")
-                return None
-            value = raw[field]
-            if types and not isinstance(value, types):
-                problems.append(f"{field}: expected {types}, got {type(value).__name__}")
-                return None
-            return value
-
-        origin = need("origin", (list, tuple))
-        resolution = need("resolution", (int, float))
-        dims = need("dims", (list, tuple))
+        problems = []
+        for key in ("origin", "resolution", "dims"):
+            if key not in raw:
+                problems.append(f"{key}: missing required field")
+        origin, resolution, dims = raw.get("origin"), raw.get("resolution"), raw.get("dims")
         obstacles = raw.get("obstacles", [])
         seed = raw.get("seed", 0)
-        if origin is not None and len(origin) != 3:
-            problems.append("origin: expected 3 components")
-        if dims is not None and (len(dims) != 3 or any(int(d) <= 0 for d in dims)):
+        if "origin" in raw and not _numbers(origin, 3):
+            problems.append("origin: expected 3 finite numbers")
+        if "resolution" in raw and not _positive(resolution):
+            problems.append("resolution: expected a finite number > 0")
+        if "dims" in raw and not (isinstance(dims, (list, tuple)) and len(dims) == 3
+                                  and all(_count(d) and d > 0 for d in dims)):
             problems.append("dims: expected 3 positive integers")
-        if resolution is not None and resolution <= 0:
-            problems.append("resolution: must be > 0")
         if not isinstance(obstacles, list):
             problems.append("obstacles: expected a list")
             obstacles = []
-        if not isinstance(seed, int):
-            problems.append("seed: expected an integer")
+        if not _count(seed):
+            problems.append("seed: expected a non-negative integer")
         for i, obs in enumerate(obstacles):
             where = f"obstacles[{i}]"
             if not isinstance(obs, dict):
@@ -324,18 +295,26 @@ class MapSpec:
                 continue
             if kind == "box":
                 for key in ("min", "max"):
-                    if key not in obs or len(obs[key]) != 3:
-                        problems.append(f"{where}.{key}: expected a 3-vector")
+                    if not _numbers(obs.get(key), 3):
+                        problems.append(f"{where}.{key}: expected 3 finite numbers")
             elif kind == "cylinder":
-                if "center" not in obs or len(obs["center"]) < 2:
-                    problems.append(f"{where}.center: expected at least [x, y]")
-                if obs.get("radius", 0) <= 0:
-                    problems.append(f"{where}.radius: must be > 0")
+                center = obs.get("center")
+                if not (_numbers(center) and len(center) >= 2):
+                    problems.append(f"{where}.center: expected at least [x, y], finite")
+                if not _positive(obs.get("radius")):
+                    problems.append(f"{where}.radius: must be a finite number > 0")
+                for key in ("zmin", "zmax"):
+                    if key in obs and not _number(obs[key]):
+                        problems.append(f"{where}.{key}: expected a finite number")
             elif kind == "forest":
-                if obs.get("density", 0) <= 0:
+                if not _positive(obs.get("density")):
                     problems.append(f"{where}.density: must be > 0 (trees per m^2)")
-                if obs.get("radius", 0) <= 0:
-                    problems.append(f"{where}.radius: must be > 0")
+                if not _positive(obs.get("radius")):
+                    problems.append(f"{where}.radius: must be a finite number > 0")
+                keep_clear = obs.get("keep_clear", [])
+                if not (isinstance(keep_clear, list)
+                        and all(_numbers(disc, 3) for disc in keep_clear)):
+                    problems.append(f"{where}.keep_clear: expected a list of [x, y, r]")
         if problems:
             raise InvalidSpec("invalid map spec:\n  " + "\n  ".join(problems))
         return MapSpec(
@@ -344,7 +323,6 @@ class MapSpec:
             dims=np.asarray([int(d) for d in dims]),
             obstacles=obstacles,
             seed=int(seed),
-            occ_threshold=float(raw.get("occ_threshold", 0.5)),
         )
 
     @staticmethod
@@ -386,7 +364,7 @@ def build_map(spec: MapSpec) -> OccupancyGrid:
     """Rasterize a map spec into a grid. Pure function of (spec, seed)."""
     if not isinstance(spec, MapSpec):
         spec = MapSpec.from_dict(spec)
-    grid = OccupancyGrid(spec.origin, spec.resolution, spec.dims, occ_threshold=spec.occ_threshold)
+    grid = OccupancyGrid(spec.origin, spec.resolution, spec.dims)
     zmin_map = float(spec.origin[2])
     zmax_map = float(spec.origin[2] + spec.dims[2] * spec.resolution)
     rng = np.random.default_rng(spec.seed)

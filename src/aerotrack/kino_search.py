@@ -1,11 +1,11 @@
 """Occlusion-aware kinodynamic path search over acceleration motion primitives.
 
-Best-first search in (position, velocity) space. Each edge applies a constant
-acceleration for a fixed duration; accumulated cost trades control effort
-against time. The heuristic combines the closed-form energy-time cost of the
-double-integrator boundary value problem toward a blended goal state, a time
-penalty on the remaining optimal duration, and a visibility penalty on nodes
-that cannot see the predicted target position.
+Best-first search in (position, velocity) space toward a goal state that the
+caller gives. Each edge applies a constant acceleration for a fixed duration;
+accumulated cost trades control effort against time. The heuristic combines
+the closed-form energy-time cost of the double-integrator boundary value
+problem toward the goal, a time penalty on the remaining optimal duration, and
+a visibility penalty on nodes that cannot see the given occlusion target.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import NoPath, StartOccupied
 from .grid import OccupancyGrid
-from .prediction import PredictedTrajectory
 
 _SCAN_T = np.arange(1e-3, 20.0 + 1e-3, 1e-3)
 
@@ -86,22 +85,6 @@ class KinoPath:
             pos = m.start.p + np.outer(ts, m.start.v) + 0.5 * np.outer(ts**2, m.u)
             chunks.append(pos)
         return np.vstack(chunks)
-
-
-def propagate(s: KinoState, u, tau: float) -> KinoState:
-    """Closed-form double-integrator step under constant acceleration."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    u = np.asarray(u, dtype=float)
-    p = s.p + s.v * tau + 0.5 * u * tau * tau
-    v = s.v + u * tau
-    return KinoState(p=p, v=v, t=s.t + tau)
-
-
-def edge_cost(u, tau: float, w: SearchWeights) -> float:
-    """Per-primitive contribution to the energy-time path cost."""
-    u = np.asarray(u, dtype=float)
-    return float((u @ u) * tau + w.rho * tau)
 
 
 # ----------------------------------------------------------------------
@@ -234,20 +217,6 @@ def _obvp_batch(dp, v0, vf, rho):
 
 
 # ----------------------------------------------------------------------
-# Goal construction and occlusion penalty
-# ----------------------------------------------------------------------
-
-def goal_state(traj: PredictedTrajectory, t_c: float, w: SearchWeights) -> KinoState:
-    """Blend of the target's current and predicted states."""
-    p_now, v_now = traj.evaluate(t_c)
-    t_ahead = min(t_c + w.t_lookahead, traj.t_p)
-    p_pred, v_pred = traj.evaluate(t_ahead)
-    p = (1.0 - w.w_goal) * p_now + w.w_goal * p_pred
-    v = (1.0 - w.w_goal) * v_now + w.w_goal * v_pred
-    return KinoState(p=p, v=v, t=t_c)
-
-
-# ----------------------------------------------------------------------
 # Search
 # ----------------------------------------------------------------------
 
@@ -295,25 +264,16 @@ class _NodeStore:
         return KinoState(p=self.p[row].copy(), v=self.v[row].copy(), t=float(self.t[row]))
 
 
-def search(start: KinoState, traj: PredictedTrajectory | None, grid: OccupancyGrid,
-           w: SearchWeights, goal: KinoState | None = None,
-           occlusion_target=None) -> KinoPath:
-    """Best-first kinodynamic search toward the (blended) goal state.
+def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoState,
+           occlusion_target) -> KinoPath:
+    """Best-first kinodynamic search from ``start`` toward ``goal``.
 
-    ``goal`` overrides the blended goal from the prediction (used when
-    relocating toward a static point). ``occlusion_target`` overrides the
-    position used for visibility checks; by default it is the prediction
-    evaluated at the lookahead time.
+    Nodes without line of sight to ``occlusion_target`` cost ``w.p_occ``
+    extra in the heuristic.
     """
     if grid.is_occupied(start.p):
         raise StartOccupied(f"search start {start.p.tolist()} is occupied")
-    if goal is None:
-        if traj is None:
-            raise ValueError("search needs a prediction or an explicit goal")
-        goal = goal_state(traj, traj.t_c, w)
-    if occlusion_target is None and traj is not None:
-        occlusion_target, _ = traj.evaluate(min(traj.t_c + w.t_lookahead, traj.t_p))
-    x_tp = None if occlusion_target is None else np.asarray(occlusion_target, dtype=float)
+    x_tp = np.asarray(occlusion_target, dtype=float)
 
     def reached(p: np.ndarray, v: np.ndarray) -> bool:
         return (np.linalg.norm(p - goal.p) <= w.r_goal
@@ -334,7 +294,7 @@ def search(start: KinoState, traj: PredictedTrajectory | None, grid: OccupancyGr
     occ_memo: dict[tuple, float] = {}
 
     def occ_pen(p: np.ndarray, vox_key: tuple) -> float:
-        if x_tp is None or w.p_occ == 0.0:
+        if w.p_occ == 0.0:
             return 0.0
         pen = occ_memo.get(vox_key)
         if pen is None:
@@ -344,7 +304,7 @@ def search(start: KinoState, traj: PredictedTrajectory | None, grid: OccupancyGr
 
     controls = _controls(w)
     tau = w.tau
-    edge_costs = (np.sum(controls**2, axis=1) + w.rho) * tau
+    control_costs = (np.sum(controls**2, axis=1) + w.rho) * tau
     # collision sampling times, quarter-voxel spacing at the speed bound
     n_samp = max(int(np.ceil(np.sqrt(3) * w.v_max * tau / (0.25 * res))), 4)
     ts = np.linspace(0.0, tau, n_samp + 1)[1:]
@@ -380,16 +340,12 @@ def search(start: KinoState, traj: PredictedTrajectory | None, grid: OccupancyGr
         pos = (p[None, None, :]
                + v[None, None, :] * ts[None, :, None]
                + 0.5 * controls[:, None, :] * (ts[None, :, None] ** 2))
-        idx = np.floor((pos - grid.origin) / res).astype(int)
-        oob = np.any(idx < 0, axis=2) | np.any(idx >= grid.dims, axis=2)
-        idx_safe = np.clip(idx, 0, grid.dims - 1)
-        hit = grid.occupied[idx_safe[..., 0], idx_safe[..., 1], idx_safe[..., 2]] | oob
-        kept = np.nonzero(feasible & ~hit.any(axis=1))[0]
+        kept = np.nonzero(feasible & ~grid.occupied_at(pos).any(axis=1))[0]
         if not len(kept):
             continue
         # rows of the kept children; fancy indexing copies them out of pos
         child_p, child_v = pos[kept, -1, :], end_v[kept]
-        child_g = g + edge_costs[kept]
+        child_g = g + control_costs[kept]
         child_t = nodes.t[row] + tau
         keys = node_keys(child_p, child_v)
         # dominance check first; the heuristic is only solved for survivors

@@ -87,10 +87,6 @@ class PredictedTrajectory:
         return pos, vel
 
 
-def evaluate(traj: PredictedTrajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
-    return traj.evaluate(t)
-
-
 def _second_difference(n: int) -> np.ndarray:
     """(n-1, n+1) stencil with rows c_i - 2 c_{i+1} + c_{i+2}."""
     D2 = np.zeros((n - 1, n + 1))

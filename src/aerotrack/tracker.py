@@ -3,10 +3,12 @@
 Each cycle advances the scripted target, steps the gimbal, synthesizes an
 observation, refits the prediction, plans an occlusion-aware path toward a
 standoff goal, wraps it in a corridor, optimizes the tracking trajectory, and
-advances the quadrotor along it as a perfect follower. Stage failures keep the
-previous trajectory. Losing the target long enough switches to relocation:
-the quadrotor flies toward the last prediction's endpoint while the gimbal
-sweeps all bearings until the target is reacquired.
+advances the quadrotor along it as a perfect follower. The standoff goal backs
+off from ``blend_goal``, the one blend of the target's current and look-ahead
+predicted states. Stage failures keep the previous trajectory. Losing the
+target long enough switches to relocation: the quadrotor flies toward the
+last prediction's endpoint while the gimbal sweeps all bearings until the
+target is reacquired.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from . import corridor as corridor_mod
 from . import kino_search, traj_opt
 from .errors import CorridorFailed, InsufficientData
 from .grid import build_map
+from .kino_search import KinoState, SearchWeights
 from .perception import (
     GimbalState,
     Pose,
@@ -109,8 +112,7 @@ class Metrics:
 class TrackerWorld:
     """Mutable simulation state for one scenario run."""
 
-    def __init__(self, scenario: Scenario, variant: str = "full",
-                 regression_params=None):
+    def __init__(self, scenario: Scenario, variant: str = "full"):
         self.scenario = scenario
         self.variant = _VARIANT_ALIASES.get(variant, variant)
         if self.variant not in VARIANTS:
@@ -118,7 +120,13 @@ class TrackerWorld:
         self.grid = build_map(scenario.map_spec)
         self.dt = 1.0 / scenario.tracker.replan_hz
         self.rng = np.random.default_rng(scenario.seed)
-        self.params = regression_params or default_regression_params(scenario)
+        # fit_regression memoizes on its exact inputs, so each process fits
+        # once per set of calibration inputs (camera, body length, noise
+        # sigmas) and every later world reuses that fit
+        cfg = scenario.perception
+        self.params = fit_regression(make_calibration_dataset(
+            cfg.camera, cfg.body_len, n=320, seed=0,
+            sigma_u=cfg.sigma_u, sigma_len=cfg.sigma_len))
         self.search_w = scenario.search
         if self.variant == "no_occlusion_penalty":
             self.search_w = replace(scenario.search, p_occ=0.0)
@@ -160,18 +168,18 @@ class TrackerWorld:
             time.perf_counter() - t0) * 1000.0
 
 
-def default_regression_params(scenario: Scenario):
-    """Localization regression fitted to a synthetic mocap dataset.
+def blend_goal(traj, t: float, w: SearchWeights) -> tuple[KinoState, np.ndarray]:
+    """Search goal blended from the prediction now and at the look-ahead time.
 
-    The dataset is rebuilt for every call, but ``fit_regression`` memoizes on
-    its exact inputs, so each process fits once per set of calibration inputs
-    (camera, body length, noise sigmas) and every later world reuses that fit.
+    The goal state is ``1 - w.w_goal`` parts the predicted state at ``t`` and
+    ``w.w_goal`` parts the predicted state at ``min(t + w.t_lookahead, t_p)``.
+    Also returns the predicted position at that look-ahead time.
     """
-    cfg = scenario.perception
-    dataset = make_calibration_dataset(
-        cfg.camera, cfg.body_len, n=320, seed=0,
-        sigma_u=cfg.sigma_u, sigma_len=cfg.sigma_len)
-    return fit_regression(dataset)
+    p_now, v_now = traj.evaluate(t)
+    p_pred, v_pred = traj.evaluate(min(t + w.t_lookahead, traj.t_p))
+    p = (1.0 - w.w_goal) * p_now + w.w_goal * p_pred
+    v = (1.0 - w.w_goal) * v_now + w.w_goal * v_pred
+    return KinoState(p=p, v=v, t=t), p_pred
 
 
 def _free_goal(world: TrackerWorld, goal_p: np.ndarray) -> np.ndarray:
@@ -195,7 +203,7 @@ def _free_goal(world: TrackerWorld, goal_p: np.ndarray) -> np.ndarray:
 
 
 def _plan_goal(world: TrackerWorld):
-    """Goal state, occlusion target, and goal velocity for this cycle."""
+    """Goal state and occlusion target for this cycle, or ``(None, None)``."""
     sc = world.scenario
     t_now = world._time()
     if world.mode.mode == RELOCATING or world.prediction is None:
@@ -204,16 +212,11 @@ def _plan_goal(world: TrackerWorld):
             return None, None
         p_end, _ = pred.evaluate(pred.t_p)
         goal_p = _free_goal(world, np.array([p_end[0], p_end[1], world.quad_z]))
-        return kino_search.KinoState(p=goal_p, v=np.zeros(3)), goal_p
+        return KinoState(p=goal_p, v=np.zeros(3)), goal_p
 
     traj = world.prediction
-    w = world.search_w
-    t_eval = float(np.clip(t_now, traj.t0, traj.t_p))
-    p_now, v_now = traj.evaluate(t_eval)
-    t_ahead = min(t_eval + w.t_lookahead, traj.t_p)
-    p_pred, v_pred = traj.evaluate(t_ahead)
-    x_g_p = (1.0 - w.w_goal) * p_now + w.w_goal * p_pred
-    x_g_v = (1.0 - w.w_goal) * v_now + w.w_goal * v_pred
+    blend, p_pred = blend_goal(traj, float(np.clip(t_now, traj.t0, traj.t_p)), world.search_w)
+    x_g_p, x_g_v = blend.p, blend.v
     # standoff: back off along the goal velocity, or toward the quadrotor
     # for a near-stationary target
     speed = float(np.linalg.norm(x_g_v[:2]))
@@ -229,8 +232,7 @@ def _plan_goal(world: TrackerWorld):
     goal_p = _free_goal(world, goal_p)
     goal_v = x_g_v.copy()
     goal_v[2] = 0.0
-    occl = p_pred.copy()
-    return kino_search.KinoState(p=goal_p, v=goal_v), occl
+    return KinoState(p=goal_p, v=goal_v), p_pred
 
 
 def step(world: TrackerWorld) -> TrackerWorld:
@@ -301,13 +303,10 @@ def step(world: TrackerWorld) -> TrackerWorld:
     path_los = ""
     goal, occl_target = _plan_goal(world)
     if goal is not None:
-        start = kino_search.KinoState(p=world.quad_p.copy(), v=world.quad_v.copy())
+        start = KinoState(p=world.quad_p.copy(), v=world.quad_v.copy())
         try:
             t0 = time.perf_counter()
-            use_pred = world.mode.mode == TRACKING and world.prediction is not None
-            path = kino_search.search(
-                start, world.prediction if use_pred else None, world.grid,
-                world.search_w, goal=goal, occlusion_target=occl_target)
+            path = kino_search.search(start, world.grid, world.search_w, goal, occl_target)
             world._stage("search", t0)
 
             t0 = time.perf_counter()
@@ -325,7 +324,7 @@ def step(world: TrackerWorld) -> TrackerWorld:
             ts = np.arange(0.0, traj.duration + 1e-9, 4 * world.grid.resolution
                            / max(sc.opt.v_max, 1e-6))
             samples = traj.sample_many(ts)
-            if world.grid.any_occupied(samples):
+            if world.grid.occupied_at(samples).any():
                 raise CorridorFailed("optimized trajectory touches occupancy")
             world.trajectory = traj
             world.traj_clock = 0.0
@@ -333,9 +332,8 @@ def step(world: TrackerWorld) -> TrackerWorld:
             path_cost = path.total_cost
             corridor_m = len(cor)
             j_sigma = traj.info.get("objective", float("nan"))
-            if occl_target is not None:
-                path_los = int(all(
-                    world.grid.line_of_sight(s.p, occl_target) for s in path.states()))
+            path_los = int(all(
+                world.grid.line_of_sight(s.p, occl_target) for s in path.states()))
         except Exception as exc:  # stage failure: keep the previous trajectory
             world.plan_failures += 1
             world.last_plan_error = f"{type(exc).__name__}: {exc}"
@@ -384,14 +382,13 @@ def step(world: TrackerWorld) -> TrackerWorld:
     return world
 
 
-def run_scenario(scenario: Scenario, variant: str = "full",
-                 regression_params=None) -> tuple[Metrics, list]:
+def run_scenario(scenario: Scenario, variant: str = "full") -> tuple[Metrics, list]:
     """Run a scenario to completion and score it.
 
     Success requires never entering an occupied voxel and never exceeding the
     losing distance for longer than the configured grace time.
     """
-    world = TrackerWorld(scenario, variant, regression_params)
+    world = TrackerWorld(scenario, variant)
     n_cycles = int(round(scenario.duration * scenario.tracker.replan_hz))
     failed_at = None
     for _ in range(n_cycles):

@@ -198,10 +198,6 @@ class PiecewiseTrajectory:
         return total
 
 
-def sample(traj: PiecewiseTrajectory, t: float):
-    return traj.sample(t)
-
-
 # ----------------------------------------------------------------------
 # Inner minimum-jerk solve
 # ----------------------------------------------------------------------

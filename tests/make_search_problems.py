@@ -2,10 +2,9 @@
 
 Runs builtin scenarios through the closed loop, captures the arguments of
 ``kino_search.search`` at chosen cycles, re-solves each captured problem on
-its own (no prediction object: the tracker always passes an explicit goal and
-occlusion target) and writes problems plus paths to
-``tests/data/search_problems.json``. JSON stores floats by ``repr``, so the
-values round-trip exactly. Run from the root of the repository:
+its own and writes problems plus paths to ``tests/data/search_problems.json``.
+JSON stores floats by ``repr``, so the values round-trip exactly. Run from the
+root of the repository:
 
     PYTHONPATH=src python tests/make_search_problems.py
 """
@@ -42,8 +41,8 @@ def capture(scenario_name: str, cycles: set[int]) -> dict[int, dict]:
     original = kino_search.search
     captured = {}
 
-    def recording(start, traj, grid, w, goal=None, occlusion_target=None):
-        path = original(start, traj, grid, w, goal=goal, occlusion_target=occlusion_target)
+    def recording(start, grid, w, goal, occlusion_target):
+        path = original(start, grid, w, goal, occlusion_target)
         if world.cycle in cycles:
             captured[world.cycle] = {
                 "weights": dataclasses.asdict(w),
@@ -70,8 +69,8 @@ def solve(scenario_name: str, problem: dict) -> kino_search.KinoPath:
     start = kino_search.KinoState(p=problem["start"]["p"], v=problem["start"]["v"],
                                   t=problem["start"]["t"])
     goal = kino_search.KinoState(p=problem["goal"]["p"], v=problem["goal"]["v"])
-    return kino_search.search(start, None, grid, kino_search.SearchWeights(**weights),
-                              goal=goal, occlusion_target=problem["occlusion_target"])
+    return kino_search.search(start, grid, kino_search.SearchWeights(**weights),
+                              goal, problem["occlusion_target"])
 
 
 def describe(path: kino_search.KinoPath) -> dict:

@@ -27,6 +27,7 @@ class TestGenMap:
         summary = json.loads(capsys.readouterr().out)
         assert summary["saved"] == str(out)
         with np.load(out) as saved:
+            assert sorted(saved.files) == ["origin", "resolution", "values"]
             values = saved["values"]
         assert values.dtype == np.float32
         assert set(np.unique(values)) == {0.0, 1.0}
@@ -36,6 +37,12 @@ class TestGenMap:
         spec_path = write_json(tmp_path / "bad.json", dict(BOX_SPEC, resolution=-1))
         assert main(["gen-map", spec_path]) == 1
         assert "resolution" in capsys.readouterr().err
+
+    def test_malformed_numbers_exit_1(self, tmp_path, capsys):
+        raw = dict(BOX_SPEC, dims=["a", 1, 1], origin=[0, 0, "x"])
+        assert main(["gen-map", write_json(tmp_path / "bad.json", raw)]) == 1
+        err = capsys.readouterr().err
+        assert "dims" in err and "origin" in err
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["gen-map", str(tmp_path / "absent.json")]) == 1

@@ -6,12 +6,18 @@ from aerotrack.grid import Cube, MapSpec, OccupancyGrid, build_map
 from aerotrack.kino_search import KinoState, SearchWeights, search
 from aerotrack.prediction import fit_predicted_trajectory
 from aerotrack.perception import TargetObservation
+from aerotrack.tracker import blend_goal
 
 
 def static_prediction(point, t_c=2.0):
     times = np.linspace(t_c - 2.0, t_c, 14)
     obs = [TargetObservation(np.asarray(point, float), float(t), True) for t in times]
     return fit_predicted_trajectory(obs, t_c=t_c)
+
+
+def search_toward(start, traj, grid, w):
+    goal, occlusion_target = blend_goal(traj, traj.t_c, w)
+    return search(start, grid, w, goal, occlusion_target)
 
 
 def corridor_invariants(cor: Corridor, grid: OccupancyGrid, path=None):
@@ -61,7 +67,7 @@ class TestBuildCorridor:
         grid = OccupancyGrid((0, 0, 0), 0.1, (120, 80, 30))
         traj = static_prediction((10.0, 4.0, 1.5))
         start = KinoState(p=(2.0, 4.0, 1.5), v=(0, 0, 0))
-        path = search(start, traj, grid, SearchWeights(freeze_z=True))
+        path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
         cor = build_corridor(path, grid)
         corridor_invariants(cor, grid, path)
 
@@ -83,7 +89,7 @@ class TestBuildCorridor:
         grid.set_occupied_box((5.0, 4.0, 1.6), (5.3, 4.8, 2.5))
         traj = static_prediction((9.0, 4.4, 1.2))
         start = KinoState(p=(2.0, 4.4, 1.2), v=(0, 0, 0))
-        path = search(start, traj, grid, SearchWeights(freeze_z=True))
+        path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
         cor = build_corridor(path, grid)
         corridor_invariants(cor, grid, path)
         # some cube must be pinched to at most the doorway cross-section
@@ -106,7 +112,7 @@ class TestBuildCorridor:
             grid = build_map(spec)
             traj = static_prediction((13.0, 13.0, 1.2))
             start = KinoState(p=(2.0, 2.0, 1.2), v=(0, 0, 0))
-            path = search(start, traj, grid, SearchWeights(freeze_z=True))
+            path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
             cor = build_corridor(path, grid)
             corridor_invariants(cor, grid, path)
             ok += 1

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from aerotrack import benchmarks
 from aerotrack.errors import InvalidSpec, SeedOccupied
-from aerotrack.grid import Cube, MapSpec, OccupancyGrid, build_map
+from aerotrack.grid import MapSpec, OccupancyGrid, build_map
 
 
 def empty_grid(n=10, res=0.1):
@@ -28,22 +29,52 @@ class TestOccupancy:
         assert g.is_occupied((0.55, 0.55, 0.55))
         assert not g.is_occupied((0.45, 0.55, 0.55))
 
-    def test_threshold(self):
-        values = np.zeros((4, 4, 4))
-        values[1, 1, 1] = 0.49
-        g = OccupancyGrid((0, 0, 0), 0.1, (4, 4, 4), values=values, occ_threshold=0.5)
-        assert not g.is_occupied((0.15, 0.15, 0.15))
-        values[1, 1, 1] = 0.5
-        g = OccupancyGrid((0, 0, 0), 0.1, (4, 4, 4), values=values, occ_threshold=0.5)
-        assert g.is_occupied((0.15, 0.15, 0.15))
-        g.set_occupied_box((0.1, 0.1, 0.1), (0.2, 0.2, 0.2), value=0.49)
-        assert not g.is_occupied((0.15, 0.15, 0.15))
-        g.set_occupied_box((0.1, 0.1, 0.1), (0.2, 0.2, 0.2), value=0.5)
-        assert g.is_occupied((0.15, 0.15, 0.15))
 
-    def test_values_validated(self):
-        with pytest.raises(ValueError):
-            OccupancyGrid((0, 0, 0), 0.1, (2, 2, 2), values=np.full((2, 2, 2), 1.5))
+class TestOccupiedAt:
+    @staticmethod
+    def oracle(g, p):
+        idx = [math.floor((c - o) / g.resolution) for c, o in zip(p, g.origin)]
+        if any(i < 0 or i >= n for i, n in zip(idx, g.dims)):
+            return True
+        return bool(g.occupied[tuple(idx)])
+
+    def test_shapes_match_pointwise_oracle(self):
+        g = OccupancyGrid(origin=(-1.0, 0.5, 0.0), resolution=0.25, dims=(8, 6, 4))
+        rng = np.random.default_rng(5)
+        g.occupied[...] = rng.random(g.occupied.shape) < 0.3
+        lo, hi = g.origin - 0.3, g.origin + g.dims * g.resolution + 0.3
+        for shape in ((3,), (7, 3), (4, 5, 3)):
+            pts = rng.uniform(lo, hi, shape)
+            got = g.occupied_at(pts)
+            assert got.shape == shape[:-1] and got.dtype == bool
+            want = [self.oracle(g, p) for p in pts.reshape(-1, 3)]
+            assert np.array_equal(got, np.reshape(want, shape[:-1]))
+        assert g.is_occupied(g.origin - 0.1) is True
+
+    def test_just_outside_each_face_is_occupied(self):
+        g = OccupancyGrid(origin=(0.0, 0.0, 0.0), resolution=0.25, dims=(8, 6, 4))
+        lo, hi = g.origin, g.origin + g.dims * g.resolution
+        center = 0.5 * (lo + hi)
+        for ax in range(3):
+            # the lower face belongs to the lattice, the upper one does not
+            for outside, inside in ((np.nextafter(lo[ax], -np.inf), lo[ax]),
+                                    (hi[ax], np.nextafter(hi[ax], -np.inf))):
+                p_out, p_in = center.copy(), center.copy()
+                p_out[ax], p_in[ax] = outside, inside
+                assert g.occupied_at(p_out)
+                assert not g.occupied_at(p_in)
+
+    def test_voxel_boundaries(self):
+        g = OccupancyGrid(origin=(0.0, 0.0, 0.0), resolution=0.25, dims=(8, 6, 4))
+        g.occupied[3, 2, 1] = True
+        # voxel (3, 2, 1) spans [0.75, 1.0) x [0.5, 0.75) x [0.25, 0.5)
+        assert g.occupied_at(np.array([0.75, 0.5, 0.25]))
+        below = np.nextafter(np.array([1.0, 0.75, 0.5]), 0.0)
+        assert g.occupied_at(below)
+        assert not g.occupied_at(np.array([1.0, 0.5, 0.25]))
+        assert not g.occupied_at(np.array([0.75, 0.75, 0.25]))
+        assert not g.occupied_at(np.array([0.75, 0.5, 0.5]))
+        assert not g.occupied_at(np.array([np.nextafter(0.75, 0.0), 0.5, 0.25]))
 
 
 class TestLineOfSight:
@@ -88,7 +119,7 @@ class TestLineOfSight:
                 n = max(int(np.linalg.norm(b - a) / (g.resolution / 4)), 1)
                 ts = np.linspace(0, 1, n + 1)
                 pts = a + ts[:, None] * (b - a)
-                assert not g.any_occupied(pts)
+                assert not g.occupied_at(pts).any()
 
     def test_no_diagonal_leak(self):
         # two occupied voxels sharing only an edge: a ray exactly through the
@@ -126,9 +157,9 @@ class TestInflateBox:
         assert g.cube_is_free(cube)
 
     def test_one_voxel_corridor(self):
-        values = np.ones((10, 10, 10))
-        values[:, 5, 5] = 0.0  # free line along x
-        g = OccupancyGrid((0.0, 0.0, 0.0), 0.1, (10, 10, 10), values=values)
+        g = empty_grid(10)
+        g.occupied[:] = True
+        g.occupied[:, 5, 5] = False  # free line along x
         cube = g.inflate_box((0.55, 0.55, 0.55), max_extent=1.0)
         assert cube.sides[1] == pytest.approx(g.resolution)
         assert cube.sides[2] == pytest.approx(g.resolution)
@@ -155,14 +186,49 @@ class TestInflateBox:
             assert cube.contains(seed)
 
 
-class TestCube:
-    def test_halfspaces(self):
-        c = Cube((0, 0, 0), (1, 2, 3))
-        A, b = c.halfspaces()
-        inside = np.array([0.5, 1.0, 1.5])
-        outside = np.array([1.5, 1.0, 1.5])
-        assert np.all(A @ inside <= b)
-        assert not np.all(A @ outside <= b)
+BASE_MAP = {"origin": [0, 0, 0], "resolution": 0.1, "dims": [20, 10, 5], "obstacles": []}
+
+# (change to BASE_MAP, field the diagnostic must name)
+MALFORMED_MAPS = {
+    "dims-text": ({"dims": ["a", 1, 1]}, "dims"),
+    "dims-fraction": ({"dims": [20.7, 10, 5]}, "dims"),
+    "dims-bool": ({"dims": [True, 10, 5]}, "dims"),
+    "origin-text": ({"origin": [0, 0, "x"]}, "origin"),
+    "origin-nan": ({"origin": [0, float("nan"), 0]}, "origin"),
+    "resolution-nan": ({"resolution": float("nan")}, "resolution"),
+    "resolution-inf": ({"resolution": float("inf")}, "resolution"),
+    "resolution-bool": ({"resolution": True}, "resolution"),
+    "seed-bool": ({"seed": True}, "seed"),
+    "seed-negative": ({"seed": -1}, "seed"),
+    "box-min-text": (
+        {"obstacles": [{"type": "box", "min": ["a", 0, 0], "max": [1, 1, 1]}]},
+        "obstacles[0].min"),
+    "cylinder-radius-text": (
+        {"obstacles": [{"type": "cylinder", "center": [1, 1], "radius": "r"}]},
+        "obstacles[0].radius"),
+    "cylinder-center-text": (
+        {"obstacles": [{"type": "cylinder", "center": [1, "y"], "radius": 0.3}]},
+        "obstacles[0].center"),
+    "cylinder-zmax-text": (
+        {"obstacles": [{"type": "cylinder", "center": [1, 1], "radius": 0.3, "zmax": "top"}]},
+        "obstacles[0].zmax"),
+    "forest-density-text": (
+        {"obstacles": [{"type": "forest", "density": "d", "radius": 0.3}]},
+        "obstacles[0].density"),
+    "forest-keep-clear-short": (
+        {"obstacles": [{"type": "forest", "density": 0.05, "radius": 0.3,
+                        "keep_clear": [[1, 1]]}]},
+        "obstacles[0].keep_clear"),
+}
+
+
+class TestMapSpec:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
+    def test_malformed_input_is_invalid_spec(self, case):
+        change, field = MALFORMED_MAPS[case]
+        with pytest.raises(InvalidSpec) as err:
+            MapSpec.from_dict(dict(BASE_MAP, **change))
+        assert field in str(err.value)
 
 
 class TestBuildMap:

@@ -9,14 +9,12 @@ from aerotrack.kino_search import (
     _obvp_batch,
     _obvp_coeffs,
     _scan_minimum,
-    edge_cost,
-    goal_state,
     obvp_cost,
-    propagate,
     search,
 )
 from aerotrack.perception import TargetObservation
 from aerotrack.prediction import fit_predicted_trajectory
+from aerotrack.tracker import blend_goal
 
 
 def static_prediction(point, t_c=2.0):
@@ -29,47 +27,10 @@ def open_grid(nx=120, ny=120, nz=30, res=0.1):
     return OccupancyGrid((0, 0, 0), res, (nx, ny, nz))
 
 
-class TestPropagate:
-    def test_rest_stays(self):
-        s = KinoState(p=(1, 2, 3), v=(0, 0, 0))
-        s2 = propagate(s, (0, 0, 0), 0.5)
-        assert np.allclose(s2.p, (1, 2, 3))
-        assert s2.t == pytest.approx(0.5)
-
-    def test_closed_form(self):
-        s = KinoState(p=(0, 0, 0), v=(0, 0, 0))
-        s2 = propagate(s, (1, 0, 0), 1.0)
-        assert np.allclose(s2.p, (0.5, 0, 0))
-        assert np.allclose(s2.v, (1, 0, 0))
-
-    def test_semigroup(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            s = KinoState(p=rng.normal(size=3), v=rng.normal(size=3))
-            u = rng.normal(size=3)
-            tau = rng.uniform(0.1, 1.0)
-            once = propagate(s, u, tau)
-            twice = propagate(propagate(s, u, tau / 2), u, tau / 2)
-            assert np.allclose(once.p, twice.p, atol=1e-12)
-            assert np.allclose(once.v, twice.v, atol=1e-12)
-
-
-class TestEdgeCost:
-    def test_zero_control(self):
-        w = SearchWeights(rho=2.0)
-        assert edge_cost((0, 0, 0), 0.5, w) == pytest.approx(1.0)
-
-    def test_arithmetic(self):
-        w = SearchWeights(rho=0.0)
-        assert edge_cost((2, 0, 0), 0.3, w) == pytest.approx(1.2)
-
-    def test_sum_matches_integral(self):
-        # constant-u path: summed per-primitive costs equal the continuous cost
-        w = SearchWeights(rho=1.7)
-        u = np.array([0.4, -0.2, 0.1])
-        total = sum(edge_cost(u, 0.3, w) for _ in range(10))
-        T = 3.0
-        assert total == pytest.approx((u @ u) * T + w.rho * T, abs=1e-12)
+def search_toward(start, traj, grid, w):
+    """Search toward the blended goal at the prediction's current time."""
+    goal, occlusion_target = blend_goal(traj, traj.t_c, w)
+    return search(start, grid, w, goal, occlusion_target)
 
 
 class TestObvp:
@@ -146,8 +107,8 @@ class TestObvp:
             s = a
             cost = 0.0
             for _ in range(steps):
-                s = propagate(s, u, w.tau)
-                cost += edge_cost(u, w.tau, w)
+                s = KinoState(p=s.p + s.v * w.tau + 0.5 * u * w.tau**2, v=s.v + u * w.tau)
+                cost += (u @ u + w.rho) * w.tau
             D, _ = obvp_cost(a, KinoState(s.p, s.v), w.rho)
             assert D <= cost + 1e-6
 
@@ -157,8 +118,8 @@ class TestGoalState:
         times = np.linspace(0, 2, 14)
         obs = [TargetObservation(np.array([t, 0.0, 0.0]), float(t), True) for t in times]
         traj = fit_predicted_trajectory(obs, t_c=2.0)
-        g0 = goal_state(traj, 2.0, SearchWeights(w_goal=0.0))
-        g1 = goal_state(traj, 2.0, SearchWeights(w_goal=1.0))
+        g0, _ = blend_goal(traj, 2.0, SearchWeights(w_goal=0.0))
+        g1, _ = blend_goal(traj, 2.0, SearchWeights(w_goal=1.0))
         p_now, v_now = traj.evaluate(2.0)
         p_ahead, v_ahead = traj.evaluate(3.0)
         assert np.allclose(g0.p, p_now) and np.allclose(g0.v, v_now)
@@ -167,9 +128,22 @@ class TestGoalState:
     def test_stationary_target(self):
         traj = static_prediction((2.0, 3.0, 1.0))
         for wg in (0.0, 0.4, 1.0):
-            g = goal_state(traj, 2.0, SearchWeights(w_goal=wg))
+            g, _ = blend_goal(traj, 2.0, SearchWeights(w_goal=wg))
             assert np.allclose(g.p, (2.0, 3.0, 1.0), atol=1e-5)
             assert np.linalg.norm(g.v) < 1e-5
+
+    def test_lookahead_position(self):
+        times = np.linspace(0, 2, 14)
+        obs = [TargetObservation(np.array([t, 0.5 * t, 0.0]), float(t), True) for t in times]
+        traj = fit_predicted_trajectory(obs, t_c=2.0)
+        for t, lookahead in ((0.5, 1.0), (2.0, 0.4), (2.0, 1.0), (traj.t_p - 0.1, 1.0)):
+            w = SearchWeights(w_goal=0.7, t_lookahead=lookahead)
+            goal, p_ahead = blend_goal(traj, t, w)
+            t_ahead = min(t + lookahead, traj.t_p)
+            assert np.array_equal(p_ahead, traj.evaluate(t_ahead)[0])
+            p_now = traj.evaluate(t)[0]
+            assert np.array_equal(goal.p, (1.0 - 0.7) * p_now + 0.7 * p_ahead)
+            assert goal.t == t
 
 
 class TestSearch:
@@ -178,7 +152,7 @@ class TestSearch:
         traj = static_prediction((9.0, 6.0, 1.5))
         start = KinoState(p=(6.0, 6.0, 1.5), v=(0.0, 0.0, 0.0))
         w = SearchWeights(freeze_z=True)
-        path = search(start, traj, g, w)
+        path = search_toward(start, traj, g, w)
         assert path.info["reached_goal"]
         assert np.linalg.norm(path.end_state.p - [9.0, 6.0, 1.5]) <= w.r_goal
         # distance to goal is monotone nonincreasing over the last 3 states
@@ -190,7 +164,7 @@ class TestSearch:
         g = open_grid()
         traj = static_prediction((2.0, 2.0, 1.0))
         start = KinoState(p=(2.0, 2.0, 1.0), v=(0.0, 0.0, 0.0))
-        path = search(start, traj, g, SearchWeights())
+        path = search_toward(start, traj, g, SearchWeights())
         assert path.primitives == []
         assert path.total_cost == 0.0
 
@@ -199,7 +173,7 @@ class TestSearch:
         g.set_occupied_box((0.9, 0.9, 0.9), (1.3, 1.3, 1.3))
         traj = static_prediction((5.0, 5.0, 1.0))
         with pytest.raises(StartOccupied):
-            search(KinoState(p=(1.0, 1.0, 1.0), v=(0, 0, 0)), traj, g, SearchWeights())
+            search_toward(KinoState(p=(1.0, 1.0, 1.0), v=(0, 0, 0)), traj, g, SearchWeights())
 
     def test_path_continuity_and_cost_bookkeeping(self):
         g = open_grid()
@@ -207,12 +181,12 @@ class TestSearch:
         traj = static_prediction((7.0, 6.0, 1.5))
         start = KinoState(p=(2.0, 6.0, 1.5), v=(0.0, 0.0, 0.0))
         w = SearchWeights(freeze_z=True)
-        path = search(start, traj, g, w)
+        path = search_toward(start, traj, g, w)
         assert path.primitives
         for m1, m2 in zip(path.primitives, path.primitives[1:]):
             assert np.allclose(m1.end.p, m2.start.p)
             assert np.allclose(m1.end.v, m2.start.v)
-        recomputed = sum(edge_cost(m.u, m.tau, w) for m in path.primitives)
+        recomputed = sum((m.u @ m.u + w.rho) * m.tau for m in path.primitives)
         assert path.total_cost == pytest.approx(recomputed, abs=1e-9)
 
     def test_collision_free_samples(self):
@@ -220,9 +194,9 @@ class TestSearch:
         g.set_occupied_box((4.0, 0.0, 0.0), (4.3, 8.0, 3.0))
         traj = static_prediction((8.0, 9.0, 1.5))
         start = KinoState(p=(2.0, 3.0, 1.5), v=(0.0, 0.0, 0.0))
-        path = search(start, traj, g, SearchWeights(freeze_z=True))
+        path = search_toward(start, traj, g, SearchWeights(freeze_z=True))
         pts = path.sample_positions(g.resolution / 4)
-        assert not g.any_occupied(pts)
+        assert not g.occupied_at(pts).any()
 
     def test_determinism(self):
         g = open_grid()
@@ -230,8 +204,8 @@ class TestSearch:
         traj = static_prediction((8.0, 7.0, 1.5))
         start = KinoState(p=(2.0, 5.0, 1.5), v=(0.3, 0.0, 0.0))
         w = SearchWeights(freeze_z=True)
-        p1 = search(start, traj, g, w)
-        p2 = search(start, traj, g, w)
+        p1 = search_toward(start, traj, g, w)
+        p2 = search_toward(start, traj, g, w)
         assert len(p1.primitives) == len(p2.primitives)
         for m1, m2 in zip(p1.primitives, p2.primitives):
             assert np.array_equal(m1.u, m2.u)
@@ -257,8 +231,8 @@ class TestSearch:
 
         w_occ = SearchWeights(freeze_z=True, p_occ=200.0, node_budget=60000)
         w_plain = SearchWeights(freeze_z=True, p_occ=0.0, node_budget=60000)
-        path_occ = search(start, None, g, w_occ, goal=goal, occlusion_target=x_tp)
-        path_plain = search(start, None, g, w_plain, goal=goal, occlusion_target=x_tp)
+        path_occ = search(start, g, w_occ, goal, x_tp)
+        path_plain = search(start, g, w_plain, goal, x_tp)
         assert path_occ.info["reached_goal"] and path_plain.info["reached_goal"]
         assert side_of_block(path_occ) == 1
         assert side_of_block(path_plain) == -1
@@ -273,7 +247,7 @@ class TestSearch:
         target = np.array([8.0, 10.0, 1.0])
         traj = static_prediction(target)
         start = KinoState(p=(3.0, 9.5, 1.0), v=(0.0, 0.0, 0.0))
-        path = search(start, traj, g, SearchWeights(freeze_z=True, p_occ=200.0))
+        path = search_toward(start, traj, g, SearchWeights(freeze_z=True, p_occ=200.0))
 
         def los_frac(path):
             states = path.states()

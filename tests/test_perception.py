@@ -153,7 +153,7 @@ class TestRegressionExactness:
     """The lockstep multi-start fit reproduces the one-start-at-a-time solver."""
 
     def test_default_dataset_values(self):
-        # the dataset of tracker.default_regression_params; values recorded
+        # the calibration dataset TrackerWorld fits; values recorded
         # from the sequential per-start solver this one replaced
         dataset = make_calibration_dataset(
             DEFAULT_CAMERA, BODY_LEN, n=320, seed=0, sigma_u=2.0, sigma_len=2.0)

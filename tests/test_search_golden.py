@@ -29,8 +29,8 @@ def run(problem):
     weights = dict(problem["weights"], u_grid=tuple(problem["weights"]["u_grid"]))
     start = KinoState(p=problem["start"]["p"], v=problem["start"]["v"], t=problem["start"]["t"])
     goal = KinoState(p=problem["goal"]["p"], v=problem["goal"]["v"])
-    return search(start, None, scenario_grid(problem["scenario"]), SearchWeights(**weights),
-                  goal=goal, occlusion_target=problem["occlusion_target"])
+    return search(start, scenario_grid(problem["scenario"]), SearchWeights(**weights),
+                  goal, problem["occlusion_target"])
 
 
 @pytest.mark.parametrize("label", sorted(BY_LABEL))

@@ -118,7 +118,7 @@ class TestStageFailures:
 
 class TestBenchmark:
     def test_import_leaves_process_pool_unloaded(self):
-        code = ("import sys, aerotrack; "
+        code = ("import sys, aerotrack.tracker, aerotrack.cli; "
                 "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
                 "if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(SRC))

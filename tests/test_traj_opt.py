@@ -9,6 +9,7 @@ from aerotrack.grid import Cube, OccupancyGrid
 from aerotrack.kino_search import KinoState, SearchWeights, search
 from aerotrack.perception import TargetObservation
 from aerotrack.prediction import fit_predicted_trajectory
+from aerotrack.tracker import blend_goal
 from aerotrack.traj_opt import (
     BoundaryConditions,
     OptWeights,
@@ -237,7 +238,9 @@ class TestOptimize:
         obs = [TargetObservation(np.array([10.0, 6.0, 1.5]), float(t), True) for t in times]
         traj_pred = fit_predicted_trajectory(obs, t_c=2.0)
         start = KinoState(p=(2.0, 2.0, 1.5), v=(0.5, 0.0, 0.0))
-        path = search(start, traj_pred, grid, SearchWeights(freeze_z=True))
+        w_search = SearchWeights(freeze_z=True)
+        goal, occlusion_target = blend_goal(traj_pred, traj_pred.t_c, w_search)
+        path = search(start, grid, w_search, goal, occlusion_target)
         cor = build_corridor(path, grid)
         bc = BoundaryConditions(
             p0=start.p, v0=start.v, a0=np.zeros(3),
