@@ -206,14 +206,6 @@ class OccupancyGrid:
                         growing[side] = False
         return Cube(self.origin + lo * self.resolution, self.origin + (hi + 1) * self.resolution)
 
-    def cube_is_free(self, cube: Cube) -> bool:
-        """Exhaustively scan all voxels overlapping ``cube`` (interior overlap)."""
-        lo = np.floor((cube.min_corner - self.origin) / self.resolution + 1e-9).astype(int)
-        hi = np.ceil((cube.max_corner - self.origin) / self.resolution - 1e-9).astype(int)
-        if np.any(lo < 0) or np.any(hi > self.dims):
-            return False
-        return not bool(self.occupied[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].any())
-
 
 # ----------------------------------------------------------------------
 # Map construction

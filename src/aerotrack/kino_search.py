@@ -6,6 +6,15 @@ accumulated cost trades control effort against time. The heuristic combines
 the closed-form energy-time cost of the double-integrator boundary value
 problem toward the goal, a time penalty on the remaining optimal duration, and
 a visibility penalty on nodes that cannot see the given occlusion target.
+
+The boundary value problem's optimal duration is a positive root of a quartic
+in T. Its stationary points are taken from the eigenvalues of the quartic's
+companion matrix and polished by Newton steps; the quartic is negative at
+T = 0 and grows without bound, so every row has a positive root.
+
+A search returns a ``KinoPath``: the node states, the constant control of each
+edge and the edge duration. Its dense samples come from a ``PiecewisePoly`` of
+degree-2 pieces ``(p, v, u / 2)``.
 """
 
 from __future__ import annotations
@@ -13,13 +22,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Real
 
 import numpy as np
 
 from .errors import NoPath, StartOccupied
 from .grid import OccupancyGrid
-
-_SCAN_T = np.arange(1e-3, 20.0 + 1e-3, 1e-3)
+from .poly import PiecewisePoly
 
 
 @dataclass(frozen=True)
@@ -31,14 +40,6 @@ class KinoState:
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-
-
-@dataclass(frozen=True)
-class MotionPrimitive:
-    u: np.ndarray
-    tau: float
-    start: KinoState
-    end: KinoState
 
 
 @dataclass
@@ -60,31 +61,44 @@ class SearchWeights:
     node_budget: int = 30000
     freeze_z: bool = False                # planar scenarios: no vertical control
 
+    def __post_init__(self):
+        # without a time weight the heuristic's energy-time cost has no minimum
+        rho = self.rho
+        if isinstance(rho, bool) or not (isinstance(rho, Real) and 0 < rho < np.inf):
+            raise ValueError(f"rho must be a finite number > 0, got {rho!r}")
+
 
 @dataclass
 class KinoPath:
-    primitives: list
-    end_state: KinoState
+    """Node states, the constant control of each edge, and the edge duration."""
+
+    states: list            # KinoState per node, start first
+    controls: np.ndarray    # (len(states) - 1, 3) acceleration of each edge
+    tau: float              # duration of every edge [s]
     total_cost: float
     info: dict = field(default_factory=dict)
 
-    def states(self) -> list[KinoState]:
-        if not self.primitives:
-            return [self.end_state]
-        return [self.primitives[0].start] + [m.end for m in self.primitives]
+    @property
+    def end_state(self) -> KinoState:
+        return self.states[-1]
 
     def sample_positions(self, spacing: float) -> np.ndarray:
         """Dense positions along the path at roughly ``spacing`` metres."""
-        if not self.primitives:
+        if not len(self.controls):
             return self.end_state.p[None, :]
-        chunks = [self.primitives[0].start.p[None, :]]
-        for m in self.primitives:
-            speed = max(np.linalg.norm(m.start.v), np.linalg.norm(m.end.v), 0.1)
-            n = max(int(np.ceil(speed * m.tau / spacing)), 2)
-            ts = np.linspace(0.0, m.tau, n + 1)[1:]
-            pos = m.start.p + np.outer(ts, m.start.v) + 0.5 * np.outer(ts**2, m.u)
-            chunks.append(pos)
-        return np.vstack(chunks)
+        starts = self.states[:-1]
+        curve = PiecewisePoly(
+            np.stack([[s.p for s in starts], [s.v for s in starts], 0.5 * self.controls],
+                     axis=-1),
+            np.full(len(self.controls), self.tau))
+        pieces, taus = [], []
+        for i, (a, b) in enumerate(zip(starts, self.states[1:])):
+            speed = max(np.linalg.norm(a.v), np.linalg.norm(b.v), 0.1)
+            n = max(int(np.ceil(speed * self.tau / spacing)), 2)
+            pieces.append(np.full(n, i))
+            taus.append(np.linspace(0.0, self.tau, n + 1)[1:])
+        samples = curve.eval_local(np.concatenate(pieces), np.concatenate(taus))
+        return np.vstack([self.states[0].p[None, :], samples])
 
 
 # ----------------------------------------------------------------------
@@ -99,63 +113,16 @@ def _obvp_coeffs(dp, v0, vf):
     return alpha, beta, gamma
 
 
-def _scan_minimum(alpha, beta, gamma, rho):
-    J = rho * _SCAN_T + alpha / _SCAN_T**3 + beta / _SCAN_T**2 + gamma / _SCAN_T
-    i = int(np.argmin(J))
-    return float(J[i]), float(_SCAN_T[i])
-
-
 def obvp_cost(x_c: KinoState, x_g: KinoState, rho: float) -> tuple[float, float]:
     """Minimal energy-time cost and its duration between two full states.
 
     Minimizes ``integral |u|^2 dt + rho*T`` over T for the double integrator
     with both endpoint positions and velocities fixed: a one-row call of
-    ``_obvp_batch``. Without a time weight (``rho <= 0``) the minimum is
-    taken from a dense scan over (0, 20].
+    ``_obvp_batch``, so ``rho`` must be > 0.
     """
     dp, v0, vf = (x_g.p - x_c.p)[None, :], x_c.v[None, :], x_g.v[None, :]
-    alpha, beta, gamma = (float(c[0]) for c in _obvp_coeffs(dp, v0, vf))
-    if alpha < 1e-14 and gamma < 1e-14:
-        return 0.0, 0.0
-    if rho <= 0:
-        return _scan_minimum(alpha, beta, gamma, max(rho, 0.0))
     J, T = _obvp_batch(dp, v0, vf, rho)
     return float(J[0]), float(T[0])
-
-
-def _quartic_roots(p, q, r):
-    """Roots of x^4 + p x^2 + q x + r per row (Ferrari, complex), shape (B, 4)."""
-    p = p.astype(complex)
-    q = q.astype(complex)
-    r = r.astype(complex)
-    # resolvent cubic in w = u^2: w^3 + 2p w^2 + (p^2 - 4r) w - q^2 = 0
-    a2, a1, a0 = 2.0 * p, p * p - 4.0 * r, -q * q
-    P = a1 - a2 * a2 / 3.0
-    Q = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
-    S = np.sqrt(0.25 * Q * Q + P**3 / 27.0)
-    C = (-0.5 * Q + S) ** (1.0 / 3.0)
-    alt = (-0.5 * Q - S) ** (1.0 / 3.0)
-    C = np.where(np.abs(C) < 1e-12, alt, C)
-    C = np.where(np.abs(C) < 1e-12, 1e-12, C)
-    w = C - P / (3.0 * C) - a2 / 3.0
-    u = np.sqrt(w)
-    small_u = np.abs(u) < 1e-9
-    u_safe = np.where(small_u, 1.0, u)
-    s = 0.5 * (p + w - q / u_safe)
-    t = 0.5 * (p + w + q / u_safe)
-    d1 = np.sqrt(u_safe * u_safe - 4.0 * s)
-    d2 = np.sqrt(u_safe * u_safe - 4.0 * t)
-    roots = np.stack([
-        0.5 * (-u_safe + d1), 0.5 * (-u_safe - d1),
-        0.5 * (u_safe + d2), 0.5 * (u_safe - d2),
-    ], axis=-1)
-    if small_u.any():  # q ~ 0: biquadratic x^2 = (-p +/- sqrt(p^2 - 4r)) / 2
-        disc = np.sqrt(p * p - 4.0 * r)
-        x2a = 0.5 * (-p + disc)
-        x2b = 0.5 * (-p - disc)
-        bi = np.stack([np.sqrt(x2a), -np.sqrt(x2a), np.sqrt(x2b), -np.sqrt(x2b)], axis=-1)
-        roots = np.where(small_u[..., None], bi, roots)
-    return roots
 
 
 def _cheapest_stationary(roots, a, b, g, rho):
@@ -181,10 +148,8 @@ def _cheapest_stationary(roots, a, b, g, rho):
 def _obvp_batch(dp, v0, vf, rho):
     """Minimal energy-time cost per row for ``rho > 0``; returns (J, T*) arrays.
 
-    The stationary points are the positive real roots of a quartic, solved in
-    closed form and polished by Newton steps. A row whose pick is not a
-    stationary point takes the companion-matrix eigenvalues instead, and a
-    row without a positive real root falls back to the dense scan.
+    The stationary points are the positive real eigenvalues of the companion
+    matrix of dJ/dT's quartic, polished by Newton steps.
     """
     alpha, beta, gamma = _obvp_coeffs(dp, v0, vf)
     B = alpha.shape[0]
@@ -195,24 +160,10 @@ def _obvp_batch(dp, v0, vf, rho):
         return J_out, T_out
     a, b, g = alpha[live], beta[live], gamma[live]
     # dJ/dT = 0  <=>  T^4 - (g/rho) T^2 - (2b/rho) T - (3a/rho) = 0
-    p, q, r = -g / rho, -2.0 * b / rho, -3.0 * a / rho
-    J_best, T_best = _cheapest_stationary(_quartic_roots(p, q, r), a, b, g, rho)
-    # For b ~ 0 (both ends at rest, say) Cardano can hand Ferrari a rounding-
-    # level resolvent root w ~ 0, and q/u then wrecks every root: the pick
-    # is no stationary point
-    resid = rho * T_best**4 - g * T_best**2 - 2.0 * b * T_best - 3.0 * a
-    size = rho * T_best**4 + g * T_best**2 + 2.0 * np.abs(b) * T_best + 3.0 * a
-    lost = np.isfinite(J_best) & (np.abs(resid) > 1e-6 * size)
-    if lost.any():
-        companion = np.zeros((int(lost.sum()), 4, 4))
-        companion[:, 0, 1:] = -np.stack([p[lost], q[lost], r[lost]], axis=1)
-        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-        J_best[lost], T_best[lost] = _cheapest_stationary(
-            np.linalg.eigvals(companion), a[lost], b[lost], g[lost], rho)
-    for i in np.nonzero(~np.isfinite(J_best))[0]:  # no positive real root found
-        J_best[i], T_best[i] = _scan_minimum(a[i], b[i], g[i], rho)
-    J_out[live] = J_best
-    T_out[live] = T_best
+    companion = np.zeros((len(a), 4, 4))
+    companion[:, 0, 1:] = np.stack([g, 2.0 * b, 3.0 * a], axis=1) / rho
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    J_out[live], T_out[live] = _cheapest_stationary(np.linalg.eigvals(companion), a, b, g, rho)
     return J_out, T_out
 
 
@@ -280,7 +231,8 @@ def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoSt
                 and np.linalg.norm(v - goal.v) <= w.v_goal_tol)
 
     if reached(start.p, start.v):
-        return KinoPath([], start, 0.0, info={"expansions": 0, "reached_goal": True})
+        return KinoPath([start], np.zeros((0, 3)), w.tau, 0.0,
+                        info={"expansions": 0, "reached_goal": True})
 
     res = grid.resolution
     inv_res = 1.0 / res
@@ -379,8 +331,6 @@ def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoSt
     while nodes.parent[chain[-1]] >= 0:
         chain.append(int(nodes.parent[chain[-1]]))
     chain.reverse()
-    states = [nodes.state(r) for r in chain]
-    primitives = [MotionPrimitive(u=controls[nodes.ctrl[r]].copy(), tau=tau, start=a, end=b)
-                  for r, a, b in zip(chain[1:], states, states[1:])]
-    return KinoPath(primitives, states[-1], float(nodes.g[final]),
+    return KinoPath([nodes.state(r) for r in chain], controls[nodes.ctrl[chain[1:]]], tau,
+                    float(nodes.g[final]),
                     info={"expansions": expansions, "reached_goal": goal_row is not None})

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -129,6 +130,8 @@ class Scenario:
                 f"{self.prediction.v_max}")
         if not 0 < self.duration < np.inf:
             raise InvalidScenario("duration must be finite and > 0")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise InvalidScenario(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @staticmethod
     def from_dict(raw: dict) -> "Scenario":
@@ -159,7 +162,7 @@ class Scenario:
         def build(cls, key, cfg=None, **fixed):
             try:
                 return cls(**fixed, **(section(key) if cfg is None else cfg))
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise InvalidScenario(f"{key}: {exc}")
 
         def convert(key, fn, value):
@@ -188,7 +191,7 @@ class Scenario:
             quad_start=convert("quad_start", lambda v: np.asarray(v, dtype=float),
                                raw["quad_start"]),
             duration=convert("duration", float, raw["duration"]),
-            seed=convert("seed", int, raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
             perception=build(PerceptionConfig, "perception", perception_raw, camera=camera),
             prediction=build(PredictionWeights, "prediction"),
             search=build(SearchWeights, "search", search_raw),

@@ -323,8 +323,7 @@ def step(world: TrackerWorld) -> TrackerWorld:
             # fail-safe: never hand over a trajectory that clips an obstacle
             ts = np.arange(0.0, traj.duration + 1e-9, 4 * world.grid.resolution
                            / max(sc.opt.v_max, 1e-6))
-            samples = traj.sample_many(ts)
-            if world.grid.occupied_at(samples).any():
+            if world.grid.occupied_at(traj.eval(ts)).any():
                 raise CorridorFailed("optimized trajectory touches occupancy")
             world.trajectory = traj
             world.traj_clock = 0.0
@@ -333,7 +332,7 @@ def step(world: TrackerWorld) -> TrackerWorld:
             corridor_m = len(cor)
             j_sigma = traj.info.get("objective", float("nan"))
             path_los = int(all(
-                world.grid.line_of_sight(s.p, occl_target) for s in path.states()))
+                world.grid.line_of_sight(s.p, occl_target) for s in path.states))
         except Exception as exc:  # stage failure: keep the previous trajectory
             world.plan_failures += 1
             world.last_plan_error = f"{type(exc).__name__}: {exc}"
@@ -344,12 +343,12 @@ def step(world: TrackerWorld) -> TrackerWorld:
     if world.trajectory is not None:
         world.traj_clock += dt
         if world.traj_clock >= world.trajectory.duration:
-            p = world.trajectory.sample(world.trajectory.duration)[0]
+            p = world.trajectory.eval(world.trajectory.duration)
             v = np.zeros(3)  # hover once the trajectory is exhausted
             a = np.zeros(3)
             world.traj_clock = world.trajectory.duration
         else:
-            p, v, a, _ = world.trajectory.sample(world.traj_clock)
+            p, v, a = world.trajectory.sample(world.traj_clock)
         world.quad_p, world.quad_v, world.quad_a = p, v, a
         if np.linalg.norm(v[:2]) > 0.1:
             world.quad_yaw = float(np.arctan2(v[1], v[0]))

@@ -9,16 +9,20 @@ and durations follow from the per-piece quadratic forms alone. The outer cost
 adds a logarithmic barrier keeping each intermediate waypoint inside its cube
 intersection and a soft aggressiveness penalty on total time and on waypoint
 finite-difference speed and acceleration surrogates.
+
+Trajectories are ``PiecewisePoly`` curves with coefficients of shape
+``(M, 3, 6)``; the containment check samples them in one batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corridor import Corridor
-from .errors import BarrierDomainViolated, DescentFailed, OutOfDomain, SingularSystem
+from .errors import BarrierDomainViolated, DescentFailed, SingularSystem
+from .poly import PiecewisePoly
 from .solvers import lbfgs_minimize
 
 
@@ -36,11 +40,6 @@ class BoundaryConditions:
     def __post_init__(self):
         for name in ("p0", "v0", "a0", "p1", "v1", "a1"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-
-    @staticmethod
-    def rest_to_rest(p0, p1) -> "BoundaryConditions":
-        z = np.zeros(3)
-        return BoundaryConditions(p0, z, z, p1, z, z)
 
 
 @dataclass
@@ -128,77 +127,6 @@ def _jerk_quadratic_dT(T: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Piecewise trajectory container
-# ----------------------------------------------------------------------
-
-@dataclass
-class PiecewiseTrajectory:
-    """M quintic pieces per axis over local times [0, T_i]."""
-
-    coeffs: np.ndarray      # (M, 3, 6) [piece, axis, power]
-    durations: np.ndarray   # (M,)
-    waypoints: np.ndarray   # (M+1, 3)
-    info: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        self.durations = np.asarray(self.durations, dtype=float)
-        self.waypoints = np.asarray(self.waypoints, dtype=float)
-        self._cum = np.concatenate([[0.0], np.cumsum(self.durations)])
-
-    @property
-    def duration(self) -> float:
-        return float(self._cum[-1])
-
-    def sample(self, t: float):
-        """(position, velocity, acceleration, jerk) at global time ``t``."""
-        if t < -1e-9 or t > self.duration + 1e-9:
-            raise OutOfDomain(f"t={t} outside [0, {self.duration}]")
-        t = float(np.clip(t, 0.0, self.duration))
-        piece = min(int(np.searchsorted(self._cum, t, side="right")) - 1,
-                    len(self.durations) - 1)
-        piece = max(piece, 0)
-        tau = t - self._cum[piece]
-        c = self.coeffs[piece]
-        powers = tau ** np.arange(6)
-        k = np.arange(6)
-        dp = np.concatenate([[0.0], k[1:] * tau ** (k[1:] - 1)])
-        ddp = np.array([0.0, 0.0, 2.0, 6.0 * tau, 12.0 * tau**2, 20.0 * tau**3])
-        dddp = np.array([0.0, 0.0, 0.0, 6.0, 24.0 * tau, 60.0 * tau**2])
-        return c @ powers, c @ dp, c @ ddp, c @ dddp
-
-    def sample_many(self, ts) -> np.ndarray:
-        return np.array([self.sample(t)[0] for t in np.asarray(ts)])
-
-    def junction_mismatch(self) -> float:
-        """Largest position/velocity/acceleration gap across junctions."""
-        worst = 0.0
-        for i in range(len(self.durations) - 1):
-            T = self.durations[i]
-            c = self.coeffs[i]
-            powers = T ** np.arange(6)
-            k = np.arange(6)
-            dp = np.concatenate([[0.0], k[1:] * T ** (k[1:] - 1)])
-            ddp = np.array([0.0, 0.0, 2.0, 6.0 * T, 12.0 * T**2, 20.0 * T**3])
-            nxt = self.coeffs[i + 1]
-            worst = max(
-                worst,
-                float(np.max(np.abs(c @ powers - nxt[:, 0]))),
-                float(np.max(np.abs(c @ dp - nxt[:, 1]))),
-                float(np.max(np.abs(c @ ddp - 2.0 * nxt[:, 2]))),
-            )
-        return worst
-
-    def jerk_cost(self) -> float:
-        total = 0.0
-        for i, T in enumerate(self.durations):
-            G = _gram_jerk(T)
-            tail = self.coeffs[i][:, 3:]  # (3 axes, c3..c5)
-            total += float(np.einsum("ai,ij,aj->", tail, G, tail))
-        return total
-
-
-# ----------------------------------------------------------------------
 # Inner minimum-jerk solve
 # ----------------------------------------------------------------------
 
@@ -260,7 +188,7 @@ def _solve_inner(waypoints: np.ndarray, T: np.ndarray, boundary: BoundaryConditi
     return d_all, Qs, j_cost
 
 
-def inner_trajectory(waypoints, T, boundary: BoundaryConditions) -> PiecewiseTrajectory:
+def inner_trajectory(waypoints, T, boundary: BoundaryConditions) -> PiecewisePoly:
     """Minimum-jerk C2 piecewise quintic through the waypoints."""
     waypoints = np.asarray(waypoints, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -276,7 +204,7 @@ def inner_trajectory(waypoints, T, boundary: BoundaryConditions) -> PiecewiseTra
             coeffs[i, axis, 1] = d[1]
             coeffs[i, axis, 2] = 0.5 * d[2]
             coeffs[i, axis, 3:] = H3 @ d
-    return PiecewiseTrajectory(coeffs, T, waypoints, info={"jerk_cost": j_cost})
+    return PiecewisePoly(coeffs, T, info={"jerk_cost": j_cost})
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +310,7 @@ def _trapezoid_time(dist: float, v_cruise: float, a: float) -> float:
 
 
 def optimize(corridor: Corridor, boundary: BoundaryConditions,
-             w: OptWeights | None = None) -> PiecewiseTrajectory:
+             w: OptWeights | None = None) -> PiecewisePoly:
     """Descend the joint waypoint/duration cost and return the trajectory.
 
     Waypoints start at the intersection centers and durations from a
@@ -435,7 +363,7 @@ def optimize(corridor: Corridor, boundary: BoundaryConditions,
         T = w.t_min + np.exp(x_opt[3 * (M - 1):])
         traj = inner_trajectory(np.vstack([boundary.p0, q_int, boundary.p1]), T, boundary)
         ts = np.arange(0.0, traj.duration + 1e-9, 0.01)
-        contained = corridor.contains_all(traj.sample_many(ts), margin=1e-9)
+        contained = corridor.contains_all(traj.eval(ts), margin=1e-9)
         traj.info.update({
             "objective": J_opt, "history": history, "contained": bool(contained),
             "kappa": kappa, "iterations": len(history) - 1,

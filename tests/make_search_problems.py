@@ -78,8 +78,8 @@ def describe(path: kino_search.KinoPath) -> dict:
         "expansions": path.info["expansions"],
         "reached_goal": path.info["reached_goal"],
         "total_cost": float(path.total_cost),
-        "primitives": [{"u": _vec(m.u), "tau": m.tau, "p": _vec(m.end.p), "v": _vec(m.end.v),
-                        "t": m.end.t} for m in path.primitives],
+        "primitives": [{"u": _vec(u), "tau": path.tau, "p": _vec(end.p), "v": _vec(end.v),
+                        "t": end.t} for u, end in zip(path.controls, path.states[1:])],
     }
 
 

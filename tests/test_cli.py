@@ -58,3 +58,17 @@ class TestRun:
         raw = dict(benchmarks.ALL["sharp_turn_low"](), duration="abc")
         assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
         assert "duration" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "ok.json", benchmarks.ALL["sharp_turn_low"]())
+        assert main(["run", path, "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+        raw = dict(benchmarks.ALL["sharp_turn_low"](), seed=-1)
+        assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_zero_time_weight_exits_1(self, tmp_path, capsys):
+        raw = benchmarks.ALL["sharp_turn_low"]()
+        raw["search"] = dict(raw.get("search", {}), rho=0)
+        assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
+        assert "rho" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from aerotrack.kino_search import KinoState, SearchWeights, search
 from aerotrack.prediction import fit_predicted_trajectory
 from aerotrack.perception import TargetObservation
 from aerotrack.tracker import blend_goal
+from oracles import cube_is_free
 
 
 def static_prediction(point, t_c=2.0):
@@ -23,7 +24,7 @@ def search_toward(start, traj, grid, w):
 def corridor_invariants(cor: Corridor, grid: OccupancyGrid, path=None):
     assert len(cor) >= 1
     for cube in cor.cubes:
-        assert grid.cube_is_free(cube)
+        assert cube_is_free(grid, cube)
     for inter in cor.intersections():
         assert inter is not None
         assert inter.sides.min() >= 2 * grid.resolution - 1e-9
@@ -74,7 +75,7 @@ class TestBuildCorridor:
     def test_single_point_path(self):
         grid = OccupancyGrid((0, 0, 0), 0.1, (40, 40, 20))
         from aerotrack.kino_search import KinoPath
-        path = KinoPath([], KinoState(p=(2.0, 2.0, 1.0), v=(0, 0, 0)), 0.0)
+        path = KinoPath([KinoState(p=(2.0, 2.0, 1.0), v=(0, 0, 0))], np.zeros((0, 3)), 0.3, 0.0)
         cor = build_corridor(path, grid)
         assert len(cor) == 1
         assert cor.cubes[0].contains((2.0, 2.0, 1.0))

@@ -8,13 +8,13 @@ from aerotrack.kino_search import (
     SearchWeights,
     _obvp_batch,
     _obvp_coeffs,
-    _scan_minimum,
     obvp_cost,
     search,
 )
 from aerotrack.perception import TargetObservation
 from aerotrack.prediction import fit_predicted_trajectory
 from aerotrack.tracker import blend_goal
+from oracles import rollout_positions, scan_minimum
 
 
 def static_prediction(point, t_c=2.0):
@@ -71,7 +71,7 @@ class TestObvp:
         J, T = _obvp_batch(pf - p0, v0, vf, 1.0)
         alpha, beta, gamma = _obvp_coeffs(pf - p0, v0, vf)
         for i in range(40):
-            Js, Ts = _scan_minimum(alpha[i], beta[i], gamma[i], 1.0)
+            Js, Ts = scan_minimum(alpha[i], beta[i], gamma[i], 1.0)
             assert J[i] <= Js + 1e-12  # a true minimum is never above the grid's
             assert J[i] == pytest.approx(Js, rel=1e-6)
             assert T[i] == pytest.approx(Ts, abs=1.5e-3)
@@ -91,10 +91,36 @@ class TestObvp:
         alpha, beta, gamma = _obvp_coeffs(dp, v0, vf)
         assert np.all(np.abs(beta) < 1e-12)
         for i in range(30):
-            Js, Ts = _scan_minimum(alpha[i], beta[i], gamma[i], 1.0)
+            Js, Ts = scan_minimum(alpha[i], beta[i], gamma[i], 1.0)
             assert J[i] <= Js + 1e-12
             assert J[i] == pytest.approx(Js, rel=1e-6)
             assert T[i] == pytest.approx(Ts, abs=1.5e-3)
+
+    # (dp, v0, vf) of two heuristic rows captured in the closed loop
+    # (occlusion_turn, seed offsets 3 and 5, cycles 161 and 149) that a
+    # closed-form quartic solve missed
+    CAPTURED_ROWS = [
+        ([0.6154975732366754, 0.8874560669974727, 0.05219225040993658],
+         [-0.3230986462261639, 2.3481715315976013, -0.013237774008112518],
+         [0.0, 0.0, 0.0]),
+        ([0.8004387697190722, 0.7997892059119156, 0.004539389868882804],
+         [-0.6723779165714021, 1.8170019892396332, -0.0005074287192817548],
+         [-1.1822103646467848, -0.03738958988311718, 0.0]),
+    ]
+
+    @pytest.mark.parametrize("row", range(len(CAPTURED_ROWS)))
+    def test_captured_rows_are_stationary_points(self, row):
+        dp, v0, vf = (np.array([x]) for x in self.CAPTURED_ROWS[row])
+        J, T = _obvp_batch(dp, v0, vf, 1.0)
+        alpha, beta, gamma = (float(c[0]) for c in _obvp_coeffs(dp, v0, vf))
+        J_scan, T_scan = scan_minimum(alpha, beta, gamma, 1.0)
+        J, T = float(J[0]), float(T[0])
+        assert np.isfinite(J) and J <= J_scan
+        assert T == pytest.approx(T_scan, abs=1e-3)
+        # T is a root of dJ/dT's quartic, not a grid point
+        resid = T**4 - gamma * T**2 - 2.0 * beta * T - 3.0 * alpha
+        size = T**4 + gamma * T**2 + 2.0 * abs(beta) * T + 3.0 * alpha
+        assert abs(resid) < 1e-9 * size
 
     def test_admissibility_vs_primitives(self):
         # closed-form optimum never exceeds any concrete primitive rollout cost
@@ -111,6 +137,13 @@ class TestObvp:
                 cost += (u @ u + w.rho) * w.tau
             D, _ = obvp_cost(a, KinoState(s.p, s.v), w.rho)
             assert D <= cost + 1e-6
+
+
+class TestSearchWeights:
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf"), True, "1"])
+    def test_rho_must_be_finite_and_positive(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            SearchWeights(rho=rho)
 
 
 class TestGoalState:
@@ -156,7 +189,7 @@ class TestSearch:
         assert path.info["reached_goal"]
         assert np.linalg.norm(path.end_state.p - [9.0, 6.0, 1.5]) <= w.r_goal
         # distance to goal is monotone nonincreasing over the last 3 states
-        states = path.states()[-4:]
+        states = path.states[-4:]
         dists = [np.linalg.norm(s.p - np.array([9.0, 6.0, 1.5])) for s in states]
         assert all(d2 <= d1 + 1e-9 for d1, d2 in zip(dists, dists[1:]))
 
@@ -165,7 +198,8 @@ class TestSearch:
         traj = static_prediction((2.0, 2.0, 1.0))
         start = KinoState(p=(2.0, 2.0, 1.0), v=(0.0, 0.0, 0.0))
         path = search_toward(start, traj, g, SearchWeights())
-        assert path.primitives == []
+        assert len(path.controls) == 0 and path.states == [start]
+        assert path.end_state is start
         assert path.total_cost == 0.0
 
     def test_start_occupied(self):
@@ -182,11 +216,12 @@ class TestSearch:
         start = KinoState(p=(2.0, 6.0, 1.5), v=(0.0, 0.0, 0.0))
         w = SearchWeights(freeze_z=True)
         path = search_toward(start, traj, g, w)
-        assert path.primitives
-        for m1, m2 in zip(path.primitives, path.primitives[1:]):
-            assert np.allclose(m1.end.p, m2.start.p)
-            assert np.allclose(m1.end.v, m2.start.v)
-        recomputed = sum((m.u @ m.u + w.rho) * m.tau for m in path.primitives)
+        assert len(path.controls) == len(path.states) - 1 > 0
+        for a, b, u in zip(path.states, path.states[1:], path.controls):
+            assert np.allclose(a.p + a.v * w.tau + 0.5 * u * w.tau**2, b.p)
+            assert np.allclose(a.v + u * w.tau, b.v)
+            assert b.t == pytest.approx(a.t + w.tau)
+        recomputed = sum((u @ u + w.rho) * path.tau for u in path.controls)
         assert path.total_cost == pytest.approx(recomputed, abs=1e-9)
 
     def test_collision_free_samples(self):
@@ -198,6 +233,21 @@ class TestSearch:
         pts = path.sample_positions(g.resolution / 4)
         assert not g.occupied_at(pts).any()
 
+    def test_sample_positions_match_primitive_rollout(self):
+        g = open_grid()
+        g.set_occupied_box((4.0, 2.0, 0.0), (4.2, 9.0, 3.0))
+        traj = static_prediction((7.0, 6.0, 1.5))
+        start = KinoState(p=(2.0, 6.0, 1.5), v=(0.3, -0.2, 0.0))
+        path = search_toward(start, traj, g, SearchWeights(freeze_z=True))
+        assert len(path.controls) > 3
+        for spacing in (0.025, 0.05, 0.3):
+            pts = path.sample_positions(spacing)
+            ref = rollout_positions(path, spacing)
+            assert pts.shape == ref.shape
+            assert np.max(np.abs(pts - ref)) < 1e-12
+            assert np.array_equal(pts[0], start.p)
+            assert np.max(np.abs(pts[-1] - path.end_state.p)) < 1e-12
+
     def test_determinism(self):
         g = open_grid()
         g.set_occupied_box((4.0, 3.0, 0.0), (4.4, 10.0, 3.0))
@@ -206,10 +256,10 @@ class TestSearch:
         w = SearchWeights(freeze_z=True)
         p1 = search_toward(start, traj, g, w)
         p2 = search_toward(start, traj, g, w)
-        assert len(p1.primitives) == len(p2.primitives)
-        for m1, m2 in zip(p1.primitives, p2.primitives):
-            assert np.array_equal(m1.u, m2.u)
-            assert np.array_equal(m1.end.p, m2.end.p)
+        assert np.array_equal(p1.controls, p2.controls)
+        assert len(p1.states) == len(p2.states)
+        for s1, s2 in zip(p1.states, p2.states):
+            assert np.array_equal(s1.p, s2.p)
 
     def test_two_topology_routing(self):
         # block between start and goal; the slightly shorter west route hides
@@ -250,7 +300,7 @@ class TestSearch:
         path = search_toward(start, traj, g, SearchWeights(freeze_z=True, p_occ=200.0))
 
         def los_frac(path):
-            states = path.states()
+            states = path.states
             good = sum(g.line_of_sight(s.p, target) for s in states)
             return good / len(states)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,12 @@ def with_perception(**fields):
     return raw
 
 
+def with_search(**fields):
+    raw = valid()
+    raw["search"] = dict(raw.get("search", {}), **fields)
+    return raw
+
+
 class TestFromDict:
     def test_builtin_scenarios_are_valid(self):
         for build in benchmarks.ALL.values():
@@ -42,9 +49,22 @@ class TestFromDict:
         (with_target(smoothing=math.nan), "target smoothing must be finite"),
         (with_target(waypoints=[[1.0, 1.0, 1.0], [math.nan, 1.0, 1.0]]),
          "target waypoints must be finite"),
+        (dict(valid(), seed=-1), "seed must be a non-negative integer"),
+        (dict(valid(), seed=2.7), "seed must be a non-negative integer"),
+        (dict(valid(), seed=True), "seed must be a non-negative integer"),
+        (dict(valid(), seed="3"), "seed must be a non-negative integer"),
+        (with_search(rho=0), "search: rho must be a finite number > 0"),
+        (with_search(rho="1"), "search: rho must be a finite number > 0"),
     ], ids=["perception-list", "search-list", "duration-text", "duration-nan", "seed-text",
             "quad-start-text", "quad-start-2d", "fov-0", "fov-200", "target-speed-nan",
-            "target-smoothing-nan", "target-waypoint-nan"])
+            "target-smoothing-nan", "target-waypoint-nan", "seed-negative", "seed-fraction",
+            "seed-bool", "seed-string", "rho-0", "rho-string"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)
+
+    def test_replaced_seed_is_validated(self):
+        scenario = Scenario.from_dict(valid())
+        assert replace(scenario, seed=7).seed == 7
+        with pytest.raises(InvalidScenario, match="seed"):
+            replace(scenario, seed=-1)

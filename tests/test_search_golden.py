@@ -41,15 +41,13 @@ def test_recorded_path(label):
     assert path.info["expansions"] == exp["expansions"]
     assert path.info["reached_goal"] == exp["reached_goal"]
     assert path.total_cost == exp["total_cost"]
-    assert len(path.primitives) == len(exp["primitives"])
-    prev_p, prev_v, prev_t = problem["start"]["p"], problem["start"]["v"], problem["start"]["t"]
-    for m, e in zip(path.primitives, exp["primitives"]):
-        assert m.u.tolist() == e["u"] and m.tau == e["tau"]
-        assert m.start.p.tolist() == prev_p and m.start.v.tolist() == prev_v
-        assert m.start.t == prev_t
-        assert m.end.p.tolist() == e["p"] and m.end.v.tolist() == e["v"] and m.end.t == e["t"]
-        prev_p, prev_v, prev_t = e["p"], e["v"], e["t"]
-    assert path.end_state.p.tolist() == prev_p and path.end_state.v.tolist() == prev_v
+    assert len(path.controls) == len(exp["primitives"]) == len(path.states) - 1
+    start = path.states[0]
+    assert start.p.tolist() == problem["start"]["p"] and start.v.tolist() == problem["start"]["v"]
+    assert start.t == problem["start"]["t"]
+    for u, end, e in zip(path.controls, path.states[1:], exp["primitives"]):
+        assert u.tolist() == e["u"] and path.tau == e["tau"]
+        assert end.p.tolist() == e["p"] and end.v.tolist() == e["v"] and end.t == e["t"]
 
 
 def test_budget_exhausting_search_memory():
