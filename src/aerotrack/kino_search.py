@@ -53,7 +53,6 @@ class SearchWeights:
     tau: float = 0.3                      # primitive duration [s]
     u_grid: tuple = (-3.0, 0.0, 3.0)      # per-axis acceleration choices [m/s^2]
     v_max: float = 3.0                    # per-axis speed bound [m/s]
-    a_max: float = 3.0                    # acceleration bound [m/s^2]
     t_lookahead: float = 1.0              # how far into the prediction the goal looks [s]
     r_goal: float = 0.5                   # goal position tolerance [m]
     v_goal_tol: float = 1.5               # goal velocity tolerance [m/s]

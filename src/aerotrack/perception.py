@@ -115,18 +115,9 @@ class RegressionParams:
             "lam1", "lam2", "k1", "k2", "lam3", "lam4", "k3", "k4", "a", "b",
             "z_const", "rms_residual")}
 
-    @staticmethod
-    def from_dict(raw: dict) -> "RegressionParams":
-        return RegressionParams(**{k: float(v) for k, v in raw.items()})
-
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
-
-    @staticmethod
-    def load(path) -> "RegressionParams":
-        with open(path) as fh:
-            return RegressionParams.from_dict(json.load(fh))
 
 
 # ----------------------------------------------------------------------
@@ -388,9 +379,7 @@ class GimbalState:
 
     yaw: float
     yaw_rate_limit: float = 3.0
-    mode: str = "tracking"          # "tracking" | "searching"
     integrator: float = 0.0
-    search_dir: float = 1.0
 
 
 def gimbal_track_step(g: GimbalState, u_px: float, cam: CameraModel, dt: float,
@@ -404,11 +393,9 @@ def gimbal_track_step(g: GimbalState, u_px: float, cam: CameraModel, dt: float,
     integ = float(np.clip(integ, -windup_cap, windup_cap))
     rate = -(kp * error + ki * integ)
     rate = float(np.clip(rate, -g.yaw_rate_limit, g.yaw_rate_limit))
-    return replace(g, yaw=g.yaw + rate * dt, integrator=integ, mode="tracking")
+    return replace(g, yaw=g.yaw + rate * dt, integrator=integ)
 
 
 def gimbal_search_step(g: GimbalState, dt: float, omega_search: float = 1.5) -> GimbalState:
-    """Constant-rate sweep with persistent direction; yaw wraps freely."""
-    if g.mode != "searching":
-        raise ValueError(f"search step requires searching mode, got {g.mode!r}")
-    return replace(g, yaw=g.yaw + g.search_dir * omega_search * dt, integrator=0.0)
+    """Constant-rate sweep in the positive yaw direction; yaw wraps freely."""
+    return replace(g, yaw=g.yaw + omega_search * dt, integrator=0.0)

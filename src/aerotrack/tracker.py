@@ -64,7 +64,6 @@ class ModeState:
     """Tracking/relocating machine with the memory relocation needs."""
 
     mode: str = TRACKING
-    last_valid_prediction: object = None
     time_since_loss: float = 0.0
     invalid_streak: float = 0.0
 
@@ -154,7 +153,6 @@ class TrackerWorld:
         self.los_flags: list[bool] = []
         self.loss_episodes = 0
         self.relocation_times: list[float] = []
-        self._relocating_prev = False
         self.plan_failures = 0
         self.last_plan_error = ""
 
@@ -206,15 +204,14 @@ def _plan_goal(world: TrackerWorld):
     """Goal state and occlusion target for this cycle, or ``(None, None)``."""
     sc = world.scenario
     t_now = world._time()
-    if world.mode.mode == RELOCATING or world.prediction is None:
-        pred = world.mode.last_valid_prediction
-        if pred is None:
-            return None, None
-        p_end, _ = pred.evaluate(pred.t_p)
+    traj = world.prediction
+    if traj is None:
+        return None, None
+    if world.mode.mode == RELOCATING:
+        p_end, _ = traj.evaluate(traj.t_p)
         goal_p = _free_goal(world, np.array([p_end[0], p_end[1], world.quad_z]))
         return KinoState(p=goal_p, v=np.zeros(3)), goal_p
 
-    traj = world.prediction
     blend, p_pred = blend_goal(traj, float(np.clip(t_now, traj.t0, traj.t_p)), world.search_w)
     x_g_p, x_g_v = blend.p, blend.v
     # standoff: back off along the goal velocity, or toward the quadrotor
@@ -248,7 +245,6 @@ def step(world: TrackerWorld) -> TrackerWorld:
     t0 = time.perf_counter()
     allow_search = world.variant != "no_gimbal_search"
     if world.mode.mode == RELOCATING and allow_search:
-        world.gimbal = replace(world.gimbal, mode="searching")
         world.gimbal = gimbal_search_step(world.gimbal, dt, sc.perception.omega_search)
     elif world.last_u is not None and world.mode.mode == TRACKING:
         world.gimbal = gimbal_track_step(
@@ -273,12 +269,12 @@ def step(world: TrackerWorld) -> TrackerWorld:
     world._stage("perception", t0)
 
     # mode machine
+    was_relocating = world.mode.mode == RELOCATING
     world.mode = relocation_update(world.mode, obs, dt, sc.tracker.loss_timeout)
-    if world.mode.mode == RELOCATING and not world._relocating_prev:
+    if world.mode.mode == RELOCATING and not was_relocating:
         world.loss_episodes += 1
-    if world.mode.mode == TRACKING and world._relocating_prev:
+    if world.mode.mode == TRACKING and was_relocating:
         world.relocation_times.append(world.mode.time_since_loss + dt)
-    world._relocating_prev = world.mode.mode == RELOCATING
 
     # prediction update
     t0 = time.perf_counter()
@@ -290,7 +286,6 @@ def step(world: TrackerWorld) -> TrackerWorld:
         try:
             world.prediction = fit_predicted_trajectory(
                 world.observations, t_now, sc.prediction)
-            world.mode.last_valid_prediction = world.prediction
         except InsufficientData:
             pass
     world._stage("prediction", t0)

@@ -10,13 +10,24 @@ adds a logarithmic barrier keeping each intermediate waypoint inside its cube
 intersection and a soft aggressiveness penalty on total time and on waypoint
 finite-difference speed and acceleration surrogates.
 
+The inner solve works on one array ``D`` of junction derivatives, shape
+``(M + 1, 3, 3)`` and indexed ``[junction, order, axis]``: order 0 holds the
+waypoints, the end junctions hold the boundary velocities and accelerations,
+and the 2(M - 1) interior velocities and accelerations are the unknowns. Piece
+i reads ``D[i:i + 2]`` as its six endpoint derivatives. The right-hand side
+adds each piece's fixed columns one at a time, in ascending order, so every
+entry sums the same products in the same sequence as a scalar assembly would;
+one matrix product over the fixed columns would re-associate those sums and
+move traces in the last bit. The outer gradients cover all M + 1 waypoints and
+drop the two fixed ends on return.
+
 Trajectories are ``PiecewisePoly`` curves with coefficients of shape
 ``(M, 3, 6)``; the containment check samples them in one batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,60 +142,39 @@ def _jerk_quadratic_dT(T: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _solve_inner(waypoints: np.ndarray, T: np.ndarray, boundary: BoundaryConditions):
-    """Optimal per-piece endpoint derivatives ``d`` (M, 6, 3) and jerk cost."""
+    """Optimal per-piece endpoint derivatives ``d`` (M, 6, 3), jerk forms and jerk cost."""
     M = len(T)
     if np.any(T <= 0.0):
         raise SingularSystem("piece durations must be positive")
-    Qs = [_jerk_quadratic(float(t)) for t in T]
+    Qs = np.array([_jerk_quadratic(float(t)) for t in T])
+
+    # D[junction, order, axis]; the free interior velocities and accelerations
+    # are numbered row-major in ``slot``, and -1 marks a fixed entry
+    D = np.zeros((M + 1, 3, 3))
+    D[:, 0] = waypoints
+    D[0, 1:] = boundary.v0, boundary.a0
+    D[M, 1:] = boundary.v1, boundary.a1
+    slot = np.full((M + 1, 3), -1)
+    slot[1:M, 1:] = np.arange(2 * (M - 1)).reshape(M - 1, 2)
+
     nz = 2 * (M - 1)
-
-    def slot(piece: int, local: int):
-        """(is_free, index), with fixed slots resolved to values later."""
-        junction = piece + (1 if local >= 3 else 0)  # junction index 0..M
-        kind = local % 3  # 0: position, 1: velocity, 2: acceleration
-        if kind == 0:
-            return False, None
-        if junction == 0 or junction == M:
-            return False, None
-        return True, 2 * (junction - 1) + (kind - 1)
-
-    def fixed_value(piece, local, axis):
-        junction = piece + (1 if local >= 3 else 0)
-        kind = local % 3
-        if kind == 0:
-            return waypoints[junction, axis]
-        if junction == 0:
-            return (boundary.v0 if kind == 1 else boundary.a0)[axis]
-        return (boundary.v1 if kind == 1 else boundary.a1)[axis]
-
-    d_all = np.zeros((M, 6, 3))
-    if nz > 0:
-        A = np.zeros((nz, nz))
-        B = np.zeros((nz, 3))
-        for i in range(M):
-            Q = Qs[i]
-            for l1 in range(6):
-                free1, g1 = slot(i, l1)
-                for l2 in range(6):
-                    free2, g2 = slot(i, l2)
-                    if free1 and free2:
-                        A[g1, g2] += Q[l1, l2]
-                    elif free1 and not free2:
-                        for axis in range(3):
-                            B[g1, axis] += Q[l1, l2] * fixed_value(i, l2, axis)
-        try:
-            z = np.linalg.solve(A, -B)
-        except np.linalg.LinAlgError:
-            raise SingularSystem("inner jerk system is singular")
-    else:
-        z = np.zeros((0, 3))
-
+    A = np.zeros((nz, nz))
+    B = np.zeros((nz, 3))
     for i in range(M):
-        for l in range(6):
-            free, g = slot(i, l)
-            for axis in range(3):
-                d_all[i, l, axis] = z[g, axis] if free else fixed_value(i, l, axis)
-    j_cost = float(sum(np.einsum("la,lm,ma->", d_all[i], Qs[i], d_all[i]) for i in range(M)))
+        d, s, Q = D[i:i + 2].reshape(6, 3), slot[i:i + 2].ravel(), Qs[i]
+        free, fixed = np.flatnonzero(s >= 0), np.flatnonzero(s < 0)
+        A[np.ix_(s[free], s[free])] += Q[np.ix_(free, free)]
+        for l2 in fixed:  # one column at a time keeps each B entry's summation order
+            B[s[free]] += Q[free, l2][:, None] * d[l2][None, :]
+    try:
+        z = np.linalg.solve(A, -B)
+    except np.linalg.LinAlgError:
+        raise SingularSystem("inner jerk system is singular")
+    D[1:M, 1:] = z.reshape(M - 1, 2, 3)
+
+    d_all = np.stack([D[i:i + 2].reshape(6, 3) for i in range(M)])
+    # builtin sum adds in piece order; np.sum pairs the terms from M = 8 on
+    j_cost = float(sum(np.einsum("ila,ilm,ima->i", d_all, Qs, d_all)))
     return d_all, Qs, j_cost
 
 
@@ -193,17 +183,15 @@ def inner_trajectory(waypoints, T, boundary: BoundaryConditions) -> PiecewisePol
     waypoints = np.asarray(waypoints, dtype=float)
     T = np.asarray(T, dtype=float)
     d_all, _, j_cost = _solve_inner(waypoints, T, boundary)
-    M = len(T)
-    coeffs = np.zeros((M, 3, 6))
-    for i in range(M):
-        W, Dmap = _tail_maps(float(T[i]))
+    coeffs = np.zeros((len(T), 3, 6))
+    coeffs[:, :, 0] = d_all[:, 0]
+    coeffs[:, :, 1] = d_all[:, 1]
+    coeffs[:, :, 2] = 0.5 * d_all[:, 2]
+    for i, t in enumerate(T):
+        W, Dmap = _tail_maps(float(t))
         H3 = W @ Dmap
-        for axis in range(3):
-            d = d_all[i, :, axis]
-            coeffs[i, axis, 0] = d[0]
-            coeffs[i, axis, 1] = d[1]
-            coeffs[i, axis, 2] = 0.5 * d[2]
-            coeffs[i, axis, 3:] = H3 @ d
+        for axis in range(3):  # a matrix-matrix product rounds differently
+            coeffs[i, axis, 3:] = H3 @ d_all[i, :, axis]
     return PiecewisePoly(coeffs, T, info={"jerk_cost": j_cost})
 
 
@@ -228,30 +216,27 @@ def cost_and_gradient(q_interior, T, corridor: Corridor, boundary: BoundaryCondi
     T = np.asarray(T, dtype=float)
     waypoints = np.vstack([boundary.p0, q_interior, boundary.p1])
 
-    # smoothness term and its envelope gradients
+    # smoothness term and its envelope gradients; dq covers all M + 1
+    # waypoints, and the fixed ends are dropped on return
     d_all, Qs, J_S = _solve_inner(waypoints, T, boundary)
-    dq = np.zeros((max(M - 1, 0), 3))
-    dT = np.zeros(M)
-    for i in range(M):
-        grad_d = 2.0 * np.einsum("lm,ma->la", Qs[i], d_all[i])  # (6, 3)
-        if 1 <= i <= M - 1:
-            dq[i - 1] += grad_d[0]      # waypoint i is piece i's start position
-        if 1 <= i + 1 <= M - 1:
-            dq[i] += grad_d[3]          # and piece i's end position
-        dQ = _jerk_quadratic_dT(float(T[i]))
-        dT[i] += float(np.einsum("la,lm,ma->", d_all[i], dQ, d_all[i]))
+    grad_d = 2.0 * np.einsum("ilm,ima->ila", Qs, d_all)  # (M, 6, 3)
+    dq = np.zeros((M + 1, 3))
+    dq[:M] += grad_d[:, 0]      # waypoint i is piece i's start position
+    dq[1:] += grad_d[:, 3]      # and piece i - 1's end position
+    dQs = np.array([_jerk_quadratic_dT(float(t)) for t in T])
+    dT = np.einsum("ila,ilm,ima->i", d_all, dQs, d_all)
 
     # corridor barrier
     J_F = 0.0
-    for i in range(M - 1):
-        q = q_interior[i]
-        for cube in (cubes[i], cubes[i + 1]):
+    for j in range(1, M):
+        q = waypoints[j]
+        for cube in (cubes[j - 1], cubes[j]):
             slacks = _cube_slacks(cube, q)
             if np.any(slacks <= 0.0):
                 raise BarrierDomainViolated(
-                    f"waypoint {i + 1} at {q.tolist()} left its intersection")
+                    f"waypoint {j} at {q.tolist()} left its intersection")
             J_F -= w.kappa * float(np.sum(np.log(slacks)))
-            dq[i] += w.kappa * (1.0 / slacks[:3] - 1.0 / slacks[3:])
+            dq[j] += w.kappa * (1.0 / slacks[:3] - 1.0 / slacks[3:])
 
     # aggressiveness penalty
     J_D = w.rho_t * float(np.sum(T))
@@ -271,10 +256,8 @@ def cost_and_gradient(q_interior, T, corridor: Corridor, boundary: BoundaryCondi
         coef = w.rho_v * dl(arg)
         if coef != 0.0:
             gV = coef * 2.0 * V
-            if 1 <= j + 1 <= M - 1:
-                dq[j] += gV / t_sum
-            if 1 <= j - 1 <= M - 1:
-                dq[j - 2] -= gV / t_sum
+            dq[j + 1] += gV / t_sum
+            dq[j - 1] -= gV / t_sum
             dT[j - 1] += float(gV @ (-V / t_sum))
             dT[j] += float(gV @ (-V / t_sum))
 
@@ -287,16 +270,13 @@ def cost_and_gradient(q_interior, T, corridor: Corridor, boundary: BoundaryCondi
         coef_a = w.rho_a * dl(arg_a)
         if coef_a != 0.0:
             gA = coef_a * 2.0 * Acc
-            if 1 <= j + 1 <= M - 1:
-                dq[j] += gA / (T[j] * m)
-            if 1 <= j <= M - 1:
-                dq[j - 1] += gA * (-1.0 / T[j] - 1.0 / T[j - 1]) / m
-            if 1 <= j - 1 <= M - 1:
-                dq[j - 2] += gA / (T[j - 1] * m)
+            dq[j + 1] += gA / (T[j] * m)
+            dq[j] += gA * (-1.0 / T[j] - 1.0 / T[j - 1]) / m
+            dq[j - 1] += gA / (T[j - 1] * m)
             dT[j] += float(gA @ (-W1 / (T[j] * m) - Acc / (2.0 * m)))
             dT[j - 1] += float(gA @ (W0 / (T[j - 1] * m) - Acc / (2.0 * m)))
 
-    return J_S + J_F + J_D, dq, dT
+    return J_S + J_F + J_D, dq[1:M], dT
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +318,7 @@ def optimize(corridor: Corridor, boundary: BoundaryConditions,
     best = None
     for attempt in range(3):
         kappa = kappa0 * (10.0 ** attempt)
-        w_try = OptWeights(**{**w.__dict__, "kappa": kappa})
+        w_try = replace(w, kappa=kappa)
 
         def objective(x):
             q_int = x[: 3 * (M - 1)].reshape(M - 1, 3)

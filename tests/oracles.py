@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from aerotrack.traj_opt import BoundaryConditions, _gram_jerk
+from aerotrack.traj_opt import BoundaryConditions, _gram_jerk, _jerk_quadratic
 
 _SCAN_T = np.arange(1e-3, 20.0 + 1e-3, 1e-3)
 
@@ -69,6 +69,57 @@ def jerk_cost(traj) -> float:
         tail = c[:, 3:]  # (3 axes, c3..c5)
         total += float(np.einsum("ai,ij,aj->", tail, _gram_jerk(T), tail))
     return total
+
+
+def solve_inner_per_slot(waypoints, T, boundary):
+    """(d_all, jerk cost) of the inner minimum-jerk solve, one scalar slot at a time.
+
+    A frozen copy of the per-slot assembly the library used before it solved
+    on one junction-derivative array.
+    """
+    M = len(T)
+    Qs = [_jerk_quadratic(float(t)) for t in T]
+    nz = 2 * (M - 1)
+
+    def slot(piece, local):
+        junction = piece + (1 if local >= 3 else 0)
+        kind = local % 3
+        if kind == 0 or junction == 0 or junction == M:
+            return False, None
+        return True, 2 * (junction - 1) + (kind - 1)
+
+    def fixed_value(piece, local, axis):
+        junction = piece + (1 if local >= 3 else 0)
+        kind = local % 3
+        if kind == 0:
+            return waypoints[junction, axis]
+        if junction == 0:
+            return (boundary.v0 if kind == 1 else boundary.a0)[axis]
+        return (boundary.v1 if kind == 1 else boundary.a1)[axis]
+
+    z = np.zeros((0, 3))
+    if nz > 0:
+        A = np.zeros((nz, nz))
+        B = np.zeros((nz, 3))
+        for i in range(M):
+            for l1 in range(6):
+                free1, g1 = slot(i, l1)
+                for l2 in range(6):
+                    free2, g2 = slot(i, l2)
+                    if free1 and free2:
+                        A[g1, g2] += Qs[i][l1, l2]
+                    elif free1:
+                        for axis in range(3):
+                            B[g1, axis] += Qs[i][l1, l2] * fixed_value(i, l2, axis)
+        z = np.linalg.solve(A, -B)
+    d_all = np.zeros((M, 6, 3))
+    for i in range(M):
+        for l in range(6):
+            free, g = slot(i, l)
+            for axis in range(3):
+                d_all[i, l, axis] = z[g, axis] if free else fixed_value(i, l, axis)
+    j_cost = float(sum(np.einsum("la,lm,ma->", d_all[i], Qs[i], d_all[i]) for i in range(M)))
+    return d_all, j_cost
 
 
 def rest_to_rest(p0, p1) -> BoundaryConditions:

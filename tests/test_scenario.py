@@ -55,10 +55,11 @@ class TestFromDict:
         (dict(valid(), seed="3"), "seed must be a non-negative integer"),
         (with_search(rho=0), "search: rho must be a finite number > 0"),
         (with_search(rho="1"), "search: rho must be a finite number > 0"),
+        (with_search(a_max=3.0), "search: .*a_max"),
     ], ids=["perception-list", "search-list", "duration-text", "duration-nan", "seed-text",
             "quad-start-text", "quad-start-2d", "fov-0", "fov-200", "target-speed-nan",
             "target-smoothing-nan", "target-waypoint-nan", "seed-negative", "seed-fraction",
-            "seed-bool", "seed-string", "rho-0", "rho-string"])
+            "seed-bool", "seed-string", "rho-0", "rho-string", "search-a-max"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)

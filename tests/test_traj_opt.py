@@ -17,7 +17,7 @@ from aerotrack.traj_opt import (
     inner_trajectory,
     optimize,
 )
-from oracles import jerk_cost, junction_mismatch, rest_to_rest
+from oracles import jerk_cost, junction_mismatch, rest_to_rest, solve_inner_per_slot
 
 
 def chain_corridor(n_cubes=4, span=2.0, overlap=0.8, size=1.6):
@@ -78,6 +78,19 @@ class TestInnerTrajectory:
             traj = inner_trajectory(way, T, bc)
             assert junction_mismatch(traj) < 1e-9
 
+    @pytest.mark.parametrize("M", range(1, 7))
+    def test_solve_matches_per_slot_assembly(self, M):
+        rng = np.random.default_rng(M)
+        for _ in range(20):
+            way = np.cumsum(rng.uniform(-2, 2, (M + 1, 3)), axis=0)
+            T = rng.uniform(0.2, 3.0, M)
+            bc = BoundaryConditions(way[0], *rng.uniform(-2, 2, (2, 3)),
+                                    way[-1], *rng.uniform(-2, 2, (2, 3)))
+            d_all, _, j_cost = traj_opt._solve_inner(way, T, bc)
+            d_ref, j_ref = solve_inner_per_slot(way, T, bc)
+            assert np.array_equal(d_all, d_ref)
+            assert j_cost == j_ref
+
     def test_nonpositive_duration_rejected(self):
         bc = rest_to_rest((0, 0, 0), (1, 0, 0))
         with pytest.raises(SingularSystem):
@@ -136,9 +149,10 @@ class TestCostAndGradient:
                                                       v_max=50.0, a_max=50.0))
         assert J - J_smooth == pytest.approx(7.0 * float(np.sum(T)), rel=1e-12)
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("n_cubes", [2, 4])
+    def test_gradients_match_finite_differences(self, n_cubes):
         rng = np.random.default_rng(1)
-        cor = chain_corridor(4)
+        cor = chain_corridor(n_cubes)
         inters = cor.intersections()
         bc = BoundaryConditions(
             p0=cor.cubes[0].center + rng.uniform(-0.2, 0.2, 3),
