@@ -1,16 +1,25 @@
-"""Builtin benchmark scenarios: sharp turns behind obstacles, relocation turns.
+"""Builtin benchmark scenarios and the seeded scenario x variant benchmark.
 
-These dict builders are the canonical definitions; no scenario file is kept
-in the repository. ``python -m aerotrack.benchmarks [DIR]`` writes one JSON
-file per scenario into ``DIR`` (default ``scenarios``, created if missing)
-so the CLI benchmark can consume a plain directory.
+The scenario dict builders are the canonical definitions; no scenario file is
+kept in the repository. ``python -m aerotrack.benchmarks [DIR]`` writes one
+JSON file per scenario into ``DIR`` (default ``scenarios``, created if
+missing) so the CLI benchmark can consume a plain directory. ``benchmark``
+runs each scenario under each variant for a range of seeds, and
+``benchmark_table`` and ``write_benchmark_csv`` report its rows.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+
+from .scenario import Scenario
+from .tracker import resolve_variant, run_scenario
 
 
 def sharp_turn_scenario(speed: float, seed: int = 100) -> dict:
@@ -112,6 +121,78 @@ def write_all(directory) -> list[Path]:
             json.dump(build(), fh, indent=2)
         out.append(path)
     return out
+
+
+# ----------------------------------------------------------------------
+# Benchmark harness
+# ----------------------------------------------------------------------
+
+def _bench_one(args):
+    scenario_dict, variant, run_idx = args
+    base = Scenario.from_dict(scenario_dict)
+    scenario = replace(base, seed=base.seed + run_idx)
+    metrics, _ = run_scenario(scenario, variant)
+    return {
+        "scenario": scenario.name,
+        "variant": variant,
+        "run": run_idx,
+        "seed": scenario.seed,
+        "success": int(metrics.success),
+        "mean_dist": round(metrics.mean_target_distance, 4),
+        "max_dist": round(metrics.max_target_distance, 4),
+        "los_fraction": round(metrics.los_fraction, 4),
+        "loss_episodes": metrics.loss_episodes,
+        "plan_ms": round(metrics.stage_ms.get("planning", 0.0), 3),
+    }
+
+
+def benchmark(scenario_dicts: list, variants: list, n_runs: int,
+              workers: int = 1) -> list:
+    """Seeded repeated runs per (scenario, variant); rows sorted and merged."""
+    variants = [resolve_variant(v) for v in variants]
+    jobs = [(sd, v, i)
+            for sd in scenario_dicts for v in variants for i in range(n_runs)]
+    if workers > 1 and len(jobs) > 1:
+        # imported here so that importing the package does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_bench_one, jobs))
+    else:
+        rows = [_bench_one(j) for j in jobs]
+    rows.sort(key=lambda r: (r["scenario"], r["variant"], r["run"]))
+    return rows
+
+
+def benchmark_table(rows: list) -> str:
+    """Aligned text table of success counts and aggregate metrics."""
+    if not rows:
+        return "(no benchmark rows)\n"
+    groups: dict[tuple, list] = {}
+    for r in rows:
+        groups.setdefault((r["scenario"], r["variant"]), []).append(r)
+    header = f"{'scenario':<28} {'variant':<24} {'success':>8} {'mean_dist':>10} " \
+             f"{'los_frac':>9} {'plan_ms':>8}"
+    lines = [header, "-" * len(header)]
+    for (scenario, variant), rs in sorted(groups.items()):
+        n_ok = sum(r["success"] for r in rs)
+        lines.append(
+            f"{scenario:<28} {variant:<24} {n_ok}/{len(rs):<6} "
+            f"{np.mean([r['mean_dist'] for r in rs]):>10.3f} "
+            f"{np.mean([r['los_fraction'] for r in rs]):>9.3f} "
+            f"{np.mean([r['plan_ms'] for r in rs]):>8.1f}")
+    return "\n".join(lines) + "\n"
+
+
+def write_benchmark_csv(rows: list, path) -> None:
+    if not rows:
+        with open(path, "w") as fh:
+            fh.write("")
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 if __name__ == "__main__":

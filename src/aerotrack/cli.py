@@ -14,17 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .benchmarks import benchmark, benchmark_table, write_benchmark_csv
 from .errors import InvalidScenario, InvalidSpec
 from .grid import MapSpec, build_map
 from .perception import ImageFeatures, fit_regression
 from .scenario import Scenario
-from .tracker import (
-    benchmark,
-    benchmark_table,
-    run_scenario,
-    write_benchmark_csv,
-    write_trace,
-)
+from .tracker import run_scenario, write_trace
 
 
 def _cmd_run(args) -> int:

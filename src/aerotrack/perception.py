@@ -284,7 +284,11 @@ def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionPara
     Results are memoized per process in ``_fit_arrays``, an LRU cache of
     ``_FIT_CACHE_SIZE`` fits keyed on ``(L.tobytes(), u.tobytes(),
     truth.tobytes(), truth.shape, n_starts, seed)``: the exact inputs, so a
-    hit is bit-identical to a fresh fit. Failures are not cached.
+    hit is bit-identical to a fresh fit. Failures are not cached. The
+    calibration data it is usually given has its own memo one level down
+    (see :func:`make_calibration_dataset`); nothing caches above this
+    function, so each caller still makes one ``fit_regression`` call per fit
+    it needs, and a hit costs only the array building and the key.
     """
     if len(dataset) < 8:
         raise FitDiverged(f"dataset of {len(dataset)} samples is too small to fit")
@@ -339,6 +343,10 @@ def _fit_arrays(L_bytes: bytes, u_bytes: bytes, truth_bytes: bytes, truth_shape:
     )
 
 
+# Calibration datasets kept per process; each holds a few hundred samples.
+_DATASET_CACHE_SIZE = 8
+
+
 def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
                              range_band=(1.0, 5.0), seed: int = 0,
                              sigma_u: float = 0.0, sigma_len: float = 0.0):
@@ -348,7 +356,23 @@ def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
     operates near its standoff distance) plus a thin uniform sweep so the
     full band stays covered. Returns (ImageFeatures, camera-frame truth)
     pairs suitable for :func:`fit_regression`.
+
+    Datasets are memoized per process in ``_calibration_samples``, an LRU
+    cache of ``_DATASET_CACHE_SIZE`` datasets keyed on every argument, with
+    ``range_band`` as a tuple. The dataset is a pure function of those
+    arguments, so a hit equals a fresh build. Each call returns a new list;
+    its ``ImageFeatures`` are frozen and its truth arrays read-only, so no
+    caller can change what a later call returns. :func:`fit_regression`
+    memoizes the fit on top of this.
     """
+    return list(_calibration_samples(cam, body_len, n, tuple(range_band), seed,
+                                     sigma_u, sigma_len))
+
+
+@functools.lru_cache(maxsize=_DATASET_CACHE_SIZE)
+def _calibration_samples(cam: CameraModel, body_len: float, n: int, range_band: tuple,
+                         seed: int, sigma_u: float, sigma_len: float) -> tuple:
+    """The samples of :func:`make_calibration_dataset`, as an immutable tuple."""
     rng = np.random.default_rng(seed)
     lo, hi = range_band
     center, spread = 0.5 * (lo + hi) - 0.5, 0.25 * (hi - lo)
@@ -365,8 +389,9 @@ def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
                                sigma_u=sigma_u, sigma_len=sigma_len,
                                rng=rng if (sigma_u or sigma_len) else None)
         if feats is not None:
+            target.flags.writeable = False
             samples.append((feats, target))
-    return samples
+    return tuple(samples)
 
 
 # ----------------------------------------------------------------------

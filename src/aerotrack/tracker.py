@@ -59,6 +59,14 @@ TRACE_COLUMNS = [
 ]
 
 
+def resolve_variant(variant: str) -> str:
+    """Canonical name of a variant given by name or alias; ValueError if unknown."""
+    name = _VARIANT_ALIASES.get(variant, variant)
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return name
+
+
 @dataclass
 class ModeState:
     """Tracking/relocating machine with the memory relocation needs."""
@@ -113,15 +121,15 @@ class TrackerWorld:
 
     def __init__(self, scenario: Scenario, variant: str = "full"):
         self.scenario = scenario
-        self.variant = _VARIANT_ALIASES.get(variant, variant)
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+        self.variant = resolve_variant(variant)
         self.grid = build_map(scenario.map_spec)
         self.dt = 1.0 / scenario.tracker.replan_hz
         self.rng = np.random.default_rng(scenario.seed)
-        # fit_regression memoizes on its exact inputs, so each process fits
-        # once per set of calibration inputs (camera, body length, noise
-        # sigmas) and every later world reuses that fit
+        # make_calibration_dataset memoizes on its arguments and
+        # fit_regression on its exact inputs, so each process builds and fits
+        # once per calibration config (camera, body length, noise sigmas) and
+        # every later world reuses both. The fit stays one call per world
+        # because perfbench times each world's fit_regression span.
         cfg = scenario.perception
         self.params = fit_regression(make_calibration_dataset(
             cfg.camera, cfg.body_len, n=320, seed=0,
@@ -433,78 +441,3 @@ def format_trace_csv(rows: list) -> str:
 def write_trace(rows: list, path) -> None:
     with open(path, "w") as fh:
         fh.write(format_trace_csv(rows))
-
-
-# ----------------------------------------------------------------------
-# Benchmark harness
-# ----------------------------------------------------------------------
-
-def _bench_one(args):
-    scenario_dict, variant, run_idx = args
-    base = Scenario.from_dict(scenario_dict)
-    scenario = replace(base, seed=base.seed + run_idx)
-    metrics, _ = run_scenario(scenario, variant)
-    return {
-        "scenario": scenario.name,
-        "variant": variant,
-        "run": run_idx,
-        "seed": scenario.seed,
-        "success": int(metrics.success),
-        "mean_dist": round(metrics.mean_target_distance, 4),
-        "max_dist": round(metrics.max_target_distance, 4),
-        "los_fraction": round(metrics.los_fraction, 4),
-        "loss_episodes": metrics.loss_episodes,
-        "plan_ms": round(metrics.stage_ms.get("planning", 0.0), 3),
-    }
-
-
-def benchmark(scenario_dicts: list, variants: list, n_runs: int,
-              workers: int = 1) -> list:
-    """Seeded repeated runs per (scenario, variant); rows sorted and merged."""
-    variants = [_VARIANT_ALIASES.get(v, v) for v in variants]
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValueError(f"unknown benchmark variant {v!r}")
-    jobs = [(sd, v, i)
-            for sd in scenario_dicts for v in variants for i in range(n_runs)]
-    if workers > 1 and len(jobs) > 1:
-        # imported here so that importing the package does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_one, jobs))
-    else:
-        rows = [_bench_one(j) for j in jobs]
-    rows.sort(key=lambda r: (r["scenario"], r["variant"], r["run"]))
-    return rows
-
-
-def benchmark_table(rows: list) -> str:
-    """Aligned text table of success counts and aggregate metrics."""
-    if not rows:
-        return "(no benchmark rows)\n"
-    groups: dict[tuple, list] = {}
-    for r in rows:
-        groups.setdefault((r["scenario"], r["variant"]), []).append(r)
-    header = f"{'scenario':<28} {'variant':<24} {'success':>8} {'mean_dist':>10} " \
-             f"{'los_frac':>9} {'plan_ms':>8}"
-    lines = [header, "-" * len(header)]
-    for (scenario, variant), rs in sorted(groups.items()):
-        n_ok = sum(r["success"] for r in rs)
-        lines.append(
-            f"{scenario:<28} {variant:<24} {n_ok}/{len(rs):<6} "
-            f"{np.mean([r['mean_dist'] for r in rs]):>10.3f} "
-            f"{np.mean([r['los_fraction'] for r in rs]):>9.3f} "
-            f"{np.mean([r['plan_ms'] for r in rs]):>8.1f}")
-    return "\n".join(lines) + "\n"
-
-
-def write_benchmark_csv(rows: list, path) -> None:
-    if not rows:
-        with open(path, "w") as fh:
-            fh.write("")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)

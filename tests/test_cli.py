@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -72,3 +73,27 @@ class TestRun:
         raw["search"] = dict(raw.get("search", {}), rho=0)
         assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
         assert "rho" in capsys.readouterr().err
+
+
+class TestBenchmark:
+    def test_one_scenario_prints_the_table_and_writes_one_row_per_run(self, tmp_path, capsys):
+        for path in benchmarks.write_all(tmp_path):
+            if path.stem != "sharp_turn_low":
+                path.unlink()
+        path = tmp_path / "sharp_turn_low.json"
+        write_json(path, dict(json.loads(path.read_text()), duration=1.0))
+        out = tmp_path / "rows.csv"
+        assert main(["benchmark", str(tmp_path), "--runs", "1", "--out", str(out)]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].split() == [
+            "scenario", "variant", "success", "mean_dist", "los_frac", "plan_ms"]
+        assert [line.split()[:2] for line in table[2:]] == [
+            ["sharp_turn_low", "full"], ["sharp_turn_low", "no_occlusion_penalty"]]
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["scenario"], r["variant"], r["run"]) for r in rows] == [
+            ("sharp_turn_low", "full", "0"), ("sharp_turn_low", "no_occlusion_penalty", "0")]
+
+    def test_empty_directory_exits_1(self, tmp_path, capsys):
+        assert main(["benchmark", str(tmp_path)]) == 1
+        assert "no scenario files" in capsys.readouterr().err

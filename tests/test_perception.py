@@ -26,7 +26,8 @@ BODY_LEN = 0.45
 
 @pytest.fixture(autouse=True)
 def cold_fit_cache():
-    """Every test starts with no memoized fit, so its first fit really runs."""
+    """Every test starts with no memoized dataset or fit, so both really run."""
+    perception._calibration_samples.cache_clear()
     perception._fit_arrays.cache_clear()
 
 
@@ -242,6 +243,57 @@ class TestRegressionExactness:
         dataset = make_calibration_dataset(DEFAULT_CAMERA, BODY_LEN, n=320, seed=0)
         with pytest.raises(FitDiverged, match="too small"):
             fit_regression(dataset[:7])
+
+
+class TestCalibrationDatasetMemo:
+    """``make_calibration_dataset`` builds once per argument set and hands out copies."""
+
+    @staticmethod
+    def dataset(cam=DEFAULT_CAMERA, range_band=(1.0, 5.0), seed=0, sigma_u=2.0):
+        return make_calibration_dataset(cam, BODY_LEN, range_band=range_band, seed=seed,
+                                        sigma_u=sigma_u, sigma_len=2.0)
+
+    @staticmethod
+    def hits_misses():
+        info = perception._calibration_samples.cache_info()
+        return info.hits, info.misses
+
+    def test_hit_equals_fresh_build(self):
+        self.dataset()
+        hit = self.dataset()
+        assert self.hits_misses() == (1, 1)
+        perception._calibration_samples.cache_clear()
+        built = self.dataset()
+        assert len(hit) == len(built) > 0
+        for (f_hit, p_hit), (f_built, p_built) in zip(hit, built):
+            assert f_hit == f_built
+            assert np.array_equal(p_hit, p_built)
+
+    def test_targets_are_read_only(self):
+        _, target = self.dataset()[0]
+        with pytest.raises(ValueError):
+            target[0] = 0.0
+
+    def test_list_edits_do_not_reach_the_next_call(self):
+        first = self.dataset()
+        samples = list(first)
+        first.append(first[0])
+        del first[:10]
+        second = self.dataset()
+        assert len(second) == len(samples)
+        assert all(a is b for a, b in zip(second, samples))
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=1), dict(sigma_u=1.0), dict(cam=CameraModel.from_fov(np.deg2rad(60.0)))])
+    def test_changed_argument_misses(self, change):
+        self.dataset()
+        self.dataset(**change)
+        assert self.hits_misses() == (0, 2)
+
+    def test_range_band_list_and_tuple_share_an_entry(self):
+        self.dataset(range_band=[1.0, 5.0])
+        self.dataset(range_band=(1.0, 5.0))
+        assert self.hits_misses() == (1, 1)
 
 
 class TestRegressionMemo:

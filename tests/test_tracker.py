@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aerotrack import benchmarks, kino_search, perception
+from aerotrack import benchmarks, kino_search, perception, tracker
 from aerotrack.errors import NoPath
 from aerotrack.perception import TargetObservation
 from aerotrack.scenario import Scenario
@@ -17,7 +17,6 @@ from aerotrack.tracker import (
     TRACKING,
     ModeState,
     TrackerWorld,
-    benchmark,
     format_trace_csv,
     relocation_update,
     step,
@@ -118,7 +117,7 @@ class TestStageFailures:
 
 class TestBenchmark:
     def test_import_leaves_process_pool_unloaded(self):
-        code = ("import sys, aerotrack.tracker, aerotrack.cli; "
+        code = ("import sys, aerotrack.tracker, aerotrack.benchmarks, aerotrack.cli; "
                 "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
                 "if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -128,8 +127,8 @@ class TestBenchmark:
 
     def test_workers_give_the_same_rows(self):
         scenario = dict(benchmarks.ALL["sharp_turn_low"](), duration=1.0)
-        serial = benchmark([scenario], ["full"], 2, workers=1)
-        pooled = benchmark([scenario], ["full"], 2, workers=2)
+        serial = benchmarks.benchmark([scenario], ["full"], 2, workers=1)
+        pooled = benchmarks.benchmark([scenario], ["full"], 2, workers=2)
 
         def outcome(rows):  # plan_ms is wall-clock time
             return [{k: v for k, v in r.items() if k != "plan_ms"} for r in rows]
@@ -138,22 +137,37 @@ class TestBenchmark:
         assert outcome(pooled) == outcome(serial)
 
 
+def clear_calibration_caches():
+    """Forget every memoized calibration dataset and fit."""
+    perception._calibration_samples.cache_clear()
+    perception._fit_arrays.cache_clear()
+
+
 class TestRegressionSetup:
     def test_second_world_reuses_the_fit(self, monkeypatch):
-        perception._fit_arrays.cache_clear()
-        calls = [0]
-        real = perception._lockstep_gauss_newton
+        clear_calibration_caches()
+        calls = dict.fromkeys(("solve", "project", "fit"), 0)
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return real(*args, **kwargs)
+        def count(module, name, key):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(perception, "_lockstep_gauss_newton", counted)
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(perception, "_lockstep_gauss_newton", "solve")
+        count(perception, "project_target", "project")
+        count(tracker, "fit_regression", "fit")
         scenario = Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]())
         first = TrackerWorld(scenario)
-        assert calls[0] == 2  # the depth map, then the lateral map
+        assert calls == {"solve": 2, "project": 320, "fit": 1}  # depth map, then lateral
+        calls.update(solve=0, project=0, fit=0)
         second = TrackerWorld(scenario)
-        assert calls[0] == 2
+        # no dataset rebuild and no solve, but still one fit_regression call per
+        # world: perfbench reads one fit span from each world it traces
+        assert calls == {"solve": 0, "project": 0, "fit": 1}
         assert second.params is first.params
 
 
@@ -170,11 +184,13 @@ class TestGoldenTrace:
     @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SHA256))
     def test_trace_digest(self, name, fit):
         scenario = Scenario.from_dict(benchmarks.ALL[name]())
-        perception._fit_arrays.cache_clear()
+        clear_calibration_caches()
         if fit == "cached":
             TrackerWorld(scenario)
         world = TrackerWorld(scenario)
-        assert perception._fit_arrays.cache_info().hits == (1 if fit == "cached" else 0)
+        hits = 1 if fit == "cached" else 0
+        assert perception._calibration_samples.cache_info().hits == hits
+        assert perception._fit_arrays.cache_info().hits == hits
         for _ in range(65):
             step(world)
         digest = hashlib.sha256(format_trace_csv(world.trace_rows).encode()).hexdigest()
