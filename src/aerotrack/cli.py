@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import benchmark, benchmark_table, write_benchmark_csv
-from .errors import InvalidScenario, InvalidSpec
+from .errors import InvalidScenario, InvalidSpec, UnknownVariant
 from .grid import MapSpec, build_map
 from .perception import ImageFeatures, fit_regression
 from .scenario import Scenario
@@ -34,6 +34,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    if args.runs < 1:
+        print(f"--runs must be at least 1, got {args.runs}", file=sys.stderr)
+        return 1
     directory = Path(args.scenario_dir)
     paths = sorted(directory.glob("*.json"))
     if not paths:
@@ -132,7 +135,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidSpec, InvalidScenario) as exc:
+    except (InvalidSpec, InvalidScenario, UnknownVariant) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -9,6 +9,10 @@ class InvalidScenario(ValueError):
     """A scenario file or dict failed validation."""
 
 
+class UnknownVariant(ValueError):
+    """A tracker variant name is neither a variant nor an alias of one."""
+
+
 class SeedOccupied(ValueError):
     """Box inflation was seeded inside an occupied voxel."""
 
@@ -51,3 +55,7 @@ class BarrierDomainViolated(RuntimeError):
 
 class DescentFailed(RuntimeError):
     """The trajectory descent ended at a higher cost than it started from."""
+
+
+class TrajectoryLeftCorridor(RuntimeError):
+    """No barrier weight kept the optimized trajectory inside its corridor."""

@@ -5,10 +5,12 @@ observation, refits the prediction, plans an occlusion-aware path toward a
 standoff goal, wraps it in a corridor, optimizes the tracking trajectory, and
 advances the quadrotor along it as a perfect follower. The standoff goal backs
 off from ``blend_goal``, the one blend of the target's current and look-ahead
-predicted states. Stage failures keep the previous trajectory. Losing the
-target long enough switches to relocation: the quadrotor flies toward the
-last prediction's endpoint while the gimbal sweeps all bearings until the
-target is reacquired.
+predicted states. Stage failures keep the previous trajectory; the optimizer
+raises on a trajectory that leaves its corridor of free cubes, so every
+trajectory flown has passed that one safety check. Losing the target long
+enough switches to relocation: the quadrotor flies toward the last
+prediction's endpoint while the gimbal sweeps all bearings until the target
+is reacquired.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import corridor as corridor_mod
 from . import kino_search, traj_opt
-from .errors import CorridorFailed, InsufficientData
+from .errors import InsufficientData, UnknownVariant
 from .grid import build_map
 from .kino_search import KinoState, SearchWeights
 from .perception import (
@@ -60,10 +62,10 @@ TRACE_COLUMNS = [
 
 
 def resolve_variant(variant: str) -> str:
-    """Canonical name of a variant given by name or alias; ValueError if unknown."""
+    """Canonical name of a variant given by name or alias; UnknownVariant if unknown."""
     name = _VARIANT_ALIASES.get(variant, variant)
     if name not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise UnknownVariant(f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}")
     return name
 
 
@@ -322,12 +324,6 @@ def step(world: TrackerWorld) -> TrackerWorld:
                 p1=path.end_state.p, v1=path.end_state.v, a1=np.zeros(3))
             traj = traj_opt.optimize(cor, bc, sc.opt)
             world._stage("optimize", t0)
-
-            # fail-safe: never hand over a trajectory that clips an obstacle
-            ts = np.arange(0.0, traj.duration + 1e-9, 4 * world.grid.resolution
-                           / max(sc.opt.v_max, 1e-6))
-            if world.grid.occupied_at(traj.eval(ts)).any():
-                raise CorridorFailed("optimized trajectory touches occupancy")
             world.trajectory = traj
             world.traj_clock = 0.0
             plan_ok = True
@@ -425,16 +421,8 @@ def format_trace_csv(rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
-    for row in rows:
-        out = []
-        for v in row:
-            if isinstance(v, float):
-                out.append(f"{v:.10g}")
-            elif isinstance(v, (np.floating,)):
-                out.append(f"{float(v):.10g}")
-            else:
-                out.append(v)
-        writer.writerow(out)
+    for row in rows:  # np.float64 subclasses float
+        writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from aerotrack import benchmarks
 from aerotrack.cli import main
@@ -68,6 +69,13 @@ class TestRun:
         assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_unknown_variant_exits_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "ok.json", benchmarks.ALL["sharp_turn_low"]())
+        assert main(["run", path, "--variant", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "unknown variant 'bogus'; choose from full, no_occlusion_penalty, no_gimbal_search"]
+
     def test_zero_time_weight_exits_1(self, tmp_path, capsys):
         raw = benchmarks.ALL["sharp_turn_low"]()
         raw["search"] = dict(raw.get("search", {}), rho=0)
@@ -97,3 +105,19 @@ class TestBenchmark:
     def test_empty_directory_exits_1(self, tmp_path, capsys):
         assert main(["benchmark", str(tmp_path)]) == 1
         assert "no scenario files" in capsys.readouterr().err
+
+    def test_unknown_variant_exits_1(self, tmp_path, capsys):
+        benchmarks.write_all(tmp_path)
+        assert main(["benchmark", str(tmp_path), "--variants", "full,bogus"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "unknown variant 'bogus'; choose from full, no_occlusion_penalty, no_gimbal_search"]
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_runs_below_one_exit_1(self, tmp_path, capsys, runs):
+        benchmarks.write_all(tmp_path)
+        assert main(["benchmark", str(tmp_path), "--runs", runs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"--runs must be at least 1, got {runs}"]

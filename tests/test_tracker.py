@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aerotrack import benchmarks, kino_search, perception, tracker
-from aerotrack.errors import NoPath
+from aerotrack import benchmarks, kino_search, perception, tracker, traj_opt
+from aerotrack.errors import NoPath, TrajectoryLeftCorridor
 from aerotrack.perception import TargetObservation
 from aerotrack.scenario import Scenario
 from aerotrack.tracker import (
@@ -101,18 +101,25 @@ class TestStageFailures:
             step(world)
         return world
 
-    def test_planning_failure_is_named(self, monkeypatch):
+    @pytest.mark.parametrize("module, stage, error", [
+        (kino_search, "search", NoPath("start is enclosed")),
+        (traj_opt, "optimize", TrajectoryLeftCorridor("left at every barrier weight")),
+    ], ids=["search", "optimize"])
+    def test_planning_failure_is_named(self, monkeypatch, module, stage, error):
         world = self.planning_world()
         failures = world.plan_failures
+        held = world.trajectory
+        assert held is not None
 
-        def enclosed(*args, **kwargs):
-            raise NoPath("start is enclosed")
+        def failing(*args, **kwargs):
+            raise error
 
-        monkeypatch.setattr(kino_search, "search", enclosed)
+        monkeypatch.setattr(module, stage, failing)
         step(world)
-        assert world.last_plan_error == "NoPath: start is enclosed"
+        assert world.last_plan_error == f"{type(error).__name__}: {error}"
         assert world.plan_failures == failures + 1
         assert world.trace_rows[-1][TRACE_COLUMNS.index("plan_ok")] == 0
+        assert world.trajectory is held  # the previous trajectory is flown on
 
 
 class TestBenchmark:

@@ -4,7 +4,7 @@ import pytest
 from aerotrack.corridor import Corridor, build_corridor
 from aerotrack import traj_opt
 from aerotrack.errors import (
-    BarrierDomainViolated, DescentFailed, OutOfDomain, SingularSystem)
+    BarrierDomainViolated, DescentFailed, OutOfDomain, SingularSystem, TrajectoryLeftCorridor)
 from aerotrack.grid import Cube, OccupancyGrid
 from aerotrack.kino_search import KinoState, SearchWeights, search
 from aerotrack.perception import TargetObservation
@@ -226,6 +226,28 @@ class TestOptimize:
         ts = np.arange(0.0, traj.duration, 0.01)
         pts = traj.eval(ts)
         assert cor.contains_all(pts, margin=1e-9)
+
+    @staticmethod
+    def sideways_start(vy):
+        """Chain corridor along +x entered at speed ``vy`` toward its +y wall."""
+        bc = BoundaryConditions(p0=(0.4, 0.8, 0.8), v0=(0.0, vy, 0.0), a0=np.zeros(3),
+                                p1=(4.4, 0.8, 0.8), v1=np.zeros(3), a1=np.zeros(3))
+        return chain_corridor(5), bc
+
+    def test_forced_exit_raises(self):
+        # 3 m/s toward a wall 0.8 m away: no barrier weight keeps the
+        # trajectory inside, and no uncontained trajectory is returned
+        with pytest.raises(TrajectoryLeftCorridor):
+            optimize(*self.sideways_start(3.0))
+
+    def test_stronger_barrier_rescues_an_exit(self):
+        # 1.1 m/s sits in the middle of the start speeds (1.06-1.16 m/s) at
+        # which the default barrier lets the trajectory out and ten times
+        # that weight keeps it in: the case the retry exists for
+        cor, bc = self.sideways_start(1.1)
+        traj = optimize(cor, bc)
+        assert traj.info["kappa"] == pytest.approx(0.1)
+        assert cor.contains_all(traj.eval(np.arange(0.0, traj.duration, 0.01)), margin=1e-9)
 
     def test_kappa_sweep_monotone_toward_unconstrained(self):
         # staircase corridor with tight intersections placed off the natural
