@@ -1,4 +1,13 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one positive-number check."""
+
+from math import inf
+from numbers import Real
+
+
+def require_positive(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real number > 0 (bools rejected)."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < inf):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 class InvalidSpec(ValueError):

@@ -22,11 +22,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import product
-from numbers import Real
 
 import numpy as np
 
-from .errors import NoPath, StartOccupied
+from .errors import NoPath, StartOccupied, require_positive
 from .grid import OccupancyGrid
 from .poly import PiecewisePoly
 
@@ -62,9 +61,7 @@ class SearchWeights:
 
     def __post_init__(self):
         # without a time weight the heuristic's energy-time cost has no minimum
-        rho = self.rho
-        if isinstance(rho, bool) or not (isinstance(rho, Real) and 0 < rho < np.inf):
-            raise ValueError(f"rho must be a finite number > 0, got {rho!r}")
+        require_positive("rho", self.rho)
 
 
 @dataclass

@@ -178,7 +178,7 @@ def _lockstep_gauss_newton(resid_jac, starts, max_iter: int = 200, tol: float = 
     """
     P = np.array(starts, dtype=float)
     R, J = resid_jac(P)
-    cost = _sq_norms(R)
+    cost = np.einsum("sn,sn->s", R, R)
     mu = np.full(len(P), 1e-4)
     diag = np.arange(P.shape[1])
     active = np.ones(len(P), dtype=bool)
@@ -209,7 +209,7 @@ def _lockstep_gauss_newton(resid_jac, starts, max_iter: int = 200, tol: float = 
                 continue
         P_new = P[rows] + step[:, :, 0]
         R_new, J_new = resid_jac(P_new)
-        cost_new = _sq_norms(R_new)
+        cost_new = np.einsum("sn,sn->s", R_new, R_new)
         better = np.isfinite(cost_new) & (cost_new < cost[rows])
         acc, rej = rows[better], rows[~better]
         rel_drop = (cost[acc] - cost_new[better]) / np.maximum(cost[acc], 1e-300)
@@ -220,15 +220,6 @@ def _lockstep_gauss_newton(resid_jac, starts, max_iter: int = 200, tol: float = 
         active[acc[rel_drop < tol]] = False
         active[rej[mu[rej] > 1e12]] = False
     return P, cost, J
-
-
-def _sq_norms(R):
-    """Row-wise ``r @ r`` through the same dot kernel a single vector uses.
-
-    ``einsum`` sums in another order and moves the fitted values in the last
-    digits.
-    """
-    return (R[:, None, :] @ R[:, :, None])[:, 0, 0]
 
 
 def _best_start(resid_jac, starts):

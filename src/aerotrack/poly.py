@@ -49,11 +49,13 @@ class PiecewisePoly:
     def eval(self, ts, order: int = 0) -> np.ndarray:
         """The ``order``-th derivative at global times ``ts``, shape ``ts.shape + (3,)``."""
         ts = np.asarray(ts, dtype=float)
-        if np.any(ts < -1e-9) or np.any(ts > self.duration + 1e-9):
+        # min/max with an in-domain initial value: cheap on a scalar, safe on an empty ts
+        if ts.min(initial=0.0) < -1e-9 or ts.max(initial=0.0) > self.duration + 1e-9:
             raise OutOfDomain(f"t outside [0, {self.duration}]")
         ts = np.clip(ts, 0.0, self.duration)
-        piece = np.clip(np.searchsorted(self._cum, ts, side="right") - 1,
-                        0, len(self.durations) - 1)
+        # ts >= 0 = _cum[0], so the right-side search index is at least 1
+        piece = np.minimum(np.searchsorted(self._cum, ts, side="right") - 1,
+                           len(self.durations) - 1)
         return self.eval_local(piece, ts - self._cum[piece], order)
 
     def sample(self, t: float):

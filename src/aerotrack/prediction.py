@@ -5,38 +5,35 @@ window and read out over an extended horizon, so evaluating past the newest
 observation time is the motion prediction. The fit is a small convex QP per
 axis: a time-weighted residual term plus an integrated-acceleration
 regularizer, with box bounds on the hodograph (derivative) control points so
-the curve respects speed and acceleration limits everywhere.
+the curve respects speed and acceleration limits everywhere. The fitted
+control points are converted once to the power basis and read out through a
+one-piece ``PiecewisePoly``, the planner's one curve sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
-from .errors import InsufficientData, OutOfDomain
+from .errors import InsufficientData, require_positive
+from .poly import PiecewisePoly
 from .solvers import active_set_qp, qp_kkt_residual
 
 
-def bernstein(n: int, i: int, t: float) -> float:
-    """Bernstein basis polynomial b_{n,i}(t) = C(n,i) t^i (1-t)^(n-i)."""
-    if i < 0 or i > n:
-        raise IndexError(f"bernstein index {i} outside 0..{n}")
-    return comb(n, i) * t**i * (1.0 - t) ** (n - i)
+@lru_cache(maxsize=8)
+def _bernstein_to_power(n: int) -> np.ndarray:
+    """Read-only (n+1, n+1) matrix taking Bezier control points to power coefficients in s.
 
-
-def hodograph(control_points: np.ndarray, n: int, scale: float) -> np.ndarray:
-    """Control points of the derivative curve: d_i = n (c_{i+1} - c_i) / scale."""
-    cp = np.asarray(control_points, dtype=float)
-    return n * np.diff(cp, axis=0) / scale
-
-
-def de_casteljau(control_points: np.ndarray, s: float) -> np.ndarray:
-    pts = np.asarray(control_points, dtype=float).copy()
-    while len(pts) > 1:
-        pts = (1.0 - s) * pts[:-1] + s * pts[1:]
-    return pts[0]
+    b_{n,i}(s) = C(n,i) s^i (1-s)^(n-i) = sum_k C(n,k) C(k,i) (-1)^(k-i) s^k.
+    """
+    B = np.array([[comb(n, k) * comb(k, i) * (-1) ** (k - i) for i in range(n + 1)]
+                  for k in range(n + 1)], dtype=float)
+    B.flags.writeable = False
+    return B
 
 
 def _bezier_l2_matrix(m: int) -> np.ndarray:
@@ -60,6 +57,12 @@ class PredictionWeights:
     window: float = 2.0           # observation window length [s]
     degree: int = 5
 
+    def __post_init__(self):
+        require_positive("window", self.window)
+        degree = self.degree
+        if isinstance(degree, bool) or not (isinstance(degree, Integral) and degree >= 1):
+            raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
+
 
 @dataclass
 class PredictedTrajectory:
@@ -72,19 +75,19 @@ class PredictedTrajectory:
     t_p: float
     fit_info: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # power coefficients in t - t0: the s^k coefficient divided by scale^k
+        k = np.arange(self.degree + 1)
+        coeffs = (_bernstein_to_power(self.degree) @ self.control_points).T / self.scale**k
+        self._curve = PiecewisePoly(coeffs[None], [self.scale])
+
     @property
     def scale(self) -> float:
         return self.t_p - self.t0
 
     def evaluate(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Position and velocity at time ``t`` via de Casteljau."""
-        if t < self.t0 - 1e-9 or t > self.t_p + 1e-9:
-            raise OutOfDomain(f"t={t} outside [{self.t0}, {self.t_p}]; re-fit instead")
-        s = np.clip((t - self.t0) / self.scale, 0.0, 1.0)
-        pos = de_casteljau(self.control_points, s)
-        vel_cp = hodograph(self.control_points, self.degree, self.scale)
-        vel = de_casteljau(vel_cp, s)
-        return pos, vel
+        """Position and velocity at time ``t``; ``OutOfDomain`` outside [t0, t_p]."""
+        return self._curve.eval(t - self.t0), self._curve.eval(t - self.t0, 1)
 
 
 def _second_difference(n: int) -> np.ndarray:
@@ -100,9 +103,9 @@ def _second_difference(n: int) -> np.ndarray:
 def _fit_matrices(times_s: np.ndarray, weights: np.ndarray, w: PredictionWeights, scale: float):
     """Quadratic form pieces shared by all three axes."""
     n = w.degree
-    Phi = np.empty((len(times_s), n + 1))
-    for i in range(n + 1):
-        Phi[:, i] = [bernstein(n, i, s) for s in times_s]
+    k = np.arange(n + 1)
+    s = np.asarray(times_s, dtype=float)[:, None]
+    Phi = np.array([comb(n, i) for i in k], dtype=float) * s**k * (1.0 - s) ** (n - k)
     PhiW = Phi * weights[:, None]
     # second hodograph: f = D2 c with f_i = n(n-1)(c_{i+2} - 2 c_{i+1} + c_i)
     D2 = _second_difference(n)

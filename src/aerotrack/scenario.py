@@ -13,7 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidScenario
+from .errors import InvalidScenario, require_positive
 from .grid import MapSpec
 from .kino_search import SearchWeights
 from .perception import DEFAULT_CAMERA, CameraModel
@@ -90,6 +90,9 @@ class PerceptionConfig:
     yaw_rate_limit: float = 3.0
     omega_search: float = 1.5
 
+    def __post_init__(self):
+        require_positive("body_len", self.body_len)
+
 
 @dataclass
 class TrackerParams:
@@ -99,6 +102,9 @@ class TrackerParams:
     loss_timeout: float = 0.5     # invalid-observation streak entering relocation [s]
     replan_hz: float = 13.0
     quad_z: float | None = None   # planar altitude hold; None follows the planner
+
+    def __post_init__(self):
+        require_positive("replan_hz", self.replan_hz)
 
 
 @dataclass
@@ -130,6 +136,10 @@ class Scenario:
                 f"{self.prediction.v_max}")
         if not 0 < self.duration < np.inf:
             raise InvalidScenario("duration must be finite and > 0")
+        if self.duration < 1.0 / self.tracker.replan_hz:
+            raise InvalidScenario(
+                f"duration {self.duration} is shorter than one replanning cycle "
+                f"(1 / replan_hz = {1.0 / self.tracker.replan_hz})")
         if isinstance(self.seed, bool) or not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise InvalidScenario(f"seed must be a non-negative integer, got {self.seed!r}")
 

@@ -14,12 +14,13 @@ The inner solve works on one array ``D`` of junction derivatives, shape
 ``(M + 1, 3, 3)`` and indexed ``[junction, order, axis]``: order 0 holds the
 waypoints, the end junctions hold the boundary velocities and accelerations,
 and the 2(M - 1) interior velocities and accelerations are the unknowns. Piece
-i reads ``D[i:i + 2]`` as its six endpoint derivatives. The right-hand side
-adds each piece's fixed columns one at a time, in ascending order, so every
-entry sums the same products in the same sequence as a scalar assembly would;
-one matrix product over the fixed columns would re-associate those sums and
-move traces in the last bit. The outer gradients cover all M + 1 waypoints and
-drop the two fixed ends on return.
+i reads ``D[i:i + 2]`` as its six endpoint derivatives, so the pieces' jerk
+forms add into one matrix over the flattened ``D``, and the unknowns come from
+its free/fixed partition. Each jerk form is the unit piece's, scaled:
+Q(T) = S Q(1) S / T^5 with S = diag(1, T, T^2, 1, T, T^2) (Wang et al.,
+"Geometrically Constrained Trajectory Optimization for Multicopters", T-RO
+2022). The outer gradients cover all M + 1 waypoints and drop the two fixed
+ends on return.
 
 Trajectories are ``PiecewisePoly`` curves with coefficients of shape
 ``(M, 3, 6)``; the containment check samples them in one batch.
@@ -71,128 +72,88 @@ class OptWeights:
 # Quintic Hermite pieces and their jerk quadratic forms
 # ----------------------------------------------------------------------
 
-def _tail_maps(T: float):
-    """(W, Dmap) with tail coefficients (c3, c4, c5) = W @ Dmap @ d.
+# tail coefficients (c3, c4, c5) of the unit-duration quintic with endpoint
+# derivatives d = (p0, v0, a0, p1, v1, a1); c0 = p0, c1 = v0, c2 = a0 / 2
+_H3_UNIT = np.array([
+    [-10.0, -6.0, -1.5, 10.0, -4.0, 0.5],
+    [15.0, 8.0, 1.5, -15.0, 7.0, -1.0],
+    [-6.0, -3.0, -0.5, 6.0, -3.0, 0.5],
+])
+# jerk form of the unit piece: H3' G H3, G the Gram matrix of (6, 24t, 60t^2) on [0, 1]
+_Q_UNIT = _H3_UNIT.T @ np.array([
+    [36.0, 72.0, 120.0],
+    [72.0, 192.0, 360.0],
+    [120.0, 360.0, 720.0],
+]) @ _H3_UNIT
 
-    d = (p0, v0, a0, p1, v1, a1) are the piece's endpoint derivatives; the
-    leading coefficients are c0 = p0, c1 = v0, c2 = a0 / 2.
+
+def _scales(T: np.ndarray):
+    """Diagonals of S = diag(1, T, T^2, 1, T, T^2) and of dS/dT, each (M, 6)."""
+    one, zero = np.ones_like(T), np.zeros_like(T)
+    s = np.stack([one, T, T * T], axis=1)
+    ds = np.stack([zero, one, 2.0 * T], axis=1)
+    return np.tile(s, 2), np.tile(ds, 2)
+
+
+def _jerk_forms(T: np.ndarray):
+    """Jerk forms Q (M, 6, 6), with piece jerk cost d' Q d, and dQ/dT.
+
+    A piece of duration T with derivatives d is the unit piece with
+    derivatives S d, run T times slower, so Q(T) = S Q(1) S / T^5.
     """
-    W = 0.5 * np.array([
-        [20.0 / T**3, -8.0 / T**2, 1.0 / T],
-        [-30.0 / T**4, 14.0 / T**3, -2.0 / T**2],
-        [12.0 / T**5, -6.0 / T**4, 1.0 / T**3],
-    ])
-    Dmap = np.array([
-        [-1.0, -T, -0.5 * T * T, 1.0, 0.0, 0.0],
-        [0.0, -1.0, -T, 0.0, 1.0, 0.0],
-        [0.0, 0.0, -1.0, 0.0, 0.0, 1.0],
-    ])
-    return W, Dmap
-
-
-def _tail_maps_dT(T: float):
-    dW = 0.5 * np.array([
-        [-60.0 / T**4, 16.0 / T**3, -1.0 / T**2],
-        [120.0 / T**5, -42.0 / T**4, 4.0 / T**3],
-        [-60.0 / T**6, 24.0 / T**5, -3.0 / T**4],
-    ])
-    dDmap = np.array([
-        [0.0, -1.0, -T, 0.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    ])
-    return dW, dDmap
-
-
-def _gram_jerk(T: float) -> np.ndarray:
-    """Gram matrix of (6, 24t, 60t^2) on [0, T]: jerk integral of the tail."""
-    return np.array([
-        [36.0 * T, 72.0 * T**2, 120.0 * T**3],
-        [72.0 * T**2, 192.0 * T**3, 360.0 * T**4],
-        [120.0 * T**3, 360.0 * T**4, 720.0 * T**5],
-    ])
-
-
-def _gram_jerk_dT(T: float) -> np.ndarray:
-    return np.array([
-        [36.0, 144.0 * T, 360.0 * T**2],
-        [144.0 * T, 576.0 * T**2, 1440.0 * T**3],
-        [360.0 * T**2, 1440.0 * T**3, 3600.0 * T**4],
-    ])
-
-
-def _jerk_quadratic(T: float) -> np.ndarray:
-    """Q(T) with piece jerk cost = d' Q d."""
-    W, Dmap = _tail_maps(T)
-    H3 = W @ Dmap
-    return H3.T @ _gram_jerk(T) @ H3
-
-
-def _jerk_quadratic_dT(T: float) -> np.ndarray:
-    W, Dmap = _tail_maps(T)
-    dW, dDmap = _tail_maps_dT(T)
-    H3 = W @ Dmap
-    dH3 = dW @ Dmap + W @ dDmap
-    G = _gram_jerk(T)
-    dG = _gram_jerk_dT(T)
-    return dH3.T @ G @ H3 + H3.T @ dG @ H3 + H3.T @ G @ dH3
+    if np.any(T <= 0.0):
+        raise SingularSystem("piece durations must be positive")
+    S, dS = _scales(T)
+    T5 = T[:, None, None] ** 5
+    Q = S[:, :, None] * _Q_UNIT * S[:, None, :] / T5
+    dQ = ((dS[:, :, None] * _Q_UNIT * S[:, None, :] + S[:, :, None] * _Q_UNIT * dS[:, None, :])
+          / T5 - 5.0 * Q / T[:, None, None])
+    return Q, dQ
 
 
 # ----------------------------------------------------------------------
 # Inner minimum-jerk solve
 # ----------------------------------------------------------------------
 
-def _solve_inner(waypoints: np.ndarray, T: np.ndarray, boundary: BoundaryConditions):
-    """Optimal per-piece endpoint derivatives ``d`` (M, 6, 3), jerk forms and jerk cost."""
-    M = len(T)
-    if np.any(T <= 0.0):
-        raise SingularSystem("piece durations must be positive")
-    Qs = np.array([_jerk_quadratic(float(t)) for t in T])
-
-    # D[junction, order, axis]; the free interior velocities and accelerations
-    # are numbered row-major in ``slot``, and -1 marks a fixed entry
+def _solve_inner(waypoints: np.ndarray, Q: np.ndarray, boundary: BoundaryConditions):
+    """Optimal per-piece endpoint derivatives ``d`` (M, 6, 3) and the jerk cost."""
+    M = len(Q)
+    # D[junction, order, axis]; the interior velocities and accelerations are free
     D = np.zeros((M + 1, 3, 3))
     D[:, 0] = waypoints
     D[0, 1:] = boundary.v0, boundary.a0
     D[M, 1:] = boundary.v1, boundary.a1
-    slot = np.full((M + 1, 3), -1)
-    slot[1:M, 1:] = np.arange(2 * (M - 1)).reshape(M - 1, 2)
+    free = np.zeros((M + 1, 3), dtype=bool)
+    free[1:M, 1:] = True
+    free = free.ravel()
 
-    nz = 2 * (M - 1)
-    A = np.zeros((nz, nz))
-    B = np.zeros((nz, 3))
+    K = np.zeros((3 * (M + 1), 3 * (M + 1)))
     for i in range(M):
-        d, s, Q = D[i:i + 2].reshape(6, 3), slot[i:i + 2].ravel(), Qs[i]
-        free, fixed = np.flatnonzero(s >= 0), np.flatnonzero(s < 0)
-        A[np.ix_(s[free], s[free])] += Q[np.ix_(free, free)]
-        for l2 in fixed:  # one column at a time keeps each B entry's summation order
-            B[s[free]] += Q[free, l2][:, None] * d[l2][None, :]
+        K[3 * i:3 * i + 6, 3 * i:3 * i + 6] += Q[i]
+    x = D.reshape(3 * (M + 1), 3)  # a view: filling x[free] fills D
     try:
-        z = np.linalg.solve(A, -B)
+        x[free] = np.linalg.solve(K[np.ix_(free, free)], -K[np.ix_(free, ~free)] @ x[~free])
     except np.linalg.LinAlgError:
         raise SingularSystem("inner jerk system is singular")
-    D[1:M, 1:] = z.reshape(M - 1, 2, 3)
 
-    d_all = np.stack([D[i:i + 2].reshape(6, 3) for i in range(M)])
-    # builtin sum adds in piece order; np.sum pairs the terms from M = 8 on
-    j_cost = float(sum(np.einsum("ila,ilm,ima->i", d_all, Qs, d_all)))
-    return d_all, Qs, j_cost
+    d_all = np.concatenate([D[:-1], D[1:]], axis=1)
+    return d_all, float(np.einsum("ila,ilm,ima->", d_all, Q, d_all))
 
 
 def inner_trajectory(waypoints, T, boundary: BoundaryConditions) -> PiecewisePoly:
     """Minimum-jerk C2 piecewise quintic through the waypoints."""
     waypoints = np.asarray(waypoints, dtype=float)
     T = np.asarray(T, dtype=float)
-    d_all, _, j_cost = _solve_inner(waypoints, T, boundary)
+    Q, _ = _jerk_forms(T)
+    d_all, j_cost = _solve_inner(waypoints, Q, boundary)
     coeffs = np.zeros((len(T), 3, 6))
     coeffs[:, :, 0] = d_all[:, 0]
     coeffs[:, :, 1] = d_all[:, 1]
     coeffs[:, :, 2] = 0.5 * d_all[:, 2]
-    for i, t in enumerate(T):
-        W, Dmap = _tail_maps(float(t))
-        H3 = W @ Dmap
-        for axis in range(3):  # a matrix-matrix product rounds differently
-            coeffs[i, axis, 3:] = H3 @ d_all[i, :, axis]
+    # c_k = (H3(1) S d)_k / T^k: the unit piece's tail, slowed to duration T
+    S, _ = _scales(T)
+    coeffs[:, :, 3:] = (np.einsum("kl,il,ila->iak", _H3_UNIT, S, d_all)
+                        / T[:, None, None] ** np.arange(3, 6))
     return PiecewisePoly(coeffs, T, info={"jerk_cost": j_cost})
 
 
@@ -219,13 +180,13 @@ def cost_and_gradient(q_interior, T, corridor: Corridor, boundary: BoundaryCondi
 
     # smoothness term and its envelope gradients; dq covers all M + 1
     # waypoints, and the fixed ends are dropped on return
-    d_all, Qs, J_S = _solve_inner(waypoints, T, boundary)
-    grad_d = 2.0 * np.einsum("ilm,ima->ila", Qs, d_all)  # (M, 6, 3)
+    Q, dQ = _jerk_forms(T)
+    d_all, J_S = _solve_inner(waypoints, Q, boundary)
+    grad_d = 2.0 * np.einsum("ilm,ima->ila", Q, d_all)  # (M, 6, 3)
     dq = np.zeros((M + 1, 3))
     dq[:M] += grad_d[:, 0]      # waypoint i is piece i's start position
     dq[1:] += grad_d[:, 3]      # and piece i - 1's end position
-    dQs = np.array([_jerk_quadratic_dT(float(t)) for t in T])
-    dT = np.einsum("ila,ilm,ima->i", d_all, dQs, d_all)
+    dT = np.einsum("ila,ilm,ima->i", d_all, dQ, d_all)
 
     # corridor barrier
     J_F = 0.0

@@ -6,9 +6,11 @@ longer computes at all; none of them is used by the closed loop.
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
-from aerotrack.traj_opt import BoundaryConditions, _gram_jerk, _jerk_quadratic
+from aerotrack.traj_opt import BoundaryConditions
 
 _SCAN_T = np.arange(1e-3, 20.0 + 1e-3, 1e-3)
 
@@ -67,7 +69,7 @@ def jerk_cost(traj) -> float:
     total = 0.0
     for T, c in zip(traj.durations, traj.coeffs):
         tail = c[:, 3:]  # (3 axes, c3..c5)
-        total += float(np.einsum("ai,ij,aj->", tail, _gram_jerk(T), tail))
+        total += float(np.einsum("ai,ij,aj->", tail, gram_jerk(T), tail))
     return total
 
 
@@ -78,7 +80,7 @@ def solve_inner_per_slot(waypoints, T, boundary):
     on one junction-derivative array.
     """
     M = len(T)
-    Qs = [_jerk_quadratic(float(t)) for t in T]
+    Qs = [jerk_quadratic(float(t)) for t in T]
     nz = 2 * (M - 1)
 
     def slot(piece, local):
@@ -120,6 +122,92 @@ def solve_inner_per_slot(waypoints, T, boundary):
                 d_all[i, l, axis] = z[g, axis] if free else fixed_value(i, l, axis)
     j_cost = float(sum(np.einsum("la,lm,ma->", d_all[i], Qs[i], d_all[i]) for i in range(M)))
     return d_all, j_cost
+
+
+# Frozen per-piece quintic Hermite forms, as the optimizer built them one
+# piece at a time before it scaled one unit-piece form.
+
+def tail_maps(T: float):
+    """(W, Dmap) with tail coefficients (c3, c4, c5) = W @ Dmap @ d."""
+    W = 0.5 * np.array([
+        [20.0 / T**3, -8.0 / T**2, 1.0 / T],
+        [-30.0 / T**4, 14.0 / T**3, -2.0 / T**2],
+        [12.0 / T**5, -6.0 / T**4, 1.0 / T**3],
+    ])
+    Dmap = np.array([
+        [-1.0, -T, -0.5 * T * T, 1.0, 0.0, 0.0],
+        [0.0, -1.0, -T, 0.0, 1.0, 0.0],
+        [0.0, 0.0, -1.0, 0.0, 0.0, 1.0],
+    ])
+    return W, Dmap
+
+
+def tail_maps_dT(T: float):
+    dW = 0.5 * np.array([
+        [-60.0 / T**4, 16.0 / T**3, -1.0 / T**2],
+        [120.0 / T**5, -42.0 / T**4, 4.0 / T**3],
+        [-60.0 / T**6, 24.0 / T**5, -3.0 / T**4],
+    ])
+    dDmap = np.array([
+        [0.0, -1.0, -T, 0.0, 0.0, 0.0],
+        [0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    return dW, dDmap
+
+
+def gram_jerk(T: float) -> np.ndarray:
+    """Gram matrix of (6, 24t, 60t^2) on [0, T]: jerk integral of the tail."""
+    return np.array([
+        [36.0 * T, 72.0 * T**2, 120.0 * T**3],
+        [72.0 * T**2, 192.0 * T**3, 360.0 * T**4],
+        [120.0 * T**3, 360.0 * T**4, 720.0 * T**5],
+    ])
+
+
+def gram_jerk_dT(T: float) -> np.ndarray:
+    return np.array([
+        [36.0, 144.0 * T, 360.0 * T**2],
+        [144.0 * T, 576.0 * T**2, 1440.0 * T**3],
+        [360.0 * T**2, 1440.0 * T**3, 3600.0 * T**4],
+    ])
+
+
+def jerk_quadratic(T: float) -> np.ndarray:
+    """Q(T) with piece jerk cost = d' Q d."""
+    W, Dmap = tail_maps(T)
+    H3 = W @ Dmap
+    return H3.T @ gram_jerk(T) @ H3
+
+
+def jerk_quadratic_dT(T: float) -> np.ndarray:
+    W, Dmap = tail_maps(T)
+    dW, dDmap = tail_maps_dT(T)
+    H3 = W @ Dmap
+    dH3 = dW @ Dmap + W @ dDmap
+    G = gram_jerk(T)
+    dG = gram_jerk_dT(T)
+    return dH3.T @ G @ H3 + H3.T @ dG @ H3 + H3.T @ G @ dH3
+
+
+# Frozen Bezier evaluation, as the prediction evaluated its curve before it
+# converted the control points to a power-basis ``PiecewisePoly``.
+
+def bernstein(n: int, i: int, t: float) -> float:
+    """Bernstein basis polynomial b_{n,i}(t) = C(n,i) t^i (1-t)^(n-i)."""
+    return comb(n, i) * t**i * (1.0 - t) ** (n - i)
+
+
+def hodograph(control_points, n: int, scale: float) -> np.ndarray:
+    """Control points of the derivative curve: d_i = n (c_{i+1} - c_i) / scale."""
+    return n * np.diff(np.asarray(control_points, dtype=float), axis=0) / scale
+
+
+def de_casteljau(control_points, s: float) -> np.ndarray:
+    pts = np.asarray(control_points, dtype=float).copy()
+    while len(pts) > 1:
+        pts = (1.0 - s) * pts[:-1] + s * pts[1:]
+    return pts[0]
 
 
 def rest_to_rest(p0, p1) -> BoundaryConditions:

@@ -82,6 +82,12 @@ class TestRun:
         assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
         assert "rho" in capsys.readouterr().err
 
+    def test_zero_replan_rate_exits_1(self, tmp_path, capsys):
+        raw = benchmarks.ALL["sharp_turn_low"]()
+        raw["tracker"] = dict(raw.get("tracker", {}), replan_hz=0)
+        assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
+        assert "replan_hz" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def test_one_scenario_prints_the_table_and_writes_one_row_per_run(self, tmp_path, capsys):

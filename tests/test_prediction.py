@@ -4,13 +4,12 @@ import pytest
 from aerotrack.errors import InsufficientData, OutOfDomain
 from aerotrack.perception import TargetObservation
 from aerotrack.prediction import (
+    PredictedTrajectory,
     PredictionWeights,
     _fit_matrices,
-    bernstein,
-    de_casteljau,
     fit_predicted_trajectory,
-    hodograph,
 )
+from oracles import bernstein, de_casteljau, hodograph
 
 
 def make_obs(times, positions):
@@ -35,46 +34,68 @@ def unconstrained_fit_oracle(observations, t_c: float, w: PredictionWeights) -> 
     return np.linalg.solve(H, rhs)
 
 
+def basis(n, s):
+    """Rows of the fit's Bernstein basis at the normalized times ``s``."""
+    s = np.asarray(s, dtype=float)
+    return _fit_matrices(s, np.ones_like(s), PredictionWeights(degree=n), 1.0)[0]
+
+
+def curve(cp, scale=1.0):
+    """The prediction over [0, scale] with the given control points."""
+    cp = np.asarray(cp, dtype=float)
+    return PredictedTrajectory(cp, len(cp) - 1, t0=0.0, t_c=0.5 * scale, t_p=scale)
+
+
 class TestBernstein:
     def test_endpoint(self):
-        assert bernstein(5, 0, 0.0) == 1.0
-        assert bernstein(5, 5, 1.0) == 1.0
+        Phi = basis(5, [0.0, 1.0])
+        assert np.array_equal(Phi, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]])
 
     def test_partition_of_unity(self):
         for n in range(1, 11):
-            for t in (0.0, 0.3, 0.7, 1.0):
-                assert sum(bernstein(n, i, t) for i in range(n + 1)) == pytest.approx(1.0)
+            assert np.allclose(basis(n, [0.0, 0.3, 0.7, 1.0]).sum(axis=1), 1.0)
 
     def test_midpoint_value(self):
-        assert bernstein(2, 1, 0.5) == pytest.approx(0.5)
+        assert basis(2, [0.5])[0, 1] == pytest.approx(0.5)
 
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            bernstein(3, 4, 0.5)
-        with pytest.raises(IndexError):
-            bernstein(3, -1, 0.5)
+    def test_matches_scalar_basis(self):
+        s = np.linspace(0.0, 1.0, 17)
+        for n in range(1, 11):
+            ref = [[bernstein(n, i, t) for i in range(n + 1)] for t in s]
+            assert np.allclose(basis(n, s), ref, rtol=1e-13, atol=1e-15)
 
 
 class TestHodograph:
     def test_constant_curve(self):
-        cp = np.tile([1.0, 2.0, 3.0], (6, 1))
-        assert np.allclose(hodograph(cp, 5, 2.0), 0.0)
+        traj = curve(np.tile([1.0, 2.0, 3.0], (6, 1)), scale=2.0)
+        for t in np.linspace(0.0, 2.0, 9):
+            assert np.allclose(traj.evaluate(t)[1], 0.0)
 
     def test_straight_line_speed(self):
         # equally spaced collinear points: derivative is constant
         direction = np.array([1.0, 0.0, 0.0])
-        cp = np.outer(np.linspace(0, 5, 6), direction)
-        d = hodograph(cp, 5, scale=5.0)
-        assert np.allclose(d, direction)
+        traj = curve(np.outer(np.linspace(0, 5, 6), direction), scale=5.0)
+        for t in np.linspace(0.0, 5.0, 9):
+            assert np.allclose(traj.evaluate(t)[1], direction)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        cp = rng.normal(size=(6, 3))
-        d_cp = hodograph(cp, 5, scale=1.0)
+        traj = curve(rng.normal(size=(6, 3)))
         eps = 1e-6
-        for s in np.linspace(0.01, 0.99, 20):
-            fd = (de_casteljau(cp, s + eps) - de_casteljau(cp, s - eps)) / (2 * eps)
-            assert np.allclose(de_casteljau(d_cp, s), fd, atol=1e-6)
+        for t in np.linspace(0.01, 0.99, 20):
+            fd = (traj.evaluate(t + eps)[0] - traj.evaluate(t - eps)[0]) / (2 * eps)
+            assert np.allclose(traj.evaluate(t)[1], fd, atol=1e-6)
+
+    def test_evaluate_matches_de_casteljau(self):
+        rng = np.random.default_rng(1)
+        for n in (2, 5, 7):
+            cp = rng.normal(scale=5.0, size=(n + 1, 3))
+            traj = curve(cp, scale=3.0)
+            for t in np.linspace(0.0, 3.0, 31):
+                pos, vel = traj.evaluate(t)
+                assert np.max(np.abs(pos - de_casteljau(cp, t / 3.0))) <= 1e-12 * np.max(np.abs(cp))
+                vel_ref = de_casteljau(hodograph(cp, n, 3.0), t / 3.0)
+                assert np.max(np.abs(vel - vel_ref)) <= 1e-12 * np.max(np.abs(cp))
 
 
 class TestFit:

@@ -30,6 +30,12 @@ def with_search(**fields):
     return raw
 
 
+def with_section(key, **fields):
+    raw = valid()
+    raw[key] = dict(raw.get(key, {}), **fields)
+    return raw
+
+
 class TestFromDict:
     def test_builtin_scenarios_are_valid(self):
         for build in benchmarks.ALL.values():
@@ -56,10 +62,22 @@ class TestFromDict:
         (with_search(rho=0), "search: rho must be a finite number > 0"),
         (with_search(rho="1"), "search: rho must be a finite number > 0"),
         (with_search(a_max=3.0), "search: .*a_max"),
+        (with_section("tracker", replan_hz=0), "tracker: replan_hz must be a finite number > 0"),
+        (with_section("tracker", replan_hz=-5), "tracker: replan_hz must be a finite number > 0"),
+        (with_section("tracker", replan_hz=True), "tracker: replan_hz must be a finite number > 0"),
+        (dict(valid(), duration=0.01), "duration .* shorter than one replanning cycle"),
+        (with_section("perception", body_len=0), "perception: body_len must be a finite number > 0"),
+        (with_section("prediction", degree=0), "prediction: degree must be an integer >= 1"),
+        (with_section("prediction", degree=2.5), "prediction: degree must be an integer >= 1"),
+        (with_section("prediction", degree=True), "prediction: degree must be an integer >= 1"),
+        (with_section("prediction", window=0), "prediction: window must be a finite number > 0"),
+        (with_section("prediction", window=-1), "prediction: window must be a finite number > 0"),
     ], ids=["perception-list", "search-list", "duration-text", "duration-nan", "seed-text",
             "quad-start-text", "quad-start-2d", "fov-0", "fov-200", "target-speed-nan",
             "target-smoothing-nan", "target-waypoint-nan", "seed-negative", "seed-fraction",
-            "seed-bool", "seed-string", "rho-0", "rho-string", "search-a-max"])
+            "seed-bool", "seed-string", "rho-0", "rho-string", "search-a-max", "replan-hz-0",
+            "replan-hz-negative", "replan-hz-bool", "duration-below-one-cycle", "body-len-0",
+            "degree-0", "degree-fraction", "degree-bool", "window-0", "window-negative"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)

