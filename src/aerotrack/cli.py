@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import benchmark, benchmark_table, write_benchmark_csv
-from .errors import InvalidScenario, InvalidSpec, UnknownVariant
+from .errors import FitDiverged, InvalidScenario, InvalidSpec, UnknownVariant
 from .grid import MapSpec, build_map
 from .perception import ImageFeatures, fit_regression
 from .scenario import Scenario
@@ -58,18 +58,33 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_fit_regression(args) -> int:
     with open(args.dataset) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            print(f"{args.dataset}: not valid JSON (line {exc.lineno}: {exc.msg})",
+                  file=sys.stderr)
+            return 1
+    if not (isinstance(raw, dict) and isinstance(raw.get("samples"), list)):
+        print(f"{args.dataset}: expected a JSON object with a 'samples' list", file=sys.stderr)
+        return 1
     samples = []
-    for i, s in enumerate(raw.get("samples", [])):
+    for i, s in enumerate(raw["samples"]):
         try:
             feats = ImageFeatures(
                 body_len_px=float(s["L"]), u_px=float(s["u"]),
                 timestamp=float(s.get("t", i)))
-            samples.append((feats, np.asarray(s["p_cam"], dtype=float)))
+            p_cam = np.asarray(s["p_cam"], dtype=float)
+            if p_cam.shape != (3,):
+                raise ValueError(f"p_cam: expected 3 numbers, got {s['p_cam']!r}")
+            samples.append((feats, p_cam))
         except (KeyError, TypeError, ValueError) as exc:
             print(f"samples[{i}]: {exc}", file=sys.stderr)
             return 1
-    params = fit_regression(samples)
+    try:
+        params = fit_regression(samples)
+    except FitDiverged as exc:
+        print(f"fit failed: {exc}", file=sys.stderr)
+        return 1
     if args.out:
         params.save(args.out)
     print(json.dumps(params.to_dict(), indent=2))

@@ -11,6 +11,8 @@ both sides so rays cannot leak diagonally between occupied cells.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -235,7 +237,7 @@ def _numbers(x, n=None) -> bool:
             and (n is None or len(x) == n))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MapSpec:
     """Declarative map description, parsed from a JSON object by :meth:`from_dict`.
 
@@ -245,6 +247,10 @@ class MapSpec:
     ``box`` (``min``, ``max``), ``cylinder`` (``center`` [x, y], ``radius``,
     optional ``zmin``/``zmax``) or ``forest`` (``density`` in trees per m^2,
     ``radius``, optional ``keep_clear`` list of [x, y, r] discs).
+
+    A spec is a value: specs with the same content are equal and hash alike,
+    which is what :func:`build_map` memoizes on. ``from_dict`` copies the
+    obstacle list, and its content must not be edited afterwards.
     """
 
     origin: np.ndarray
@@ -252,6 +258,21 @@ class MapSpec:
     dims: np.ndarray
     obstacles: list
     seed: int = 0
+
+    @functools.cached_property
+    def _content(self) -> str:
+        """Every field as one JSON text, computed once per spec."""
+        return json.dumps(
+            [np.asarray(self.origin, dtype=float).tolist(), self.resolution,
+             np.asarray(self.dims).tolist(), self.obstacles, self.seed], sort_keys=True)
+
+    def __eq__(self, other):
+        if not isinstance(other, MapSpec):
+            return NotImplemented
+        return self._content == other._content
+
+    def __hash__(self):
+        return hash(self._content)
 
     @staticmethod
     def from_dict(raw: dict) -> "MapSpec":
@@ -313,7 +334,7 @@ class MapSpec:
             origin=np.asarray(origin, dtype=float),
             resolution=float(resolution),
             dims=np.asarray([int(d) for d in dims]),
-            obstacles=obstacles,
+            obstacles=copy.deepcopy(obstacles),
             seed=int(seed),
         )
 
@@ -352,10 +373,29 @@ def _rasterize_cylinder(grid: OccupancyGrid, center, radius: float, zmin: float,
     block[hit, :] = True
 
 
+# Rasterized maps kept per process; each holds one byte per voxel.
+_MAP_CACHE_SIZE = 4
+
+
 def build_map(spec: MapSpec) -> OccupancyGrid:
-    """Rasterize a map spec into a grid. Pure function of (spec, seed)."""
+    """Rasterize a map spec into a grid. Pure function of (spec, seed).
+
+    Grids are memoized per process in ``_rasterized``, an LRU cache of
+    ``_MAP_CACHE_SIZE`` grids keyed on the spec's exact content (origin,
+    resolution, dims, obstacles and seed, serialised once per ``MapSpec``).
+    Every caller of one content gets the same grid, so its ``occupied``,
+    ``origin`` and ``dims`` arrays are read-only: writing to them raises
+    ``ValueError``. Copy the occupancy into a new ``OccupancyGrid`` to edit
+    a map.
+    """
     if not isinstance(spec, MapSpec):
         spec = MapSpec.from_dict(spec)
+    return _rasterized(spec)
+
+
+@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
+def _rasterized(spec: MapSpec) -> OccupancyGrid:
+    """The read-only grid of :func:`build_map`."""
     grid = OccupancyGrid(spec.origin, spec.resolution, spec.dims)
     zmin_map = float(spec.origin[2])
     zmax_map = float(spec.origin[2] + spec.dims[2] * spec.resolution)
@@ -383,4 +423,6 @@ def build_map(spec: MapSpec) -> OccupancyGrid:
                 if any(np.hypot(tx - c[0], ty - c[1]) < c[2] + radius for c in keep_clear):
                     continue
                 _rasterize_cylinder(grid, (tx, ty), radius, zmin_map, zmax_map)
+    for shared in (grid.occupied, grid.origin, grid.dims):
+        shared.flags.writeable = False
     return grid

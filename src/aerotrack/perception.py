@@ -275,19 +275,26 @@ def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionPara
     Results are memoized per process in ``_fit_arrays``, an LRU cache of
     ``_FIT_CACHE_SIZE`` fits keyed on ``(L.tobytes(), u.tobytes(),
     truth.tobytes(), truth.shape, n_starts, seed)``: the exact inputs, so a
-    hit is bit-identical to a fresh fit. Failures are not cached. The
-    calibration data it is usually given has its own memo one level down
-    (see :func:`make_calibration_dataset`); nothing caches above this
-    function, so each caller still makes one ``fit_regression`` call per fit
-    it needs, and a hit costs only the array building and the key.
+    hit is bit-identical to a fresh fit. Failures are not cached. A list of
+    samples has its arrays and key built on every call. A
+    :class:`CalibrationDataset` from :func:`make_calibration_dataset` carries
+    the key its memo built once, so a hit on it reads none of its samples;
+    once the list is edited it is read like any other list. Nothing caches
+    above this function, so each caller still makes one ``fit_regression``
+    call per fit it needs.
     """
     if len(dataset) < 8:
         raise FitDiverged(f"dataset of {len(dataset)} samples is too small to fit")
+    key = getattr(dataset, "fit_key", None) or _fit_key(dataset)
+    return _fit_arrays(*key, n_starts, seed)
+
+
+def _fit_key(dataset) -> tuple:
+    """``(L, u, truth)`` of a dataset as raw bytes, plus the truth shape."""
     L = np.array([f.body_len_px for f, _ in dataset], dtype=float)
     u = np.array([f.u_px for f, _ in dataset], dtype=float)
     truth = np.array([np.asarray(p, dtype=float) for _, p in dataset])
-    return _fit_arrays(L.tobytes(), u.tobytes(), truth.tobytes(), truth.shape,
-                       n_starts, seed)
+    return L.tobytes(), u.tobytes(), truth.tobytes(), truth.shape
 
 
 @functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
@@ -338,9 +345,38 @@ def _fit_arrays(L_bytes: bytes, u_bytes: bytes, truth_bytes: bytes, truth_shape:
 _DATASET_CACHE_SIZE = 8
 
 
+class CalibrationDataset(list):
+    """A list of calibration samples that carries its fit key while unedited.
+
+    ``fit_key`` is the :func:`fit_regression` memo key of these samples,
+    built once with the dataset. Every in-place edit sets it to None, so an
+    edited list is keyed from its samples again.
+    """
+
+    def __init__(self, samples=(), fit_key=None):
+        super().__init__(samples)
+        self.fit_key = fit_key
+
+
+def _dropping_fit_key(name):
+    edit = getattr(list, name)
+
+    @functools.wraps(edit)
+    def wrapper(self, *args, **kwargs):
+        self.fit_key = None
+        return edit(self, *args, **kwargs)
+    return wrapper
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "clear", "sort", "reverse"):
+    setattr(CalibrationDataset, _name, _dropping_fit_key(_name))
+
+
 def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
                              range_band=(1.0, 5.0), seed: int = 0,
-                             sigma_u: float = 0.0, sigma_len: float = 0.0):
+                             sigma_u: float = 0.0, sigma_len: float = 0.0
+                             ) -> CalibrationDataset:
     """Mocap-style dataset: ranges concentrated around the working standoff.
 
     Ranges are drawn from a truncated normal centered mid-band (the tracker
@@ -351,19 +387,22 @@ def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
     Datasets are memoized per process in ``_calibration_samples``, an LRU
     cache of ``_DATASET_CACHE_SIZE`` datasets keyed on every argument, with
     ``range_band`` as a tuple. The dataset is a pure function of those
-    arguments, so a hit equals a fresh build. Each call returns a new list;
-    its ``ImageFeatures`` are frozen and its truth arrays read-only, so no
-    caller can change what a later call returns. :func:`fit_regression`
-    memoizes the fit on top of this.
+    arguments, so a hit equals a fresh build. The memo also builds the
+    samples' ``L``, ``u`` and truth arrays and their fit key once, and each
+    call returns a new :class:`CalibrationDataset` that carries that key, so
+    :func:`fit_regression` on it costs O(1) on a hit. Its ``ImageFeatures``
+    are frozen and its truth arrays read-only, so no caller can change what a
+    later call returns.
     """
-    return list(_calibration_samples(cam, body_len, n, tuple(range_band), seed,
-                                     sigma_u, sigma_len))
+    samples, fit_key = _calibration_samples(cam, body_len, n, tuple(range_band), seed,
+                                            sigma_u, sigma_len)
+    return CalibrationDataset(samples, fit_key)
 
 
 @functools.lru_cache(maxsize=_DATASET_CACHE_SIZE)
 def _calibration_samples(cam: CameraModel, body_len: float, n: int, range_band: tuple,
                          seed: int, sigma_u: float, sigma_len: float) -> tuple:
-    """The samples of :func:`make_calibration_dataset`, as an immutable tuple."""
+    """The samples of :func:`make_calibration_dataset` as a tuple, and their fit key."""
     rng = np.random.default_rng(seed)
     lo, hi = range_band
     center, spread = 0.5 * (lo + hi) - 0.5, 0.25 * (hi - lo)
@@ -382,7 +421,7 @@ def _calibration_samples(cam: CameraModel, body_len: float, n: int, range_band: 
         if feats is not None:
             target.flags.writeable = False
             samples.append((feats, target))
-    return tuple(samples)
+    return tuple(samples), _fit_key(samples)
 
 
 # ----------------------------------------------------------------------

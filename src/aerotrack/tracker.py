@@ -10,7 +10,10 @@ raises on a trajectory that leaves its corridor of free cubes, so every
 trajectory flown has passed that one safety check. Losing the target long
 enough switches to relocation: the quadrotor flies toward the last
 prediction's endpoint while the gimbal sweeps all bearings until the target
-is reacquired.
+is reacquired. Tracking replans every cycle; relocation plans once and flies
+that trajectory until an event calls for a new one: the goal moves by more
+than the search's goal tolerance, the last attempt failed, or less than
+``RELOCATION_MIN_REMAINING_S`` of the trajectory is left.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ from .scenario import Scenario
 
 TRACKING = "TRACKING"
 RELOCATING = "RELOCATING"
+
+# Relocation replans once less than this much of its trajectory is left [s].
+RELOCATION_MIN_REMAINING_S = 1.0
 
 VARIANTS = ("full", "no_occlusion_penalty", "no_gimbal_search")
 _VARIANT_ALIASES = {
@@ -127,11 +133,12 @@ class TrackerWorld:
         self.grid = build_map(scenario.map_spec)
         self.dt = 1.0 / scenario.tracker.replan_hz
         self.rng = np.random.default_rng(scenario.seed)
-        # make_calibration_dataset memoizes on its arguments and
-        # fit_regression on its exact inputs, so each process builds and fits
-        # once per calibration config (camera, body length, noise sigmas) and
-        # every later world reuses both. The fit stays one call per world
-        # because perfbench times each world's fit_regression span.
+        # build_map memoizes one read-only grid per map content,
+        # make_calibration_dataset its dataset and fit key per calibration
+        # config (camera, body length, noise sigmas), and fit_regression the
+        # fit on that key, so a later world in the same process rebuilds
+        # none of them. Both calls stay one per world because perfbench
+        # times each world's build_map and fit_regression spans.
         cfg = scenario.perception
         self.params = fit_regression(make_calibration_dataset(
             cfg.camera, cfg.body_len, n=320, seed=0,
@@ -153,6 +160,8 @@ class TrackerWorld:
         self.prediction = None
         self.trajectory = None
         self.traj_clock = 0.0
+        self.plan_goal: np.ndarray | None = None  # goal the trajectory was planned for
+        self.last_plan_failed = False
         self.last_u: float | None = None
         self.cycle = 0
         self.trace_rows: list[list] = []
@@ -242,6 +251,20 @@ def _plan_goal(world: TrackerWorld):
     return KinoState(p=goal_p, v=goal_v), p_pred
 
 
+def _keeps_trajectory(world: TrackerWorld, goal: KinoState, entered: bool) -> bool:
+    """Whether a relocation cycle flies on along its trajectory without replanning.
+
+    It does while the goal stays within ``r_goal`` of the goal the trajectory
+    was planned for, the last attempt succeeded and at least
+    ``RELOCATION_MIN_REMAINING_S`` of the trajectory is left. The map is
+    static and the trajectory passed the corridor check, so it stays safe.
+    """
+    return (world.mode.mode == RELOCATING and not entered
+            and world.trajectory is not None and not world.last_plan_failed
+            and world.trajectory.duration - world.traj_clock >= RELOCATION_MIN_REMAINING_S
+            and float(np.linalg.norm(goal.p - world.plan_goal)) <= world.search_w.r_goal)
+
+
 def step(world: TrackerWorld) -> TrackerWorld:
     """Advance the closed loop by one replanning cycle of ``world.dt`` seconds."""
     sc = world.scenario
@@ -281,7 +304,8 @@ def step(world: TrackerWorld) -> TrackerWorld:
     # mode machine
     was_relocating = world.mode.mode == RELOCATING
     world.mode = relocation_update(world.mode, obs, dt, sc.tracker.loss_timeout)
-    if world.mode.mode == RELOCATING and not was_relocating:
+    entered_relocation = world.mode.mode == RELOCATING and not was_relocating
+    if entered_relocation:
         world.loss_episodes += 1
     if world.mode.mode == TRACKING and was_relocating:
         world.relocation_times.append(world.mode.time_since_loss + dt)
@@ -307,7 +331,9 @@ def step(world: TrackerWorld) -> TrackerWorld:
     j_sigma = float("nan")
     path_los = ""
     goal, occl_target = _plan_goal(world)
-    if goal is not None:
+    if goal is not None and _keeps_trajectory(world, goal, entered_relocation):
+        plan_ok = True
+    elif goal is not None:
         start = KinoState(p=world.quad_p.copy(), v=world.quad_v.copy())
         try:
             t0 = time.perf_counter()
@@ -326,6 +352,7 @@ def step(world: TrackerWorld) -> TrackerWorld:
             world._stage("optimize", t0)
             world.trajectory = traj
             world.traj_clock = 0.0
+            world.plan_goal = goal.p
             plan_ok = True
             path_cost = path.total_cost
             corridor_m = len(cor)
@@ -335,8 +362,10 @@ def step(world: TrackerWorld) -> TrackerWorld:
         except Exception as exc:  # stage failure: keep the previous trajectory
             world.plan_failures += 1
             world.last_plan_error = f"{type(exc).__name__}: {exc}"
+        world.last_plan_failed = not plan_ok
     else:
         world.plan_failures += 1
+        world.last_plan_failed = True
 
     # execute along the current trajectory (perfect follower)
     if world.trajectory is not None:

@@ -24,8 +24,8 @@ OUT = Path(__file__).resolve().parent / "data" / "search_problems.json"
 # (label, builtin scenario, cycle, weight overrides)
 PROBLEMS = [
     ("occlusion_turn-c66-relocation", "occlusion_turn", 66, {}),
-    ("occlusion_turn-c90-relocation", "occlusion_turn", 90, {}),
-    ("occlusion_turn-c90-relocation-p_occ0", "occlusion_turn", 90, {"p_occ": 0.0}),
+    ("occlusion_turn-c79-relocation", "occlusion_turn", 79, {}),
+    ("occlusion_turn-c79-relocation-p_occ0", "occlusion_turn", 79, {"p_occ": 0.0}),
     ("sharp_turn_low-c140", "sharp_turn_low", 140, {}),
     ("sharp_turn_low-c144", "sharp_turn_low", 144, {}),
 ]

@@ -127,3 +127,39 @@ class TestBenchmark:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"--runs must be at least 1, got {runs}"]
+
+
+class TestFitRegression:
+    @staticmethod
+    def samples(n, p_cam=(2.0, 0.1, 0.9)):
+        return [{"L": 100.0 + 5.0 * i, "u": 320.0 + i, "p_cam": list(p_cam)} for i in range(n)]
+
+    def fit(self, path, capsys):
+        code = main(["fit-regression", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err.splitlines()
+
+    def test_too_few_samples_exits_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "few.json", {"samples": self.samples(5)})
+        code, out, err = self.fit(path, capsys)
+        assert (code, out) == (1, "")
+        assert err == ["fit failed: dataset of 5 samples is too small to fit"]
+
+    def test_top_level_list_exits_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "list.json", self.samples(10))
+        code, out, err = self.fit(path, capsys)
+        assert (code, out) == (1, "")
+        assert err == [f"{path}: expected a JSON object with a 'samples' list"]
+
+    def test_malformed_json_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"samples": [')
+        code, out, err = self.fit(path, capsys)
+        assert (code, out) == (1, "")
+        assert len(err) == 1 and err[0].startswith(f"{path}: not valid JSON")
+
+    def test_two_coordinate_p_cam_exits_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "flat.json", {"samples": self.samples(10, (2.0, 0.1))})
+        code, out, err = self.fit(path, capsys)
+        assert (code, out) == (1, "")
+        assert err == ["samples[0]: p_cam: expected 3 numbers, got [2.0, 0.1]"]

@@ -1,12 +1,14 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from aerotrack import benchmarks
+from aerotrack import benchmarks, grid, tracker
 from aerotrack.errors import InvalidSpec, SeedOccupied
 from aerotrack.grid import MapSpec, OccupancyGrid, build_map
+from aerotrack.scenario import Scenario
 from oracles import cube_is_free
 
 
@@ -279,6 +281,7 @@ class TestBuildMap:
     def test_build_peak_memory_per_voxel(self):
         # one byte of occupancy per voxel and no full-grid temporaries
         spec = MapSpec.from_dict(benchmarks.ALL["sharp_turn_low"]()["map"])
+        grid._rasterized.cache_clear()  # measure a rasterization, not a memo hit
         tracemalloc.start()
         try:
             g = build_map(spec)
@@ -300,3 +303,63 @@ class TestBuildMap:
             )
         msg = str(err.value)
         assert "origin" in msg and "resolution" in msg and "obstacles[0]" in msg
+
+
+FOREST_MAP = {
+    "origin": [0, 0, 0],
+    "resolution": 0.1,
+    "dims": [60, 60, 10],
+    "obstacles": [{"type": "box", "min": [0.5, 0.5, 0.0], "max": [1.0, 1.0, 1.0]},
+                  {"type": "forest", "density": 0.2, "radius": 0.2}],
+    "seed": 3,
+}
+
+
+class TestMapMemo:
+    """``build_map`` rasterizes each map content once and shares a read-only grid."""
+
+    @pytest.fixture(autouse=True)
+    def cold_map_cache(self):
+        grid._rasterized.cache_clear()
+
+    def test_worlds_of_one_scenario_share_a_read_only_grid(self):
+        scenario = Scenario.from_dict(benchmarks.ALL["occlusion_turn"]())
+        first, second = tracker.TrackerWorld(scenario), tracker.TrackerWorld(scenario)
+        assert first.grid is second.grid
+        again = Scenario.from_dict(benchmarks.ALL["occlusion_turn"]())
+        assert tracker.TrackerWorld(again).grid is first.grid
+        info = grid._rasterized.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+        for shared in (first.grid.occupied, first.grid.origin, first.grid.dims):
+            with pytest.raises(ValueError):
+                shared[0] = 0
+
+    def test_hit_equals_cold_rasterization(self):
+        shared = build_map(MapSpec.from_dict(FOREST_MAP))
+        assert build_map(FOREST_MAP) is shared
+        grid._rasterized.cache_clear()
+        fresh = build_map(MapSpec.from_dict(FOREST_MAP))
+        assert fresh is not shared
+        assert np.array_equal(fresh.occupied, shared.occupied)
+        assert fresh.occupied.any()
+
+    @pytest.mark.parametrize("change", [
+        {"obstacles": [dict(FOREST_MAP["obstacles"][0], max=[1.0, 1.1, 1.0]),
+                       FOREST_MAP["obstacles"][1]]},
+        {"seed": 4},
+        {"resolution": 0.12},
+        {"dims": [60, 60, 11]},
+        {"origin": [0, 0, 0.1]},
+    ])
+    def test_changed_content_gets_its_own_grid(self, change):
+        shared = build_map(MapSpec.from_dict(FOREST_MAP))
+        other = build_map(MapSpec.from_dict(dict(FOREST_MAP, **change)))
+        assert other is not shared
+        assert grid._rasterized.cache_info().misses == 2
+
+    def test_spec_does_not_alias_the_callers_obstacles(self):
+        raw = json.loads(json.dumps(FOREST_MAP))
+        spec = MapSpec.from_dict(raw)
+        raw["obstacles"][0]["max"][1] = 2.0
+        assert spec == MapSpec.from_dict(FOREST_MAP)
+        assert spec != MapSpec.from_dict(raw)

@@ -324,6 +324,35 @@ class TestRegressionMemo:
         info = perception._fit_arrays.cache_info()
         assert (info.hits, info.misses) == (0, 2)
 
+    def test_hit_on_a_made_dataset_reads_no_sample(self, monkeypatch):
+        first = fit_regression(self.dataset())
+        keyed = []
+        real_key = perception._fit_key
+
+        def counted(dataset):
+            keyed.append(len(dataset))
+            return real_key(dataset)
+
+        monkeypatch.setattr(perception, "_fit_key", counted)
+        made = self.dataset()
+        assert fit_regression(made) is first
+        assert keyed == []
+        assert fit_regression(list(made)) is first  # a plain list is keyed from its samples
+        assert keyed == [len(made)]
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.append(d[0]),
+        lambda d: d.__setitem__(0, d[1]),
+        lambda d: d.__delitem__(slice(0, 10)),
+        lambda d: d.reverse(),
+        lambda d: d.sort(key=lambda s: s[0].u_px),
+    ], ids=["append", "setitem", "delitem", "reverse", "sort"])
+    def test_edited_dataset_is_keyed_from_its_samples(self, edit):
+        dataset = self.dataset()
+        edit(dataset)
+        assert dataset.fit_key is None
+        assert fit_regression(dataset) is fit_regression(list(dataset))
+
     def test_failures_are_raised_on_every_call(self):
         pose = Pose(np.zeros(3), 0.0)
         samples = []

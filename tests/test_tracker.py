@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 import subprocess
@@ -13,6 +14,7 @@ from aerotrack.perception import TargetObservation
 from aerotrack.scenario import Scenario
 from aerotrack.tracker import (
     RELOCATING,
+    RELOCATION_MIN_REMAINING_S,
     TRACE_COLUMNS,
     TRACKING,
     ModeState,
@@ -120,6 +122,79 @@ class TestStageFailures:
         assert world.plan_failures == failures + 1
         assert world.trace_rows[-1][TRACE_COLUMNS.index("plan_ok")] == 0
         assert world.trajectory is held  # the previous trajectory is flown on
+
+
+@pytest.fixture(scope="module")
+def relocating_world():
+    """The builtin occlusion_turn world one cycle after relocation was entered and planned."""
+    world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["occlusion_turn"]()))
+    while world.mode.mode != RELOCATING:
+        step(world)
+    step(world)
+    return world
+
+
+class TestRelocationReplan:
+    """Relocation flies its trajectory on until an event calls for a replan."""
+
+    @pytest.fixture
+    def world(self, relocating_world, monkeypatch):
+        world = copy.deepcopy(relocating_world)
+        self.searches = 0
+        real = kino_search.search
+
+        def counted(*args):
+            self.searches += 1
+            return real(*args)
+
+        monkeypatch.setattr(kino_search, "search", counted)
+        assert world.mode.mode == RELOCATING and not world.last_plan_failed
+        assert world.trajectory.duration - world.traj_clock > RELOCATION_MIN_REMAINING_S + 0.1
+        return world
+
+    @staticmethod
+    def plan_ok(world):
+        return world.trace_rows[-1][TRACE_COLUMNS.index("plan_ok")]
+
+    def test_unchanged_goal_keeps_the_trajectory(self, world):
+        held, clock = world.trajectory, world.traj_clock
+        step(world)
+        assert self.searches == 0
+        assert world.trajectory is held and world.traj_clock == clock + world.dt
+        assert world.mode.mode == RELOCATING and self.plan_ok(world) == 1
+
+    @pytest.mark.parametrize("moved, searches", [(0.99, 0), (1.01, 1)])
+    def test_goal_moved_beyond_r_goal_replans(self, world, moved, searches):
+        world.plan_goal = world.plan_goal + np.array([moved * world.search_w.r_goal, 0.0, 0.0])
+        held = world.trajectory
+        step(world)
+        assert self.searches == searches
+        assert (world.trajectory is not held) == bool(searches)
+        assert self.plan_ok(world) == 1
+
+    def test_failed_attempt_replans_on_the_next_cycle(self, world, monkeypatch):
+        goal, held = world.plan_goal, world.trajectory
+        world.plan_goal = goal + np.array([2.0 * world.search_w.r_goal, 0.0, 0.0])
+        counted = kino_search.search
+
+        def failing(*args):
+            counted(*args)
+            raise NoPath("start is enclosed")
+
+        monkeypatch.setattr(kino_search, "search", failing)
+        step(world)
+        assert world.last_plan_failed and world.trajectory is held and self.plan_ok(world) == 0
+        monkeypatch.setattr(kino_search, "search", counted)
+        world.plan_goal = goal  # the goal alone would keep the trajectory
+        step(world)
+        assert self.searches == 2
+        assert not world.last_plan_failed and world.trajectory is not held
+
+    @pytest.mark.parametrize("left, searches", [(1.01, 0), (0.99, 1)])
+    def test_less_than_the_minimum_left_replans(self, world, left, searches):
+        world.traj_clock = world.trajectory.duration - left * RELOCATION_MIN_REMAINING_S
+        step(world)
+        assert self.searches == searches
 
 
 class TestBenchmark:
