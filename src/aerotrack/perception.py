@@ -276,12 +276,11 @@ def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionPara
     ``_FIT_CACHE_SIZE`` fits keyed on ``(L.tobytes(), u.tobytes(),
     truth.tobytes(), truth.shape, n_starts, seed)``: the exact inputs, so a
     hit is bit-identical to a fresh fit. Failures are not cached. A list of
-    samples has its arrays and key built on every call. A
+    samples has its arrays and key built on every call. The immutable
     :class:`CalibrationDataset` from :func:`make_calibration_dataset` carries
-    the key its memo built once, so a hit on it reads none of its samples;
-    once the list is edited it is read like any other list. Nothing caches
-    above this function, so each caller still makes one ``fit_regression``
-    call per fit it needs.
+    the key built once with it, so a hit on it reads none of its samples.
+    Nothing caches above this function, so each caller still makes one
+    ``fit_regression`` call per fit it needs.
     """
     if len(dataset) < 8:
         raise FitDiverged(f"dataset of {len(dataset)} samples is too small to fit")
@@ -345,32 +344,17 @@ def _fit_arrays(L_bytes: bytes, u_bytes: bytes, truth_bytes: bytes, truth_shape:
 _DATASET_CACHE_SIZE = 8
 
 
-class CalibrationDataset(list):
-    """A list of calibration samples that carries its fit key while unedited.
+class CalibrationDataset(tuple):
+    """An immutable tuple of calibration samples that carries their fit key.
 
     ``fit_key`` is the :func:`fit_regression` memo key of these samples,
-    built once with the dataset. Every in-place edit sets it to None, so an
-    edited list is keyed from its samples again.
+    built once with the dataset; a tuple cannot be edited, so it stays true.
     """
 
-    def __init__(self, samples=(), fit_key=None):
-        super().__init__(samples)
-        self.fit_key = fit_key
-
-
-def _dropping_fit_key(name):
-    edit = getattr(list, name)
-
-    @functools.wraps(edit)
-    def wrapper(self, *args, **kwargs):
-        self.fit_key = None
-        return edit(self, *args, **kwargs)
-    return wrapper
-
-
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-              "insert", "pop", "remove", "clear", "sort", "reverse"):
-    setattr(CalibrationDataset, _name, _dropping_fit_key(_name))
+    def __new__(cls, samples):
+        dataset = super().__new__(cls, samples)
+        dataset.fit_key = _fit_key(dataset)
+        return dataset
 
 
 def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
@@ -387,22 +371,20 @@ def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
     Datasets are memoized per process in ``_calibration_samples``, an LRU
     cache of ``_DATASET_CACHE_SIZE`` datasets keyed on every argument, with
     ``range_band`` as a tuple. The dataset is a pure function of those
-    arguments, so a hit equals a fresh build. The memo also builds the
-    samples' ``L``, ``u`` and truth arrays and their fit key once, and each
-    call returns a new :class:`CalibrationDataset` that carries that key, so
-    :func:`fit_regression` on it costs O(1) on a hit. Its ``ImageFeatures``
-    are frozen and its truth arrays read-only, so no caller can change what a
-    later call returns.
+    arguments, so a hit equals a fresh build. A hit returns the memoized
+    :class:`CalibrationDataset` itself: a tuple of frozen ``ImageFeatures``
+    and read-only truth arrays that carries its fit key, so no caller can
+    change what a later call returns, and :func:`fit_regression` on it costs
+    O(1) on a hit. Make a list of it to edit a dataset.
     """
-    samples, fit_key = _calibration_samples(cam, body_len, n, tuple(range_band), seed,
-                                            sigma_u, sigma_len)
-    return CalibrationDataset(samples, fit_key)
+    return _calibration_samples(cam, body_len, n, tuple(range_band), seed,
+                                sigma_u, sigma_len)
 
 
 @functools.lru_cache(maxsize=_DATASET_CACHE_SIZE)
 def _calibration_samples(cam: CameraModel, body_len: float, n: int, range_band: tuple,
-                         seed: int, sigma_u: float, sigma_len: float) -> tuple:
-    """The samples of :func:`make_calibration_dataset` as a tuple, and their fit key."""
+                         seed: int, sigma_u: float, sigma_len: float) -> CalibrationDataset:
+    """The dataset of :func:`make_calibration_dataset`."""
     rng = np.random.default_rng(seed)
     lo, hi = range_band
     center, spread = 0.5 * (lo + hi) - 0.5, 0.25 * (hi - lo)
@@ -421,7 +403,7 @@ def _calibration_samples(cam: CameraModel, body_len: float, n: int, range_band: 
         if feats is not None:
             target.flags.writeable = False
             samples.append((feats, target))
-    return tuple(samples), _fit_key(samples)
+    return CalibrationDataset(samples)
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ than the search's goal tolerance, the last attempt failed, or less than
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import time
 from dataclasses import dataclass, field, replace
@@ -49,6 +50,9 @@ RELOCATING = "RELOCATING"
 
 # Relocation replans once less than this much of its trajectory is left [s].
 RELOCATION_MIN_REMAINING_S = 1.0
+
+# Seed sequences kept per process; each holds one small entropy pool.
+_SEED_CACHE_SIZE = 8
 
 VARIANTS = ("full", "no_occlusion_penalty", "no_gimbal_search")
 _VARIANT_ALIASES = {
@@ -132,11 +136,11 @@ class TrackerWorld:
         self.variant = resolve_variant(variant)
         self.grid = build_map(scenario.map_spec)
         self.dt = 1.0 / scenario.tracker.replan_hz
-        self.rng = np.random.default_rng(scenario.seed)
+        self.rng = np.random.Generator(np.random.PCG64(_seed_sequence(scenario.seed)))
         # build_map memoizes one read-only grid per map content,
-        # make_calibration_dataset its dataset and fit key per calibration
+        # make_calibration_dataset one immutable dataset per calibration
         # config (camera, body length, noise sigmas), and fit_regression the
-        # fit on that key, so a later world in the same process rebuilds
+        # fit on its key, so a later world in the same process rebuilds
         # none of them. Both calls stay one per world because perfbench
         # times each world's build_map and fit_regression spans.
         cfg = scenario.perception
@@ -147,7 +151,7 @@ class TrackerWorld:
         if self.variant == "no_occlusion_penalty":
             self.search_w = replace(scenario.search, p_occ=0.0)
 
-        self.quad_p = scenario.quad_start.astype(float).copy()
+        self.quad_p = np.array(scenario.quad_start, dtype=float)
         self.quad_v = np.zeros(3)
         self.quad_a = np.zeros(3)
         self.quad_yaw = 0.0
@@ -185,6 +189,19 @@ class TrackerWorld:
             time.perf_counter() - t0) * 1000.0
 
 
+@functools.lru_cache(maxsize=_SEED_CACHE_SIZE)
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    """The ``SeedSequence`` of ``seed``, built once per process.
+
+    ``PCG64`` seeds itself from the sequence's ``generate_state(4)``, which
+    leaves the sequence as it was, so every world that shares it still gets
+    its own ``PCG64`` and ``Generator``, drawing the same stream as
+    ``np.random.default_rng(seed)``. Nothing here spawns from the shared
+    sequence; a spawn would advance its child counter for every later world.
+    """
+    return np.random.SeedSequence(seed)
+
+
 def blend_goal(traj, t: float, w: SearchWeights) -> tuple[KinoState, np.ndarray]:
     """Search goal blended from the prediction now and at the look-ahead time.
 
@@ -212,11 +229,9 @@ def _free_goal(world: TrackerWorld, goal_p: np.ndarray) -> np.ndarray:
     if dist < 1e-6:
         return world.quad_p.copy()
     n = max(int(dist / (world.grid.resolution / 2.0)), 1)
-    for frac in np.linspace(0.0, 1.0, n + 1)[1:]:
-        candidate = goal_p + frac * direction
-        if not world.grid.is_occupied(candidate):
-            return candidate
-    return world.quad_p.copy()
+    candidates = goal_p + np.linspace(0.0, 1.0, n + 1)[1:, None] * direction
+    free = np.flatnonzero(~world.grid.occupied_at(candidates))
+    return candidates[free[0]] if free.size else world.quad_p.copy()
 
 
 def _plan_goal(world: TrackerWorld):

@@ -222,3 +222,23 @@ def cube_is_free(grid, cube) -> bool:
     if np.any(lo < 0) or np.any(hi > grid.dims):
         return False
     return not bool(grid.occupied[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].any())
+
+
+def free_goal(world, goal_p):
+    """The goal ``tracker._free_goal`` picks, testing one candidate point at a time.
+
+    A frozen copy of the loop the tracker ran before it looked up every
+    candidate's occupancy in one call.
+    """
+    if not world.grid.is_occupied(goal_p):
+        return goal_p
+    direction = world.quad_p - goal_p
+    dist = float(np.linalg.norm(direction))
+    if dist < 1e-6:
+        return world.quad_p.copy()
+    n = max(int(dist / (world.grid.resolution / 2.0)), 1)
+    for frac in np.linspace(0.0, 1.0, n + 1)[1:]:
+        candidate = goal_p + frac * direction
+        if not world.grid.is_occupied(candidate):
+            return candidate
+    return world.quad_p.copy()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -247,7 +248,7 @@ class TestRegressionExactness:
 
 
 class TestCalibrationDatasetMemo:
-    """``make_calibration_dataset`` builds once per argument set and hands out copies."""
+    """``make_calibration_dataset`` builds once per argument set and hands out that dataset."""
 
     @staticmethod
     def dataset(cam=DEFAULT_CAMERA, range_band=(1.0, 5.0), seed=0, sigma_u=2.0):
@@ -275,14 +276,23 @@ class TestCalibrationDatasetMemo:
         with pytest.raises(ValueError):
             target[0] = 0.0
 
-    def test_list_edits_do_not_reach_the_next_call(self):
+    def test_hit_returns_the_same_dataset(self):
         first = self.dataset()
-        samples = list(first)
-        first.append(first[0])
-        del first[:10]
-        second = self.dataset()
-        assert len(second) == len(samples)
-        assert all(a is b for a, b in zip(second, samples))
+        assert self.dataset() is first
+        assert self.hits_misses() == (1, 1)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda d: d.append(d[0]), AttributeError),
+        (lambda d: operator.setitem(d, 0, d[1]), TypeError),
+        (lambda d: operator.delitem(d, slice(0, 10)), TypeError),
+        (lambda d: d.reverse(), AttributeError),
+        (lambda d: d.sort(key=lambda s: s[0].u_px), AttributeError),
+    ], ids=["append", "setitem", "delitem", "reverse", "sort"])
+    def test_dataset_cannot_be_edited(self, edit, error):
+        dataset = self.dataset()
+        with pytest.raises(error):
+            edit(dataset)
+        assert self.dataset() is dataset
 
     @pytest.mark.parametrize("change", [
         dict(seed=1), dict(sigma_u=1.0), dict(cam=CameraModel.from_fov(np.deg2rad(60.0)))])
@@ -320,7 +330,7 @@ class TestRegressionMemo:
         nudged = dataclasses.replace(
             f, body_len_px=float(np.nextafter(f.body_len_px, np.inf)))
         fit_regression(dataset)
-        fit_regression(dataset[:17] + [(nudged, p)] + dataset[18:])
+        fit_regression([*dataset[:17], (nudged, p), *dataset[18:]])
         info = perception._fit_arrays.cache_info()
         assert (info.hits, info.misses) == (0, 2)
 
@@ -339,19 +349,6 @@ class TestRegressionMemo:
         assert keyed == []
         assert fit_regression(list(made)) is first  # a plain list is keyed from its samples
         assert keyed == [len(made)]
-
-    @pytest.mark.parametrize("edit", [
-        lambda d: d.append(d[0]),
-        lambda d: d.__setitem__(0, d[1]),
-        lambda d: d.__delitem__(slice(0, 10)),
-        lambda d: d.reverse(),
-        lambda d: d.sort(key=lambda s: s[0].u_px),
-    ], ids=["append", "setitem", "delitem", "reverse", "sort"])
-    def test_edited_dataset_is_keyed_from_its_samples(self, edit):
-        dataset = self.dataset()
-        edit(dataset)
-        assert dataset.fit_key is None
-        assert fit_regression(dataset) is fit_regression(list(dataset))
 
     def test_failures_are_raised_on_every_call(self):
         pose = Pose(np.zeros(3), 0.0)

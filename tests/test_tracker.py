@@ -23,6 +23,7 @@ from aerotrack.tracker import (
     relocation_update,
     step,
 )
+from oracles import free_goal
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,6 +36,41 @@ def lost(t=0.0):
 
 def seen(t=0.0):
     return TargetObservation(position_world=np.zeros(3), timestamp=t, valid=True)
+
+
+class TestFreeGoal:
+    """``_free_goal`` picks the goal the one-point-at-a-time loop picks, to the bit."""
+
+    @pytest.fixture
+    def world(self):
+        return TrackerWorld(Scenario.from_dict(benchmarks.ALL["occlusion_turn"]()))
+
+    @staticmethod
+    def assert_same_goal(world, goal_p):
+        picked = tracker._free_goal(world, goal_p)
+        assert picked.tobytes() == free_goal(world, goal_p).tobytes()
+        return picked
+
+    def test_occupied_goals_match_the_loop(self, world):
+        rng = np.random.default_rng(17)
+        wall_lo, wall_hi = np.array([10.0, 4.0, 1.3]), np.array([10.4, 10.0, 1.3])
+        outside_lo, outside_hi = np.array([24.5, -3.0, 1.3]), np.array([30.0, 19.0, 1.3])
+        for _ in range(20):
+            world.quad_p = np.array([rng.uniform(1.0, 9.5), rng.uniform(1.0, 15.0), 1.3])
+            for lo, hi in ((wall_lo, wall_hi), (outside_lo, outside_hi)):
+                goal_p = rng.uniform(lo, hi)
+                assert world.grid.is_occupied(goal_p)
+                picked = self.assert_same_goal(world, goal_p)
+                assert not world.grid.is_occupied(picked)
+
+    def test_blocked_segment_falls_back_to_the_quadrotor(self, world):
+        world.quad_p = np.array([10.2, 4.5, 1.3])  # inside the wall, like the goal
+        picked = self.assert_same_goal(world, np.array([10.2, 9.5, 1.3]))
+        assert np.array_equal(picked, world.quad_p) and picked is not world.quad_p
+
+    def test_free_goal_is_kept(self, world):
+        goal_p = np.array([5.0, 5.0, 1.3])
+        assert self.assert_same_goal(world, goal_p) is goal_p
 
 
 class TestRelocationUpdate:
@@ -228,6 +264,7 @@ def clear_calibration_caches():
 class TestRegressionSetup:
     def test_second_world_reuses_the_fit(self, monkeypatch):
         clear_calibration_caches()
+        tracker._seed_sequence.cache_clear()
         calls = dict.fromkeys(("solve", "project", "fit"), 0)
 
         def count(module, name, key):
@@ -245,12 +282,27 @@ class TestRegressionSetup:
         scenario = Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]())
         first = TrackerWorld(scenario)
         assert calls == {"solve": 2, "project": 320, "fit": 1}  # depth map, then lateral
+        assert tracker._seed_sequence.cache_info()[:2] == (0, 1)  # (hits, misses)
         calls.update(solve=0, project=0, fit=0)
         second = TrackerWorld(scenario)
         # no dataset rebuild and no solve, but still one fit_regression call per
         # world: perfbench reads one fit span from each world it traces
         assert calls == {"solve": 0, "project": 0, "fit": 1}
         assert second.params is first.params
+        assert tracker._seed_sequence.cache_info()[:2] == (1, 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 300, 2**32 + 5])
+    def test_world_draws_the_default_rng_stream(self, seed):
+        scenario = Scenario.from_dict(dict(benchmarks.ALL["sharp_turn_low"](), seed=seed))
+        drawn = TrackerWorld(scenario).rng.standard_normal(1000)
+        assert drawn.tobytes() == np.random.default_rng(seed).standard_normal(1000).tobytes()
+
+    def test_worlds_draw_from_their_own_generators(self):
+        scenario = Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]())
+        first, second = TrackerWorld(scenario), TrackerWorld(scenario)
+        assert first.rng is not second.rng
+        first.rng.standard_normal(100)
+        assert second.rng.standard_normal() == np.random.default_rng(scenario.seed).standard_normal()
 
 
 # sha256 of the 65-cycle trace CSV at the builtin seed, recorded when the
