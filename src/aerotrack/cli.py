@@ -45,7 +45,11 @@ def _cmd_benchmark(args) -> int:
     scenario_dicts = []
     for p in paths:
         with open(p) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                print(f"{p}: not valid JSON (line {exc.lineno}: {exc.msg})", file=sys.stderr)
+                return 1
         Scenario.from_dict(raw)  # validate early
         scenario_dicts.append(raw)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]

@@ -248,9 +248,9 @@ class MapSpec:
     optional ``zmin``/``zmax``) or ``forest`` (``density`` in trees per m^2,
     ``radius``, optional ``keep_clear`` list of [x, y, r] discs).
 
-    A spec is a value: specs with the same content are equal and hash alike,
-    which is what :func:`build_map` memoizes on. ``from_dict`` copies the
-    obstacle list, and its content must not be edited afterwards.
+    ``from_dict`` copies the obstacle list, and its content must not be
+    edited afterwards: :func:`build_map` rasterizes a spec once and keeps the
+    grid on it.
     """
 
     origin: np.ndarray
@@ -260,19 +260,38 @@ class MapSpec:
     seed: int = 0
 
     @functools.cached_property
-    def _content(self) -> str:
-        """Every field as one JSON text, computed once per spec."""
-        return json.dumps(
-            [np.asarray(self.origin, dtype=float).tolist(), self.resolution,
-             np.asarray(self.dims).tolist(), self.obstacles, self.seed], sort_keys=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, MapSpec):
-            return NotImplemented
-        return self._content == other._content
-
-    def __hash__(self):
-        return hash(self._content)
+    def _grid(self) -> OccupancyGrid:
+        """The read-only grid of :func:`build_map`, rasterized once per spec."""
+        grid = OccupancyGrid(self.origin, self.resolution, self.dims)
+        zmin_map = float(self.origin[2])
+        zmax_map = float(self.origin[2] + self.dims[2] * self.resolution)
+        rng = np.random.default_rng(self.seed)
+        for obs in self.obstacles:
+            kind = obs["type"]
+            if kind == "box":
+                grid.set_occupied_box(np.asarray(obs["min"], float), np.asarray(obs["max"], float))
+            elif kind == "cylinder":
+                _rasterize_cylinder(
+                    grid,
+                    obs["center"],
+                    float(obs["radius"]),
+                    float(obs.get("zmin", zmin_map)),
+                    float(obs.get("zmax", zmax_map)),
+                )
+            elif kind == "forest":
+                extent = self.dims[:2] * self.resolution
+                area = float(extent[0] * extent[1])
+                count = int(round(float(obs["density"]) * area))
+                radius = float(obs["radius"])
+                keep_clear = [np.asarray(c, dtype=float) for c in obs.get("keep_clear", [])]
+                xy = self.origin[:2] + rng.uniform(0.0, 1.0, size=(count, 2)) * extent
+                for tx, ty in xy:
+                    if any(np.hypot(tx - c[0], ty - c[1]) < c[2] + radius for c in keep_clear):
+                        continue
+                    _rasterize_cylinder(grid, (tx, ty), radius, zmin_map, zmax_map)
+        for shared in (grid.occupied, grid.origin, grid.dims):
+            shared.flags.writeable = False
+        return grid
 
     @staticmethod
     def from_dict(raw: dict) -> "MapSpec":
@@ -373,56 +392,13 @@ def _rasterize_cylinder(grid: OccupancyGrid, center, radius: float, zmin: float,
     block[hit, :] = True
 
 
-# Rasterized maps kept per process; each holds one byte per voxel.
-_MAP_CACHE_SIZE = 4
-
-
 def build_map(spec: MapSpec) -> OccupancyGrid:
     """Rasterize a map spec into a grid. Pure function of (spec, seed).
 
-    Grids are memoized per process in ``_rasterized``, an LRU cache of
-    ``_MAP_CACHE_SIZE`` grids keyed on the spec's exact content (origin,
-    resolution, dims, obstacles and seed, serialised once per ``MapSpec``).
-    Every caller of one content gets the same grid, so its ``occupied``,
-    ``origin`` and ``dims`` arrays are read-only: writing to them raises
+    The grid is built on the first call for a spec and kept on that spec, so
+    every caller of one spec gets the same grid. Its ``occupied``, ``origin``
+    and ``dims`` arrays are therefore read-only: writing to them raises
     ``ValueError``. Copy the occupancy into a new ``OccupancyGrid`` to edit
     a map.
     """
-    if not isinstance(spec, MapSpec):
-        spec = MapSpec.from_dict(spec)
-    return _rasterized(spec)
-
-
-@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _rasterized(spec: MapSpec) -> OccupancyGrid:
-    """The read-only grid of :func:`build_map`."""
-    grid = OccupancyGrid(spec.origin, spec.resolution, spec.dims)
-    zmin_map = float(spec.origin[2])
-    zmax_map = float(spec.origin[2] + spec.dims[2] * spec.resolution)
-    rng = np.random.default_rng(spec.seed)
-    for obs in spec.obstacles:
-        kind = obs["type"]
-        if kind == "box":
-            grid.set_occupied_box(np.asarray(obs["min"], float), np.asarray(obs["max"], float))
-        elif kind == "cylinder":
-            _rasterize_cylinder(
-                grid,
-                obs["center"],
-                float(obs["radius"]),
-                float(obs.get("zmin", zmin_map)),
-                float(obs.get("zmax", zmax_map)),
-            )
-        elif kind == "forest":
-            extent = spec.dims[:2] * spec.resolution
-            area = float(extent[0] * extent[1])
-            count = int(round(float(obs["density"]) * area))
-            radius = float(obs["radius"])
-            keep_clear = [np.asarray(c, dtype=float) for c in obs.get("keep_clear", [])]
-            xy = spec.origin[:2] + rng.uniform(0.0, 1.0, size=(count, 2)) * extent
-            for tx, ty in xy:
-                if any(np.hypot(tx - c[0], ty - c[1]) < c[2] + radius for c in keep_clear):
-                    continue
-                _rasterize_cylinder(grid, (tx, ty), radius, zmin_map, zmax_map)
-    for shared in (grid.occupied, grid.origin, grid.dims):
-        shared.flags.writeable = False
-    return grid
+    return spec._grid

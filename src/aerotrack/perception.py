@@ -257,11 +257,12 @@ def _lateral_resid_jac(u, x_hat, y_gt):
     return fn
 
 
-# Fits kept per process; each holds one small RegressionParams.
-_FIT_CACHE_SIZE = 8
+# Random starts per map of the regression fit, drawn from a fixed seed.
+_FIT_STARTS = 16
+_FIT_SEED = 0
 
 
-def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionParams:
+def fit_regression(dataset) -> RegressionParams:
     """Fit the localization regression from (ImageFeatures, camera-frame truth) pairs.
 
     Multi-start damped Gauss-Newton on each of the two maps; the depth map is
@@ -269,92 +270,75 @@ def fit_regression(dataset, n_starts: int = 16, seed: int = 0) -> RegressionPara
     a map advance in lockstep through one batched solve per iteration, each
     with its own damping and stopping test. The lowest residual wins, ties
     broken by the lowest parameter norm, then by start order.
-    Raises FitDiverged when no start converges or the dataset is rank
-    deficient (for example, all samples at a single range).
+    Raises FitDiverged when the dataset has fewer than 8 samples, no start
+    converges or the dataset is rank deficient (for example, all samples at a
+    single range).
 
-    Results are memoized per process in ``_fit_arrays``, an LRU cache of
-    ``_FIT_CACHE_SIZE`` fits keyed on ``(L.tobytes(), u.tobytes(),
-    truth.tobytes(), truth.shape, n_starts, seed)``: the exact inputs, so a
-    hit is bit-identical to a fresh fit. Failures are not cached. A list of
-    samples has its arrays and key built on every call. The immutable
-    :class:`CalibrationDataset` from :func:`make_calibration_dataset` carries
-    the key built once with it, so a hit on it reads none of its samples.
-    Nothing caches above this function, so each caller still makes one
-    ``fit_regression`` call per fit it needs.
+    The fit is :attr:`CalibrationDataset.params`, computed once per dataset;
+    any other sequence of samples is wrapped in a new ``CalibrationDataset``
+    and fitted afresh. Failures are not kept, so they are raised on every
+    call.
     """
-    if len(dataset) < 8:
-        raise FitDiverged(f"dataset of {len(dataset)} samples is too small to fit")
-    key = getattr(dataset, "fit_key", None) or _fit_key(dataset)
-    return _fit_arrays(*key, n_starts, seed)
+    if not isinstance(dataset, CalibrationDataset):
+        dataset = CalibrationDataset(dataset)
+    return dataset.params
 
 
-def _fit_key(dataset) -> tuple:
-    """``(L, u, truth)`` of a dataset as raw bytes, plus the truth shape."""
-    L = np.array([f.body_len_px for f, _ in dataset], dtype=float)
-    u = np.array([f.u_px for f, _ in dataset], dtype=float)
-    truth = np.array([np.asarray(p, dtype=float) for _, p in dataset])
-    return L.tobytes(), u.tobytes(), truth.tobytes(), truth.shape
+class CalibrationDataset(tuple):
+    """An immutable tuple of calibration samples that keeps its own fit.
 
+    ``params`` is the :func:`fit_regression` result of these samples,
+    computed on first use and kept on the dataset; a tuple cannot be edited,
+    so it stays true.
+    """
 
-@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
-def _fit_arrays(L_bytes: bytes, u_bytes: bytes, truth_bytes: bytes, truth_shape: tuple,
-                n_starts: int, seed: int) -> RegressionParams:
-    """The fit of :func:`fit_regression` on its arrays, passed as raw bytes."""
-    L = np.frombuffer(L_bytes)
-    u = np.frombuffer(u_bytes)
-    truth = np.frombuffer(truth_bytes).reshape(truth_shape)
-    x_gt, y_gt, z_gt = truth[:, 0], truth[:, 1], truth[:, 2]
-    rng = np.random.default_rng(seed)
+    @functools.cached_property
+    def params(self) -> RegressionParams:
+        """The regression fit of these samples, described at :func:`fit_regression`."""
+        if len(self) < 8:
+            raise FitDiverged(f"dataset of {len(self)} samples is too small to fit")
+        L = np.array([f.body_len_px for f, _ in self], dtype=float)
+        u = np.array([f.u_px for f, _ in self], dtype=float)
+        truth = np.array([np.asarray(p, dtype=float) for _, p in self])
+        x_gt, y_gt, z_gt = truth[:, 0], truth[:, 1], truth[:, 2]
+        rng = np.random.default_rng(_FIT_SEED)
 
-    # depth map starts: exponent pairs log-uniform, amplitudes by linear solve
-    depth_starts = []
-    for _ in range(n_starts):
-        k = -np.exp(rng.uniform(np.log(1e-3), np.log(0.2), 2))
-        A = np.column_stack([np.exp(k[0] * L), np.exp(k[1] * L)])
-        lam, *_ = np.linalg.lstsq(A, x_gt, rcond=None)
-        depth_starts.append(np.array([lam[0], lam[1], k[0], k[1]]))
-    cost_x, p_x, J_x = _best_start(_depth_resid_jac(L, x_gt), depth_starts)
+        # depth map starts: exponent pairs log-uniform, amplitudes by linear solve
+        depth_starts = []
+        for _ in range(_FIT_STARTS):
+            k = -np.exp(rng.uniform(np.log(1e-3), np.log(0.2), 2))
+            A = np.column_stack([np.exp(k[0] * L), np.exp(k[1] * L)])
+            lam, *_ = np.linalg.lstsq(A, x_gt, rcond=None)
+            depth_starts.append(np.array([lam[0], lam[1], k[0], k[1]]))
+        cost_x, p_x, J_x = _best_start(_depth_resid_jac(L, x_gt), depth_starts)
 
-    sv = np.linalg.svd(J_x, compute_uv=False)
-    if sv[-1] < 1e-10 * sv[0]:
-        raise FitDiverged("depth regression is rank deficient "
-                          "(dataset does not span a range band)")
+        sv = np.linalg.svd(J_x, compute_uv=False)
+        if sv[-1] < 1e-10 * sv[0]:
+            raise FitDiverged("depth regression is rank deficient "
+                              "(dataset does not span a range band)")
 
-    x_hat = p_x[0] * np.exp(p_x[2] * L) + p_x[1] * np.exp(p_x[3] * L)
+        x_hat = p_x[0] * np.exp(p_x[2] * L) + p_x[1] * np.exp(p_x[3] * L)
 
-    # lateral map starts: fit y/x_hat as a difference of exponentials in u
-    ratio = y_gt / np.maximum(x_hat, 1e-6)
-    lateral_starts = []
-    for _ in range(n_starts):
-        k = rng.uniform(-5e-3, 5e-3, 2)
-        A = np.column_stack([np.exp(k[0] * u), np.exp(k[1] * u)])
-        lam, *_ = np.linalg.lstsq(A, ratio, rcond=None)
-        lateral_starts.append(np.array([lam[0], lam[1], k[0], k[1], 1.0, 0.0]))
-    cost_y, p_y, _ = _best_start(_lateral_resid_jac(u, x_hat, y_gt), lateral_starts)
+        # lateral map starts: fit y/x_hat as a difference of exponentials in u
+        ratio = y_gt / np.maximum(x_hat, 1e-6)
+        lateral_starts = []
+        for _ in range(_FIT_STARTS):
+            k = rng.uniform(-5e-3, 5e-3, 2)
+            A = np.column_stack([np.exp(k[0] * u), np.exp(k[1] * u)])
+            lam, *_ = np.linalg.lstsq(A, ratio, rcond=None)
+            lateral_starts.append(np.array([lam[0], lam[1], k[0], k[1], 1.0, 0.0]))
+        cost_y, p_y, _ = _best_start(_lateral_resid_jac(u, x_hat, y_gt), lateral_starts)
 
-    rms = float(np.sqrt((cost_x + cost_y) / len(L)))
-    return RegressionParams(
-        lam1=p_x[0], lam2=p_x[1], k1=p_x[2], k2=p_x[3],
-        lam3=p_y[0], lam4=p_y[1], k3=p_y[2], k4=p_y[3], a=p_y[4], b=p_y[5],
-        z_const=float(np.mean(z_gt)), rms_residual=rms,
-    )
+        rms = float(np.sqrt((cost_x + cost_y) / len(L)))
+        return RegressionParams(
+            lam1=p_x[0], lam2=p_x[1], k1=p_x[2], k2=p_x[3],
+            lam3=p_y[0], lam4=p_y[1], k3=p_y[2], k4=p_y[3], a=p_y[4], b=p_y[5],
+            z_const=float(np.mean(z_gt)), rms_residual=rms,
+        )
 
 
 # Calibration datasets kept per process; each holds a few hundred samples.
 _DATASET_CACHE_SIZE = 8
-
-
-class CalibrationDataset(tuple):
-    """An immutable tuple of calibration samples that carries their fit key.
-
-    ``fit_key`` is the :func:`fit_regression` memo key of these samples,
-    built once with the dataset; a tuple cannot be edited, so it stays true.
-    """
-
-    def __new__(cls, samples):
-        dataset = super().__new__(cls, samples)
-        dataset.fit_key = _fit_key(dataset)
-        return dataset
 
 
 def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
@@ -373,9 +357,9 @@ def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
     ``range_band`` as a tuple. The dataset is a pure function of those
     arguments, so a hit equals a fresh build. A hit returns the memoized
     :class:`CalibrationDataset` itself: a tuple of frozen ``ImageFeatures``
-    and read-only truth arrays that carries its fit key, so no caller can
-    change what a later call returns, and :func:`fit_regression` on it costs
-    O(1) on a hit. Make a list of it to edit a dataset.
+    and read-only truth arrays that keeps its fit once made, so no caller
+    can change what a later call returns, and :func:`fit_regression` on it
+    costs O(1) after the first. Make a list of it to edit a dataset.
     """
     return _calibration_samples(cam, body_len, n, tuple(range_band), seed,
                                 sigma_u, sigma_len)

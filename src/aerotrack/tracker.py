@@ -18,6 +18,7 @@ than the search's goal tolerance, the last attempt failed, or less than
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -116,7 +117,7 @@ class Metrics:
     max_target_distance: float = 0.0
     los_fraction: float = 0.0
     loss_episodes: int = 0
-    mean_relocation_time: float = float("nan")
+    mean_relocation_time: float | None = None  # None when no relocation ended
     relocation_times: list = field(default_factory=list)
     cycles: int = 0
     plan_failures: int = 0
@@ -137,12 +138,12 @@ class TrackerWorld:
         self.grid = build_map(scenario.map_spec)
         self.dt = 1.0 / scenario.tracker.replan_hz
         self.rng = np.random.Generator(np.random.PCG64(_seed_sequence(scenario.seed)))
-        # build_map memoizes one read-only grid per map content,
-        # make_calibration_dataset one immutable dataset per calibration
-        # config (camera, body length, noise sigmas), and fit_regression the
-        # fit on its key, so a later world in the same process rebuilds
-        # none of them. Both calls stay one per world because perfbench
-        # times each world's build_map and fit_regression spans.
+        # The map spec keeps its read-only grid, make_calibration_dataset
+        # memoizes one immutable dataset per calibration config (camera, body
+        # length, noise sigmas) and that dataset keeps its fit, so a later
+        # world of the same scenario rebuilds none of them. Both calls stay
+        # one per world because perfbench times each world's build_map and
+        # fit_regression spans.
         cfg = scenario.perception
         self.params = fit_regression(make_calibration_dataset(
             cfg.camera, cfg.body_len, n=320, seed=0,
@@ -184,9 +185,15 @@ class TrackerWorld:
     def _time(self) -> float:
         return self.cycle * self.dt
 
-    def _stage(self, name: str, t0: float):
-        self.stage_totals[name] = self.stage_totals.get(name, 0.0) + (
-            time.perf_counter() - t0) * 1000.0
+    @contextlib.contextmanager
+    def _stage(self, name: str):
+        """Add the wall time of the block to stage ``name``, also when it raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stage_totals[name] = self.stage_totals.get(name, 0.0) + (
+                time.perf_counter() - t0) * 1000.0
 
 
 @functools.lru_cache(maxsize=_SEED_CACHE_SIZE)
@@ -290,31 +297,30 @@ def step(world: TrackerWorld) -> TrackerWorld:
     target_p, target_v = sc.target.state(t_now)
 
     # gimbal step using the previous frame's pixel coordinate
-    t0 = time.perf_counter()
-    allow_search = world.variant != "no_gimbal_search"
-    if world.mode.mode == RELOCATING and allow_search:
-        world.gimbal = gimbal_search_step(world.gimbal, dt, sc.perception.omega_search)
-    elif world.last_u is not None and world.mode.mode == TRACKING:
-        world.gimbal = gimbal_track_step(
-            world.gimbal, world.last_u, sc.perception.camera, dt,
-            kp=sc.perception.kp, ki=sc.perception.ki)
+    with world._stage("perception"):
+        allow_search = world.variant != "no_gimbal_search"
+        if world.mode.mode == RELOCATING and allow_search:
+            world.gimbal = gimbal_search_step(world.gimbal, dt, sc.perception.omega_search)
+        elif world.last_u is not None and world.mode.mode == TRACKING:
+            world.gimbal = gimbal_track_step(
+                world.gimbal, world.last_u, sc.perception.camera, dt,
+                kp=sc.perception.kp, ki=sc.perception.ki)
 
-    # synthetic perception
-    cam_pose = Pose(
-        position=world.quad_p + np.array([0.0, 0.0, sc.perception.camera.mount_height]),
-        yaw=world.gimbal.yaw)
-    feats = project_target(
-        target_p, sc.perception.body_len, sc.perception.camera, cam_pose,
-        timestamp=t_now, grid=world.grid,
-        sigma_u=sc.perception.sigma_u, sigma_len=sc.perception.sigma_len,
-        rng=world.rng)
-    if feats is not None:
-        obs = localize(feats, world.params, cam_pose)
-        world.last_u = feats.u_px
-    else:
-        obs = TargetObservation.invalid(t_now)
-        world.last_u = None
-    world._stage("perception", t0)
+        # synthetic perception
+        cam_pose = Pose(
+            position=world.quad_p + np.array([0.0, 0.0, sc.perception.camera.mount_height]),
+            yaw=world.gimbal.yaw)
+        feats = project_target(
+            target_p, sc.perception.body_len, sc.perception.camera, cam_pose,
+            timestamp=t_now, grid=world.grid,
+            sigma_u=sc.perception.sigma_u, sigma_len=sc.perception.sigma_len,
+            rng=world.rng)
+        if feats is not None:
+            obs = localize(feats, world.params, cam_pose)
+            world.last_u = feats.u_px
+        else:
+            obs = TargetObservation.invalid(t_now)
+            world.last_u = None
 
     # mode machine
     was_relocating = world.mode.mode == RELOCATING
@@ -326,18 +332,17 @@ def step(world: TrackerWorld) -> TrackerWorld:
         world.relocation_times.append(world.mode.time_since_loss + dt)
 
     # prediction update
-    t0 = time.perf_counter()
-    if obs.valid:
-        world.observations.append(obs)
-    horizon_cut = t_now - sc.prediction.window
-    world.observations = [o for o in world.observations if o.timestamp >= horizon_cut - 1e-9]
-    if world.mode.mode == TRACKING and obs.valid:
-        try:
-            world.prediction = fit_predicted_trajectory(
-                world.observations, t_now, sc.prediction)
-        except InsufficientData:
-            pass
-    world._stage("prediction", t0)
+    with world._stage("prediction"):
+        if obs.valid:
+            world.observations.append(obs)
+        horizon_cut = t_now - sc.prediction.window
+        world.observations = [o for o in world.observations if o.timestamp >= horizon_cut - 1e-9]
+        if world.mode.mode == TRACKING and obs.valid:
+            try:
+                world.prediction = fit_predicted_trajectory(
+                    world.observations, t_now, sc.prediction)
+            except InsufficientData:
+                pass
 
     # plan: search, corridor, optimize
     plan_ok = False
@@ -351,20 +356,17 @@ def step(world: TrackerWorld) -> TrackerWorld:
     elif goal is not None:
         start = KinoState(p=world.quad_p.copy(), v=world.quad_v.copy())
         try:
-            t0 = time.perf_counter()
-            path = kino_search.search(start, world.grid, world.search_w, goal, occl_target)
-            world._stage("search", t0)
+            with world._stage("search"):
+                path = kino_search.search(start, world.grid, world.search_w, goal, occl_target)
 
-            t0 = time.perf_counter()
-            cor = corridor_mod.build_corridor(path, world.grid)
-            world._stage("corridor", t0)
+            with world._stage("corridor"):
+                cor = corridor_mod.build_corridor(path, world.grid)
 
-            t0 = time.perf_counter()
-            bc = traj_opt.BoundaryConditions(
-                p0=world.quad_p, v0=world.quad_v, a0=world.quad_a,
-                p1=path.end_state.p, v1=path.end_state.v, a1=np.zeros(3))
-            traj = traj_opt.optimize(cor, bc, sc.opt)
-            world._stage("optimize", t0)
+            with world._stage("optimize"):
+                bc = traj_opt.BoundaryConditions(
+                    p0=world.quad_p, v0=world.quad_v, a0=world.quad_a,
+                    p1=path.end_state.p, v1=path.end_state.v, a1=np.zeros(3))
+                traj = traj_opt.optimize(cor, bc, sc.opt)
             world.trajectory = traj
             world.traj_clock = 0.0
             world.plan_goal = goal.p
@@ -444,7 +446,7 @@ def run_scenario(scenario: Scenario, variant: str = "full") -> tuple[Metrics, li
         loss_episodes=world.loss_episodes,
         relocation_times=list(world.relocation_times),
         mean_relocation_time=(float(np.mean(world.relocation_times))
-                              if world.relocation_times else float("nan")),
+                              if world.relocation_times else None),
         cycles=world.cycle,
         plan_failures=world.plan_failures,
         stage_ms={k: v / max(world.cycle, 1) for k, v in world.stage_totals.items()},

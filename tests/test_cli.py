@@ -88,6 +88,17 @@ class TestRun:
         assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
         assert "replan_hz" in capsys.readouterr().err
 
+    def test_metrics_are_strict_json(self, tmp_path, capsys):
+        raw = dict(benchmarks.ALL["occlusion_turn"](), duration=1.0)  # no relocation ends
+        main(["run", write_json(tmp_path / "short.json", raw)])
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        metrics = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert metrics["relocation_times"] == []
+        assert metrics["mean_relocation_time"] is None
+
 
 class TestBenchmark:
     def test_one_scenario_prints_the_table_and_writes_one_row_per_run(self, tmp_path, capsys):
@@ -119,6 +130,16 @@ class TestBenchmark:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "unknown variant 'bogus'; choose from full, no_occlusion_penalty, no_gimbal_search"]
+
+    def test_malformed_scenario_json_exits_1(self, tmp_path, capsys):
+        benchmarks.write_all(tmp_path)
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"name": ')
+        assert main(["benchmark", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{broken}: not valid JSON")
 
     @pytest.mark.parametrize("runs", ["0", "-1"])
     def test_runs_below_one_exit_1(self, tmp_path, capsys, runs):

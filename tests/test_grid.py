@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aerotrack import benchmarks, grid, tracker
+from aerotrack import benchmarks, tracker
 from aerotrack.errors import InvalidSpec, SeedOccupied
 from aerotrack.grid import MapSpec, OccupancyGrid, build_map
 from aerotrack.scenario import Scenario
@@ -280,8 +280,7 @@ class TestBuildMap:
 
     def test_build_peak_memory_per_voxel(self):
         # one byte of occupancy per voxel and no full-grid temporaries
-        spec = MapSpec.from_dict(benchmarks.ALL["sharp_turn_low"]()["map"])
-        grid._rasterized.cache_clear()  # measure a rasterization, not a memo hit
+        spec = MapSpec.from_dict(benchmarks.ALL["sharp_turn_low"]()["map"])  # not rasterized yet
         tracemalloc.start()
         try:
             g = build_map(spec)
@@ -316,28 +315,20 @@ FOREST_MAP = {
 
 
 class TestMapMemo:
-    """``build_map`` rasterizes each map content once and shares a read-only grid."""
-
-    @pytest.fixture(autouse=True)
-    def cold_map_cache(self):
-        grid._rasterized.cache_clear()
+    """A ``MapSpec`` rasterizes once and shares its read-only grid."""
 
     def test_worlds_of_one_scenario_share_a_read_only_grid(self):
         scenario = Scenario.from_dict(benchmarks.ALL["occlusion_turn"]())
         first, second = tracker.TrackerWorld(scenario), tracker.TrackerWorld(scenario)
         assert first.grid is second.grid
-        again = Scenario.from_dict(benchmarks.ALL["occlusion_turn"]())
-        assert tracker.TrackerWorld(again).grid is first.grid
-        info = grid._rasterized.cache_info()
-        assert (info.hits, info.misses) == (2, 1)
         for shared in (first.grid.occupied, first.grid.origin, first.grid.dims):
             with pytest.raises(ValueError):
                 shared[0] = 0
 
     def test_hit_equals_cold_rasterization(self):
-        shared = build_map(MapSpec.from_dict(FOREST_MAP))
-        assert build_map(FOREST_MAP) is shared
-        grid._rasterized.cache_clear()
+        spec = MapSpec.from_dict(FOREST_MAP)
+        shared = build_map(spec)
+        assert build_map(spec) is shared
         fresh = build_map(MapSpec.from_dict(FOREST_MAP))
         assert fresh is not shared
         assert np.array_equal(fresh.occupied, shared.occupied)
@@ -355,11 +346,12 @@ class TestMapMemo:
         shared = build_map(MapSpec.from_dict(FOREST_MAP))
         other = build_map(MapSpec.from_dict(dict(FOREST_MAP, **change)))
         assert other is not shared
-        assert grid._rasterized.cache_info().misses == 2
+        assert not np.array_equal(other.occupied, shared.occupied)
 
     def test_spec_does_not_alias_the_callers_obstacles(self):
         raw = json.loads(json.dumps(FOREST_MAP))
         spec = MapSpec.from_dict(raw)
         raw["obstacles"][0]["max"][1] = 2.0
-        assert spec == MapSpec.from_dict(FOREST_MAP)
-        assert spec != MapSpec.from_dict(raw)
+        assert spec.obstacles == FOREST_MAP["obstacles"]
+        assert np.array_equal(build_map(spec).occupied,
+                              build_map(MapSpec.from_dict(FOREST_MAP)).occupied)

@@ -27,9 +27,8 @@ BODY_LEN = 0.45
 
 @pytest.fixture(autouse=True)
 def cold_fit_cache():
-    """Every test starts with no memoized dataset or fit, so both really run."""
+    """Every test starts with no memoized dataset, so the dataset and its fit really run."""
     perception._calibration_samples.cache_clear()
-    perception._fit_arrays.cache_clear()
 
 
 @pytest.fixture
@@ -308,58 +307,60 @@ class TestCalibrationDatasetMemo:
 
 
 class TestRegressionMemo:
-    """``fit_regression`` reuses a fit only for byte-identical inputs."""
+    """A ``CalibrationDataset`` fits once and keeps its fit."""
 
     @staticmethod
     def dataset():
         return make_calibration_dataset(
             DEFAULT_CAMERA, BODY_LEN, n=320, seed=0, sigma_u=2.0, sigma_len=2.0)
 
-    def test_hit_equals_cold_fit(self):
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        real = perception._lockstep_gauss_newton
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(perception, "_lockstep_gauss_newton", counted)
+        return calls
+
+    def test_hit_equals_cold_fit(self, monkeypatch):
+        solves = self.count_solves(monkeypatch)
         first = fit_regression(self.dataset())
         hit = fit_regression(self.dataset())
-        info = perception._fit_arrays.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        assert len(solves) == 2  # depth map, then lateral; the hit solves nothing
         assert hit is first
-        perception._fit_arrays.cache_clear()
+        perception._calibration_samples.cache_clear()
         assert hit == fit_regression(self.dataset())
-
-    def test_one_ulp_in_one_sample_misses(self):
-        dataset = self.dataset()
-        f, p = dataset[17]
-        nudged = dataclasses.replace(
-            f, body_len_px=float(np.nextafter(f.body_len_px, np.inf)))
-        fit_regression(dataset)
-        fit_regression([*dataset[:17], (nudged, p), *dataset[18:]])
-        info = perception._fit_arrays.cache_info()
-        assert (info.hits, info.misses) == (0, 2)
+        assert len(solves) == 4
 
     def test_hit_on_a_made_dataset_reads_no_sample(self, monkeypatch):
-        first = fit_regression(self.dataset())
-        keyed = []
-        real_key = perception._fit_key
-
-        def counted(dataset):
-            keyed.append(len(dataset))
-            return real_key(dataset)
-
-        monkeypatch.setattr(perception, "_fit_key", counted)
         made = self.dataset()
+        first = fit_regression(made)
+        plain = list(made)
+        reads = []
+        monkeypatch.setattr(perception.CalibrationDataset, "__iter__",
+                            lambda d: reads.append(len(d)) or tuple.__iter__(d))
         assert fit_regression(made) is first
-        assert keyed == []
-        assert fit_regression(list(made)) is first  # a plain list is keyed from its samples
-        assert keyed == [len(made)]
+        assert reads == []
+        refit = fit_regression(plain)  # a plain list is fitted from its samples
+        assert refit is not first and refit == first
+        assert reads
 
-    def test_failures_are_raised_on_every_call(self):
+    def test_failures_are_raised_on_every_call(self, monkeypatch):
         pose = Pose(np.zeros(3), 0.0)
         samples = []
         for i in range(10):
             target = np.array([3.0, 0.1 * i - 0.5, 1.0])
             samples.append((project_target(target, BODY_LEN, DEFAULT_CAMERA, pose), target))
+        dataset = perception.CalibrationDataset(samples)
+        solves = self.count_solves(monkeypatch)
         for _ in range(2):
             with pytest.raises(FitDiverged, match="rank deficient"):
-                fit_regression(samples)
-        assert perception._fit_arrays.cache_info().misses == 2
+                fit_regression(dataset)
+        assert len(solves) == 2  # one depth solve per call, then the rank check raises
 
     def test_params_are_frozen(self, fitted_params):
         with pytest.raises(dataclasses.FrozenInstanceError):

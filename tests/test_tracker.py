@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -139,10 +140,12 @@ class TestStageFailures:
             step(world)
         return world
 
-    @pytest.mark.parametrize("module, stage, error", [
+    planning_failures = pytest.mark.parametrize("module, stage, error", [
         (kino_search, "search", NoPath("start is enclosed")),
         (traj_opt, "optimize", TrajectoryLeftCorridor("left at every barrier weight")),
     ], ids=["search", "optimize"])
+
+    @planning_failures
     def test_planning_failure_is_named(self, monkeypatch, module, stage, error):
         world = self.planning_world()
         failures = world.plan_failures
@@ -158,6 +161,19 @@ class TestStageFailures:
         assert world.plan_failures == failures + 1
         assert world.trace_rows[-1][TRACE_COLUMNS.index("plan_ok")] == 0
         assert world.trajectory is held  # the previous trajectory is flown on
+
+    @planning_failures
+    def test_failed_stage_time_is_counted(self, monkeypatch, module, stage, error):
+        world = self.planning_world()
+        before = world.stage_totals.get(stage, 0.0)
+
+        def failing(*args, **kwargs):
+            time.sleep(0.02)
+            raise error
+
+        monkeypatch.setattr(module, stage, failing)
+        step(world)
+        assert world.stage_totals[stage] - before >= 20.0  # ms
 
 
 @pytest.fixture(scope="module")
@@ -256,16 +272,15 @@ class TestBenchmark:
 
 
 def clear_calibration_caches():
-    """Forget every memoized calibration dataset and fit."""
+    """Forget every memoized calibration dataset, and with it the dataset's fit."""
     perception._calibration_samples.cache_clear()
-    perception._fit_arrays.cache_clear()
 
 
 class TestRegressionSetup:
     def test_second_world_reuses_the_fit(self, monkeypatch):
         clear_calibration_caches()
         tracker._seed_sequence.cache_clear()
-        calls = dict.fromkeys(("solve", "project", "fit"), 0)
+        calls = dict.fromkeys(("solve", "project", "fit", "map"), 0)
 
         def count(module, name, key):
             real = getattr(module, name)
@@ -279,16 +294,20 @@ class TestRegressionSetup:
         count(perception, "_lockstep_gauss_newton", "solve")
         count(perception, "project_target", "project")
         count(tracker, "fit_regression", "fit")
+        count(tracker, "build_map", "map")
         scenario = Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]())
         first = TrackerWorld(scenario)
-        assert calls == {"solve": 2, "project": 320, "fit": 1}  # depth map, then lateral
+        # depth map, then lateral
+        assert calls == {"solve": 2, "project": 320, "fit": 1, "map": 1}
         assert tracker._seed_sequence.cache_info()[:2] == (0, 1)  # (hits, misses)
-        calls.update(solve=0, project=0, fit=0)
+        calls.update(solve=0, project=0, fit=0, map=0)
         second = TrackerWorld(scenario)
-        # no dataset rebuild and no solve, but still one fit_regression call per
-        # world: perfbench reads one fit span from each world it traces
-        assert calls == {"solve": 0, "project": 0, "fit": 1}
+        # no dataset rebuild, no solve and no rasterizing, but still one
+        # fit_regression and one build_map call per world: perfbench reads
+        # one fit span and one map span from each world it traces
+        assert calls == {"solve": 0, "project": 0, "fit": 1, "map": 1}
         assert second.params is first.params
+        assert second.grid is first.grid
         assert tracker._seed_sequence.cache_info()[:2] == (1, 1)
 
     @pytest.mark.parametrize("seed", [0, 1, 300, 2**32 + 5])
@@ -321,12 +340,12 @@ class TestGoldenTrace:
     def test_trace_digest(self, name, fit):
         scenario = Scenario.from_dict(benchmarks.ALL[name]())
         clear_calibration_caches()
-        if fit == "cached":
-            TrackerWorld(scenario)
+        first = TrackerWorld(scenario) if fit == "cached" else None
         world = TrackerWorld(scenario)
         hits = 1 if fit == "cached" else 0
         assert perception._calibration_samples.cache_info().hits == hits
-        assert perception._fit_arrays.cache_info().hits == hits
+        if first is not None:
+            assert world.params is first.params
         for _ in range(65):
             step(world)
         digest = hashlib.sha256(format_trace_csv(world.trace_rows).encode()).hexdigest()
