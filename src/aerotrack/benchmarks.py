@@ -166,8 +166,6 @@ def benchmark(scenario_dicts: list, variants: list, n_runs: int,
 
 def benchmark_table(rows: list) -> str:
     """Aligned text table of success counts and aggregate metrics."""
-    if not rows:
-        return "(no benchmark rows)\n"
     groups: dict[tuple, list] = {}
     for r in rows:
         groups.setdefault((r["scenario"], r["variant"]), []).append(r)
@@ -185,10 +183,7 @@ def benchmark_table(rows: list) -> str:
 
 
 def write_benchmark_csv(rows: list, path) -> None:
-    if not rows:
-        with open(path, "w") as fh:
-            fh.write("")
-        return
+    """One CSV line per row of a benchmark; ``rows`` is not empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -1,7 +1,7 @@
 """Command line front end: run scenarios, benchmarks, fits, and map builds.
 
 Exit codes: 0 on success, 2 when a scenario run fails its success criteria,
-1 on input or runtime errors.
+1 on input or runtime errors, which print one line to stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import benchmark, benchmark_table, write_benchmark_csv
-from .errors import FitDiverged, InvalidScenario, InvalidSpec, UnknownVariant
+from .errors import (
+    FitDiverged, InvalidInput, InvalidScenario, is_number, is_numbers, key_problems, read_json)
 from .grid import MapSpec, build_map
 from .perception import ImageFeatures, fit_regression
 from .scenario import Scenario
@@ -35,24 +36,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     if args.runs < 1:
-        print(f"--runs must be at least 1, got {args.runs}", file=sys.stderr)
-        return 1
+        raise InvalidInput(f"--runs must be at least 1, got {args.runs}")
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise InvalidInput(f"--variants names no variant, got {args.variants!r}")
     directory = Path(args.scenario_dir)
     paths = sorted(directory.glob("*.json"))
     if not paths:
-        print(f"no scenario files in {directory}", file=sys.stderr)
-        return 1
-    scenario_dicts = []
-    for p in paths:
-        with open(p) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                print(f"{p}: not valid JSON (line {exc.lineno}: {exc.msg})", file=sys.stderr)
-                return 1
+        raise InvalidInput(f"no scenario files in {directory}")
+    scenario_dicts = [read_json(p, InvalidScenario) for p in paths]
+    for raw in scenario_dicts:
         Scenario.from_dict(raw)  # validate early
-        scenario_dicts.append(raw)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     rows = benchmark(scenario_dicts, variants, args.runs, workers=args.workers)
     print(benchmark_table(rows), end="")
     if args.out:
@@ -60,35 +54,31 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
+# what each calibration sample holds: key -> (required, predicate, what it expects)
+_SAMPLE_KEYS = {
+    "L": (True, is_number, "a finite number"),
+    "u": (True, is_number, "a finite number"),
+    "t": (False, is_number, "a finite number"),
+    "p_cam": (True, lambda x: is_numbers(x, 3), "3 finite numbers"),
+}
+
+
 def _cmd_fit_regression(args) -> int:
-    with open(args.dataset) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            print(f"{args.dataset}: not valid JSON (line {exc.lineno}: {exc.msg})",
-                  file=sys.stderr)
-            return 1
+    raw = read_json(args.dataset, InvalidInput)
     if not (isinstance(raw, dict) and isinstance(raw.get("samples"), list)):
-        print(f"{args.dataset}: expected a JSON object with a 'samples' list", file=sys.stderr)
-        return 1
+        raise InvalidInput(f"{args.dataset}: expected a JSON object with a 'samples' list")
     samples = []
     for i, s in enumerate(raw["samples"]):
-        try:
-            feats = ImageFeatures(
-                body_len_px=float(s["L"]), u_px=float(s["u"]),
-                timestamp=float(s.get("t", i)))
-            p_cam = np.asarray(s["p_cam"], dtype=float)
-            if p_cam.shape != (3,):
-                raise ValueError(f"p_cam: expected 3 numbers, got {s['p_cam']!r}")
-            samples.append((feats, p_cam))
-        except (KeyError, TypeError, ValueError) as exc:
-            print(f"samples[{i}]: {exc}", file=sys.stderr)
-            return 1
+        problems = (key_problems(s, _SAMPLE_KEYS, f"samples[{i}]: ") if isinstance(s, dict)
+                    else [f"samples[{i}]: expected an object"])
+        if problems:
+            raise InvalidInput(problems[0])
+        samples.append((ImageFeatures(float(s["L"]), float(s["u"]), float(s.get("t", i))),
+                         np.asarray(s["p_cam"], dtype=float)))
     try:
         params = fit_regression(samples)
     except FitDiverged as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return 1
+        raise InvalidInput(f"fit failed: {exc}")
     if args.out:
         params.save(args.out)
     print(json.dumps(params.to_dict(), indent=2))
@@ -154,11 +144,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidSpec, InvalidScenario, UnknownVariant) as exc:
+    except InvalidInput as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -1,24 +1,99 @@
-"""Exception types shared across the library, and the one positive-number check."""
+"""Exception types shared across the library, and the checks on outside input.
 
-from math import inf
-from numbers import Real
+Scenario, map spec and dataset files are read by :func:`read_json` and
+checked by the predicates here, which every reader shares.
+"""
+
+import json
+from dataclasses import fields
+from numbers import Integral, Real
+from pathlib import Path
+from sys import float_info
+
+import numpy as np
+
+
+def is_number(x) -> bool:
+    """A finite real number; a bool is not a number here."""
+    return isinstance(x, Real) and not isinstance(x, bool) and abs(x) <= float_info.max
+
+
+def is_positive(x) -> bool:
+    return is_number(x) and x > 0
+
+
+def is_count(x) -> bool:
+    """A non-negative integer that is not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool) and x >= 0
+
+
+def is_numbers(x, n=None) -> bool:
+    """A list, tuple or 1-d array of finite numbers, of length ``n`` when given."""
+    return ((isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim == 1)
+            and all(is_number(c) for c in x) and (n is None or len(x) == n))
 
 
 def require_positive(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is a finite real number > 0 (bools rejected)."""
-    if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < inf):
+    if not is_positive(value):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-class InvalidSpec(ValueError):
+def key_problems(raw: dict, table: dict, where: str = "") -> list:
+    """A message naming ``where`` and the key for each key of ``raw`` that breaks
+    its ``(required, predicate, what it expects)`` row of ``table``."""
+    problems = []
+    for key, (required, ok, expects) in table.items():
+        if key not in raw:
+            if required:
+                problems.append(f"{where}{key}: missing required field")
+        elif not ok(raw[key]):
+            problems.append(f"{where}{key}: expected {expects}, got {raw[key]!r}")
+    return problems
+
+
+# what a config field takes, by its annotation's text (annotations are postponed)
+_FIELD_KINDS = {
+    "float": (is_number, "a finite number"),
+    "int": (is_count, "a non-negative integer"),
+    "bool": (lambda x: isinstance(x, bool), "true or false"),
+    "tuple": (is_numbers, "a list of finite numbers"),
+    "float | None": (lambda x: x is None or is_number(x), "null or a finite number"),
+}
+
+
+def check_fields(config) -> None:
+    """Raise ``ValueError`` at the first field of a config dataclass that breaks
+    its declared type; fields of other types, such as a camera, are skipped."""
+    for f in fields(config):
+        ok, expects = _FIELD_KINDS.get(f.type, (None, None))
+        value = getattr(config, f.name)
+        if ok is not None and not ok(value):
+            raise ValueError(f"{f.name} must be {expects}, got {value!r}")
+
+
+def read_json(path, error: type):
+    """The value of the JSON file at ``path``; bytes that are not UTF-8 JSON
+    raise ``error`` naming the file, and an ``OSError`` passes through."""
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+class InvalidInput(ValueError):
+    """Outside input failed its checks; the message is one line for the user."""
+
+
+class InvalidSpec(InvalidInput):
     """A map spec file or dict failed validation; message lists field paths."""
 
 
-class InvalidScenario(ValueError):
+class InvalidScenario(InvalidInput):
     """A scenario file or dict failed validation."""
 
 
-class UnknownVariant(ValueError):
+class UnknownVariant(InvalidInput):
     """A tracker variant name is neither a variant nor an alias of one."""
 
 
@@ -67,4 +142,4 @@ class DescentFailed(RuntimeError):
 
 
 class TrajectoryLeftCorridor(RuntimeError):
-    """No barrier weight kept the optimized trajectory inside its corridor."""
+    """The optimized trajectory left its corridor."""

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import copy
 import functools
-import json
-import sys
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import InvalidSpec, SeedOccupied
+from .errors import (
+    InvalidSpec, SeedOccupied, is_count, is_number, is_numbers, is_positive, key_problems,
+    read_json)
 
 # Boundary tolerance for supercover corner handling, in voxel units.
 _CORNER_EPS = 1e-7
@@ -213,28 +213,30 @@ class OccupancyGrid:
 # Map construction
 # ----------------------------------------------------------------------
 
-_OBSTACLE_TYPES = ("box", "cylinder", "forest")
-
-
-def _number(x) -> bool:
-    """A finite int or float; a bool is not a number here."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
-
-
-def _positive(x) -> bool:
-    return _number(x) and x > 0
-
-
-def _count(x) -> bool:
-    """A non-negative int that is not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
-def _numbers(x, n=None) -> bool:
-    """A list of finite numbers, of length ``n`` when given."""
-    return (isinstance(x, (list, tuple)) and all(_number(c) for c in x)
-            and (n is None or len(x) == n))
+_vec3 = functools.partial(is_numbers, n=3)
+_POINT = (True, _vec3, "3 finite numbers")
+_POSITIVE = (True, is_positive, "a finite number > 0")
+_Z = (False, is_number, "a finite number")
+# what each key of a map spec holds, and each key of each obstacle type:
+# key -> (required, predicate, what it expects)
+_SPEC_KEYS = {
+    "origin": _POINT,
+    "resolution": _POSITIVE,
+    "dims": (True, lambda x: _vec3(x) and all(is_count(d) and d > 0 for d in x),
+             "3 positive integers"),
+    "seed": (False, is_count, "a non-negative integer"),
+    "obstacles": (False, lambda x: isinstance(x, list), "a list"),
+}
+_OBSTACLE_KEYS = {
+    "box": {"min": _POINT, "max": _POINT},
+    "cylinder": {"center": (True, lambda x: is_numbers(x) and len(x) >= 2,
+                            "at least [x, y], finite"),
+                 "radius": _POSITIVE, "zmin": _Z, "zmax": _Z},
+    "forest": {"density": (True, is_positive, "a finite number > 0 (trees per m^2)"),
+               "radius": _POSITIVE,
+               "keep_clear": (False, lambda x: isinstance(x, list) and all(map(_vec3, x)),
+                              "a list of [x, y, r]")},
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,9 +250,12 @@ class MapSpec:
     optional ``zmin``/``zmax``) or ``forest`` (``density`` in trees per m^2,
     ``radius``, optional ``keep_clear`` list of [x, y, r] discs).
 
-    ``from_dict`` copies the obstacle list, and its content must not be
-    edited afterwards: :func:`build_map` rasterizes a spec once and keeps the
-    grid on it.
+    ``from_dict`` checks each key against its row of ``_SPEC_KEYS`` or of its
+    obstacle type's ``_OBSTACLE_KEYS`` table, with the shared predicates of
+    :mod:`aerotrack.errors`, and lists every broken key by its field path in
+    one ``InvalidSpec``. It copies the obstacle list, and its content must not
+    be edited afterwards: :func:`build_map` rasterizes a spec once and keeps
+    the grid on it.
     """
 
     origin: np.ndarray
@@ -297,74 +302,30 @@ class MapSpec:
     def from_dict(raw: dict) -> "MapSpec":
         if not isinstance(raw, dict):
             raise InvalidSpec("map spec must be a JSON object")
-        problems = []
-        for key in ("origin", "resolution", "dims"):
-            if key not in raw:
-                problems.append(f"{key}: missing required field")
-        origin, resolution, dims = raw.get("origin"), raw.get("resolution"), raw.get("dims")
+        problems = key_problems(raw, _SPEC_KEYS)
         obstacles = raw.get("obstacles", [])
-        seed = raw.get("seed", 0)
-        if "origin" in raw and not _numbers(origin, 3):
-            problems.append("origin: expected 3 finite numbers")
-        if "resolution" in raw and not _positive(resolution):
-            problems.append("resolution: expected a finite number > 0")
-        if "dims" in raw and not (isinstance(dims, (list, tuple)) and len(dims) == 3
-                                  and all(_count(d) and d > 0 for d in dims)):
-            problems.append("dims: expected 3 positive integers")
-        if not isinstance(obstacles, list):
-            problems.append("obstacles: expected a list")
-            obstacles = []
-        if not _count(seed):
-            problems.append("seed: expected a non-negative integer")
-        for i, obs in enumerate(obstacles):
+        for i, obs in enumerate(obstacles if isinstance(obstacles, list) else []):
             where = f"obstacles[{i}]"
             if not isinstance(obs, dict):
                 problems.append(f"{where}: expected an object")
-                continue
-            kind = obs.get("type")
-            if kind not in _OBSTACLE_TYPES:
-                problems.append(f"{where}.type: expected one of {_OBSTACLE_TYPES}, got {kind!r}")
-                continue
-            if kind == "box":
-                for key in ("min", "max"):
-                    if not _numbers(obs.get(key), 3):
-                        problems.append(f"{where}.{key}: expected 3 finite numbers")
-            elif kind == "cylinder":
-                center = obs.get("center")
-                if not (_numbers(center) and len(center) >= 2):
-                    problems.append(f"{where}.center: expected at least [x, y], finite")
-                if not _positive(obs.get("radius")):
-                    problems.append(f"{where}.radius: must be a finite number > 0")
-                for key in ("zmin", "zmax"):
-                    if key in obs and not _number(obs[key]):
-                        problems.append(f"{where}.{key}: expected a finite number")
-            elif kind == "forest":
-                if not _positive(obs.get("density")):
-                    problems.append(f"{where}.density: must be > 0 (trees per m^2)")
-                if not _positive(obs.get("radius")):
-                    problems.append(f"{where}.radius: must be a finite number > 0")
-                keep_clear = obs.get("keep_clear", [])
-                if not (isinstance(keep_clear, list)
-                        and all(_numbers(disc, 3) for disc in keep_clear)):
-                    problems.append(f"{where}.keep_clear: expected a list of [x, y, r]")
+            elif obs.get("type") not in _OBSTACLE_KEYS:
+                problems.append(f"{where}.type: expected one of {tuple(_OBSTACLE_KEYS)}, "
+                                f"got {obs.get('type')!r}")
+            else:
+                problems += key_problems(obs, _OBSTACLE_KEYS[obs["type"]], f"{where}.")
         if problems:
             raise InvalidSpec("invalid map spec:\n  " + "\n  ".join(problems))
         return MapSpec(
-            origin=np.asarray(origin, dtype=float),
-            resolution=float(resolution),
-            dims=np.asarray([int(d) for d in dims]),
+            origin=np.asarray(raw["origin"], dtype=float),
+            resolution=float(raw["resolution"]),
+            dims=np.asarray([int(d) for d in raw["dims"]]),
             obstacles=copy.deepcopy(obstacles),
-            seed=int(seed),
+            seed=int(raw.get("seed", 0)),
         )
 
     @staticmethod
     def from_json(path) -> "MapSpec":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidSpec(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})")
-        return MapSpec.from_dict(raw)
+        return MapSpec.from_dict(read_json(path, InvalidSpec))
 
 
 def _rasterize_cylinder(grid: OccupancyGrid, center, radius: float, zmin: float, zmax: float):

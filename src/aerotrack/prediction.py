@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InsufficientData, require_positive
+from .errors import InsufficientData, is_count, require_positive
 from .poly import PiecewisePoly
 from .solvers import active_set_qp, qp_kkt_residual
 
@@ -59,9 +58,8 @@ class PredictionWeights:
 
     def __post_init__(self):
         require_positive("window", self.window)
-        degree = self.degree
-        if isinstance(degree, bool) or not (isinstance(degree, Integral) and degree >= 1):
-            raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
+        if not (is_count(self.degree) and self.degree >= 1):
+            raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
 
 
 @dataclass

@@ -7,13 +7,13 @@ scripted motion stays within the prediction module's dynamic assumptions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidScenario, require_positive
+from .errors import (
+    InvalidScenario, check_fields, is_count, is_number, is_numbers, is_positive, read_json,
+    require_positive)
 from .grid import MapSpec
 from .kino_search import SearchWeights
 from .perception import DEFAULT_CAMERA, CameraModel
@@ -26,19 +26,19 @@ class TargetScript:
     """Piecewise-linear waypoint route traversed at constant speed."""
 
     waypoints: np.ndarray          # (K, 3)
-    speed: float                   # [m/s]
+    speed: float = 1.0             # [m/s]
     smoothing: float = 1.2         # moving-average window [s]; 0 disables
 
     def __post_init__(self):
+        wp = self.waypoints
+        if not (isinstance(wp, (list, tuple, np.ndarray)) and len(wp) >= 2
+                and all(is_numbers(p, 3) for p in wp)):
+            raise InvalidScenario("target waypoints must be finite, at least 2 rows of 3 numbers")
         self.waypoints = np.asarray(self.waypoints, dtype=float)
-        if self.waypoints.ndim != 2 or self.waypoints.shape[1] != 3:
-            raise InvalidScenario("target waypoints must be (K, 3)")
-        if not np.all(np.isfinite(self.waypoints)):
-            raise InvalidScenario("target waypoints must be finite")
-        if not 0 < self.speed < np.inf:
+        if not is_positive(self.speed):
             raise InvalidScenario("target speed must be finite and > 0")
-        if not np.isfinite(self.smoothing):
-            raise InvalidScenario("target smoothing must be finite")
+        if not (is_number(self.smoothing) and self.smoothing >= 0):
+            raise InvalidScenario("target smoothing must be finite and >= 0")
         legs = np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
         self._knot_times = np.concatenate([[0.0], np.cumsum(legs / self.speed)])
 
@@ -122,9 +122,9 @@ class Scenario:
     tracker: TrackerParams = field(default_factory=TrackerParams)
 
     def __post_init__(self):
-        self.quad_start = np.asarray(self.quad_start, dtype=float)
-        if self.quad_start.shape != (3,) or not np.all(np.isfinite(self.quad_start)):
+        if not is_numbers(self.quad_start, 3):
             raise InvalidScenario("quad_start must be 3 finite numbers")
+        self.quad_start = np.asarray(self.quad_start, dtype=float)
         lo = self.map_spec.origin
         hi = self.map_spec.origin + self.map_spec.dims * self.map_spec.resolution
         for i, p in enumerate(self.target.waypoints):
@@ -134,34 +134,29 @@ class Scenario:
             raise InvalidScenario(
                 f"target speed {self.target.speed} exceeds prediction bound "
                 f"{self.prediction.v_max}")
-        if not 0 < self.duration < np.inf:
+        if not is_positive(self.duration):
             raise InvalidScenario("duration must be finite and > 0")
         if self.duration < 1.0 / self.tracker.replan_hz:
             raise InvalidScenario(
                 f"duration {self.duration} is shorter than one replanning cycle "
                 f"(1 / replan_hz = {1.0 / self.tracker.replan_hz})")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, Integral) and self.seed >= 0):
+        if not is_count(self.seed):
             raise InvalidScenario(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @staticmethod
     def from_dict(raw: dict) -> "Scenario":
+        """Build a scenario from its JSON object, or raise one ``InvalidScenario``.
+
+        Values pass through to the dataclasses, which check them; then the
+        field rule, :func:`errors.check_fields`, checks every field of each
+        config section by its declared type.
+        """
         if not isinstance(raw, dict):
             raise InvalidScenario("scenario must be a JSON object")
-        problems = []
-        for req in ("name", "map", "target", "quad_start", "duration"):
-            if req not in raw:
-                problems.append(f"{req}: missing required field")
+        problems = [f"{key}: missing required field" for key in
+                    ("name", "map", "target", "quad_start", "duration") if key not in raw]
         if problems:
             raise InvalidScenario("invalid scenario:\n  " + "\n  ".join(problems))
-        target_raw = raw["target"]
-        try:
-            target = TargetScript(
-                waypoints=np.asarray(target_raw["waypoints"], dtype=float),
-                speed=float(target_raw.get("speed", 1.0)),
-                smoothing=float(target_raw.get("smoothing", 1.2)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidScenario(f"target: {exc}")
 
         def section(key):
             cfg = raw.get(key, {})
@@ -171,36 +166,26 @@ class Scenario:
 
         def build(cls, key, cfg=None, **fixed):
             try:
-                return cls(**fixed, **(section(key) if cfg is None else cfg))
+                config = cls(**fixed, **(section(key) if cfg is None else cfg))
+                check_fields(config)
             except (TypeError, ValueError) as exc:
                 raise InvalidScenario(f"{key}: {exc}")
-
-        def convert(key, fn, value):
-            try:
-                return fn(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidScenario(f"{key}: {exc}")
+            return config
 
         perception_raw = section("perception")
         fov = perception_raw.pop("horizontal_fov_deg", None)
-        if fov is None:
-            camera = DEFAULT_CAMERA
-        elif isinstance(fov, (int, float)) and 0 < fov < 180:
-            camera = CameraModel.from_fov(np.deg2rad(fov))
-        else:
+        if not (fov is None or is_number(fov) and 0 < fov < 180):
             raise InvalidScenario(
                 f"perception: horizontal_fov_deg must be a number in (0, 180), got {fov!r}")
+        camera = DEFAULT_CAMERA if fov is None else CameraModel.from_fov(np.deg2rad(fov))
         search_raw = section("search")
-        if "u_grid" in search_raw:
-            search_raw["u_grid"] = convert("search", tuple, search_raw["u_grid"])
         search_raw.setdefault("freeze_z", True)
         return Scenario(
             name=str(raw["name"]),
             map_spec=MapSpec.from_dict(raw["map"]),
-            target=target,
-            quad_start=convert("quad_start", lambda v: np.asarray(v, dtype=float),
-                               raw["quad_start"]),
-            duration=convert("duration", float, raw["duration"]),
+            target=build(TargetScript, "target"),
+            quad_start=raw["quad_start"],
+            duration=raw["duration"],
             seed=raw.get("seed", 0),
             perception=build(PerceptionConfig, "perception", perception_raw, camera=camera),
             prediction=build(PredictionWeights, "prediction"),
@@ -211,9 +196,4 @@ class Scenario:
 
     @staticmethod
     def from_json(path) -> "Scenario":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidScenario(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})")
-        return Scenario.from_dict(raw)
+        return Scenario.from_dict(read_json(path, InvalidScenario))

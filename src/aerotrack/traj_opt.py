@@ -28,7 +28,7 @@ Trajectories are ``PiecewisePoly`` curves with coefficients of shape
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,10 +258,9 @@ def optimize(corridor: Corridor, boundary: BoundaryConditions,
     Waypoints start at the intersection centers and durations from a
     trapezoidal profile at half the speed limit; durations are kept positive
     through a log reparameterization. The barrier only constrains waypoints,
-    so the trajectory is sampled against the corridor every 0.01 s; one that
-    leaves is descended again with a 10x, then 100x, barrier weight (on the
-    gate workloads this rescued 1 of 33 such calls), and if all three leave,
-    ``TrajectoryLeftCorridor`` is raised. ``info["contained"]`` is always True.
+    so the trajectory is sampled against the corridor every 0.01 s, and one
+    that leaves raises ``TrajectoryLeftCorridor``. ``info["contained"]`` is
+    always True, and ``info["kappa"]`` is ``w.kappa``.
     """
     if w is None:
         w = OptWeights()
@@ -278,37 +277,33 @@ def optimize(corridor: Corridor, boundary: BoundaryConditions,
         for i in range(M)
     ])
 
-    for kappa in (w.kappa, 10.0 * w.kappa, 100.0 * w.kappa):
-        w_try = replace(w, kappa=kappa)
+    def objective(x):
+        q_int = x[: 3 * (M - 1)].reshape(M - 1, 3)
+        theta = x[3 * (M - 1):]
+        if np.any(theta > 8.0):  # absurd durations; keep exp() sane
+            return np.inf, np.zeros_like(x)
+        T = w.t_min + np.exp(theta)
+        try:
+            J, dq, dT = cost_and_gradient(q_int, T, corridor, boundary, w)
+        except (BarrierDomainViolated, OverflowError):
+            return np.inf, np.zeros_like(x)
+        return J, np.concatenate([dq.ravel(), dT * np.exp(theta)])
 
-        def objective(x):
-            q_int = x[: 3 * (M - 1)].reshape(M - 1, 3)
-            theta = x[3 * (M - 1):]
-            if np.any(theta > 8.0):  # absurd durations; keep exp() sane
-                return np.inf, np.zeros_like(x)
-            T = w.t_min + np.exp(theta)
-            try:
-                J, dq, dT = cost_and_gradient(q_int, T, corridor, boundary, w_try)
-            except (BarrierDomainViolated, OverflowError):
-                return np.inf, np.zeros_like(x)
-            grad = np.concatenate([dq.ravel(), dT * np.exp(theta)])
-            return J, grad
-
-        x0 = np.concatenate([q0.ravel(), np.log(T0 - w.t_min)])
-        x_opt, J_opt, history = lbfgs_minimize(
-            objective, x0, grad_tol=w.grad_tol, max_iter=w.max_iter)
-        if history[-1] > history[0] + 1e-12:
-            raise DescentFailed(
-                f"descent raised the cost from {history[0]!r} to {history[-1]!r}")
-        q_int = x_opt[: 3 * (M - 1)].reshape(M - 1, 3)
-        T = w.t_min + np.exp(x_opt[3 * (M - 1):])
-        traj = inner_trajectory(np.vstack([boundary.p0, q_int, boundary.p1]), T, boundary)
-        ts = np.arange(0.0, traj.duration + 1e-9, 0.01)
-        if corridor.contains_all(traj.eval(ts), margin=1e-9):
-            traj.info.update({
-                "objective": J_opt, "history": history, "contained": True,
-                "kappa": kappa, "iterations": len(history) - 1,
-            })
-            return traj
-    raise TrajectoryLeftCorridor(
-        f"the trajectory left its corridor at every barrier weight up to {kappa!r}")
+    x0 = np.concatenate([q0.ravel(), np.log(T0 - w.t_min)])
+    x_opt, J_opt, history = lbfgs_minimize(
+        objective, x0, grad_tol=w.grad_tol, max_iter=w.max_iter)
+    if history[-1] > history[0] + 1e-12:
+        raise DescentFailed(
+            f"descent raised the cost from {history[0]!r} to {history[-1]!r}")
+    q_int = x_opt[: 3 * (M - 1)].reshape(M - 1, 3)
+    T = w.t_min + np.exp(x_opt[3 * (M - 1):])
+    traj = inner_trajectory(np.vstack([boundary.p0, q_int, boundary.p1]), T, boundary)
+    ts = np.arange(0.0, traj.duration + 1e-9, 0.01)
+    if not corridor.contains_all(traj.eval(ts), margin=1e-9):
+        raise TrajectoryLeftCorridor(
+            f"the trajectory left its corridor at barrier weight {w.kappa!r}")
+    traj.info.update({
+        "objective": J_opt, "history": history, "contained": True,
+        "kappa": w.kappa, "iterations": len(history) - 1,
+    })
+    return traj

@@ -141,6 +141,14 @@ class TestBenchmark:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"{broken}: not valid JSON")
 
+    @pytest.mark.parametrize("variants", [",", "", " , "])
+    def test_empty_variant_list_exits_1(self, tmp_path, capsys, variants):
+        benchmarks.write_all(tmp_path)
+        assert main(["benchmark", str(tmp_path), "--variants", variants]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"--variants names no variant, got {variants!r}"]
+
     @pytest.mark.parametrize("runs", ["0", "-1"])
     def test_runs_below_one_exit_1(self, tmp_path, capsys, runs):
         benchmarks.write_all(tmp_path)
@@ -179,8 +187,42 @@ class TestFitRegression:
         assert (code, out) == (1, "")
         assert len(err) == 1 and err[0].startswith(f"{path}: not valid JSON")
 
+    @pytest.mark.parametrize("change, message", [
+        ({"L": "12"}, "samples[3]: L: expected a finite number, got '12'"),
+        ({"u": True}, "samples[3]: u: expected a finite number, got True"),
+        ({"L": float("nan")}, "samples[3]: L: expected a finite number, got nan"),
+        ({"t": "0.5"}, "samples[3]: t: expected a finite number, got '0.5'"),
+    ], ids=["L-text", "u-bool", "L-nan", "t-text"])
+    def test_malformed_sample_exits_1(self, tmp_path, capsys, change, message):
+        samples = self.samples(10)
+        samples[3].update(change)
+        path = write_json(tmp_path / "bad.json", {"samples": samples})
+        assert self.fit(path, capsys) == (1, "", [message])
+
     def test_two_coordinate_p_cam_exits_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "flat.json", {"samples": self.samples(10, (2.0, 0.1))})
         code, out, err = self.fit(path, capsys)
         assert (code, out) == (1, "")
-        assert err == ["samples[0]: p_cam: expected 3 numbers, got [2.0, 0.1]"]
+        assert err == ["samples[0]: p_cam: expected 3 finite numbers, got [2.0, 0.1]"]
+
+
+@pytest.mark.parametrize("command, name, message", [
+    ("run", ".", "Is a directory"),
+    ("gen-map", ".", "Is a directory"),
+    ("fit-regression", ".", "Is a directory"),
+    ("run", "utf16.json", "not valid JSON ('utf-8' codec can't decode"),
+    ("gen-map", "utf16.json", "not valid JSON ('utf-8' codec can't decode"),
+    ("fit-regression", "utf16.json", "not valid JSON ('utf-8' codec can't decode"),
+    ("benchmark", ".", "utf16.json: not valid JSON ('utf-8' codec can't decode"),
+], ids=["run-dir", "gen-map-dir", "fit-regression-dir", "run-utf16", "gen-map-utf16",
+        "fit-regression-utf16", "benchmark-utf16"])
+def test_unreadable_input_exits_1_with_one_line(tmp_path, capsys, command, name, message):
+    # a scenario file saved as UTF-16 starts with the bytes ff fe
+    benchmarks.write_all(tmp_path)
+    text = (tmp_path / "sharp_turn_low.json").read_text()
+    (tmp_path / "utf16.json").write_bytes(text.encode("utf-16"))
+    assert main([command, str(tmp_path / name)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and message in err[0]

@@ -1,11 +1,14 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from aerotrack import benchmarks
 from aerotrack.errors import InvalidScenario
-from aerotrack.scenario import Scenario
+from aerotrack.kino_search import SearchWeights
+from aerotrack.prediction import PredictionWeights
+from aerotrack.scenario import PerceptionConfig, Scenario, TrackerParams
+from aerotrack.traj_opt import OptWeights
 
 
 def valid():
@@ -72,15 +75,45 @@ class TestFromDict:
         (with_section("prediction", degree=True), "prediction: degree must be an integer >= 1"),
         (with_section("prediction", window=0), "prediction: window must be a finite number > 0"),
         (with_section("prediction", window=-1), "prediction: window must be a finite number > 0"),
+        (with_section("opt", max_iter="20"), "opt: max_iter must be a non-negative integer"),
+        (with_section("opt", v_max="fast"), "opt: v_max must be a finite number"),
+        (with_search(tau="0.3"), "search: tau must be a finite number"),
+        (with_section("tracker", d_track="3"), "tracker: d_track must be a finite number"),
+        (with_perception(sigma_u="2"), "perception: sigma_u must be a finite number"),
+        (with_section("prediction", v_max="3"), "prediction: v_max must be a finite number"),
+        (with_target(speed="1.2"), "target speed must be finite and > 0"),
+        (with_target(smoothing=True), "target smoothing must be finite and >= 0"),
+        (with_target(smoothing=-0.5), "target smoothing must be finite and >= 0"),
+        (with_target(waypoints=[[3.0, 7.2, 0.9]]), "target waypoints must be finite, at least 2"),
+        (with_perception(horizontal_fov_deg=True), "horizontal_fov_deg"),
+        (dict(valid(), duration="2"), "duration must be finite and > 0"),
+        (dict(valid(), quad_start=["2.5", "7", "1.3"]), "quad_start must be 3 finite numbers"),
+        (with_search(node_budget=10.5), "search: node_budget must be a non-negative integer"),
+        (with_search(freeze_z=1), "search: freeze_z must be true or false"),
     ], ids=["perception-list", "search-list", "duration-text", "duration-nan", "seed-text",
             "quad-start-text", "quad-start-2d", "fov-0", "fov-200", "target-speed-nan",
             "target-smoothing-nan", "target-waypoint-nan", "seed-negative", "seed-fraction",
             "seed-bool", "seed-string", "rho-0", "rho-string", "search-a-max", "replan-hz-0",
             "replan-hz-negative", "replan-hz-bool", "duration-below-one-cycle", "body-len-0",
-            "degree-0", "degree-fraction", "degree-bool", "window-0", "window-negative"])
+            "degree-0", "degree-fraction", "degree-bool", "window-0", "window-negative",
+            "max-iter-text", "opt-v-max-text", "tau-text", "d-track-text", "sigma-u-text",
+            "prediction-v-max-text", "target-speed-text", "target-smoothing-bool",
+            "target-smoothing-negative", "target-one-waypoint", "fov-bool", "duration-text-number",
+            "quad-start-text-numbers", "node-budget-fraction", "freeze-z-int"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)
+
+    @pytest.mark.parametrize("section, name", [
+        (section, f.name)
+        for section, cls in [("perception", PerceptionConfig), ("prediction", PredictionWeights),
+                             ("search", SearchWeights), ("opt", OptWeights),
+                             ("tracker", TrackerParams)]
+        for f in fields(cls) if f.name != "camera"])
+    def test_every_config_field_rejects_text(self, section, name):
+        # 42 fields: each is checked by its declared type, so none takes a string
+        with pytest.raises(InvalidScenario, match=f"{section}: {name} must be"):
+            Scenario.from_dict(with_section(section, **{name: "1"}))
 
     def test_replaced_seed_is_validated(self):
         scenario = Scenario.from_dict(valid())

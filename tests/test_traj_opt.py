@@ -264,19 +264,10 @@ class TestOptimize:
         return chain_corridor(5), bc
 
     def test_forced_exit_raises(self):
-        # 3 m/s toward a wall 0.8 m away: no barrier weight keeps the
-        # trajectory inside, and no uncontained trajectory is returned
+        # 3 m/s toward a wall 0.8 m away: the trajectory leaves its
+        # corridor, and no uncontained trajectory is returned
         with pytest.raises(TrajectoryLeftCorridor):
             optimize(*self.sideways_start(3.0))
-
-    def test_stronger_barrier_rescues_an_exit(self):
-        # 1.1 m/s sits in the middle of the start speeds (1.06-1.16 m/s) at
-        # which the default barrier lets the trajectory out and ten times
-        # that weight keeps it in: the case the retry exists for
-        cor, bc = self.sideways_start(1.1)
-        traj = optimize(cor, bc)
-        assert traj.info["kappa"] == pytest.approx(0.1)
-        assert cor.contains_all(traj.eval(np.arange(0.0, traj.duration, 0.01)), margin=1e-9)
 
     def test_kappa_sweep_monotone_toward_unconstrained(self):
         # staircase corridor with tight intersections placed off the natural
