@@ -37,6 +37,8 @@ def _cmd_run(args) -> int:
 def _cmd_benchmark(args) -> int:
     if args.runs < 1:
         raise InvalidInput(f"--runs must be at least 1, got {args.runs}")
+    if args.workers < 1:
+        raise InvalidInput(f"--workers must be at least 1, got {args.workers}")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise InvalidInput(f"--variants names no variant, got {args.variants!r}")

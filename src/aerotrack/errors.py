@@ -138,7 +138,8 @@ class BarrierDomainViolated(RuntimeError):
 
 
 class DescentFailed(RuntimeError):
-    """The trajectory descent ended at a higher cost than it started from."""
+    """The descent started outside its objective's domain or ended at a higher
+    cost than it started from."""
 
 
 class TrajectoryLeftCorridor(RuntimeError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import QPInfeasible
+from .errors import DescentFailed, QPInfeasible
 
 
 def active_set_qp(H, f, G, h, x0, tol: float = 1e-10, max_iter: int = 400):
@@ -86,14 +86,15 @@ def lbfgs_minimize(fun, x0, grad_tol: float = 1e-4, max_iter: int = 200, memory:
     """L-BFGS with Armijo backtracking; ``fun(x) -> (value, gradient)``.
 
     The objective may return ``inf`` outside its domain; the line search then
-    shrinks the step. Accepted iterates are strictly nonincreasing in value.
-    Returns ``(x, value, history)`` where history is the list of accepted
-    objective values (including the start).
+    shrinks the step, and a start point outside it raises ``DescentFailed``.
+    Accepted iterates are strictly nonincreasing in value. Returns
+    ``(x, value, history)`` where history is the list of accepted objective
+    values (including the start).
     """
     x = np.asarray(x0, dtype=float).copy()
     val, g = fun(x)
     if not np.isfinite(val):
-        raise ValueError("L-BFGS start point outside objective domain")
+        raise DescentFailed("L-BFGS start point outside objective domain")
     history = [val]
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import corridor as corridor_mod
 from . import kino_search, traj_opt
@@ -52,7 +53,7 @@ RELOCATING = "RELOCATING"
 # Relocation replans once less than this much of its trajectory is left [s].
 RELOCATION_MIN_REMAINING_S = 1.0
 
-# Seed sequences kept per process; each holds one small entropy pool.
+# Seed states kept per process; each holds four uint64 words (32 bytes).
 _SEED_CACHE_SIZE = 8
 
 VARIANTS = ("full", "no_occlusion_penalty", "no_gimbal_search")
@@ -137,7 +138,7 @@ class TrackerWorld:
         self.variant = resolve_variant(variant)
         self.grid = build_map(scenario.map_spec)
         self.dt = 1.0 / scenario.tracker.replan_hz
-        self.rng = np.random.Generator(np.random.PCG64(_seed_sequence(scenario.seed)))
+        self.rng = np.random.Generator(np.random.PCG64(_seed_state(scenario.seed)))
         # The map spec keeps its read-only grid, make_calibration_dataset
         # memoizes one immutable dataset per calibration config (camera, body
         # length, noise sigmas) and that dataset keeps its fit, so a later
@@ -196,17 +197,31 @@ class TrackerWorld:
                 time.perf_counter() - t0) * 1000.0
 
 
-@functools.lru_cache(maxsize=_SEED_CACHE_SIZE)
-def _seed_sequence(seed: int) -> np.random.SeedSequence:
-    """The ``SeedSequence`` of ``seed``, built once per process.
+class _SeedState(ISeedSequence):
+    """The four ``uint64`` words ``np.random.SeedSequence(seed)`` gives ``PCG64``.
 
-    ``PCG64`` seeds itself from the sequence's ``generate_state(4)``, which
-    leaves the sequence as it was, so every world that shares it still gets
-    its own ``PCG64`` and ``Generator``, drawing the same stream as
-    ``np.random.default_rng(seed)``. Nothing here spawns from the shared
-    sequence; a spawn would advance its child counter for every later world.
+    ``PCG64`` seeds itself from ``generate_state(4, np.uint64)``, so a
+    generator built on this state draws the stream of
+    ``np.random.default_rng(seed)`` without hashing the seed again. The words
+    are read-only, and any other request raises ``ValueError``. The state
+    cannot spawn, so ``Generator.spawn`` raises ``TypeError`` rather than
+    advance a child counter that every later world of the seed would share.
     """
-    return np.random.SeedSequence(seed)
+
+    def __init__(self, seed: int):
+        self.words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        self.words.flags.writeable = False
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"seed state holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
+# One state per seed, hashed once per process; every world still builds its
+# own PCG64 and Generator from it.
+_seed_state = functools.lru_cache(maxsize=_SEED_CACHE_SIZE)(_SeedState)
 
 
 def blend_goal(traj, t: float, w: SearchWeights) -> tuple[KinoState, np.ndarray]:

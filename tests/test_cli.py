@@ -157,6 +157,14 @@ class TestBenchmark:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"--runs must be at least 1, got {runs}"]
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
+        benchmarks.write_all(tmp_path)
+        assert main(["benchmark", str(tmp_path), "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"--workers must be at least 1, got {workers}"]
+
 
 class TestFitRegression:
     @staticmethod

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from aerotrack.errors import DescentFailed
 from aerotrack.solvers import active_set_qp, lbfgs_minimize, qp_kkt_residual
 
 
@@ -34,3 +36,12 @@ class TestLBFGS:
         assert history[-1] == value
         assert value < 1e-10
         assert np.allclose(x, [1.0, 1.0], atol=1e-4)
+
+    def test_start_outside_the_domain_raises_descent_failed(self):
+        def log_barrier(x):  # finite only for x > 0
+            if x[0] <= 0.0:
+                return np.inf, np.zeros_like(x)
+            return -np.log(x[0]) + x[0], np.array([1.0 - 1.0 / x[0]])
+
+        with pytest.raises(DescentFailed, match="outside objective domain"):
+            lbfgs_minimize(log_barrier, np.array([-1.0]))

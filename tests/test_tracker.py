@@ -279,7 +279,7 @@ def clear_calibration_caches():
 class TestRegressionSetup:
     def test_second_world_reuses_the_fit(self, monkeypatch):
         clear_calibration_caches()
-        tracker._seed_sequence.cache_clear()
+        tracker._seed_state.cache_clear()
         calls = dict.fromkeys(("solve", "project", "fit", "map"), 0)
 
         def count(module, name, key):
@@ -299,7 +299,7 @@ class TestRegressionSetup:
         first = TrackerWorld(scenario)
         # depth map, then lateral
         assert calls == {"solve": 2, "project": 320, "fit": 1, "map": 1}
-        assert tracker._seed_sequence.cache_info()[:2] == (0, 1)  # (hits, misses)
+        assert tracker._seed_state.cache_info()[:2] == (0, 1)  # (hits, misses)
         calls.update(solve=0, project=0, fit=0, map=0)
         second = TrackerWorld(scenario)
         # no dataset rebuild, no solve and no rasterizing, but still one
@@ -308,7 +308,7 @@ class TestRegressionSetup:
         assert calls == {"solve": 0, "project": 0, "fit": 1, "map": 1}
         assert second.params is first.params
         assert second.grid is first.grid
-        assert tracker._seed_sequence.cache_info()[:2] == (1, 1)
+        assert tracker._seed_state.cache_info()[:2] == (1, 1)
 
     @pytest.mark.parametrize("seed", [0, 1, 300, 2**32 + 5])
     def test_world_draws_the_default_rng_stream(self, seed):
@@ -322,6 +322,39 @@ class TestRegressionSetup:
         assert first.rng is not second.rng
         first.rng.standard_normal(100)
         assert second.rng.standard_normal() == np.random.default_rng(scenario.seed).standard_normal()
+
+    @pytest.mark.parametrize("seed", [0, 300, 2**32 + 5])
+    def test_seed_state_holds_the_seed_sequence_words(self, seed):
+        words = tracker._seed_state(seed).words
+        assert words.tobytes() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tobytes()
+        assert not words.flags.writeable
+
+    def test_second_world_of_a_seed_hashes_no_seed(self, monkeypatch):
+        tracker._seed_state.cache_clear()
+        built = []
+        real = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        scenario = Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]())
+        first = TrackerWorld(scenario)
+        assert built == [(scenario.seed,)]
+        second = TrackerWorld(scenario)
+        assert built == [(scenario.seed,)]
+        assert second.rng.bit_generator.seed_seq is first.rng.bit_generator.seed_seq
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
+    def test_seed_state_refuses_other_requests(self, n_words, dtype):
+        with pytest.raises(ValueError):
+            tracker._seed_state(0).generate_state(n_words, dtype)
+
+    def test_world_generator_cannot_spawn(self):
+        scenario = Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]())
+        with pytest.raises(TypeError):
+            TrackerWorld(scenario).rng.spawn(1)
 
 
 # sha256 of the 65-cycle trace CSV at the builtin seed, recorded when the
