@@ -1,4 +1,4 @@
-"""Command line front end: run scenarios, benchmarks, fits, and map builds.
+"""Command line front end: run one scenario, or benchmark a directory of them.
 
 Exit codes: 0 on success, 2 when a scenario run fails its success criteria,
 1 on input or runtime errors, which print one line to stderr.
@@ -12,13 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .benchmarks import benchmark, benchmark_table, write_benchmark_csv
-from .errors import (
-    FitDiverged, InvalidInput, InvalidScenario, is_number, is_numbers, key_problems, read_json)
-from .grid import MapSpec, build_map
-from .perception import ImageFeatures, fit_regression
+from .errors import InvalidInput, InvalidScenario, read_json
 from .scenario import Scenario
 from .tracker import run_scenario, write_trace
 
@@ -56,56 +51,6 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
-# what each calibration sample holds: key -> (required, predicate, what it expects)
-_SAMPLE_KEYS = {
-    "L": (True, is_number, "a finite number"),
-    "u": (True, is_number, "a finite number"),
-    "t": (False, is_number, "a finite number"),
-    "p_cam": (True, lambda x: is_numbers(x, 3), "3 finite numbers"),
-}
-
-
-def _cmd_fit_regression(args) -> int:
-    raw = read_json(args.dataset, InvalidInput)
-    if not (isinstance(raw, dict) and isinstance(raw.get("samples"), list)):
-        raise InvalidInput(f"{args.dataset}: expected a JSON object with a 'samples' list")
-    samples = []
-    for i, s in enumerate(raw["samples"]):
-        problems = (key_problems(s, _SAMPLE_KEYS, f"samples[{i}]: ") if isinstance(s, dict)
-                    else [f"samples[{i}]: expected an object"])
-        if problems:
-            raise InvalidInput(problems[0])
-        samples.append((ImageFeatures(float(s["L"]), float(s["u"]), float(s.get("t", i))),
-                         np.asarray(s["p_cam"], dtype=float)))
-    try:
-        params = fit_regression(samples)
-    except FitDiverged as exc:
-        raise InvalidInput(f"fit failed: {exc}")
-    if args.out:
-        params.save(args.out)
-    print(json.dumps(params.to_dict(), indent=2))
-    return 0
-
-
-def _cmd_gen_map(args) -> int:
-    spec = MapSpec.from_json(args.mapspec)
-    grid = build_map(spec)
-    summary = {
-        "dims": grid.dims.tolist(),
-        "resolution": grid.resolution,
-        "origin": grid.origin.tolist(),
-        "voxels": int(np.prod(grid.dims)),
-        "occupied_fraction": round(grid.occupied_fraction(), 6),
-    }
-    if args.out:
-        np.savez_compressed(
-            args.out, values=grid.occupied.astype(np.float32), origin=grid.origin,
-            resolution=grid.resolution)
-        summary["saved"] = args.out
-    print(json.dumps(summary, indent=2))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aerotrack",
@@ -128,16 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", help="write per-run rows as CSV")
     bench.add_argument("--workers", type=int, default=1)
     bench.set_defaults(fn=_cmd_benchmark)
-
-    fit = sub.add_parser("fit-regression", help="fit localization parameters")
-    fit.add_argument("dataset", help="JSON with samples: [{L, u, p_cam}, ...]")
-    fit.add_argument("--out", help="write fitted parameters JSON here")
-    fit.set_defaults(fn=_cmd_fit_regression)
-
-    gen = sub.add_parser("gen-map", help="rasterize a map spec and report stats")
-    gen.add_argument("mapspec", help="map spec JSON file")
-    gen.add_argument("--out", help="save the voxel grid as .npz")
-    gen.set_defaults(fn=_cmd_gen_map)
     return parser
 
 

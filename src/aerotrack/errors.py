@@ -1,7 +1,7 @@
 """Exception types shared across the library, and the checks on outside input.
 
-Scenario, map spec and dataset files are read by :func:`read_json` and
-checked by the predicates here, which every reader shares.
+Scenario files, map spec included, are read by :func:`read_json` and checked
+by the predicates here, which every reader shares.
 """
 
 import json
@@ -86,7 +86,7 @@ class InvalidInput(ValueError):
 
 
 class InvalidSpec(InvalidInput):
-    """A map spec file or dict failed validation; message lists field paths."""
+    """A map spec dict failed validation; message lists field paths."""
 
 
 class InvalidScenario(InvalidInput):

@@ -19,8 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import (
-    InvalidSpec, SeedOccupied, is_count, is_number, is_numbers, is_positive, key_problems,
-    read_json)
+    InvalidSpec, SeedOccupied, is_count, is_number, is_numbers, is_positive, key_problems)
 
 # Boundary tolerance for supercover corner handling, in voxel units.
 _CORNER_EPS = 1e-7
@@ -117,9 +116,6 @@ class OccupancyGrid:
     def is_occupied(self, p) -> bool:
         """Occupancy of the voxel containing the one point ``p``."""
         return bool(self.occupied_at(p))
-
-    def occupied_fraction(self) -> float:
-        return float(self.occupied.mean())
 
     # ------------------------------------------------------------------
     # Visibility
@@ -322,10 +318,6 @@ class MapSpec:
             obstacles=copy.deepcopy(obstacles),
             seed=int(raw.get("seed", 0)),
         )
-
-    @staticmethod
-    def from_json(path) -> "MapSpec":
-        return MapSpec.from_dict(read_json(path, InvalidSpec))
 
 
 def _rasterize_cylinder(grid: OccupancyGrid, center, radius: float, zmin: float, zmax: float):

@@ -10,7 +10,6 @@ constant in the camera frame since target motion is assumed horizontal.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,15 +108,6 @@ class RegressionParams:
         u = np.asarray(u_px, dtype=float)
         g = self.lam3 * np.exp(self.k3 * u) + self.lam4 * np.exp(self.k4 * u)
         return g * (self.a * np.asarray(depth, dtype=float) + self.b)
-
-    def to_dict(self) -> dict:
-        return {k: float(getattr(self, k)) for k in (
-            "lam1", "lam2", "k1", "k2", "lam3", "lam4", "k3", "k4", "a", "b",
-            "z_const", "rms_residual")}
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +252,7 @@ _FIT_STARTS = 16
 _FIT_SEED = 0
 
 
-def fit_regression(dataset) -> RegressionParams:
+def fit_regression(dataset: CalibrationDataset) -> RegressionParams:
     """Fit the localization regression from (ImageFeatures, camera-frame truth) pairs.
 
     Multi-start damped Gauss-Newton on each of the two maps; the depth map is
@@ -274,13 +264,9 @@ def fit_regression(dataset) -> RegressionParams:
     converges or the dataset is rank deficient (for example, all samples at a
     single range).
 
-    The fit is :attr:`CalibrationDataset.params`, computed once per dataset;
-    any other sequence of samples is wrapped in a new ``CalibrationDataset``
-    and fitted afresh. Failures are not kept, so they are raised on every
-    call.
+    The fit is :attr:`CalibrationDataset.params`, computed once per dataset.
+    Failures are not kept, so they are raised on every call.
     """
-    if not isinstance(dataset, CalibrationDataset):
-        dataset = CalibrationDataset(dataset)
     return dataset.params
 
 
@@ -359,7 +345,7 @@ def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
     :class:`CalibrationDataset` itself: a tuple of frozen ``ImageFeatures``
     and read-only truth arrays that keeps its fit once made, so no caller
     can change what a later call returns, and :func:`fit_regression` on it
-    costs O(1) after the first. Make a list of it to edit a dataset.
+    costs O(1) after the first. To edit one, make a new ``CalibrationDataset``.
     """
     return _calibration_samples(cam, body_len, n, tuple(range_band), seed,
                                 sigma_u, sigma_len)

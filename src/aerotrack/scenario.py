@@ -101,7 +101,6 @@ class TrackerParams:
     t_fail: float = 3.0           # continuous seconds beyond d_fail to fail
     loss_timeout: float = 0.5     # invalid-observation streak entering relocation [s]
     replan_hz: float = 13.0
-    quad_z: float | None = None   # planar altitude hold; None follows the planner
 
     def __post_init__(self):
         require_positive("replan_hz", self.replan_hz)

@@ -157,9 +157,7 @@ class TrackerWorld:
         self.quad_v = np.zeros(3)
         self.quad_a = np.zeros(3)
         self.quad_yaw = 0.0
-        self.quad_z = (scenario.tracker.quad_z
-                       if scenario.tracker.quad_z is not None
-                       else float(self.quad_p[2]))
+        self.quad_z = float(self.quad_p[2])
         self.gimbal = GimbalState(yaw=0.0, yaw_rate_limit=scenario.perception.yaw_rate_limit)
         self.mode = ModeState()
         self.observations: list[TargetObservation] = []
@@ -397,6 +395,7 @@ def step(world: TrackerWorld) -> TrackerWorld:
         world.last_plan_failed = not plan_ok
     else:
         world.plan_failures += 1
+        world.last_plan_error = "no_prediction_yet"
         world.last_plan_failed = True
 
     # execute along the current trajectory (perfect follower)

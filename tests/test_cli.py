@@ -1,54 +1,15 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from aerotrack import benchmarks
-from aerotrack.cli import main
-from aerotrack.grid import MapSpec, build_map
-
-BOX_SPEC = {
-    "origin": [0, 0, 0],
-    "resolution": 0.1,
-    "dims": [20, 10, 5],
-    "obstacles": [{"type": "box", "min": [0.5, 0.2, 0.0], "max": [1.2, 0.6, 0.3]}],
-}
+from aerotrack.cli import build_parser, main
 
 
 def write_json(path, raw):
     path.write_text(json.dumps(raw))
     return str(path)
-
-
-class TestGenMap:
-    def test_saves_occupancy_as_float_values(self, tmp_path, capsys):
-        spec_path = write_json(tmp_path / "map.json", BOX_SPEC)
-        out = tmp_path / "map.npz"
-        assert main(["gen-map", spec_path, "--out", str(out)]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["saved"] == str(out)
-        with np.load(out) as saved:
-            assert sorted(saved.files) == ["origin", "resolution", "values"]
-            values = saved["values"]
-        assert values.dtype == np.float32
-        assert set(np.unique(values)) == {0.0, 1.0}
-        assert np.array_equal(values, build_map(MapSpec.from_dict(BOX_SPEC)).occupied)
-
-    def test_invalid_spec_exits_1(self, tmp_path, capsys):
-        spec_path = write_json(tmp_path / "bad.json", dict(BOX_SPEC, resolution=-1))
-        assert main(["gen-map", spec_path]) == 1
-        assert "resolution" in capsys.readouterr().err
-
-    def test_malformed_numbers_exit_1(self, tmp_path, capsys):
-        raw = dict(BOX_SPEC, dims=["a", 1, 1], origin=[0, 0, "x"])
-        assert main(["gen-map", write_json(tmp_path / "bad.json", raw)]) == 1
-        err = capsys.readouterr().err
-        assert "dims" in err and "origin" in err
-
-    def test_missing_file_exits_1(self, tmp_path, capsys):
-        assert main(["gen-map", str(tmp_path / "absent.json")]) == 1
-        assert "file not found" in capsys.readouterr().err
 
 
 class TestRun:
@@ -81,6 +42,19 @@ class TestRun:
         raw["search"] = dict(raw.get("search", {}), rho=0)
         assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
         assert "rho" in capsys.readouterr().err
+
+    def test_invalid_map_exits_1(self, tmp_path, capsys):
+        raw = benchmarks.ALL["sharp_turn_low"]()
+        raw["map"] = dict(raw["map"], resolution=-1)
+        assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
+        assert "resolution" in capsys.readouterr().err
+
+    def test_malformed_map_numbers_exit_1(self, tmp_path, capsys):
+        raw = benchmarks.ALL["sharp_turn_low"]()
+        raw["map"] = dict(raw["map"], dims=["a", 1, 1], origin=[0, 0, "x"])
+        assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
+        err = capsys.readouterr().err
+        assert "dims" in err and "origin" in err
 
     def test_zero_replan_rate_exits_1(self, tmp_path, capsys):
         raw = benchmarks.ALL["sharp_turn_low"]()
@@ -166,64 +140,11 @@ class TestBenchmark:
         assert captured.err.splitlines() == [f"--workers must be at least 1, got {workers}"]
 
 
-class TestFitRegression:
-    @staticmethod
-    def samples(n, p_cam=(2.0, 0.1, 0.9)):
-        return [{"L": 100.0 + 5.0 * i, "u": 320.0 + i, "p_cam": list(p_cam)} for i in range(n)]
-
-    def fit(self, path, capsys):
-        code = main(["fit-regression", str(path)])
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err.splitlines()
-
-    def test_too_few_samples_exits_1(self, tmp_path, capsys):
-        path = write_json(tmp_path / "few.json", {"samples": self.samples(5)})
-        code, out, err = self.fit(path, capsys)
-        assert (code, out) == (1, "")
-        assert err == ["fit failed: dataset of 5 samples is too small to fit"]
-
-    def test_top_level_list_exits_1(self, tmp_path, capsys):
-        path = write_json(tmp_path / "list.json", self.samples(10))
-        code, out, err = self.fit(path, capsys)
-        assert (code, out) == (1, "")
-        assert err == [f"{path}: expected a JSON object with a 'samples' list"]
-
-    def test_malformed_json_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text('{"samples": [')
-        code, out, err = self.fit(path, capsys)
-        assert (code, out) == (1, "")
-        assert len(err) == 1 and err[0].startswith(f"{path}: not valid JSON")
-
-    @pytest.mark.parametrize("change, message", [
-        ({"L": "12"}, "samples[3]: L: expected a finite number, got '12'"),
-        ({"u": True}, "samples[3]: u: expected a finite number, got True"),
-        ({"L": float("nan")}, "samples[3]: L: expected a finite number, got nan"),
-        ({"t": "0.5"}, "samples[3]: t: expected a finite number, got '0.5'"),
-    ], ids=["L-text", "u-bool", "L-nan", "t-text"])
-    def test_malformed_sample_exits_1(self, tmp_path, capsys, change, message):
-        samples = self.samples(10)
-        samples[3].update(change)
-        path = write_json(tmp_path / "bad.json", {"samples": samples})
-        assert self.fit(path, capsys) == (1, "", [message])
-
-    def test_two_coordinate_p_cam_exits_1(self, tmp_path, capsys):
-        path = write_json(tmp_path / "flat.json", {"samples": self.samples(10, (2.0, 0.1))})
-        code, out, err = self.fit(path, capsys)
-        assert (code, out) == (1, "")
-        assert err == ["samples[0]: p_cam: expected 3 finite numbers, got [2.0, 0.1]"]
-
-
 @pytest.mark.parametrize("command, name, message", [
     ("run", ".", "Is a directory"),
-    ("gen-map", ".", "Is a directory"),
-    ("fit-regression", ".", "Is a directory"),
     ("run", "utf16.json", "not valid JSON ('utf-8' codec can't decode"),
-    ("gen-map", "utf16.json", "not valid JSON ('utf-8' codec can't decode"),
-    ("fit-regression", "utf16.json", "not valid JSON ('utf-8' codec can't decode"),
     ("benchmark", ".", "utf16.json: not valid JSON ('utf-8' codec can't decode"),
-], ids=["run-dir", "gen-map-dir", "fit-regression-dir", "run-utf16", "gen-map-utf16",
-        "fit-regression-utf16", "benchmark-utf16"])
+], ids=["run-dir", "run-utf16", "benchmark-utf16"])
 def test_unreadable_input_exits_1_with_one_line(tmp_path, capsys, command, name, message):
     # a scenario file saved as UTF-16 starts with the bytes ff fe
     benchmarks.write_all(tmp_path)
@@ -234,3 +155,11 @@ def test_unreadable_input_exits_1_with_one_line(tmp_path, capsys, command, name,
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and message in err[0]
+
+
+def test_commands_are_run_and_benchmark(capsys):
+    assert "{run,benchmark}" in build_parser().format_usage()
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-map", "x"])
+    assert exc.value.code == 2  # argparse's unknown command
+    assert "invalid choice: 'gen-map'" in capsys.readouterr().err

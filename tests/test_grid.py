@@ -240,7 +240,7 @@ class TestBuildMap:
             {"origin": [0, 0, 0], "resolution": 0.1, "dims": [10, 10, 10], "obstacles": []}
         )
         g = build_map(spec)
-        assert g.occupied_fraction() == 0.0
+        assert g.occupied.mean() == 0.0
 
     def test_determinism(self):
         raw = {
@@ -265,7 +265,7 @@ class TestBuildMap:
         }
         g = build_map(MapSpec.from_dict(raw))
         expected = density * np.pi * radius**2
-        frac = g.occupied_fraction()
+        frac = g.occupied.mean()
         assert expected * 0.8 <= frac <= expected * 1.2
 
     def test_box_rasterized_conservatively(self):

@@ -111,7 +111,7 @@ class TestFromDict:
                              ("tracker", TrackerParams)]
         for f in fields(cls) if f.name != "camera"])
     def test_every_config_field_rejects_text(self, section, name):
-        # 42 fields: each is checked by its declared type, so none takes a string
+        # 41 fields: each is checked by its declared type, so none takes a string
         with pytest.raises(InvalidScenario, match=f"{section}: {name} must be"):
             Scenario.from_dict(with_section(section, **{name: "1"}))
 

@@ -130,6 +130,13 @@ class TestStep:
         assert world.trace_rows[-1][ok_col] == 1
         assert world.traj_clock == world.dt  # a new trajectory, flown for one cycle
 
+    def test_warm_up_failure_is_named(self):
+        world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]()))
+        step(world)
+        assert world.prediction is None
+        assert world.plan_failures == 1
+        assert world.last_plan_error == "no_prediction_yet"
+
 
 class TestStageFailures:
     @staticmethod
