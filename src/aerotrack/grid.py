@@ -310,7 +310,7 @@ class MapSpec:
             else:
                 problems += key_problems(obs, _OBSTACLE_KEYS[obs["type"]], f"{where}.")
         if problems:
-            raise InvalidSpec("invalid map spec:\n  " + "\n  ".join(problems))
+            raise InvalidSpec("invalid map spec: " + "; ".join(problems))
         return MapSpec(
             origin=np.asarray(raw["origin"], dtype=float),
             resolution=float(raw["resolution"]),

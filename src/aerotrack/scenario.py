@@ -155,7 +155,7 @@ class Scenario:
         problems = [f"{key}: missing required field" for key in
                     ("name", "map", "target", "quad_start", "duration") if key not in raw]
         if problems:
-            raise InvalidScenario("invalid scenario:\n  " + "\n  ".join(problems))
+            raise InvalidScenario("invalid scenario: " + "; ".join(problems))
 
         def section(key):
             cfg = raw.get(key, {})

@@ -1,19 +1,19 @@
-"""Closed-loop tracking simulator: perceive, predict, search, optimize, repeat.
+"""Closed-loop tracking simulator: perceive, predict, plan, execute, repeat.
 
-Each cycle advances the scripted target, steps the gimbal, synthesizes an
-observation, refits the prediction, plans an occlusion-aware path toward a
-standoff goal, wraps it in a corridor, optimizes the tracking trajectory, and
-advances the quadrotor along it as a perfect follower. The standoff goal backs
-off from ``blend_goal``, the one blend of the target's current and look-ahead
-predicted states. Stage failures keep the previous trajectory; the optimizer
-raises on a trajectory that leaves its corridor of free cubes, so every
-trajectory flown has passed that one safety check. Losing the target long
-enough switches to relocation: the quadrotor flies toward the last
-prediction's endpoint while the gimbal sweeps all bearings until the target
-is reacquired. Tracking replans every cycle; relocation plans once and flies
-that trajectory until an event calls for a new one: the goal moves by more
-than the search's goal tolerance, the last attempt failed, or less than
-``RELOCATION_MIN_REMAINING_S`` of the trajectory is left.
+Each cycle moves the scripted target and runs four stages. ``perceive`` steps
+the gimbal, observes the target and advances the mode machine. ``predict``
+refits the prediction. ``plan`` searches an occlusion-aware path toward a
+standoff goal, wraps it in a corridor and optimizes the tracking trajectory.
+``execute`` flies the quadrotor along it as a perfect follower. The standoff
+goal backs off from ``blend_goal``, the one blend of the target's current and
+look-ahead predicted states. Stage failures keep the previous trajectory; the
+optimizer raises on a trajectory that leaves its corridor of free cubes, so
+every trajectory flown has passed that one safety check. Losing the target long
+enough switches to relocation: the quadrotor flies toward the last prediction's
+endpoint while the gimbal sweeps all bearings until the target is reacquired.
+Tracking replans every cycle; relocation plans once and flies that trajectory
+until the goal moves by more than the search's goal tolerance, the last attempt
+failed, or less than ``RELOCATION_MIN_REMAINING_S`` of it is left.
 """
 
 from __future__ import annotations
@@ -58,11 +58,8 @@ _SEED_CACHE_SIZE = 8
 
 VARIANTS = ("full", "no_occlusion_penalty", "no_gimbal_search")
 _VARIANT_ALIASES = {
-    "full": "full",
     "no_occ": "no_occlusion_penalty",
-    "no_occlusion_penalty": "no_occlusion_penalty",
     "no_search": "no_gimbal_search",
-    "no_gimbal_search": "no_gimbal_search",
 }
 
 TRACE_COLUMNS = [
@@ -71,6 +68,8 @@ TRACE_COLUMNS = [
     "mode", "path_cost", "corridor_m", "j_sigma", "quad_x", "quad_y", "quad_z",
     "quad_yaw", "los", "path_los", "plan_ok",
 ]
+_PLAN_OK = TRACE_COLUMNS.index("plan_ok")
+_NO_PATH = (float("nan"), 0, float("nan"), "")  # path_cost .. path_los, no new path
 
 
 def resolve_variant(variant: str) -> str:
@@ -91,7 +90,7 @@ class ModeState:
 
 
 def relocation_update(state: ModeState, obs: TargetObservation, dt: float,
-                      loss_timeout: float = 0.5) -> ModeState:
+                      loss_timeout: float) -> ModeState:
     """Advance the mode machine on one observation.
 
     ``time_since_loss`` keeps the final relocation duration after rediscovery
@@ -165,7 +164,6 @@ class TrackerWorld:
         self.trajectory = None
         self.traj_clock = 0.0
         self.plan_goal: np.ndarray | None = None  # goal the trajectory was planned for
-        self.last_plan_failed = False
         self.last_u: float | None = None
         self.cycle = 0
         self.trace_rows: list[list] = []
@@ -176,13 +174,7 @@ class TrackerWorld:
         self.los_flags: list[bool] = []
         self.loss_episodes = 0
         self.relocation_times: list[float] = []
-        self.plan_failures = 0
         self.last_plan_error = ""
-
-    # -- helpers ---------------------------------------------------------
-
-    def _time(self) -> float:
-        return self.cycle * self.dt
 
     @contextlib.contextmanager
     def _stage(self, name: str):
@@ -254,19 +246,16 @@ def _free_goal(world: TrackerWorld, goal_p: np.ndarray) -> np.ndarray:
     return candidates[free[0]] if free.size else world.quad_p.copy()
 
 
-def _plan_goal(world: TrackerWorld):
-    """Goal state and occlusion target for this cycle, or ``(None, None)``."""
+def _plan_goal(world: TrackerWorld, t: float):
+    """Goal state and occlusion target at time ``t`` from the current prediction."""
     sc = world.scenario
-    t_now = world._time()
     traj = world.prediction
-    if traj is None:
-        return None, None
     if world.mode.mode == RELOCATING:
         p_end, _ = traj.evaluate(traj.t_p)
         goal_p = _free_goal(world, np.array([p_end[0], p_end[1], world.quad_z]))
         return KinoState(p=goal_p, v=np.zeros(3)), goal_p
 
-    blend, p_pred = blend_goal(traj, float(np.clip(t_now, traj.t0, traj.t_p)), world.search_w)
+    blend, p_pred = blend_goal(traj, float(np.clip(t, traj.t0, traj.t_p)), world.search_w)
     x_g_p, x_g_v = blend.p, blend.v
     # standoff: back off along the goal velocity, or toward the quadrotor
     # for a near-stationary target
@@ -295,22 +284,17 @@ def _keeps_trajectory(world: TrackerWorld, goal: KinoState, entered: bool) -> bo
     static and the trajectory passed the corridor check, so it stays safe.
     """
     return (world.mode.mode == RELOCATING and not entered
-            and world.trajectory is not None and not world.last_plan_failed
+            and world.trajectory is not None and not world.last_plan_error
             and world.trajectory.duration - world.traj_clock >= RELOCATION_MIN_REMAINING_S
             and float(np.linalg.norm(goal.p - world.plan_goal)) <= world.search_w.r_goal)
 
 
-def step(world: TrackerWorld) -> TrackerWorld:
-    """Advance the closed loop by one replanning cycle of ``world.dt`` seconds."""
+def perceive(world: TrackerWorld, t: float, target_p: np.ndarray) -> tuple[TargetObservation, bool]:
+    """Observe the target at ``t``; returns the observation and whether relocation began."""
     sc = world.scenario
     dt = world.dt
-    t_now = world._time()
-
-    # target motion
-    target_p, target_v = sc.target.state(t_now)
-
-    # gimbal step using the previous frame's pixel coordinate
     with world._stage("perception"):
+        # the gimbal steps on the previous frame's pixel coordinate
         allow_search = world.variant != "no_gimbal_search"
         if world.mode.mode == RELOCATING and allow_search:
             world.gimbal = gimbal_search_step(world.gimbal, dt, sc.perception.omega_search)
@@ -319,54 +303,57 @@ def step(world: TrackerWorld) -> TrackerWorld:
                 world.gimbal, world.last_u, sc.perception.camera, dt,
                 kp=sc.perception.kp, ki=sc.perception.ki)
 
-        # synthetic perception
         cam_pose = Pose(
             position=world.quad_p + np.array([0.0, 0.0, sc.perception.camera.mount_height]),
             yaw=world.gimbal.yaw)
         feats = project_target(
             target_p, sc.perception.body_len, sc.perception.camera, cam_pose,
-            timestamp=t_now, grid=world.grid,
+            timestamp=t, grid=world.grid,
             sigma_u=sc.perception.sigma_u, sigma_len=sc.perception.sigma_len,
             rng=world.rng)
         if feats is not None:
             obs = localize(feats, world.params, cam_pose)
             world.last_u = feats.u_px
         else:
-            obs = TargetObservation.invalid(t_now)
+            obs = TargetObservation.invalid(t)
             world.last_u = None
 
-    # mode machine
     was_relocating = world.mode.mode == RELOCATING
     world.mode = relocation_update(world.mode, obs, dt, sc.tracker.loss_timeout)
-    entered_relocation = world.mode.mode == RELOCATING and not was_relocating
-    if entered_relocation:
+    entered = world.mode.mode == RELOCATING and not was_relocating
+    if entered:
         world.loss_episodes += 1
     if world.mode.mode == TRACKING and was_relocating:
         world.relocation_times.append(world.mode.time_since_loss + dt)
+    return obs, entered
 
-    # prediction update
+
+def predict(world: TrackerWorld, t: float, obs: TargetObservation) -> None:
+    """Slide the observation window to ``t`` and refit the prediction while tracking."""
+    cfg = world.scenario.prediction
     with world._stage("prediction"):
         if obs.valid:
             world.observations.append(obs)
-        horizon_cut = t_now - sc.prediction.window
+        horizon_cut = t - cfg.window
         world.observations = [o for o in world.observations if o.timestamp >= horizon_cut - 1e-9]
         if world.mode.mode == TRACKING and obs.valid:
             try:
-                world.prediction = fit_predicted_trajectory(
-                    world.observations, t_now, sc.prediction)
+                world.prediction = fit_predicted_trajectory(world.observations, t, cfg)
             except InsufficientData:
                 pass
 
-    # plan: search, corridor, optimize
-    plan_ok = False
-    path_cost = float("nan")
-    corridor_m = 0
-    j_sigma = float("nan")
-    path_los = ""
-    goal, occl_target = _plan_goal(world)
-    if goal is not None and _keeps_trajectory(world, goal, entered_relocation):
-        plan_ok = True
-    elif goal is not None:
+
+def plan(world: TrackerWorld, t: float, entered_relocation: bool) -> tuple:
+    """Keep the trajectory, or search, build a corridor and optimize a new one.
+
+    Returns the trace's ``path_cost, corridor_m, j_sigma, path_los, plan_ok``. A failed
+    attempt keeps the previous trajectory and names its cause in ``world.last_plan_error``.
+    """
+    error = "no_prediction_yet"
+    if world.prediction is not None:
+        goal, occl_target = _plan_goal(world, t)
+        if _keeps_trajectory(world, goal, entered_relocation):
+            return (*_NO_PATH, 1)
         start = KinoState(p=world.quad_p.copy(), v=world.quad_v.copy())
         try:
             with world._stage("search"):
@@ -379,28 +366,25 @@ def step(world: TrackerWorld) -> TrackerWorld:
                 bc = traj_opt.BoundaryConditions(
                     p0=world.quad_p, v0=world.quad_v, a0=world.quad_a,
                     p1=path.end_state.p, v1=path.end_state.v, a1=np.zeros(3))
-                traj = traj_opt.optimize(cor, bc, sc.opt)
+                traj = traj_opt.optimize(cor, bc, world.scenario.opt)
+            j_sigma = traj.info.get("objective", float("nan"))
+            path_los = int(all(world.grid.line_of_sight(s.p, occl_target) for s in path.states))
+        except Exception as exc:  # stage failure: keep the previous trajectory
+            error = f"{type(exc).__name__}: {exc}"
+        else:
             world.trajectory = traj
             world.traj_clock = 0.0
             world.plan_goal = goal.p
-            plan_ok = True
-            path_cost = path.total_cost
-            corridor_m = len(cor)
-            j_sigma = traj.info.get("objective", float("nan"))
-            path_los = int(all(
-                world.grid.line_of_sight(s.p, occl_target) for s in path.states))
-        except Exception as exc:  # stage failure: keep the previous trajectory
-            world.plan_failures += 1
-            world.last_plan_error = f"{type(exc).__name__}: {exc}"
-        world.last_plan_failed = not plan_ok
-    else:
-        world.plan_failures += 1
-        world.last_plan_error = "no_prediction_yet"
-        world.last_plan_failed = True
+            world.last_plan_error = ""
+            return path.total_cost, len(cor), j_sigma, path_los, 1
+    world.last_plan_error = error
+    return (*_NO_PATH, 0)
 
-    # execute along the current trajectory (perfect follower)
+
+def execute(world: TrackerWorld) -> None:
+    """Fly one cycle along the current trajectory as a perfect follower."""
     if world.trajectory is not None:
-        world.traj_clock += dt
+        world.traj_clock += world.dt
         if world.traj_clock >= world.trajectory.duration:
             p = world.trajectory.eval(world.trajectory.duration)
             v = np.zeros(3)  # hover once the trajectory is exhausted
@@ -412,15 +396,18 @@ def step(world: TrackerWorld) -> TrackerWorld:
         if np.linalg.norm(v[:2]) > 0.1:
             world.quad_yaw = float(np.arctan2(v[1], v[0]))
 
-    # bookkeeping
+
+def _record(world: TrackerWorld, t: float, target_p: np.ndarray,
+            obs: TargetObservation, planned: tuple) -> None:
+    """Score the cycle against the target and append its trace row."""
     dist = float(np.linalg.norm(world.quad_p - target_p))
     world.distances.append(dist)
     los = world.grid.line_of_sight(world.quad_p, target_p)
     world.los_flags.append(los)
     if world.grid.is_occupied(world.quad_p):
         world.collided = True
-    if dist > sc.tracker.d_fail:
-        world.fail_streak += dt
+    if dist > world.scenario.tracker.d_fail:
+        world.fail_streak += world.dt
     else:
         world.fail_streak = 0.0
 
@@ -431,12 +418,24 @@ def step(world: TrackerWorld) -> TrackerWorld:
     else:
         pred_t0 = pred_tp = (float("nan"),) * 3
     obs_p = obs.position_world if obs.valid else (float("nan"),) * 3
+    path_cost, corridor_m, j_sigma, path_los, plan_ok = planned
     world.trace_rows.append([
-        world.cycle, t_now, *target_p, int(obs.valid), *obs_p,
+        world.cycle, t, *target_p, int(obs.valid), *obs_p,
         *pred_t0, *pred_tp, world.mode.mode, path_cost, corridor_m, j_sigma,
-        *world.quad_p, world.quad_yaw, int(los), path_los, int(plan_ok),
+        *world.quad_p, world.quad_yaw, int(los), path_los, plan_ok,
     ])
     world.cycle += 1
+
+
+def step(world: TrackerWorld) -> TrackerWorld:
+    """Advance the closed loop by one replanning cycle of ``world.dt`` seconds."""
+    t = world.cycle * world.dt
+    target_p, _ = world.scenario.target.state(t)
+    obs, entered_relocation = perceive(world, t, target_p)
+    predict(world, t, obs)
+    planned = plan(world, t, entered_relocation)
+    execute(world)
+    _record(world, t, target_p, obs, planned)
     return world
 
 
@@ -452,7 +451,7 @@ def run_scenario(scenario: Scenario, variant: str = "full") -> tuple[Metrics, li
     for _ in range(n_cycles):
         step(world)
         if failed_at is None and world.fail_streak > scenario.tracker.t_fail:
-            failed_at = world._time()
+            failed_at = world.cycle * world.dt
     metrics = Metrics(
         mean_target_distance=float(np.mean(world.distances)),
         max_target_distance=float(np.max(world.distances)),
@@ -462,7 +461,7 @@ def run_scenario(scenario: Scenario, variant: str = "full") -> tuple[Metrics, li
         mean_relocation_time=(float(np.mean(world.relocation_times))
                               if world.relocation_times else None),
         cycles=world.cycle,
-        plan_failures=world.plan_failures,
+        plan_failures=sum(row[_PLAN_OK] == 0 for row in world.trace_rows),
         stage_ms={k: v / max(world.cycle, 1) for k, v in world.stage_totals.items()},
     )
     planning = sum(metrics.stage_ms.get(k, 0.0) for k in ("search", "corridor", "optimize"))

@@ -53,8 +53,15 @@ class TestRun:
         raw = benchmarks.ALL["sharp_turn_low"]()
         raw["map"] = dict(raw["map"], dims=["a", 1, 1], origin=[0, 0, "x"])
         assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
-        err = capsys.readouterr().err
-        assert "dims" in err and "origin" in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "dims" in err[0] and "origin" in err[0]
+
+    def test_missing_fields_exit_1_with_one_line(self, tmp_path, capsys):
+        raw = benchmarks.ALL["sharp_turn_low"]()
+        del raw["name"], raw["duration"]
+        assert main(["run", write_json(tmp_path / "bad.json", raw)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "name" in err[0] and "duration" in err[0]
 
     def test_zero_replan_rate_exits_1(self, tmp_path, capsys):
         raw = benchmarks.ALL["sharp_turn_low"]()

@@ -134,8 +134,36 @@ class TestStep:
         world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]()))
         step(world)
         assert world.prediction is None
-        assert world.plan_failures == 1
+        assert world.trace_rows[-1][TRACE_COLUMNS.index("plan_ok")] == 0
         assert world.last_plan_error == "no_prediction_yet"
+
+    def test_stages_run_once_in_order_at_the_cycle_time(self, monkeypatch):
+        world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]()))
+        for _ in range(8):
+            step(world)
+        calls = []
+
+        def record(name):
+            real = getattr(tracker, name)
+
+            def wrapped(world, *args):
+                calls.append((name, args))
+                return real(world, *args)
+
+            monkeypatch.setattr(tracker, name, wrapped)
+
+        stages = ["perceive", "predict", "plan", "execute"]
+        for name in stages:
+            record(name)
+        step(world)
+        assert [name for name, _ in calls] == stages
+        assert [args[0] for _, args in calls[:3]] == [8 * world.dt] * 3  # execute takes no time
+
+    def test_run_counts_the_failed_cycles_of_its_trace(self):
+        scenario = Scenario.from_dict(dict(benchmarks.ALL["sharp_turn_low"](), duration=1.0))
+        metrics, rows = tracker.run_scenario(scenario)
+        failed = [row for row in rows if row[TRACE_COLUMNS.index("plan_ok")] == 0]
+        assert failed and metrics.plan_failures == len(failed)
 
 
 class TestStageFailures:
@@ -155,7 +183,8 @@ class TestStageFailures:
     @planning_failures
     def test_planning_failure_is_named(self, monkeypatch, module, stage, error):
         world = self.planning_world()
-        failures = world.plan_failures
+        ok_col = TRACE_COLUMNS.index("plan_ok")
+        failures = sum(row[ok_col] == 0 for row in world.trace_rows)
         held = world.trajectory
         assert held is not None
 
@@ -165,8 +194,8 @@ class TestStageFailures:
         monkeypatch.setattr(module, stage, failing)
         step(world)
         assert world.last_plan_error == f"{type(error).__name__}: {error}"
-        assert world.plan_failures == failures + 1
-        assert world.trace_rows[-1][TRACE_COLUMNS.index("plan_ok")] == 0
+        assert sum(row[ok_col] == 0 for row in world.trace_rows) == failures + 1
+        assert world.trace_rows[-1][ok_col] == 0
         assert world.trajectory is held  # the previous trajectory is flown on
 
     @planning_failures
@@ -207,7 +236,7 @@ class TestRelocationReplan:
             return real(*args)
 
         monkeypatch.setattr(kino_search, "search", counted)
-        assert world.mode.mode == RELOCATING and not world.last_plan_failed
+        assert world.mode.mode == RELOCATING and world.last_plan_error == ""
         assert world.trajectory.duration - world.traj_clock > RELOCATION_MIN_REMAINING_S + 0.1
         return world
 
@@ -242,12 +271,13 @@ class TestRelocationReplan:
 
         monkeypatch.setattr(kino_search, "search", failing)
         step(world)
-        assert world.last_plan_failed and world.trajectory is held and self.plan_ok(world) == 0
+        assert world.last_plan_error == "NoPath: start is enclosed"
+        assert world.trajectory is held and self.plan_ok(world) == 0
         monkeypatch.setattr(kino_search, "search", counted)
         world.plan_goal = goal  # the goal alone would keep the trajectory
         step(world)
         assert self.searches == 2
-        assert not world.last_plan_failed and world.trajectory is not held
+        assert world.last_plan_error == "" and world.trajectory is not held
 
     @pytest.mark.parametrize("left, searches", [(1.01, 0), (0.99, 1)])
     def test_less_than_the_minimum_left_replans(self, world, left, searches):
@@ -372,6 +402,16 @@ GOLDEN_TRACE_SHA256 = {
     "sharp_turn_low": "f5decb91843b39dc676560359457663874640c1025f23bd4525e800e0832ff57",
     "occlusion_turn": "e24d26cb0d0e52e099643dc2c00c9ff4dcb85c28131c85cf9aa59f8f012f43f9",
 }
+# sha256 of the 140-cycle occlusion_turn trace at the builtin seed: it enters
+# relocation at cycle 66, keeps its trajectory for 59 cycles between replans
+# and reacquires the target at cycle 127
+RELOCATION_TRACE_SHA256 = "17e8071deffa94a301ba627f23bb83e9c88c95de66c65ae8377aba2f79086062"
+
+
+def trace_digest(world, cycles):
+    for _ in range(cycles):
+        step(world)
+    return hashlib.sha256(format_trace_csv(world.trace_rows).encode()).hexdigest()
 
 
 class TestGoldenTrace:
@@ -386,7 +426,9 @@ class TestGoldenTrace:
         assert perception._calibration_samples.cache_info().hits == hits
         if first is not None:
             assert world.params is first.params
-        for _ in range(65):
-            step(world)
-        digest = hashlib.sha256(format_trace_csv(world.trace_rows).encode()).hexdigest()
-        assert digest == GOLDEN_TRACE_SHA256[name]
+        assert trace_digest(world, 65) == GOLDEN_TRACE_SHA256[name]
+
+    def test_relocation_trace_digest(self):
+        clear_calibration_caches()
+        world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["occlusion_turn"]()))
+        assert trace_digest(world, 140) == RELOCATION_TRACE_SHA256
