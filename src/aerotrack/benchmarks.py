@@ -40,7 +40,7 @@ def sharp_turn_scenario(speed: float, seed: int = 100) -> dict:
         [17.8, 11.8, 0.9],   # sharp left around B's south-east corner
         [22.5, 11.8, 0.9],
     ]
-    route_len = 8.3 + 4.6 + 2.4 + 4.6 + 4.6 + 4.6 + 4.7
+    route_len = float(np.linalg.norm(np.diff(route, axis=0), axis=1).sum())
     return {
         "name": name,
         "map": {

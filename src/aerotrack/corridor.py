@@ -3,8 +3,9 @@
 Walking dense samples of the kinodynamic path, a new cube is inflated
 whenever a sample leaves the current one. Consecutive cubes must overlap with
 comfortably fat intersections (at least two voxels on every axis) so the
-downstream waypoint barrier has interior to work in; sliver overlaps trigger
-intermediate cubes seeded between the offending samples.
+downstream waypoint barrier has interior to work in. A sliver overlap is
+bridged by at most eight cubes, each seeded halfway from the last seed to the
+uncovered sample, or a quarter of the way when that cube overlaps thinly too.
 """
 
 from __future__ import annotations
@@ -74,36 +75,24 @@ def build_corridor(path: KinoPath, grid: OccupancyGrid, max_extent: float = 2.0)
             continue
         new = grid.inflate_box(s, max_extent)
         bridge = []
-        a = cubes[-1]
+        prev = cubes[-1]
         anchor = last_inside
-        guard = 0
-        while not _fat(bridge[-1] if bridge else a, new, min_side):
-            guard += 1
-            if guard > 8:
-                raise CorridorFailed(
-                    f"could not bridge corridor cubes near {s.tolist()}")
-            mid = 0.5 * (np.asarray(anchor) + np.asarray(s))
-            if grid.is_occupied(mid):
-                raise CorridorFailed(
-                    f"intermediate corridor seed {mid.tolist()} is occupied")
-            mid_cube = grid.inflate_box(mid, max_extent)
-            prev = bridge[-1] if bridge else a
-            if _fat(prev, mid_cube, min_side):
-                bridge.append(mid_cube)
-                anchor = mid
+        while not _fat(prev, new, min_side):
+            if len(bridge) == 8:
+                raise CorridorFailed(f"could not bridge corridor cubes near {s.tolist()}")
+            mid = s
+            for _ in range(2):  # the midpoint toward s, then the quarter point
+                mid = 0.5 * (anchor + mid)
+                if grid.is_occupied(mid):
+                    raise CorridorFailed(
+                        f"intermediate corridor seed {mid.tolist()} is occupied")
+                mid_cube = grid.inflate_box(mid, max_extent)
+                if _fat(prev, mid_cube, min_side):
+                    break
             else:
-                # bisect toward the last covered sample instead
-                s_local = mid
-                mid2 = 0.5 * (np.asarray(anchor) + s_local)
-                if grid.is_occupied(mid2):
-                    raise CorridorFailed(
-                        f"intermediate corridor seed {mid2.tolist()} is occupied")
-                cube2 = grid.inflate_box(mid2, max_extent)
-                if not _fat(prev, cube2, min_side):
-                    raise CorridorFailed(
-                        f"corridor bridging stalled near {s.tolist()}")
-                bridge.append(cube2)
-                anchor = mid2
+                raise CorridorFailed(f"corridor bridging stalled near {s.tolist()}")
+            bridge.append(mid_cube)
+            prev, anchor = mid_cube, mid
         for c in bridge:
             if not _contains_cube(cubes[-1], c):
                 cubes.append(c)

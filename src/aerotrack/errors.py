@@ -57,7 +57,6 @@ _FIELD_KINDS = {
     "int": (is_count, "a non-negative integer"),
     "bool": (lambda x: isinstance(x, bool), "true or false"),
     "tuple": (is_numbers, "a list of finite numbers"),
-    "float | None": (lambda x: x is None or is_number(x), "null or a finite number"),
 }
 
 

@@ -185,23 +185,15 @@ class OccupancyGrid:
             for side in range(6):
                 if not growing[side]:
                     continue
-                ax, positive = divmod(side, 2)[0], side % 2 == 0
-                if positive:
-                    nxt = hi[ax] + 1
-                    face = self.origin[ax] + (nxt + 1) * self.resolution
-                    ok = face <= seed[ax] + max_extent + 1e-9 and layer_free(ax, nxt)
-                    if ok:
-                        hi[ax] = nxt
-                    else:
-                        growing[side] = False
+                ax, up = side // 2, side % 2 == 0
+                nxt = hi[ax] + 1 if up else lo[ax] - 1
+                face = self.origin[ax] + (nxt + 1 if up else nxt) * self.resolution
+                within = (face <= seed[ax] + max_extent + 1e-9 if up
+                          else face >= seed[ax] - max_extent - 1e-9)
+                if within and layer_free(ax, nxt):
+                    (hi if up else lo)[ax] = nxt
                 else:
-                    nxt = lo[ax] - 1
-                    face = self.origin[ax] + nxt * self.resolution
-                    ok = face >= seed[ax] - max_extent - 1e-9 and layer_free(ax, nxt)
-                    if ok:
-                        lo[ax] = nxt
-                    else:
-                        growing[side] = False
+                    growing[side] = False
         return Cube(self.origin + lo * self.resolution, self.origin + (hi + 1) * self.resolution)
 
 

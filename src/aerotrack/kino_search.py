@@ -34,7 +34,6 @@ from .poly import PiecewisePoly
 class KinoState:
     p: np.ndarray   # position [m]
     v: np.ndarray   # velocity [m/s]
-    t: float = 0.0  # time since search start [s]
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
@@ -176,19 +175,18 @@ def _controls(w: SearchWeights) -> np.ndarray:
 class _NodeStore:
     """Search nodes as rows of flat arrays that double in length when full.
 
-    Row ``i`` holds one node's position, velocity, cost-to-come ``g``, time,
-    parent row (-1 for the start) and the index of the control that reached
-    it. The arrays own their data, so no row refers to an expansion's
-    collision samples.
+    Row ``i`` holds one node's position, velocity, cost-to-come ``g``, parent
+    row (-1 for the start) and the index of the control that reached it; no
+    time, since node ``k`` of a path is ``k * tau`` into the search. The arrays
+    own their data, so no row refers to an expansion's collision samples.
     """
 
-    _COLUMNS = ("p", "v", "g", "t", "parent", "ctrl")
+    _COLUMNS = ("p", "v", "g", "parent", "ctrl")
 
     def __init__(self, capacity: int = 256):
         self.p = np.empty((capacity, 3))
         self.v = np.empty((capacity, 3))
         self.g = np.empty(capacity)
-        self.t = np.empty(capacity)
         self.parent = np.empty(capacity, dtype=np.intp)
         self.ctrl = np.empty(capacity, dtype=np.intp)
         self.size = 0
@@ -203,12 +201,12 @@ class _NodeStore:
         self.size += 1
         return self.size - 1
 
-    def write(self, rows, p, v, g, t, parent, ctrl) -> None:
+    def write(self, rows, p, v, g, parent, ctrl) -> None:
         self.p[rows], self.v[rows], self.g[rows] = p, v, g
-        self.t[rows], self.parent[rows], self.ctrl[rows] = t, parent, ctrl
+        self.parent[rows], self.ctrl[rows] = parent, ctrl
 
     def state(self, row: int) -> KinoState:
-        return KinoState(p=self.p[row].copy(), v=self.v[row].copy(), t=float(self.t[row]))
+        return KinoState(p=self.p[row].copy(), v=self.v[row].copy())
 
 
 def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoState,
@@ -260,7 +258,7 @@ def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoSt
     nodes = _NodeStore()
     start_key = node_keys(start.p[None, :], start.v[None, :])[0]
     row = nodes.new_row()
-    nodes.write(row, start.p, start.v, 0.0, start.t, -1, -1)
+    nodes.write(row, start.p, start.v, 0.0, -1, -1)
     rows = {start_key: row}
     h0, T0 = obvp_cost(start, goal, w.rho)
     open_heap = [(h0 + w.c_time * T0 + occ_pen(start.p, start_key[:3]), 0.0, start_key)]
@@ -294,7 +292,6 @@ def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoSt
         # rows of the kept children; fancy indexing copies them out of pos
         child_p, child_v = pos[kept, -1, :], end_v[kept]
         child_g = g + control_costs[kept]
-        child_t = nodes.t[row] + tau
         keys = node_keys(child_p, child_v)
         # dominance check first; the heuristic is only solved for survivors
         surv = [j for j, (ckey, g_child) in enumerate(zip(keys, child_g.tolist()))
@@ -316,7 +313,7 @@ def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoSt
             heapq.heappush(open_heap, (f_j, -g_j, ckey))
         dst = np.fromiter(last.keys(), np.intp, len(last))
         src = np.fromiter(last.values(), np.intp, len(last))
-        nodes.write(dst, sp[src], sv[src], sg[src], child_t, row, kept[surv][src])
+        nodes.write(dst, sp[src], sv[src], sg[src], row, kept[surv][src])
 
     if goal_row is None and len(rows) == 1:
         raise NoPath("no primitive could be expanded from the start state")

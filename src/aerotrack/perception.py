@@ -23,7 +23,6 @@ class CameraModel:
 
     focal_px: float
     image_width_px: int = 640
-    image_height_px: int = 480
     mount_height: float = 0.1
 
     @property
@@ -31,10 +30,8 @@ class CameraModel:
         return 2.0 * np.arctan(self.image_width_px / (2.0 * self.focal_px))
 
     @staticmethod
-    def from_fov(horizontal_fov_rad: float, width: int = 640, height: int = 480,
-                 mount_height: float = 0.1) -> "CameraModel":
-        focal = width / (2.0 * np.tan(horizontal_fov_rad / 2.0))
-        return CameraModel(focal, width, height, mount_height)
+    def from_fov(horizontal_fov_rad: float) -> "CameraModel":
+        return CameraModel(CameraModel.image_width_px / (2.0 * np.tan(horizontal_fov_rad / 2.0)))
 
 
 DEFAULT_CAMERA = CameraModel.from_fov(np.deg2rad(87.0))
@@ -98,7 +95,6 @@ class RegressionParams:
     a: float
     b: float
     z_const: float
-    rms_residual: float = float("nan")
 
     def depth(self, body_len_px):
         L = np.asarray(body_len_px, dtype=float)
@@ -219,7 +215,7 @@ def _best_start(resid_jac, starts):
     if not finite:
         raise FitDiverged("no regression start converged")
     i = min(finite, key=lambda i: (cost[i], float(np.linalg.norm(P[i]))))
-    return float(cost[i]), P[i], J[i]
+    return P[i], J[i]
 
 
 def _depth_resid_jac(L, x_gt):
@@ -296,7 +292,7 @@ class CalibrationDataset(tuple):
             A = np.column_stack([np.exp(k[0] * L), np.exp(k[1] * L)])
             lam, *_ = np.linalg.lstsq(A, x_gt, rcond=None)
             depth_starts.append(np.array([lam[0], lam[1], k[0], k[1]]))
-        cost_x, p_x, J_x = _best_start(_depth_resid_jac(L, x_gt), depth_starts)
+        p_x, J_x = _best_start(_depth_resid_jac(L, x_gt), depth_starts)
 
         sv = np.linalg.svd(J_x, compute_uv=False)
         if sv[-1] < 1e-10 * sv[0]:
@@ -313,13 +309,11 @@ class CalibrationDataset(tuple):
             A = np.column_stack([np.exp(k[0] * u), np.exp(k[1] * u)])
             lam, *_ = np.linalg.lstsq(A, ratio, rcond=None)
             lateral_starts.append(np.array([lam[0], lam[1], k[0], k[1], 1.0, 0.0]))
-        cost_y, p_y, _ = _best_start(_lateral_resid_jac(u, x_hat, y_gt), lateral_starts)
-
-        rms = float(np.sqrt((cost_x + cost_y) / len(L)))
+        p_y, _ = _best_start(_lateral_resid_jac(u, x_hat, y_gt), lateral_starts)
         return RegressionParams(
             lam1=p_x[0], lam2=p_x[1], k1=p_x[2], k2=p_x[3],
             lam3=p_y[0], lam4=p_y[1], k3=p_y[2], k4=p_y[3], a=p_y[4], b=p_y[5],
-            z_const=float(np.mean(z_gt)), rms_residual=rms,
+            z_const=float(np.mean(z_gt)),
         )
 
 
@@ -385,12 +379,12 @@ class GimbalState:
     """1-DOF gimbal: unbounded yaw (slip-ring mount), rate-limited steps."""
 
     yaw: float
-    yaw_rate_limit: float = 3.0
+    yaw_rate_limit: float  # [rad/s]
     integrator: float = 0.0
 
 
 def gimbal_track_step(g: GimbalState, u_px: float, cam: CameraModel, dt: float,
-                      kp: float = 0.004, ki: float = 0.0005) -> GimbalState:
+                      kp: float, ki: float) -> GimbalState:
     """PI step driving the target's pixel error toward the frame center."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -403,6 +397,6 @@ def gimbal_track_step(g: GimbalState, u_px: float, cam: CameraModel, dt: float,
     return replace(g, yaw=g.yaw + rate * dt, integrator=integ)
 
 
-def gimbal_search_step(g: GimbalState, dt: float, omega_search: float = 1.5) -> GimbalState:
+def gimbal_search_step(g: GimbalState, dt: float, omega_search: float) -> GimbalState:
     """Constant-rate sweep in the positive yaw direction; yaw wraps freely."""
     return replace(g, yaw=g.yaw + omega_search * dt, integrator=0.0)

@@ -99,7 +99,7 @@ def _second_difference(n: int) -> np.ndarray:
 
 
 def _fit_matrices(times_s: np.ndarray, weights: np.ndarray, w: PredictionWeights, scale: float):
-    """Quadratic form pieces shared by all three axes."""
+    """Weighted basis rows and Hessian of the fit, shared by all three axes."""
     n = w.degree
     k = np.arange(n + 1)
     s = np.asarray(times_s, dtype=float)[:, None]
@@ -111,7 +111,7 @@ def _fit_matrices(times_s: np.ndarray, weights: np.ndarray, w: PredictionWeights
     M = _bezier_l2_matrix(n - 2)
     R = (w.smooth_weight / scale**3) * (D2.T @ M @ D2)
     H = 2.0 * (PhiW.T @ Phi + R)
-    return Phi, PhiW, H
+    return PhiW, H
 
 
 def _constraint_rows(n: int, scale: float):
@@ -153,23 +153,20 @@ def fit_predicted_trajectory(observations, t_c: float, w: PredictionWeights | No
     conf = np.exp(-(t_c - times) / w.tau_w)
     s_vals = (times - t0) / scale
 
-    Phi, PhiW, H = _fit_matrices(s_vals, conf, w, scale)
+    PhiW, H = _fit_matrices(s_vals, conf, w, scale)
     G, n_v, n_a = _constraint_rows(n, scale)
     h = np.concatenate([np.full(2 * n_v, w.v_max), np.full(2 * n_a, w.a_max)])
 
     cp = np.empty((n + 1, 3))
     kkt = 0.0
-    objective = 0.0
     for axis in range(3):
         f = -2.0 * (PhiW.T @ pts[:, axis])
         x0 = np.full(n + 1, np.average(pts[:, axis], weights=conf))  # constant curve: feasible
         x, lam = active_set_qp(H, f, G, h, x0)
         cp[:, axis] = x
         kkt = max(kkt, qp_kkt_residual(H, f, G, h, x, lam))
-        r = Phi @ x - pts[:, axis]
-        objective += float(conf @ r**2)
     return PredictedTrajectory(
         control_points=cp, degree=n, t0=t0, t_c=t_c, t_p=t_p,
-        fit_info={"kkt_residual": kkt, "n_obs": len(usable), "residual": objective},
+        fit_info={"kkt_residual": kkt, "n_obs": len(usable)},
     )
 

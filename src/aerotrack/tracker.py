@@ -22,6 +22,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -68,6 +69,7 @@ TRACE_COLUMNS = [
     "mode", "path_cost", "corridor_m", "j_sigma", "quad_x", "quad_y", "quad_z",
     "quad_yaw", "los", "path_los", "plan_ok",
 ]
+_MODE = TRACE_COLUMNS.index("mode")
 _PLAN_OK = TRACE_COLUMNS.index("plan_ok")
 _NO_PATH = (float("nan"), 0, float("nan"), "")  # path_cost .. path_los, no new path
 
@@ -82,10 +84,9 @@ def resolve_variant(variant: str) -> str:
 
 @dataclass
 class ModeState:
-    """Tracking/relocating machine with the memory relocation needs."""
+    """Tracking/relocating machine: the mode and how long the target has been unseen [s]."""
 
     mode: str = TRACKING
-    time_since_loss: float = 0.0
     invalid_streak: float = 0.0
 
 
@@ -93,8 +94,8 @@ def relocation_update(state: ModeState, obs: TargetObservation, dt: float,
                       loss_timeout: float) -> ModeState:
     """Advance the mode machine on one observation.
 
-    ``time_since_loss`` keeps the final relocation duration after rediscovery
-    so the caller can record it; it resets when relocation is entered again.
+    A valid observation returns to tracking and ``loss_timeout`` seconds of
+    invalid ones start relocation; ``run_scenario`` times relocations from the trace.
     """
     if obs.valid:
         state.mode = TRACKING
@@ -103,9 +104,6 @@ def relocation_update(state: ModeState, obs: TargetObservation, dt: float,
     state.invalid_streak += dt
     if state.mode == TRACKING and state.invalid_streak >= loss_timeout:
         state.mode = RELOCATING
-        state.time_since_loss = 0.0
-    elif state.mode == RELOCATING:
-        state.time_since_loss += dt
     return state
 
 
@@ -172,8 +170,6 @@ class TrackerWorld:
         self.fail_streak = 0.0
         self.distances: list[float] = []
         self.los_flags: list[bool] = []
-        self.loss_episodes = 0
-        self.relocation_times: list[float] = []
         self.last_plan_error = ""
 
     @contextlib.contextmanager
@@ -225,7 +221,7 @@ def blend_goal(traj, t: float, w: SearchWeights) -> tuple[KinoState, np.ndarray]
     p_pred, v_pred = traj.evaluate(min(t + w.t_lookahead, traj.t_p))
     p = (1.0 - w.w_goal) * p_now + w.w_goal * p_pred
     v = (1.0 - w.w_goal) * v_now + w.w_goal * v_pred
-    return KinoState(p=p, v=v, t=t), p_pred
+    return KinoState(p=p, v=v), p_pred
 
 
 def _free_goal(world: TrackerWorld, goal_p: np.ndarray) -> np.ndarray:
@@ -320,12 +316,7 @@ def perceive(world: TrackerWorld, t: float, target_p: np.ndarray) -> tuple[Targe
 
     was_relocating = world.mode.mode == RELOCATING
     world.mode = relocation_update(world.mode, obs, dt, sc.tracker.loss_timeout)
-    entered = world.mode.mode == RELOCATING and not was_relocating
-    if entered:
-        world.loss_episodes += 1
-    if world.mode.mode == TRACKING and was_relocating:
-        world.relocation_times.append(world.mode.time_since_loss + dt)
-    return obs, entered
+    return obs, world.mode.mode == RELOCATING and not was_relocating
 
 
 def predict(world: TrackerWorld, t: float, obs: TargetObservation) -> None:
@@ -367,7 +358,7 @@ def plan(world: TrackerWorld, t: float, entered_relocation: bool) -> tuple:
                     p0=world.quad_p, v0=world.quad_v, a0=world.quad_a,
                     p1=path.end_state.p, v1=path.end_state.v, a1=np.zeros(3))
                 traj = traj_opt.optimize(cor, bc, world.scenario.opt)
-            j_sigma = traj.info.get("objective", float("nan"))
+            j_sigma = traj.info["objective"]
             path_los = int(all(world.grid.line_of_sight(s.p, occl_target) for s in path.states))
         except Exception as exc:  # stage failure: keep the previous trajectory
             error = f"{type(exc).__name__}: {exc}"
@@ -443,7 +434,9 @@ def run_scenario(scenario: Scenario, variant: str = "full") -> tuple[Metrics, li
     """Run a scenario to completion and score it.
 
     Success requires never entering an occupied voxel and never exceeding the
-    losing distance for longer than the configured grace time.
+    losing distance for longer than the configured grace time. Each run of
+    relocating rows in the trace is one loss episode and, if it ended, one
+    relocation time.
     """
     world = TrackerWorld(scenario, variant)
     n_cycles = int(round(scenario.duration * scenario.tracker.replan_hz))
@@ -452,14 +445,17 @@ def run_scenario(scenario: Scenario, variant: str = "full") -> tuple[Metrics, li
         step(world)
         if failed_at is None and world.fail_streak > scenario.tracker.t_fail:
             failed_at = world.cycle * world.dt
+    # (mode, rows) of each run of one mode; every run but the last has ended
+    runs = [(mode, sum(1 for _ in rows))
+            for mode, rows in itertools.groupby(row[_MODE] for row in world.trace_rows)]
+    relocation_times = [sum([world.dt] * n) for mode, n in runs[:-1] if mode == RELOCATING]
     metrics = Metrics(
         mean_target_distance=float(np.mean(world.distances)),
         max_target_distance=float(np.max(world.distances)),
         los_fraction=float(np.mean(world.los_flags)),
-        loss_episodes=world.loss_episodes,
-        relocation_times=list(world.relocation_times),
-        mean_relocation_time=(float(np.mean(world.relocation_times))
-                              if world.relocation_times else None),
+        loss_episodes=sum(mode == RELOCATING for mode, _ in runs),
+        relocation_times=relocation_times,
+        mean_relocation_time=float(np.mean(relocation_times)) if relocation_times else None,
         cycles=world.cycle,
         plan_failures=sum(row[_PLAN_OK] == 0 for row in world.trace_rows),
         stage_ms={k: v / max(world.cycle, 1) for k, v in world.stage_totals.items()},

@@ -145,7 +145,7 @@ def inner_trajectory(waypoints, T, boundary: BoundaryConditions) -> PiecewisePol
     waypoints = np.asarray(waypoints, dtype=float)
     T = np.asarray(T, dtype=float)
     Q, _ = _jerk_forms(T)
-    d_all, j_cost = _solve_inner(waypoints, Q, boundary)
+    d_all, _ = _solve_inner(waypoints, Q, boundary)
     coeffs = np.zeros((len(T), 3, 6))
     coeffs[:, :, 0] = d_all[:, 0]
     coeffs[:, :, 1] = d_all[:, 1]
@@ -154,7 +154,7 @@ def inner_trajectory(waypoints, T, boundary: BoundaryConditions) -> PiecewisePol
     S, _ = _scales(T)
     coeffs[:, :, 3:] = (np.einsum("kl,il,ila->iak", _H3_UNIT, S, d_all)
                         / T[:, None, None] ** np.arange(3, 6))
-    return PiecewisePoly(coeffs, T, info={"jerk_cost": j_cost})
+    return PiecewisePoly(coeffs, T)
 
 
 # ----------------------------------------------------------------------

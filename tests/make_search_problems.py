@@ -3,8 +3,10 @@
 Runs builtin scenarios through the closed loop, captures the arguments of
 ``kino_search.search`` at chosen cycles, re-solves each captured problem on
 its own and writes problems plus paths to ``tests/data/search_problems.json``.
-JSON stores floats by ``repr``, so the values round-trip exactly. Run from the
-root of the repository:
+A path is recorded as its primitives: control, duration and end state. States
+carry no time, since the end of primitive ``k`` is ``(k + 1) * tau`` into the
+search. JSON stores floats by ``repr``, so the values round-trip exactly. Run
+from the root of the repository:
 
     PYTHONPATH=src python tests/make_search_problems.py
 """
@@ -46,7 +48,7 @@ def capture(scenario_name: str, cycles: set[int]) -> dict[int, dict]:
         if world.cycle in cycles:
             captured[world.cycle] = {
                 "weights": dataclasses.asdict(w),
-                "start": {"p": _vec(start.p), "v": _vec(start.v), "t": float(start.t)},
+                "start": {"p": _vec(start.p), "v": _vec(start.v)},
                 "goal": {"p": _vec(goal.p), "v": _vec(goal.v)},
                 "occlusion_target": _vec(occlusion_target),
                 "in_loop": describe(path),
@@ -66,8 +68,7 @@ def solve(scenario_name: str, problem: dict) -> kino_search.KinoPath:
     """Run the search on one recorded problem."""
     grid = build_map(Scenario.from_dict(benchmarks.ALL[scenario_name]()).map_spec)
     weights = dict(problem["weights"], u_grid=tuple(problem["weights"]["u_grid"]))
-    start = kino_search.KinoState(p=problem["start"]["p"], v=problem["start"]["v"],
-                                  t=problem["start"]["t"])
+    start = kino_search.KinoState(p=problem["start"]["p"], v=problem["start"]["v"])
     goal = kino_search.KinoState(p=problem["goal"]["p"], v=problem["goal"]["v"])
     return kino_search.search(start, grid, kino_search.SearchWeights(**weights),
                               goal, problem["occlusion_target"])
@@ -78,8 +79,8 @@ def describe(path: kino_search.KinoPath) -> dict:
         "expansions": path.info["expansions"],
         "reached_goal": path.info["reached_goal"],
         "total_cost": float(path.total_cost),
-        "primitives": [{"u": _vec(u), "tau": path.tau, "p": _vec(end.p), "v": _vec(end.v),
-                        "t": end.t} for u, end in zip(path.controls, path.states[1:])],
+        "primitives": [{"u": _vec(u), "tau": path.tau, "p": _vec(end.p), "v": _vec(end.v)}
+                       for u, end in zip(path.controls, path.states[1:])],
     }
 
 

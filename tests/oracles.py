@@ -10,6 +10,9 @@ from math import comb
 
 import numpy as np
 
+from aerotrack.corridor import Corridor, _contains_cube, _fat
+from aerotrack.errors import CorridorFailed, SeedOccupied
+from aerotrack.grid import Cube
 from aerotrack.traj_opt import BoundaryConditions
 
 _SCAN_T = np.arange(1e-3, 20.0 + 1e-3, 1e-3)
@@ -242,3 +245,107 @@ def free_goal(world, goal_p):
         if not world.grid.is_occupied(candidate):
             return candidate
     return world.quad_p.copy()
+
+
+def inflate_box(grid, seed, max_extent: float) -> Cube:
+    """The free cube ``OccupancyGrid.inflate_box`` grows, one mirrored block per side.
+
+    A frozen copy of the method before the two directions of an axis shared
+    one body.
+    """
+    seed = np.asarray(seed, dtype=float)
+    if grid.is_occupied(seed):
+        raise SeedOccupied(f"inflation seed {seed.tolist()} is occupied")
+    lo = grid.world_to_voxel(seed)
+    hi = lo.copy()
+
+    def layer_free(ax: int, index: int) -> bool:
+        if index < 0 or index >= grid.dims[ax]:
+            return False
+        sl = [slice(lo[0], hi[0] + 1), slice(lo[1], hi[1] + 1), slice(lo[2], hi[2] + 1)]
+        sl[ax] = slice(index, index + 1)
+        return not bool(grid.occupied[tuple(sl)].any())
+
+    growing = [True] * 6
+    while any(growing):
+        for side in range(6):
+            if not growing[side]:
+                continue
+            ax, positive = divmod(side, 2)[0], side % 2 == 0
+            if positive:
+                nxt = hi[ax] + 1
+                face = grid.origin[ax] + (nxt + 1) * grid.resolution
+                ok = face <= seed[ax] + max_extent + 1e-9 and layer_free(ax, nxt)
+                if ok:
+                    hi[ax] = nxt
+                else:
+                    growing[side] = False
+            else:
+                nxt = lo[ax] - 1
+                face = grid.origin[ax] + nxt * grid.resolution
+                ok = face >= seed[ax] - max_extent - 1e-9 and layer_free(ax, nxt)
+                if ok:
+                    lo[ax] = nxt
+                else:
+                    growing[side] = False
+    return Cube(grid.origin + lo * grid.resolution, grid.origin + (hi + 1) * grid.resolution)
+
+
+def build_corridor(path, grid, max_extent: float = 2.0) -> Corridor:
+    """The corridor ``corridor.build_corridor`` builds, bisecting with two copied blocks.
+
+    A frozen copy of the function before its midpoint and quarter-point
+    attempts shared one loop body. It reads only ``path.sample_positions`` and
+    the grid's ``resolution``, ``inflate_box`` and ``is_occupied``.
+    """
+    samples = path.sample_positions(grid.resolution / 4.0)
+    min_side = 2.0 * grid.resolution
+    first = grid.inflate_box(samples[0], max_extent)
+    cubes = [first]
+    last_inside = samples[0]
+    for s in samples[1:]:
+        if cubes[-1].contains(s):
+            last_inside = s
+            continue
+        new = grid.inflate_box(s, max_extent)
+        bridge = []
+        a = cubes[-1]
+        anchor = last_inside
+        guard = 0
+        while not _fat(bridge[-1] if bridge else a, new, min_side):
+            guard += 1
+            if guard > 8:
+                raise CorridorFailed(
+                    f"could not bridge corridor cubes near {s.tolist()}")
+            mid = 0.5 * (np.asarray(anchor) + np.asarray(s))
+            if grid.is_occupied(mid):
+                raise CorridorFailed(
+                    f"intermediate corridor seed {mid.tolist()} is occupied")
+            mid_cube = grid.inflate_box(mid, max_extent)
+            prev = bridge[-1] if bridge else a
+            if _fat(prev, mid_cube, min_side):
+                bridge.append(mid_cube)
+                anchor = mid
+            else:
+                s_local = mid
+                mid2 = 0.5 * (np.asarray(anchor) + s_local)
+                if grid.is_occupied(mid2):
+                    raise CorridorFailed(
+                        f"intermediate corridor seed {mid2.tolist()} is occupied")
+                cube2 = grid.inflate_box(mid2, max_extent)
+                if not _fat(prev, cube2, min_side):
+                    raise CorridorFailed(
+                        f"corridor bridging stalled near {s.tolist()}")
+                bridge.append(cube2)
+                anchor = mid2
+        for c in bridge:
+            if not _contains_cube(cubes[-1], c):
+                cubes.append(c)
+        if _contains_cube(new, cubes[-1]) and (
+            len(cubes) == 1 or _fat(cubes[-2], new, min_side)
+        ):
+            cubes[-1] = new
+        elif not _contains_cube(cubes[-1], new):
+            cubes.append(new)
+        last_inside = s
+    return Corridor(cubes)

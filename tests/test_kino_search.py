@@ -174,9 +174,10 @@ class TestGoalState:
             goal, p_ahead = blend_goal(traj, t, w)
             t_ahead = min(t + lookahead, traj.t_p)
             assert np.array_equal(p_ahead, traj.evaluate(t_ahead)[0])
-            p_now = traj.evaluate(t)[0]
+            p_now, v_now = traj.evaluate(t)
             assert np.array_equal(goal.p, (1.0 - 0.7) * p_now + 0.7 * p_ahead)
-            assert goal.t == t
+            v_ahead = traj.evaluate(t_ahead)[1]
+            assert np.array_equal(goal.v, (1.0 - 0.7) * v_now + 0.7 * v_ahead)
 
 
 class TestSearch:
@@ -220,7 +221,6 @@ class TestSearch:
         for a, b, u in zip(path.states, path.states[1:], path.controls):
             assert np.allclose(a.p + a.v * w.tau + 0.5 * u * w.tau**2, b.p)
             assert np.allclose(a.v + u * w.tau, b.v)
-            assert b.t == pytest.approx(a.t + w.tau)
         recomputed = sum((u @ u + w.rho) * path.tau for u in path.controls)
         assert path.total_cost == pytest.approx(recomputed, abs=1e-9)
 

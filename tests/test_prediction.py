@@ -29,13 +29,13 @@ def unconstrained_fit_oracle(observations, t_c: float, w: PredictionWeights) -> 
     pts = np.array([o.position_world for o in usable])
     conf = np.exp(-(t_c - times) / w.tau_w)
     s_vals = (times - t0) / scale
-    Phi, PhiW, H = _fit_matrices(s_vals, conf, w, scale)
+    PhiW, H = _fit_matrices(s_vals, conf, w, scale)
     rhs = 2.0 * (PhiW.T @ pts)
     return np.linalg.solve(H, rhs)
 
 
 def basis(n, s):
-    """Rows of the fit's Bernstein basis at the normalized times ``s``."""
+    """Rows of the fit's Bernstein basis at the normalized times ``s`` (unit weights)."""
     s = np.asarray(s, dtype=float)
     return _fit_matrices(s, np.ones_like(s), PredictionWeights(degree=n), 1.0)[0]
 

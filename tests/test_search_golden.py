@@ -27,7 +27,7 @@ def scenario_grid(name):
 
 def run(problem):
     weights = dict(problem["weights"], u_grid=tuple(problem["weights"]["u_grid"]))
-    start = KinoState(p=problem["start"]["p"], v=problem["start"]["v"], t=problem["start"]["t"])
+    start = KinoState(p=problem["start"]["p"], v=problem["start"]["v"])
     goal = KinoState(p=problem["goal"]["p"], v=problem["goal"]["v"])
     return search(start, scenario_grid(problem["scenario"]), SearchWeights(**weights),
                   goal, problem["occlusion_target"])
@@ -44,10 +44,9 @@ def test_recorded_path(label):
     assert len(path.controls) == len(exp["primitives"]) == len(path.states) - 1
     start = path.states[0]
     assert start.p.tolist() == problem["start"]["p"] and start.v.tolist() == problem["start"]["v"]
-    assert start.t == problem["start"]["t"]
     for u, end, e in zip(path.controls, path.states[1:], exp["primitives"]):
         assert u.tolist() == e["u"] and path.tau == e["tau"]
-        assert end.p.tolist() == e["p"] and end.v.tolist() == e["v"] and end.t == e["t"]
+        assert end.p.tolist() == e["p"] and end.v.tolist() == e["v"]
 
 
 def test_budget_exhausting_search_memory():

@@ -83,16 +83,6 @@ class TestRelocationUpdate:
         state = relocation_update(state, lost(), DT, loss_timeout=0.5)
         assert state.invalid_streak == 0.5
         assert state.mode == RELOCATING
-        assert state.time_since_loss == 0.0
-
-    def test_time_since_loss_accumulates_while_relocating(self):
-        state = ModeState()
-        for _ in range(4):
-            state = relocation_update(state, lost(), DT, loss_timeout=0.5)
-        for k in range(1, 6):
-            state = relocation_update(state, lost(), DT, loss_timeout=0.5)
-            assert state.mode == RELOCATING
-            assert state.time_since_loss == k * DT
 
     def test_reacquisition_keeps_time_since_loss(self):
         state = ModeState()
@@ -101,12 +91,12 @@ class TestRelocationUpdate:
         state = relocation_update(state, seen(), DT, loss_timeout=0.5)
         assert state.mode == TRACKING
         assert state.invalid_streak == 0.0
-        assert state.time_since_loss == 3 * DT
-        # the next loss restarts the clock once the timeout passes again
-        for _ in range(4):
+        # the next loss relocates again once the timeout passes again
+        for _ in range(3):
             state = relocation_update(state, lost(), DT, loss_timeout=0.5)
+            assert state.mode == TRACKING
+        state = relocation_update(state, lost(), DT, loss_timeout=0.5)
         assert state.mode == RELOCATING
-        assert state.time_since_loss == 0.0
 
     def test_short_dropout_stays_tracking(self):
         state = ModeState()
@@ -164,6 +154,14 @@ class TestStep:
         metrics, rows = tracker.run_scenario(scenario)
         failed = [row for row in rows if row[TRACE_COLUMNS.index("plan_ok")] == 0]
         assert failed and metrics.plan_failures == len(failed)
+
+    def test_run_counts_the_relocations_of_its_trace(self):
+        # relocation runs from cycle 66 through 126 and ends at 127
+        raw = dict(benchmarks.ALL["occlusion_turn"](), duration=140 / 13)
+        metrics, rows = tracker.run_scenario(Scenario.from_dict(raw))
+        assert len(rows) == 140
+        assert metrics.loss_episodes == 1
+        assert metrics.relocation_times == [sum([1 / 13] * 61)]
 
 
 class TestStageFailures:
@@ -400,12 +398,17 @@ class TestRegressionSetup:
 # from a power-basis PiecewisePoly; perf changes must keep these byte-identical
 GOLDEN_TRACE_SHA256 = {
     "sharp_turn_low": "f5decb91843b39dc676560359457663874640c1025f23bd4525e800e0832ff57",
+    "sharp_turn_high": "5ad4a1da80be476fba227e94deaab5b33e77594917c915f9ad1f9d54954afdd7",
     "occlusion_turn": "e24d26cb0d0e52e099643dc2c00c9ff4dcb85c28131c85cf9aa59f8f012f43f9",
 }
 # sha256 of the 140-cycle occlusion_turn trace at the builtin seed: it enters
 # relocation at cycle 66, keeps its trajectory for 59 cycles between replans
 # and reacquires the target at cycle 127
 RELOCATION_TRACE_SHA256 = "17e8071deffa94a301ba627f23bb83e9c88c95de66c65ae8377aba2f79086062"
+# sha256 of the 222-cycle sharp_turn_low trace at the builtin seed: its
+# corridors bisect between cubes at cycle 220 (the midpoint overlaps too
+# thinly, the quarter point does not) and stall at cycle 221
+BRIDGE_TRACE_SHA256 = "1a0b3d6859b77e4e34c411c0eaffd2d6744e3ab56bd88815def6b771c8723fa2"
 
 
 def trace_digest(world, cycles):
@@ -432,3 +435,9 @@ class TestGoldenTrace:
         clear_calibration_caches()
         world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["occlusion_turn"]()))
         assert trace_digest(world, 140) == RELOCATION_TRACE_SHA256
+
+    def test_bridge_trace_digest(self):
+        clear_calibration_caches()
+        world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]()))
+        assert trace_digest(world, 222) == BRIDGE_TRACE_SHA256
+        assert world.last_plan_error.startswith("CorridorFailed: corridor bridging stalled")
