@@ -105,7 +105,7 @@ class FitDiverged(RuntimeError):
 
 
 class InsufficientData(ValueError):
-    """Too few valid observations inside the fit window."""
+    """Too few observations inside the fit window."""
 
 
 class QPInfeasible(RuntimeError):

@@ -56,7 +56,7 @@ class SearchWeights:
     v_goal_tol: float = 1.5               # goal velocity tolerance [m/s]
     vel_bin: float = 0.5                  # velocity quantization for node identity [m/s]
     node_budget: int = 30000
-    freeze_z: bool = False                # planar scenarios: no vertical control
+    freeze_z: bool = True                 # planar: no vertical control; False adds it
 
     def __post_init__(self):
         # without a time weight the heuristic's energy-time cost has no minimum

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FitDiverged
+from .errors import FitDiverged, require_positive
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,23 @@ class CameraModel:
 
 
 DEFAULT_CAMERA = CameraModel.from_fov(np.deg2rad(87.0))
+
+
+@dataclass
+class PerceptionConfig:
+    """Camera, target size, detection noise and the gimbal's gains and rates."""
+
+    camera: CameraModel = DEFAULT_CAMERA
+    body_len: float = 0.45
+    sigma_u: float = 2.0
+    sigma_len: float = 2.0
+    kp: float = 0.004
+    ki: float = 0.0005
+    yaw_rate_limit: float = 3.0
+    omega_search: float = 1.5
+
+    def __post_init__(self):
+        require_positive("body_len", self.body_len)
 
 
 @dataclass(frozen=True)
@@ -67,13 +84,10 @@ class ImageFeatures:
 
 @dataclass(frozen=True)
 class TargetObservation:
-    position_world: np.ndarray | None
-    timestamp: float
-    valid: bool
+    """A localized target's world position at ``timestamp``; an unseen target has none."""
 
-    @staticmethod
-    def invalid(timestamp: float) -> "TargetObservation":
-        return TargetObservation(position_world=None, timestamp=timestamp, valid=False)
+    position_world: np.ndarray
+    timestamp: float
 
 
 @dataclass(frozen=True)
@@ -145,7 +159,7 @@ def localize(features: ImageFeatures, params: RegressionParams, cam_pose: Pose
     x_c = float(params.depth(features.body_len_px))
     y_c = float(params.lateral(features.u_px, x_c))
     p_world = cam_pose.camera_to_world((x_c, y_c, params.z_const))
-    return TargetObservation(position_world=p_world, timestamp=features.timestamp, valid=True)
+    return TargetObservation(position_world=p_world, timestamp=features.timestamp)
 
 
 # ----------------------------------------------------------------------
@@ -321,8 +335,9 @@ class CalibrationDataset(tuple):
 _DATASET_CACHE_SIZE = 8
 
 
+@functools.lru_cache(maxsize=_DATASET_CACHE_SIZE)
 def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
-                             range_band=(1.0, 5.0), seed: int = 0,
+                             range_band: tuple = (1.0, 5.0), seed: int = 0,
                              sigma_u: float = 0.0, sigma_len: float = 0.0
                              ) -> CalibrationDataset:
     """Mocap-style dataset: ranges concentrated around the working standoff.
@@ -332,23 +347,15 @@ def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
     full band stays covered. Returns (ImageFeatures, camera-frame truth)
     pairs suitable for :func:`fit_regression`.
 
-    Datasets are memoized per process in ``_calibration_samples``, an LRU
-    cache of ``_DATASET_CACHE_SIZE`` datasets keyed on every argument, with
-    ``range_band`` as a tuple. The dataset is a pure function of those
+    Datasets are memoized per process in an LRU cache of
+    ``_DATASET_CACHE_SIZE`` datasets keyed on the arguments as passed, so
+    ``range_band`` must be hashable. The dataset is a pure function of those
     arguments, so a hit equals a fresh build. A hit returns the memoized
     :class:`CalibrationDataset` itself: a tuple of frozen ``ImageFeatures``
     and read-only truth arrays that keeps its fit once made, so no caller
     can change what a later call returns, and :func:`fit_regression` on it
     costs O(1) after the first. To edit one, make a new ``CalibrationDataset``.
     """
-    return _calibration_samples(cam, body_len, n, tuple(range_band), seed,
-                                sigma_u, sigma_len)
-
-
-@functools.lru_cache(maxsize=_DATASET_CACHE_SIZE)
-def _calibration_samples(cam: CameraModel, body_len: float, n: int, range_band: tuple,
-                         seed: int, sigma_u: float, sigma_len: float) -> CalibrationDataset:
-    """The dataset of :func:`make_calibration_dataset`."""
     rng = np.random.default_rng(seed)
     lo, hi = range_band
     center, spread = 0.5 * (lo + hi) - 0.5, 0.25 * (hi - lo)
@@ -376,27 +383,29 @@ def _calibration_samples(cam: CameraModel, body_len: float, n: int, range_band: 
 
 @dataclass(frozen=True)
 class GimbalState:
-    """1-DOF gimbal: unbounded yaw (slip-ring mount), rate-limited steps."""
+    """1-DOF gimbal state: unbounded yaw (slip-ring mount) [rad] and PI integrator [px s]."""
 
     yaw: float
-    yaw_rate_limit: float  # [rad/s]
     integrator: float = 0.0
 
 
-def gimbal_track_step(g: GimbalState, u_px: float, cam: CameraModel, dt: float,
-                      kp: float, ki: float) -> GimbalState:
-    """PI step driving the target's pixel error toward the frame center."""
+def gimbal_track_step(g: GimbalState, u_px: float, cfg: PerceptionConfig,
+                      dt: float) -> GimbalState:
+    """PI step at ``cfg``'s gains driving the target's pixel error toward the frame center.
+
+    ``cfg.yaw_rate_limit`` bounds the yaw rate and, through ``ki``, the integrator.
+    """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    error = u_px - cam.image_width_px / 2.0
+    error = u_px - cfg.camera.image_width_px / 2.0
     integ = g.integrator + error * dt
-    windup_cap = g.yaw_rate_limit / max(ki, 1e-12)
+    windup_cap = cfg.yaw_rate_limit / max(cfg.ki, 1e-12)
     integ = float(np.clip(integ, -windup_cap, windup_cap))
-    rate = -(kp * error + ki * integ)
-    rate = float(np.clip(rate, -g.yaw_rate_limit, g.yaw_rate_limit))
+    rate = -(cfg.kp * error + cfg.ki * integ)
+    rate = float(np.clip(rate, -cfg.yaw_rate_limit, cfg.yaw_rate_limit))
     return replace(g, yaw=g.yaw + rate * dt, integrator=integ)
 
 
-def gimbal_search_step(g: GimbalState, dt: float, omega_search: float) -> GimbalState:
-    """Constant-rate sweep in the positive yaw direction; yaw wraps freely."""
-    return replace(g, yaw=g.yaw + omega_search * dt, integrator=0.0)
+def gimbal_search_step(g: GimbalState, cfg: PerceptionConfig, dt: float) -> GimbalState:
+    """Sweep toward positive yaw at ``cfg.omega_search`` (0 holds it); reset the integrator."""
+    return replace(g, yaw=g.yaw + cfg.omega_search * dt, integrator=0.0)

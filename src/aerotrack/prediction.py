@@ -1,6 +1,6 @@
 """Target motion prediction: constrained Bezier fitting over recent observations.
 
-A degree-n Bezier curve is fit to the valid observations inside a sliding
+A degree-n Bezier curve is fit to the observations inside a sliding
 window and read out over an extended horizon, so evaluating past the newest
 observation time is the motion prediction. The fit is a small convex QP per
 axis: a time-weighted residual term plus an integrated-acceleration
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 
 import numpy as np
 
@@ -88,14 +88,12 @@ class PredictedTrajectory:
         return self._curve.eval(t - self.t0), self._curve.eval(t - self.t0, 1)
 
 
-def _second_difference(n: int) -> np.ndarray:
-    """(n-1, n+1) stencil with rows c_i - 2 c_{i+1} + c_{i+2}."""
-    D2 = np.zeros((n - 1, n + 1))
-    for i in range(n - 1):
-        D2[i, i] = 1.0
-        D2[i, i + 1] = -2.0
-        D2[i, i + 2] = 1.0
-    return D2
+def _hodograph(n: int, k: int) -> np.ndarray:
+    """(n-k+1, n+1) map from degree-n control points to those of the k-th derivative in s.
+
+    Row i is n!/(n-k)! times the k-th forward difference starting at c_i.
+    """
+    return perm(n, k) * np.diff(np.eye(n + 1), k, axis=0)
 
 
 def _fit_matrices(times_s: np.ndarray, weights: np.ndarray, w: PredictionWeights, scale: float):
@@ -105,9 +103,7 @@ def _fit_matrices(times_s: np.ndarray, weights: np.ndarray, w: PredictionWeights
     s = np.asarray(times_s, dtype=float)[:, None]
     Phi = np.array([comb(n, i) for i in k], dtype=float) * s**k * (1.0 - s) ** (n - k)
     PhiW = Phi * weights[:, None]
-    # second hodograph: f = D2 c with f_i = n(n-1)(c_{i+2} - 2 c_{i+1} + c_i)
-    D2 = _second_difference(n)
-    D2 *= n * (n - 1)
+    D2 = _hodograph(n, 2)
     M = _bezier_l2_matrix(n - 2)
     R = (w.smooth_weight / scale**3) * (D2.T @ M @ D2)
     H = 2.0 * (PhiW.T @ Phi + R)
@@ -116,18 +112,14 @@ def _fit_matrices(times_s: np.ndarray, weights: np.ndarray, w: PredictionWeights
 
 def _constraint_rows(n: int, scale: float):
     """Stacked inequality rows: |velocity cp| and |acceleration cp| bounds."""
-    D1 = np.zeros((n, n + 1))
-    for i in range(n):
-        D1[i, i] = -1.0
-        D1[i, i + 1] = 1.0
-    V = n * D1 / scale
-    A = n * (n - 1) * _second_difference(n) / scale**2
+    V = _hodograph(n, 1) / scale
+    A = _hodograph(n, 2) / scale**2
     return np.vstack([V, -V, A, -A]), V.shape[0], A.shape[0]
 
 
 def fit_predicted_trajectory(observations, t_c: float, w: PredictionWeights | None = None
                              ) -> PredictedTrajectory:
-    """Fit the prediction curve to the valid observations inside the window.
+    """Fit the prediction curve to the observations inside the window.
 
     Solves, per axis, min over control points c of
     ``sum_j w_j (Phi_j c - p_j)^2 + w_r * integral |curve''|^2`` subject to the
@@ -141,11 +133,10 @@ def fit_predicted_trajectory(observations, t_c: float, w: PredictionWeights | No
     t0 = t_c - w.window
     t_p = t_c + w.horizon
     scale = t_p - t0
-    usable = [o for o in observations
-              if o.valid and t0 - 1e-9 <= o.timestamp <= t_c + 1e-9]
+    usable = [o for o in observations if t0 - 1e-9 <= o.timestamp <= t_c + 1e-9]
     if len(usable) < n + 1:
         raise InsufficientData(
-            f"need at least {n + 1} valid observations in window, got {len(usable)}")
+            f"need at least {n + 1} observations in window, got {len(usable)}")
     times = np.array([o.timestamp for o in usable])
     if np.any(np.diff(times) <= 0):
         raise InsufficientData("observation timestamps must strictly increase")

@@ -16,7 +16,7 @@ from .errors import (
     require_positive)
 from .grid import MapSpec
 from .kino_search import SearchWeights
-from .perception import DEFAULT_CAMERA, CameraModel
+from .perception import DEFAULT_CAMERA, CameraModel, PerceptionConfig
 from .prediction import PredictionWeights
 from .traj_opt import OptWeights
 
@@ -80,21 +80,6 @@ class TargetScript:
 
 
 @dataclass
-class PerceptionConfig:
-    camera: CameraModel = DEFAULT_CAMERA
-    body_len: float = 0.45
-    sigma_u: float = 2.0
-    sigma_len: float = 2.0
-    kp: float = 0.004
-    ki: float = 0.0005
-    yaw_rate_limit: float = 3.0
-    omega_search: float = 1.5
-
-    def __post_init__(self):
-        require_positive("body_len", self.body_len)
-
-
-@dataclass
 class TrackerParams:
     d_track: float = 2.0          # desired standoff distance [m]
     d_fail: float = 6.0           # losing distance threshold [m]
@@ -116,7 +101,7 @@ class Scenario:
     seed: int = 0
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     prediction: PredictionWeights = field(default_factory=PredictionWeights)
-    search: SearchWeights = field(default_factory=lambda: SearchWeights(freeze_z=True))
+    search: SearchWeights = field(default_factory=SearchWeights)
     opt: OptWeights = field(default_factory=OptWeights)
     tracker: TrackerParams = field(default_factory=TrackerParams)
 
@@ -177,8 +162,6 @@ class Scenario:
             raise InvalidScenario(
                 f"perception: horizontal_fov_deg must be a number in (0, 180), got {fov!r}")
         camera = DEFAULT_CAMERA if fov is None else CameraModel.from_fov(np.deg2rad(fov))
-        search_raw = section("search")
-        search_raw.setdefault("freeze_z", True)
         return Scenario(
             name=str(raw["name"]),
             map_spec=MapSpec.from_dict(raw["map"]),
@@ -188,7 +171,7 @@ class Scenario:
             seed=raw.get("seed", 0),
             perception=build(PerceptionConfig, "perception", perception_raw, camera=camera),
             prediction=build(PredictionWeights, "prediction"),
-            search=build(SearchWeights, "search", search_raw),
+            search=build(SearchWeights, "search"),
             opt=build(OptWeights, "opt"),
             tracker=build(TrackerParams, "tracker"),
         )

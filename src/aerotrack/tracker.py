@@ -14,6 +14,8 @@ endpoint while the gimbal sweeps all bearings until the target is reacquired.
 Tracking replans every cycle; relocation plans once and flies that trajectory
 until the goal moves by more than the search's goal tolerance, the last attempt
 failed, or less than ``RELOCATION_MIN_REMAINING_S`` of it is left.
+Every stage reads its settings from the world's scenario; a variant is a set
+of config values (``VARIANTS``) applied to it once, so no stage branches on it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,13 @@ RELOCATION_MIN_REMAINING_S = 1.0
 # Seed states kept per process; each holds four uint64 words (32 bytes).
 _SEED_CACHE_SIZE = 8
 
-VARIANTS = ("full", "no_occlusion_penalty", "no_gimbal_search")
+# Each variant's scenario config values, {section: {field: value}}: no_gimbal_search
+# holds the relocating gimbal's yaw, as a sweep at rate 0.
+VARIANTS = {
+    "full": {},
+    "no_occlusion_penalty": {"search": {"p_occ": 0.0}},
+    "no_gimbal_search": {"perception": {"omega_search": 0.0}},
+}
 _VARIANT_ALIASES = {
     "no_occ": "no_occlusion_penalty",
     "no_search": "no_gimbal_search",
@@ -70,6 +78,7 @@ TRACE_COLUMNS = [
     "quad_yaw", "los", "path_los", "plan_ok",
 ]
 _MODE = TRACE_COLUMNS.index("mode")
+_LOS = TRACE_COLUMNS.index("los")
 _PLAN_OK = TRACE_COLUMNS.index("plan_ok")
 _NO_PATH = (float("nan"), 0, float("nan"), "")  # path_cost .. path_los, no new path
 
@@ -90,14 +99,14 @@ class ModeState:
     invalid_streak: float = 0.0
 
 
-def relocation_update(state: ModeState, obs: TargetObservation, dt: float,
+def relocation_update(state: ModeState, obs: TargetObservation | None, dt: float,
                       loss_timeout: float) -> ModeState:
-    """Advance the mode machine on one observation.
+    """Advance the mode machine on one cycle's observation, ``None`` if the target was unseen.
 
-    A valid observation returns to tracking and ``loss_timeout`` seconds of
-    invalid ones start relocation; ``run_scenario`` times relocations from the trace.
+    An observation returns to tracking and ``loss_timeout`` seconds without one
+    start relocation; ``run_scenario`` times relocations from the trace.
     """
-    if obs.valid:
+    if obs is not None:
         state.mode = TRACKING
         state.invalid_streak = 0.0
         return state
@@ -128,11 +137,12 @@ class Metrics:
 
 
 class TrackerWorld:
-    """Mutable simulation state for one scenario run."""
+    """Mutable simulation state for one run of ``scenario`` under the variant's values."""
 
     def __init__(self, scenario: Scenario, variant: str = "full"):
+        for section, values in VARIANTS[resolve_variant(variant)].items():
+            scenario = replace(scenario, **{section: replace(getattr(scenario, section), **values)})
         self.scenario = scenario
-        self.variant = resolve_variant(variant)
         self.grid = build_map(scenario.map_spec)
         self.dt = 1.0 / scenario.tracker.replan_hz
         self.rng = np.random.Generator(np.random.PCG64(_seed_state(scenario.seed)))
@@ -144,18 +154,13 @@ class TrackerWorld:
         # fit_regression spans.
         cfg = scenario.perception
         self.params = fit_regression(make_calibration_dataset(
-            cfg.camera, cfg.body_len, n=320, seed=0,
-            sigma_u=cfg.sigma_u, sigma_len=cfg.sigma_len))
-        self.search_w = scenario.search
-        if self.variant == "no_occlusion_penalty":
-            self.search_w = replace(scenario.search, p_occ=0.0)
+            cfg.camera, cfg.body_len, sigma_u=cfg.sigma_u, sigma_len=cfg.sigma_len))
 
         self.quad_p = np.array(scenario.quad_start, dtype=float)
         self.quad_v = np.zeros(3)
         self.quad_a = np.zeros(3)
         self.quad_yaw = 0.0
-        self.quad_z = float(self.quad_p[2])
-        self.gimbal = GimbalState(yaw=0.0, yaw_rate_limit=scenario.perception.yaw_rate_limit)
+        self.gimbal = GimbalState(yaw=0.0)
         self.mode = ModeState()
         self.observations: list[TargetObservation] = []
         self.prediction = None
@@ -169,8 +174,12 @@ class TrackerWorld:
         self.collided = False
         self.fail_streak = 0.0
         self.distances: list[float] = []
-        self.los_flags: list[bool] = []
         self.last_plan_error = ""
+
+    @property
+    def los_flags(self) -> list[bool]:
+        """Whether the quadrotor saw the target at the end of each cycle: the trace's ``los``."""
+        return [bool(row[_LOS]) for row in self.trace_rows]
 
     @contextlib.contextmanager
     def _stage(self, name: str):
@@ -248,10 +257,10 @@ def _plan_goal(world: TrackerWorld, t: float):
     traj = world.prediction
     if world.mode.mode == RELOCATING:
         p_end, _ = traj.evaluate(traj.t_p)
-        goal_p = _free_goal(world, np.array([p_end[0], p_end[1], world.quad_z]))
+        goal_p = _free_goal(world, np.array([p_end[0], p_end[1], sc.quad_start[2]]))
         return KinoState(p=goal_p, v=np.zeros(3)), goal_p
 
-    blend, p_pred = blend_goal(traj, float(np.clip(t, traj.t0, traj.t_p)), world.search_w)
+    blend, p_pred = blend_goal(traj, float(np.clip(t, traj.t0, traj.t_p)), sc.search)
     x_g_p, x_g_v = blend.p, blend.v
     # standoff: back off along the goal velocity, or toward the quadrotor
     # for a near-stationary target
@@ -264,7 +273,7 @@ def _plan_goal(world: TrackerWorld, t: float):
         norm = float(np.linalg.norm(to_quad))
         back = -(to_quad / norm) if norm > 1e-6 else np.array([1.0, 0.0, 0.0])
     goal_p = x_g_p - sc.tracker.d_track * back
-    goal_p[2] = world.quad_z
+    goal_p[2] = sc.quad_start[2]
     goal_p = _free_goal(world, goal_p)
     goal_v = x_g_v.copy()
     goal_v[2] = 0.0
@@ -282,52 +291,46 @@ def _keeps_trajectory(world: TrackerWorld, goal: KinoState, entered: bool) -> bo
     return (world.mode.mode == RELOCATING and not entered
             and world.trajectory is not None and not world.last_plan_error
             and world.trajectory.duration - world.traj_clock >= RELOCATION_MIN_REMAINING_S
-            and float(np.linalg.norm(goal.p - world.plan_goal)) <= world.search_w.r_goal)
+            and float(np.linalg.norm(goal.p - world.plan_goal)) <= world.scenario.search.r_goal)
 
 
-def perceive(world: TrackerWorld, t: float, target_p: np.ndarray) -> tuple[TargetObservation, bool]:
-    """Observe the target at ``t``; returns the observation and whether relocation began."""
-    sc = world.scenario
+def perceive(world: TrackerWorld, t: float, target_p: np.ndarray
+             ) -> tuple[TargetObservation | None, bool]:
+    """Step the gimbal, sweeping while relocating and otherwise PI on the last pixel seen.
+
+    Returns the observation at ``t``, ``None`` if unseen, and whether relocation began.
+    """
+    cfg = world.scenario.perception
     dt = world.dt
     with world._stage("perception"):
-        # the gimbal steps on the previous frame's pixel coordinate
-        allow_search = world.variant != "no_gimbal_search"
-        if world.mode.mode == RELOCATING and allow_search:
-            world.gimbal = gimbal_search_step(world.gimbal, dt, sc.perception.omega_search)
-        elif world.last_u is not None and world.mode.mode == TRACKING:
-            world.gimbal = gimbal_track_step(
-                world.gimbal, world.last_u, sc.perception.camera, dt,
-                kp=sc.perception.kp, ki=sc.perception.ki)
+        if world.mode.mode == RELOCATING:
+            world.gimbal = gimbal_search_step(world.gimbal, cfg, dt)
+        elif world.last_u is not None:
+            world.gimbal = gimbal_track_step(world.gimbal, world.last_u, cfg, dt)
 
         cam_pose = Pose(
-            position=world.quad_p + np.array([0.0, 0.0, sc.perception.camera.mount_height]),
+            position=world.quad_p + np.array([0.0, 0.0, cfg.camera.mount_height]),
             yaw=world.gimbal.yaw)
         feats = project_target(
-            target_p, sc.perception.body_len, sc.perception.camera, cam_pose,
-            timestamp=t, grid=world.grid,
-            sigma_u=sc.perception.sigma_u, sigma_len=sc.perception.sigma_len,
-            rng=world.rng)
-        if feats is not None:
-            obs = localize(feats, world.params, cam_pose)
-            world.last_u = feats.u_px
-        else:
-            obs = TargetObservation.invalid(t)
-            world.last_u = None
+            target_p, cfg.body_len, cfg.camera, cam_pose, timestamp=t, grid=world.grid,
+            sigma_u=cfg.sigma_u, sigma_len=cfg.sigma_len, rng=world.rng)
+        obs = None if feats is None else localize(feats, world.params, cam_pose)
+        world.last_u = None if feats is None else feats.u_px
 
     was_relocating = world.mode.mode == RELOCATING
-    world.mode = relocation_update(world.mode, obs, dt, sc.tracker.loss_timeout)
+    world.mode = relocation_update(world.mode, obs, dt, world.scenario.tracker.loss_timeout)
     return obs, world.mode.mode == RELOCATING and not was_relocating
 
 
-def predict(world: TrackerWorld, t: float, obs: TargetObservation) -> None:
+def predict(world: TrackerWorld, t: float, obs: TargetObservation | None) -> None:
     """Slide the observation window to ``t`` and refit the prediction while tracking."""
     cfg = world.scenario.prediction
     with world._stage("prediction"):
-        if obs.valid:
+        if obs is not None:
             world.observations.append(obs)
         horizon_cut = t - cfg.window
         world.observations = [o for o in world.observations if o.timestamp >= horizon_cut - 1e-9]
-        if world.mode.mode == TRACKING and obs.valid:
+        if world.mode.mode == TRACKING and obs is not None:
             try:
                 world.prediction = fit_predicted_trajectory(world.observations, t, cfg)
             except InsufficientData:
@@ -348,7 +351,8 @@ def plan(world: TrackerWorld, t: float, entered_relocation: bool) -> tuple:
         start = KinoState(p=world.quad_p.copy(), v=world.quad_v.copy())
         try:
             with world._stage("search"):
-                path = kino_search.search(start, world.grid, world.search_w, goal, occl_target)
+                path = kino_search.search(start, world.grid, world.scenario.search, goal,
+                                          occl_target)
 
             with world._stage("corridor"):
                 cor = corridor_mod.build_corridor(path, world.grid)
@@ -389,12 +393,11 @@ def execute(world: TrackerWorld) -> None:
 
 
 def _record(world: TrackerWorld, t: float, target_p: np.ndarray,
-            obs: TargetObservation, planned: tuple) -> None:
+            obs: TargetObservation | None, planned: tuple) -> None:
     """Score the cycle against the target and append its trace row."""
     dist = float(np.linalg.norm(world.quad_p - target_p))
     world.distances.append(dist)
     los = world.grid.line_of_sight(world.quad_p, target_p)
-    world.los_flags.append(los)
     if world.grid.is_occupied(world.quad_p):
         world.collided = True
     if dist > world.scenario.tracker.d_fail:
@@ -408,10 +411,10 @@ def _record(world: TrackerWorld, t: float, target_p: np.ndarray,
         pred_tp = pred.evaluate(pred.t_p)[0]
     else:
         pred_t0 = pred_tp = (float("nan"),) * 3
-    obs_p = obs.position_world if obs.valid else (float("nan"),) * 3
+    obs_p = (float("nan"),) * 3 if obs is None else obs.position_world
     path_cost, corridor_m, j_sigma, path_los, plan_ok = planned
     world.trace_rows.append([
-        world.cycle, t, *target_p, int(obs.valid), *obs_p,
+        world.cycle, t, *target_p, int(obs is not None), *obs_p,
         *pred_t0, *pred_tp, world.mode.mode, path_cost, corridor_m, j_sigma,
         *world.quad_p, world.quad_yaw, int(los), path_los, plan_ok,
     ])

@@ -14,7 +14,7 @@ from oracles import cube_is_free
 
 def static_prediction(point, t_c=2.0):
     times = np.linspace(t_c - 2.0, t_c, 14)
-    obs = [TargetObservation(np.asarray(point, float), float(t), True) for t in times]
+    obs = [TargetObservation(np.asarray(point, float), float(t)) for t in times]
     return fit_predicted_trajectory(obs, t_c=t_c)
 
 

@@ -19,7 +19,7 @@ from oracles import rollout_positions, scan_minimum
 
 def static_prediction(point, t_c=2.0):
     times = np.linspace(t_c - 2.0, t_c, 14)
-    obs = [TargetObservation(np.asarray(point, float), float(t), True) for t in times]
+    obs = [TargetObservation(np.asarray(point, float), float(t)) for t in times]
     return fit_predicted_trajectory(obs, t_c=t_c)
 
 
@@ -125,7 +125,7 @@ class TestObvp:
     def test_admissibility_vs_primitives(self):
         # closed-form optimum never exceeds any concrete primitive rollout cost
         rng = np.random.default_rng(3)
-        w = SearchWeights()
+        w = SearchWeights(freeze_z=False)
         for _ in range(20):
             a = KinoState(p=rng.uniform(-1, 1, 3), v=rng.uniform(-1, 1, 3))
             u = rng.uniform(-2, 2, 3)
@@ -149,7 +149,7 @@ class TestSearchWeights:
 class TestGoalState:
     def test_blend_extremes(self):
         times = np.linspace(0, 2, 14)
-        obs = [TargetObservation(np.array([t, 0.0, 0.0]), float(t), True) for t in times]
+        obs = [TargetObservation(np.array([t, 0.0, 0.0]), float(t)) for t in times]
         traj = fit_predicted_trajectory(obs, t_c=2.0)
         g0, _ = blend_goal(traj, 2.0, SearchWeights(w_goal=0.0))
         g1, _ = blend_goal(traj, 2.0, SearchWeights(w_goal=1.0))
@@ -167,7 +167,7 @@ class TestGoalState:
 
     def test_lookahead_position(self):
         times = np.linspace(0, 2, 14)
-        obs = [TargetObservation(np.array([t, 0.5 * t, 0.0]), float(t), True) for t in times]
+        obs = [TargetObservation(np.array([t, 0.5 * t, 0.0]), float(t)) for t in times]
         traj = fit_predicted_trajectory(obs, t_c=2.0)
         for t, lookahead in ((0.5, 1.0), (2.0, 0.4), (2.0, 1.0), (traj.t_p - 0.1, 1.0)):
             w = SearchWeights(w_goal=0.7, t_lookahead=lookahead)
@@ -198,7 +198,7 @@ class TestSearch:
         g = open_grid()
         traj = static_prediction((2.0, 2.0, 1.0))
         start = KinoState(p=(2.0, 2.0, 1.0), v=(0.0, 0.0, 0.0))
-        path = search_toward(start, traj, g, SearchWeights())
+        path = search_toward(start, traj, g, SearchWeights(freeze_z=False))
         assert len(path.controls) == 0 and path.states == [start]
         assert path.end_state is start
         assert path.total_cost == 0.0
@@ -208,7 +208,8 @@ class TestSearch:
         g.set_occupied_box((0.9, 0.9, 0.9), (1.3, 1.3, 1.3))
         traj = static_prediction((5.0, 5.0, 1.0))
         with pytest.raises(StartOccupied):
-            search_toward(KinoState(p=(1.0, 1.0, 1.0), v=(0, 0, 0)), traj, g, SearchWeights())
+            search_toward(KinoState(p=(1.0, 1.0, 1.0), v=(0, 0, 0)), traj, g,
+                          SearchWeights(freeze_z=False))
 
     def test_path_continuity_and_cost_bookkeeping(self):
         g = open_grid()

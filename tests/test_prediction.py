@@ -14,7 +14,7 @@ from oracles import bernstein, de_casteljau, hodograph
 
 def make_obs(times, positions):
     return [
-        TargetObservation(position_world=np.asarray(p, float), timestamp=float(t), valid=True)
+        TargetObservation(position_world=np.asarray(p, float), timestamp=float(t))
         for t, p in zip(times, positions)
     ]
 
@@ -23,8 +23,7 @@ def unconstrained_fit_oracle(observations, t_c: float, w: PredictionWeights) -> 
     """Dense weighted normal-equation solution, ignoring the box constraints."""
     t0 = t_c - w.window
     scale = w.window + w.horizon
-    usable = [o for o in observations
-              if o.valid and t0 - 1e-9 <= o.timestamp <= t_c + 1e-9]
+    usable = [o for o in observations if t0 - 1e-9 <= o.timestamp <= t_c + 1e-9]
     times = np.array([o.timestamp for o in usable])
     pts = np.array([o.position_world for o in usable])
     conf = np.exp(-(t_c - times) / w.tau_w)

@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from aerotrack import benchmarks
+from aerotrack import benchmarks, kino_search, tracker
 from aerotrack.errors import InvalidScenario
 from aerotrack.kino_search import SearchWeights
 from aerotrack.prediction import PredictionWeights
@@ -120,3 +120,25 @@ class TestFromDict:
         assert replace(scenario, seed=7).seed == 7
         with pytest.raises(InvalidScenario, match="seed"):
             replace(scenario, seed=-1)
+
+
+class TestPlanarDefault:
+    """A scenario searches in the plane unless it sets ``freeze_z`` to false."""
+
+    @pytest.mark.parametrize("search, controls", [
+        ({}, 9), ({"freeze_z": True}, 9), ({"freeze_z": False}, 27)],
+        ids=["default", "frozen", "vertical"])
+    def test_searches_use_the_scenario_control_set(self, monkeypatch, search, controls):
+        raw = valid()
+        raw["search"] = dict(raw.get("search", {}), **search)
+        raw["duration"] = 8 / 13  # three planning cycles after the warm-up
+        sizes = []
+        real = kino_search.search
+
+        def counted(start, grid, w, *args):
+            sizes.append(len(kino_search._controls(w)))
+            return real(start, grid, w, *args)
+
+        monkeypatch.setattr(kino_search, "search", counted)
+        tracker.run_scenario(Scenario.from_dict(raw))
+        assert sizes and set(sizes) == {controls}

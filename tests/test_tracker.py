@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -31,12 +32,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DT = 0.125  # exact in binary, so streak sums hit the timeout exactly
 
 
-def lost(t=0.0):
-    return TargetObservation.invalid(t)
+def lost():
+    return None  # an unseen target has no observation
 
 
 def seen(t=0.0):
-    return TargetObservation(position_world=np.zeros(3), timestamp=t, valid=True)
+    return TargetObservation(position_world=np.zeros(3), timestamp=t)
 
 
 class TestFreeGoal:
@@ -210,6 +211,68 @@ class TestStageFailures:
         assert world.stage_totals[stage] - before >= 20.0  # ms
 
 
+class TestVariants:
+    """What each variant changes: the search weights or the relocating gimbal."""
+
+    @staticmethod
+    def relocating(variant):
+        """A fresh occlusion_turn world of ``variant`` in relocation, its gimbal at yaw 0.7."""
+        world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["occlusion_turn"]()), variant)
+        world.mode.mode = RELOCATING
+        world.gimbal = dataclasses.replace(world.gimbal, yaw=0.7)
+        return world
+
+    @staticmethod
+    def perceive_unseen(world, calls):
+        """Perceive ``calls`` times with the target behind the camera; returns the yaws."""
+        yaws = []
+        for k in range(calls):
+            yaw = world.gimbal.yaw + np.pi
+            behind = world.quad_p + 3.0 * np.array([np.cos(yaw), np.sin(yaw), 0.0])
+            tracker.perceive(world, k * world.dt, behind)
+            assert world.mode.mode == RELOCATING
+            yaws.append(world.gimbal.yaw)
+        return yaws
+
+    def test_no_occ_searches_without_the_occlusion_penalty(self, monkeypatch):
+        scenario = Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]())
+        weights = []
+        real = kino_search.search
+
+        def captured(start, grid, w, *args):
+            weights.append(w)
+            return real(start, grid, w, *args)
+
+        monkeypatch.setattr(kino_search, "search", captured)
+        world = TrackerWorld(scenario, "no_occ")
+        for _ in range(8):
+            step(world)
+        assert scenario.search.p_occ > 0.0
+        assert weights and all(
+            w == dataclasses.replace(scenario.search, p_occ=0.0) for w in weights)
+
+    def test_no_search_holds_the_gimbal_while_relocating(self):
+        assert self.perceive_unseen(self.relocating("no_search"), 4) == [0.7] * 4
+
+    def test_full_sweeps_the_gimbal_while_relocating(self):
+        world = self.relocating("full")
+        turn = world.scenario.perception.omega_search * world.dt
+        assert turn > 0.0
+        expected, yaw = [], 0.7
+        for _ in range(4):
+            yaw += turn
+            expected.append(yaw)
+        assert self.perceive_unseen(world, 4) == expected
+
+    def test_los_flags_are_the_trace_los_column(self):
+        world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["occlusion_turn"]()))
+        for _ in range(8):
+            step(world)
+        los = TRACE_COLUMNS.index("los")
+        assert len(world.los_flags) == 8
+        assert world.los_flags == [bool(row[los]) for row in world.trace_rows]
+
+
 @pytest.fixture(scope="module")
 def relocating_world():
     """The builtin occlusion_turn world one cycle after relocation was entered and planned."""
@@ -251,7 +314,8 @@ class TestRelocationReplan:
 
     @pytest.mark.parametrize("moved, searches", [(0.99, 0), (1.01, 1)])
     def test_goal_moved_beyond_r_goal_replans(self, world, moved, searches):
-        world.plan_goal = world.plan_goal + np.array([moved * world.search_w.r_goal, 0.0, 0.0])
+        r_goal = world.scenario.search.r_goal
+        world.plan_goal = world.plan_goal + np.array([moved * r_goal, 0.0, 0.0])
         held = world.trajectory
         step(world)
         assert self.searches == searches
@@ -260,7 +324,7 @@ class TestRelocationReplan:
 
     def test_failed_attempt_replans_on_the_next_cycle(self, world, monkeypatch):
         goal, held = world.plan_goal, world.trajectory
-        world.plan_goal = goal + np.array([2.0 * world.search_w.r_goal, 0.0, 0.0])
+        world.plan_goal = goal + np.array([2.0 * world.scenario.search.r_goal, 0.0, 0.0])
         counted = kino_search.search
 
         def failing(*args):
@@ -308,7 +372,7 @@ class TestBenchmark:
 
 def clear_calibration_caches():
     """Forget every memoized calibration dataset, and with it the dataset's fit."""
-    perception._calibration_samples.cache_clear()
+    perception.make_calibration_dataset.cache_clear()
 
 
 class TestRegressionSetup:
@@ -426,7 +490,7 @@ class TestGoldenTrace:
         first = TrackerWorld(scenario) if fit == "cached" else None
         world = TrackerWorld(scenario)
         hits = 1 if fit == "cached" else 0
-        assert perception._calibration_samples.cache_info().hits == hits
+        assert perception.make_calibration_dataset.cache_info().hits == hits
         if first is not None:
             assert world.params is first.params
         assert trace_digest(world, 65) == GOLDEN_TRACE_SHA256[name]

@@ -292,7 +292,7 @@ class TestOptimize:
         grid = OccupancyGrid((0, 0, 0), 0.1, (120, 80, 30))
         grid.set_occupied_box((5.0, 0.0, 0.0), (5.4, 5.0, 3.0))
         times = np.linspace(0, 2, 14)
-        obs = [TargetObservation(np.array([10.0, 6.0, 1.5]), float(t), True) for t in times]
+        obs = [TargetObservation(np.array([10.0, 6.0, 1.5]), float(t)) for t in times]
         traj_pred = fit_predicted_trajectory(obs, t_c=2.0)
         start = KinoState(p=(2.0, 2.0, 1.5), v=(0.5, 0.0, 0.0))
         w_search = SearchWeights(freeze_z=True)
