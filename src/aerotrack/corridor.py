@@ -6,71 +6,59 @@ comfortably fat intersections (at least two voxels on every axis) so the
 downstream waypoint barrier has interior to work in. A sliver overlap is
 bridged by at most eight cubes, each seeded halfway from the last seed to the
 uncovered sample, or a quarter of the way when that cube overlaps thinly too.
+
+A cube is a (2, 3) box ``[min corner, max corner]`` as ``inflate_box`` grows
+it, and the corridor is the (M, 2, 3) stack of its M cubes in path order.
+``overlap`` intersects two boxes or two stacks row by row, and
+``contains_all`` tests points against the union of a stack in one broadcast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CorridorFailed
-from .grid import Cube, OccupancyGrid
+from .grid import OccupancyGrid
 from .kino_search import KinoPath
 
 
-def cube_intersection(a: Cube, b: Cube) -> Cube | None:
-    """Axis-aligned intersection, or None when empty on any axis."""
-    lo = np.maximum(a.min_corner, b.min_corner)
-    hi = np.minimum(a.max_corner, b.max_corner)
-    if np.any(lo >= hi):
-        return None
-    return Cube(lo, hi)
+def overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Axis-aligned intersection of two boxes, or of two stacks row by row.
+
+    ``a`` and ``b`` are (2, 3) boxes or (M, 2, 3) stacks; the result has their
+    shape. An overlap is empty where its min corner is not below its max
+    corner on some axis.
+    """
+    return np.stack([np.maximum(a[..., 0, :], b[..., 0, :]),
+                     np.minimum(a[..., 1, :], b[..., 1, :])], axis=-2)
 
 
-@dataclass
-class Corridor:
-    cubes: list
-
-    def __len__(self) -> int:
-        return len(self.cubes)
-
-    def contains_all(self, points, margin: float = 0.0) -> bool:
-        pts = np.asarray(points)
-        inside = np.zeros(len(pts), dtype=bool)
-        for c in self.cubes:
-            inside |= np.all(
-                (pts >= c.min_corner - margin) & (pts <= c.max_corner + margin), axis=1
-            )
-            if inside.all():
-                return True
-        return bool(inside.all())
-
-    def intersections(self) -> list[Cube]:
-        return [cube_intersection(a, b) for a, b in zip(self.cubes, self.cubes[1:])]
+def contains_all(boxes: np.ndarray, points, margin: float = 0.0) -> bool:
+    """Whether each of the (N, 3) points lies in some box of the stack, grown by ``margin``."""
+    pts = np.asarray(points)[:, None, :]
+    inside = (pts >= boxes[:, 0] - margin) & (pts <= boxes[:, 1] + margin)
+    return bool(inside.all(axis=2).any(axis=1).all())
 
 
-def _contains_cube(outer: Cube, inner: Cube) -> bool:
-    return bool(
-        np.all(outer.min_corner <= inner.min_corner + 1e-12)
-        and np.all(outer.max_corner >= inner.max_corner - 1e-12)
-    )
+def _contains_box(outer: np.ndarray, inner: np.ndarray) -> bool:
+    return bool(np.all(outer[0] <= inner[0] + 1e-12) and np.all(outer[1] >= inner[1] - 1e-12))
 
 
-def _fat(a: Cube, b: Cube, min_side: float) -> bool:
-    inter = cube_intersection(a, b)
-    return inter is not None and float(inter.sides.min()) >= min_side - 1e-9
+def _fat(a: np.ndarray, b: np.ndarray, min_side: float) -> bool:
+    """Whether the overlap of two boxes is at least ``min_side`` (> 0) on every axis."""
+    lo, hi = overlap(a, b)
+    return bool(np.all(hi - lo >= min_side - 1e-9))
 
 
-def build_corridor(path: KinoPath, grid: OccupancyGrid, max_extent: float = 2.0) -> Corridor:
-    """Cover the path with a chain of free cubes with fat pairwise overlaps."""
+def build_corridor(path: KinoPath, grid: OccupancyGrid, max_extent: float = 2.0) -> np.ndarray:
+    """Cover the path with a chain of free cubes with fat pairwise overlaps: an (M, 2, 3) stack."""
     samples = path.sample_positions(grid.resolution / 4.0)
     min_side = 2.0 * grid.resolution
     first = grid.inflate_box(samples[0], max_extent)
     cubes = [first]
     last_inside = samples[0]
     for s in samples[1:]:
-        if cubes[-1].contains(s):
+        if np.all(cubes[-1][0] <= s) and np.all(s <= cubes[-1][1]):
             last_inside = s
             continue
         new = grid.inflate_box(s, max_extent)
@@ -94,14 +82,14 @@ def build_corridor(path: KinoPath, grid: OccupancyGrid, max_extent: float = 2.0)
             bridge.append(mid_cube)
             prev, anchor = mid_cube, mid
         for c in bridge:
-            if not _contains_cube(cubes[-1], c):
+            if not _contains_box(cubes[-1], c):
                 cubes.append(c)
         # drop the previous cube when the new one swallows it (chain permitting)
-        if _contains_cube(new, cubes[-1]) and (
+        if _contains_box(new, cubes[-1]) and (
             len(cubes) == 1 or _fat(cubes[-2], new, min_side)
         ):
             cubes[-1] = new
-        elif not _contains_cube(cubes[-1], new):
+        elif not _contains_box(cubes[-1], new):
             cubes.append(new)
         last_inside = s
-    return Corridor(cubes)
+    return np.array(cubes)

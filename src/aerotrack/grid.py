@@ -7,6 +7,9 @@ lattice reads as occupied so planners stay conservative near map edges.
 Visibility uses a supercover segment traversal: every voxel the segment
 touches is checked, and a segment grazing a voxel corner checks the voxels on
 both sides so rays cannot leak diagonally between occupied cells.
+
+A box is a (2, 3) float array ``[min corner, max corner]`` in metres; a
+stack of M boxes, such as a corridor, is one (M, 2, 3) array.
 """
 
 from __future__ import annotations
@@ -24,34 +27,6 @@ from .errors import (
 # Boundary tolerance for supercover corner handling, in voxel units.
 _CORNER_EPS = 1e-7
 _CORNER_OFFSETS = np.array(list(product((-_CORNER_EPS, _CORNER_EPS), repeat=3)))
-
-
-@dataclass(frozen=True)
-class Cube:
-    """Axis-aligned box given by opposite corners [m]."""
-
-    min_corner: np.ndarray
-    max_corner: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "min_corner", np.asarray(self.min_corner, dtype=float))
-        object.__setattr__(self, "max_corner", np.asarray(self.max_corner, dtype=float))
-        if not np.all(self.min_corner <= self.max_corner):
-            raise ValueError("cube corners are inverted")
-
-    @property
-    def sides(self) -> np.ndarray:
-        return self.max_corner - self.min_corner
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.min_corner + self.max_corner)
-
-    def contains(self, p, margin: float = 0.0) -> bool:
-        p = np.asarray(p)
-        return bool(
-            np.all(p >= self.min_corner - margin) and np.all(p <= self.max_corner + margin)
-        )
 
 
 class OccupancyGrid:
@@ -158,8 +133,8 @@ class OccupancyGrid:
     # Free-box inflation
     # ------------------------------------------------------------------
 
-    def inflate_box(self, seed, max_extent: float) -> Cube:
-        """Grow a free axis-aligned cube around ``seed``.
+    def inflate_box(self, seed, max_extent: float) -> np.ndarray:
+        """Grow a free axis-aligned box around ``seed``: ``[min corner, max corner]``.
 
         Growth is greedy, one voxel layer at a time, cycling through the
         directions +x, -x, +y, -y, +z, -z. A face stops once the next layer
@@ -194,7 +169,7 @@ class OccupancyGrid:
                     (hi if up else lo)[ax] = nxt
                 else:
                     growing[side] = False
-        return Cube(self.origin + lo * self.resolution, self.origin + (hi + 1) * self.resolution)
+        return self.origin + np.array([lo, hi + 1]) * self.resolution
 
 
 # ----------------------------------------------------------------------

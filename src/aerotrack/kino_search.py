@@ -12,9 +12,10 @@ in T. Its stationary points are taken from the eigenvalues of the quartic's
 companion matrix and polished by Newton steps; the quartic is negative at
 T = 0 and grows without bound, so every row has a positive root.
 
-A search returns a ``KinoPath``: the node states, the constant control of each
-edge and the edge duration. Its dense samples come from a ``PiecewisePoly`` of
-degree-2 pieces ``(p, v, u / 2)``.
+A search returns a ``KinoPath``: the N node positions and velocities as two
+(N, 3) arrays, start first, the (N - 1, 3) constant control of each edge and
+the edge duration. Its dense samples come from a ``PiecewisePoly`` of degree-2
+pieces ``(p, v, u / 2)``.
 """
 
 from __future__ import annotations
@@ -65,35 +66,29 @@ class SearchWeights:
 
 @dataclass
 class KinoPath:
-    """Node states, the constant control of each edge, and the edge duration."""
+    """Node positions and velocities, the constant control of each edge, and the edge duration."""
 
-    states: list            # KinoState per node, start first
-    controls: np.ndarray    # (len(states) - 1, 3) acceleration of each edge
+    p: np.ndarray           # (N, 3) node positions [m], start first
+    v: np.ndarray           # (N, 3) node velocities [m/s]
+    controls: np.ndarray    # (N - 1, 3) acceleration of each edge
     tau: float              # duration of every edge [s]
     total_cost: float
     info: dict = field(default_factory=dict)
 
-    @property
-    def end_state(self) -> KinoState:
-        return self.states[-1]
-
     def sample_positions(self, spacing: float) -> np.ndarray:
         """Dense positions along the path at roughly ``spacing`` metres."""
         if not len(self.controls):
-            return self.end_state.p[None, :]
-        starts = self.states[:-1]
-        curve = PiecewisePoly(
-            np.stack([[s.p for s in starts], [s.v for s in starts], 0.5 * self.controls],
-                     axis=-1),
-            np.full(len(self.controls), self.tau))
+            return self.p[-1:]
+        curve = PiecewisePoly(np.stack([self.p[:-1], self.v[:-1], 0.5 * self.controls], axis=-1),
+                              np.full(len(self.controls), self.tau))
+        speed = [np.linalg.norm(v) for v in self.v]
         pieces, taus = [], []
-        for i, (a, b) in enumerate(zip(starts, self.states[1:])):
-            speed = max(np.linalg.norm(a.v), np.linalg.norm(b.v), 0.1)
-            n = max(int(np.ceil(speed * self.tau / spacing)), 2)
+        for i in range(len(self.controls)):
+            n = max(int(np.ceil(max(speed[i], speed[i + 1], 0.1) * self.tau / spacing)), 2)
             pieces.append(np.full(n, i))
             taus.append(np.linspace(0.0, self.tau, n + 1)[1:])
         samples = curve.eval_local(np.concatenate(pieces), np.concatenate(taus))
-        return np.vstack([self.states[0].p[None, :], samples])
+        return np.vstack([self.p[:1], samples])
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +200,6 @@ class _NodeStore:
         self.p[rows], self.v[rows], self.g[rows] = p, v, g
         self.parent[rows], self.ctrl[rows] = parent, ctrl
 
-    def state(self, row: int) -> KinoState:
-        return KinoState(p=self.p[row].copy(), v=self.v[row].copy())
-
 
 def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoState,
            occlusion_target) -> KinoPath:
@@ -225,7 +217,7 @@ def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoSt
                 and np.linalg.norm(v - goal.v) <= w.v_goal_tol)
 
     if reached(start.p, start.v):
-        return KinoPath([start], np.zeros((0, 3)), w.tau, 0.0,
+        return KinoPath(start.p[None, :], start.v[None, :], np.zeros((0, 3)), w.tau, 0.0,
                         info={"expansions": 0, "reached_goal": True})
 
     res = grid.resolution
@@ -324,6 +316,6 @@ def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoSt
     while nodes.parent[chain[-1]] >= 0:
         chain.append(int(nodes.parent[chain[-1]]))
     chain.reverse()
-    return KinoPath([nodes.state(r) for r in chain], controls[nodes.ctrl[chain[1:]]], tau,
+    return KinoPath(nodes.p[chain], nodes.v[chain], controls[nodes.ctrl[chain[1:]]], tau,
                     float(nodes.g[final]),
                     info={"expansions": expansions, "reached_goal": goal_row is not None})

@@ -335,7 +335,6 @@ class CalibrationDataset(tuple):
 _DATASET_CACHE_SIZE = 8
 
 
-@functools.lru_cache(maxsize=_DATASET_CACHE_SIZE)
 def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
                              range_band: tuple = (1.0, 5.0), seed: int = 0,
                              sigma_u: float = 0.0, sigma_len: float = 0.0
@@ -347,15 +346,23 @@ def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
     full band stays covered. Returns (ImageFeatures, camera-frame truth)
     pairs suitable for :func:`fit_regression`.
 
-    Datasets are memoized per process in an LRU cache of
-    ``_DATASET_CACHE_SIZE`` datasets keyed on the arguments as passed, so
-    ``range_band`` must be hashable. The dataset is a pure function of those
-    arguments, so a hit equals a fresh build. A hit returns the memoized
-    :class:`CalibrationDataset` itself: a tuple of frozen ``ImageFeatures``
-    and read-only truth arrays that keeps its fit once made, so no caller
-    can change what a later call returns, and :func:`fit_regression` on it
-    costs O(1) after the first. To edit one, make a new ``CalibrationDataset``.
+    Datasets are memoized per process by ``_calibration_dataset``, an LRU
+    cache of ``_DATASET_CACHE_SIZE`` datasets keyed on all seven arguments
+    with the defaults filled in, so one dataset spelled with or without its
+    defaults is built once, and ``range_band`` must be hashable. The dataset
+    is a pure function of those arguments, so a hit equals a fresh build. A
+    hit returns the memoized :class:`CalibrationDataset` itself: a tuple of
+    frozen ``ImageFeatures`` and read-only truth arrays that keeps its fit
+    once made, so no caller can change what a later call returns, and
+    :func:`fit_regression` on it costs O(1) after the first. To edit one,
+    make a new ``CalibrationDataset``.
     """
+    return _calibration_dataset(cam, body_len, n, range_band, seed, sigma_u, sigma_len)
+
+
+@functools.lru_cache(maxsize=_DATASET_CACHE_SIZE)
+def _calibration_dataset(cam, body_len, n, range_band, seed, sigma_u, sigma_len):
+    """The dataset of :func:`make_calibration_dataset`, every argument given."""
     rng = np.random.default_rng(seed)
     lo, hi = range_band
     center, spread = 0.5 * (lo + hi) - 0.5, 0.25 * (hi - lo)

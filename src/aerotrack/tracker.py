@@ -80,6 +80,7 @@ TRACE_COLUMNS = [
 _MODE = TRACE_COLUMNS.index("mode")
 _LOS = TRACE_COLUMNS.index("los")
 _PLAN_OK = TRACE_COLUMNS.index("plan_ok")
+_PRED_T0_X = TRACE_COLUMNS.index("pred_t0_x")
 _NO_PATH = (float("nan"), 0, float("nan"), "")  # path_cost .. path_los, no new path
 
 
@@ -127,7 +128,7 @@ class Metrics:
     mean_relocation_time: float | None = None  # None when no relocation ended
     relocation_times: list = field(default_factory=list)
     cycles: int = 0
-    plan_failures: int = 0
+    plan_failures: int = 0  # failed attempts; a warm-up cycle has no prediction and no attempt
     stage_ms: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -360,10 +361,10 @@ def plan(world: TrackerWorld, t: float, entered_relocation: bool) -> tuple:
             with world._stage("optimize"):
                 bc = traj_opt.BoundaryConditions(
                     p0=world.quad_p, v0=world.quad_v, a0=world.quad_a,
-                    p1=path.end_state.p, v1=path.end_state.v, a1=np.zeros(3))
+                    p1=path.p[-1], v1=path.v[-1], a1=np.zeros(3))
                 traj = traj_opt.optimize(cor, bc, world.scenario.opt)
             j_sigma = traj.info["objective"]
-            path_los = int(all(world.grid.line_of_sight(s.p, occl_target) for s in path.states))
+            path_los = int(all(world.grid.line_of_sight(p, occl_target) for p in path.p))
         except Exception as exc:  # stage failure: keep the previous trajectory
             error = f"{type(exc).__name__}: {exc}"
         else:
@@ -460,7 +461,8 @@ def run_scenario(scenario: Scenario, variant: str = "full") -> tuple[Metrics, li
         relocation_times=relocation_times,
         mean_relocation_time=float(np.mean(relocation_times)) if relocation_times else None,
         cycles=world.cycle,
-        plan_failures=sum(row[_PLAN_OK] == 0 for row in world.trace_rows),
+        plan_failures=sum(row[_PLAN_OK] == 0 and not np.isnan(row[_PRED_T0_X])
+                          for row in world.trace_rows),
         stage_ms={k: v / max(world.cycle, 1) for k, v in world.stage_totals.items()},
     )
     planning = sum(metrics.stage_ms.get(k, 0.0) for k in ("search", "corridor", "optimize"))

@@ -22,8 +22,12 @@ Q(T) = S Q(1) S / T^5 with S = diag(1, T, T^2, 1, T, T^2) (Wang et al.,
 2022). The outer gradients cover all M + 1 waypoints and drop the two fixed
 ends on return.
 
-Trajectories are ``PiecewisePoly`` curves with coefficients of shape
-``(M, 3, 6)``; the containment check samples them in one batch.
+The corridor is the (M, 2, 3) stack of ``build_corridor``, one box
+``[min corner, max corner]`` per piece. Waypoint i starts at the midpoint of
+row i - 1 of ``overlap(corridor[:-1], corridor[1:])``, and its barrier reads
+the corners of boxes i - 1 and i. Trajectories are ``PiecewisePoly`` curves
+with coefficients of shape ``(M, 3, 6)``; the containment check is
+``contains_all`` of the stack over a batch of samples.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corridor import Corridor
+from .corridor import contains_all, overlap
 from .errors import (
     BarrierDomainViolated, DescentFailed, SingularSystem, TrajectoryLeftCorridor)
 from .poly import PiecewisePoly
@@ -161,19 +165,15 @@ def inner_trajectory(waypoints, T, boundary: BoundaryConditions) -> PiecewisePol
 # Outer cost and gradients
 # ----------------------------------------------------------------------
 
-def _cube_slacks(cube, q):
-    return np.concatenate([cube.max_corner - q, q - cube.min_corner])
-
-
-def cost_and_gradient(q_interior, T, corridor: Corridor, boundary: BoundaryConditions,
+def cost_and_gradient(q_interior, T, corridor: np.ndarray, boundary: BoundaryConditions,
                       w: OptWeights):
     """Total cost and analytic gradients w.r.t. interior waypoints and durations.
 
     ``q_interior`` has shape (M-1, 3); waypoint i sits in the intersection of
-    cubes i and i+1 and must be strictly inside it (barrier domain).
+    boxes i and i+1 of the (M, 2, 3) corridor and must be strictly inside it
+    (barrier domain).
     """
-    cubes = corridor.cubes
-    M = len(cubes)
+    M = len(corridor)
     q_interior = np.asarray(q_interior, dtype=float).reshape(M - 1, 3)
     T = np.asarray(T, dtype=float)
     waypoints = np.vstack([boundary.p0, q_interior, boundary.p1])
@@ -192,8 +192,8 @@ def cost_and_gradient(q_interior, T, corridor: Corridor, boundary: BoundaryCondi
     J_F = 0.0
     for j in range(1, M):
         q = waypoints[j]
-        for cube in (cubes[j - 1], cubes[j]):
-            slacks = _cube_slacks(cube, q)
+        for box in corridor[j - 1:j + 1]:
+            slacks = np.concatenate([box[1] - q, q - box[0]])
             if np.any(slacks <= 0.0):
                 raise BarrierDomainViolated(
                     f"waypoint {j} at {q.tolist()} left its intersection")
@@ -251,25 +251,25 @@ def _trapezoid_time(dist: float, v_cruise: float, a: float) -> float:
     return dist / v_cruise + v_cruise / a
 
 
-def optimize(corridor: Corridor, boundary: BoundaryConditions,
+def optimize(corridor: np.ndarray, boundary: BoundaryConditions,
              w: OptWeights | None = None) -> PiecewisePoly:
     """Descend the joint waypoint/duration cost and return the trajectory.
 
-    Waypoints start at the intersection centers and durations from a
-    trapezoidal profile at half the speed limit; durations are kept positive
-    through a log reparameterization. The barrier only constrains waypoints,
-    so the trajectory is sampled against the corridor every 0.01 s, and one
-    that leaves raises ``TrajectoryLeftCorridor``. ``info["contained"]`` is
-    always True, and ``info["kappa"]`` is ``w.kappa``.
+    ``corridor`` is an (M, 2, 3) stack of boxes. Waypoints start at the
+    centers of consecutive boxes' overlaps and durations from a trapezoidal
+    profile at half the speed limit; durations are kept positive through a
+    log reparameterization. The barrier only constrains waypoints, so the
+    trajectory is sampled every 0.01 s and checked with ``contains_all``
+    over the stack, and one that leaves raises ``TrajectoryLeftCorridor``.
+    ``info["contained"]`` is always True, and ``info["kappa"]`` is ``w.kappa``.
     """
     if w is None:
         w = OptWeights()
-    cubes = corridor.cubes
-    M = len(cubes)
-    inters = corridor.intersections()
-    if any(i is None for i in inters):
+    M = len(corridor)
+    lo, hi = overlap(corridor[:-1], corridor[1:]).swapaxes(0, 1)
+    if np.any(lo >= hi):
         raise BarrierDomainViolated("corridor has empty consecutive intersections")
-    q0 = np.array([c.center for c in inters]).reshape(M - 1, 3)
+    q0 = 0.5 * (lo + hi)
     waypoints0 = np.vstack([boundary.p0, q0, boundary.p1])
     T0 = np.array([
         max(_trapezoid_time(float(np.linalg.norm(waypoints0[i + 1] - waypoints0[i])),
@@ -299,7 +299,7 @@ def optimize(corridor: Corridor, boundary: BoundaryConditions,
     T = w.t_min + np.exp(x_opt[3 * (M - 1):])
     traj = inner_trajectory(np.vstack([boundary.p0, q_int, boundary.p1]), T, boundary)
     ts = np.arange(0.0, traj.duration + 1e-9, 0.01)
-    if not corridor.contains_all(traj.eval(ts), margin=1e-9):
+    if not contains_all(corridor, traj.eval(ts), margin=1e-9):
         raise TrajectoryLeftCorridor(
             f"the trajectory left its corridor at barrier weight {w.kappa!r}")
     traj.info.update({

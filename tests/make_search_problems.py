@@ -79,8 +79,8 @@ def describe(path: kino_search.KinoPath) -> dict:
         "expansions": path.info["expansions"],
         "reached_goal": path.info["reached_goal"],
         "total_cost": float(path.total_cost),
-        "primitives": [{"u": _vec(u), "tau": path.tau, "p": _vec(end.p), "v": _vec(end.v)}
-                       for u, end in zip(path.controls, path.states[1:])],
+        "primitives": [{"u": _vec(u), "tau": path.tau, "p": _vec(p), "v": _vec(v)}
+                       for u, p, v in zip(path.controls, path.p[1:], path.v[1:])],
     }
 
 

@@ -10,9 +10,8 @@ from math import comb
 
 import numpy as np
 
-from aerotrack.corridor import Corridor, _contains_cube, _fat
+from aerotrack.corridor import _contains_box, _fat
 from aerotrack.errors import CorridorFailed, SeedOccupied
-from aerotrack.grid import Cube
 from aerotrack.traj_opt import BoundaryConditions
 
 _SCAN_T = np.arange(1e-3, 20.0 + 1e-3, 1e-3)
@@ -47,13 +46,13 @@ def sample_quintic(traj, t: float):
 def rollout_positions(path, spacing: float) -> np.ndarray:
     """Dense positions of a search path, one primitive ``p + t v + t^2 u / 2`` at a time."""
     if not len(path.controls):
-        return path.end_state.p[None, :]
-    chunks = [path.states[0].p[None, :]]
-    for a, b, u in zip(path.states, path.states[1:], path.controls):
-        speed = max(np.linalg.norm(a.v), np.linalg.norm(b.v), 0.1)
+        return path.p[-1][None, :]
+    chunks = [path.p[0][None, :]]
+    for p, v, v_end, u in zip(path.p, path.v, path.v[1:], path.controls):
+        speed = max(np.linalg.norm(v), np.linalg.norm(v_end), 0.1)
         n = max(int(np.ceil(speed * path.tau / spacing)), 2)
         ts = np.linspace(0.0, path.tau, n + 1)[1:]
-        chunks.append(a.p + np.outer(ts, a.v) + 0.5 * np.outer(ts**2, u))
+        chunks.append(p + np.outer(ts, v) + 0.5 * np.outer(ts**2, u))
     return np.vstack(chunks)
 
 
@@ -220,8 +219,8 @@ def rest_to_rest(p0, p1) -> BoundaryConditions:
 
 def cube_is_free(grid, cube) -> bool:
     """Exhaustively scan all voxels overlapping ``cube`` (interior overlap)."""
-    lo = np.floor((cube.min_corner - grid.origin) / grid.resolution + 1e-9).astype(int)
-    hi = np.ceil((cube.max_corner - grid.origin) / grid.resolution - 1e-9).astype(int)
+    lo = np.floor((cube[0] - grid.origin) / grid.resolution + 1e-9).astype(int)
+    hi = np.ceil((cube[1] - grid.origin) / grid.resolution - 1e-9).astype(int)
     if np.any(lo < 0) or np.any(hi > grid.dims):
         return False
     return not bool(grid.occupied[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].any())
@@ -247,7 +246,7 @@ def free_goal(world, goal_p):
     return world.quad_p.copy()
 
 
-def inflate_box(grid, seed, max_extent: float) -> Cube:
+def inflate_box(grid, seed, max_extent: float) -> np.ndarray:
     """The free cube ``OccupancyGrid.inflate_box`` grows, one mirrored block per side.
 
     A frozen copy of the method before the two directions of an axis shared
@@ -288,10 +287,11 @@ def inflate_box(grid, seed, max_extent: float) -> Cube:
                     lo[ax] = nxt
                 else:
                     growing[side] = False
-    return Cube(grid.origin + lo * grid.resolution, grid.origin + (hi + 1) * grid.resolution)
+    return np.array([grid.origin + lo * grid.resolution,
+                     grid.origin + (hi + 1) * grid.resolution])
 
 
-def build_corridor(path, grid, max_extent: float = 2.0) -> Corridor:
+def build_corridor(path, grid, max_extent: float = 2.0) -> np.ndarray:
     """The corridor ``corridor.build_corridor`` builds, bisecting with two copied blocks.
 
     A frozen copy of the function before its midpoint and quarter-point
@@ -304,7 +304,7 @@ def build_corridor(path, grid, max_extent: float = 2.0) -> Corridor:
     cubes = [first]
     last_inside = samples[0]
     for s in samples[1:]:
-        if cubes[-1].contains(s):
+        if np.all(s >= cubes[-1][0]) and np.all(s <= cubes[-1][1]):
             last_inside = s
             continue
         new = grid.inflate_box(s, max_extent)
@@ -339,13 +339,13 @@ def build_corridor(path, grid, max_extent: float = 2.0) -> Corridor:
                 bridge.append(cube2)
                 anchor = mid2
         for c in bridge:
-            if not _contains_cube(cubes[-1], c):
+            if not _contains_box(cubes[-1], c):
                 cubes.append(c)
-        if _contains_cube(new, cubes[-1]) and (
+        if _contains_box(new, cubes[-1]) and (
             len(cubes) == 1 or _fat(cubes[-2], new, min_side)
         ):
             cubes[-1] = new
-        elif not _contains_cube(cubes[-1], new):
+        elif not _contains_box(cubes[-1], new):
             cubes.append(new)
         last_inside = s
-    return Corridor(cubes)
+    return np.array(cubes)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from aerotrack.corridor import Corridor, build_corridor, cube_intersection
+from aerotrack.corridor import build_corridor, contains_all, overlap
 from aerotrack.errors import CorridorFailed
-from aerotrack.grid import Cube, MapSpec, OccupancyGrid, build_map
-from aerotrack.kino_search import KinoState, SearchWeights, search
+from aerotrack.grid import MapSpec, OccupancyGrid, build_map
+from aerotrack.kino_search import KinoPath, KinoState, SearchWeights, search
 from aerotrack.prediction import fit_predicted_trajectory
 from aerotrack.perception import TargetObservation
 from aerotrack.tracker import blend_goal
@@ -37,46 +37,78 @@ def forest_grid(seed):
     }))
 
 
-def corridor_invariants(cor: Corridor, grid: OccupancyGrid, path=None):
-    assert len(cor) >= 1
-    for cube in cor.cubes:
+def box(min_corner, max_corner):
+    return np.array([min_corner, max_corner], dtype=float)
+
+
+def is_empty(overlap_box):
+    lo, hi = overlap_box
+    return bool(np.any(lo >= hi))
+
+
+def corridor_invariants(cor: np.ndarray, grid: OccupancyGrid, path=None):
+    assert cor.ndim == 3 and cor.shape[1:] == (2, 3) and len(cor) >= 1
+    for cube in cor:
         assert cube_is_free(grid, cube)
-    for inter in cor.intersections():
-        assert inter is not None
-        assert inter.sides.min() >= 2 * grid.resolution - 1e-9
+    lo, hi = overlap(cor[:-1], cor[1:]).swapaxes(0, 1)
+    assert np.all(hi - lo >= 2 * grid.resolution - 1e-9)
     if path is not None:
         pts = path.sample_positions(grid.resolution / 4)
         inside = np.zeros(len(pts), dtype=bool)
-        for c in cor.cubes:
-            inside |= np.all(
-                (pts >= c.min_corner - 1e-9) & (pts <= c.max_corner + 1e-9), axis=1)
+        for c in cor:
+            inside |= np.all((pts >= c[0] - 1e-9) & (pts <= c[1] + 1e-9), axis=1)
         assert inside.mean() >= 0.99
-        assert cor.cubes[0].contains(pts[0], margin=1e-9)
-        assert cor.cubes[-1].contains(path.end_state.p, margin=1e-9)
+        assert contains_all(cor[:1], pts[:1], margin=1e-9)
+        assert contains_all(cor[-1:], path.p[-1:], margin=1e-9)
 
 
 class TestCubeIntersection:
+    """``overlap`` of two boxes, and of two stacks row by row."""
+
     def test_identical(self):
-        c = Cube((0, 0, 0), (1, 1, 1))
-        inter = cube_intersection(c, c)
-        assert np.allclose(inter.min_corner, c.min_corner)
-        assert np.allclose(inter.max_corner, c.max_corner)
+        c = box((0, 0, 0), (1, 1, 1))
+        assert np.allclose(overlap(c, c), c)
 
     def test_disjoint(self):
-        a = Cube((0, 0, 0), (1, 1, 1))
-        b = Cube((2, 0, 0), (3, 1, 1))
-        assert cube_intersection(a, b) is None
+        a = box((0, 0, 0), (1, 1, 1))
+        b = box((2, 0, 0), (3, 1, 1))
+        assert is_empty(overlap(a, b))
 
     def test_offset(self):
-        a = Cube((0, 0, 0), (1, 1, 1))
-        b = Cube((0.5, 0, 0), (1.5, 1, 1))
-        inter = cube_intersection(a, b)
-        assert np.allclose(inter.sides, (0.5, 1.0, 1.0))
+        a = box((0, 0, 0), (1, 1, 1))
+        b = box((0.5, 0, 0), (1.5, 1, 1))
+        lo, hi = overlap(a, b)
+        assert np.allclose(hi - lo, (0.5, 1.0, 1.0))
 
     def test_face_touching_is_empty(self):
-        a = Cube((0, 0, 0), (1, 1, 1))
-        b = Cube((1, 0, 0), (2, 1, 1))
-        assert cube_intersection(a, b) is None
+        a = box((0, 0, 0), (1, 1, 1))
+        b = box((1, 0, 0), (2, 1, 1))
+        assert is_empty(overlap(a, b))
+
+    def test_stack_rows_are_pair_overlaps(self):
+        stack = np.array([box((0, 0, 0), (2, 1, 1)), box((1, 0.5, 0), (3, 2, 1)),
+                          box((4, 0, 0), (5, 1, 1)), box((4.5, -1, 0.5), (6, 0.5, 2))])
+        rows = overlap(stack[:-1], stack[1:])
+        assert rows.shape == (3, 2, 3)
+        for i in range(3):
+            assert np.array_equal(rows[i], overlap(stack[i], stack[i + 1]))
+        assert [is_empty(r) for r in rows] == [False, True, False]
+
+
+class TestContainsAll:
+    STACK = np.array([box((0, 0, 0), (1, 1, 1)), box((2, 0, 0), (3, 1, 1))])
+
+    def test_point_in_only_the_second_box_passes(self):
+        assert contains_all(self.STACK, [(0.5, 0.5, 0.5), (2.5, 0.5, 0.5)])
+        assert not contains_all(self.STACK[:1], [(2.5, 0.5, 0.5)])
+
+    def test_point_in_the_gap_fails(self):
+        assert not contains_all(self.STACK, [(0.5, 0.5, 0.5), (1.5, 0.5, 0.5)])
+
+    def test_margin_admits_a_point_just_outside(self):
+        just_outside = [(3.0 + 1e-10, 0.5, 0.5)]
+        assert not contains_all(self.STACK, just_outside)
+        assert contains_all(self.STACK, just_outside, margin=1e-9)
 
 
 class TestBuildCorridor:
@@ -90,11 +122,10 @@ class TestBuildCorridor:
 
     def test_single_point_path(self):
         grid = OccupancyGrid((0, 0, 0), 0.1, (40, 40, 20))
-        from aerotrack.kino_search import KinoPath
-        path = KinoPath([KinoState(p=(2.0, 2.0, 1.0), v=(0, 0, 0))], np.zeros((0, 3)), 0.3, 0.0)
+        path = KinoPath(np.array([[2.0, 2.0, 1.0]]), np.zeros((1, 3)), np.zeros((0, 3)), 0.3, 0.0)
         cor = build_corridor(path, grid)
         assert len(cor) == 1
-        assert cor.cubes[0].contains((2.0, 2.0, 1.0))
+        assert contains_all(cor, [(2.0, 2.0, 1.0)])
         corridor_invariants(cor, grid)
 
     def test_doorway(self):
@@ -110,7 +141,7 @@ class TestBuildCorridor:
         cor = build_corridor(path, grid)
         corridor_invariants(cor, grid, path)
         # some cube must be pinched to at most the doorway cross-section
-        min_cross = min(float(min(c.sides[1], c.sides[2])) for c in cor.cubes)
+        min_cross = float((cor[:, 1, 1:] - cor[:, 0, 1:]).min())
         assert min_cross <= 0.8 + 1e-9
 
     def test_random_forest_maps(self):
@@ -139,11 +170,10 @@ class TestInflateBoxOracle:
                 for max_extent in (0.25, 0.7, 1.5, 3.0):
                     cube = grid.inflate_box(point, max_extent)
                     expected = oracles.inflate_box(grid, point, max_extent)
-                    assert cube.min_corner.tolist() == expected.min_corner.tolist()
-                    assert cube.max_corner.tolist() == expected.max_corner.tolist()
+                    assert cube.tolist() == expected.tolist()
                     for ax in range(3):
-                        up = cube.max_corner[ax] + grid.resolution > point[ax] + max_extent + 1e-9
-                        down = cube.min_corner[ax] - grid.resolution < point[ax] - max_extent - 1e-9
+                        up = cube[1, ax] + grid.resolution > point[ax] + max_extent + 1e-9
+                        down = cube[0, ax] - grid.resolution < point[ax] - max_extent - 1e-9
                         (extent_bound if up else stopped_short).add((ax, "+"))
                         (extent_bound if down else stopped_short).add((ax, "-"))
         faces = {(ax, sign) for ax in range(3) for sign in "+-"}
@@ -175,7 +205,7 @@ class ScriptedGrid:
         x = self._x(seed)
         self.log.append(("inflate_box", x, max_extent))
         lo, hi = self.spans[x]
-        return Cube((lo, -1.0, -1.0), (hi, 1.0, 1.0))
+        return box((lo, -1.0, -1.0), (hi, 1.0, 1.0))
 
     def is_occupied(self, p):
         x = self._x(p)
@@ -230,8 +260,8 @@ def corridor_outcome(builder, spans, occupied):
         cor = builder(TwoSamplePath(), grid)
     except CorridorFailed as exc:
         return (type(exc), str(exc)), grid.log
-    assert all(c.min_corner[1:].tolist() == [-1.0, -1.0] for c in cor.cubes)
-    return [(c.min_corner[0], c.max_corner[0]) for c in cor.cubes], grid.log
+    assert all(c[0, 1:].tolist() == [-1.0, -1.0] for c in cor)
+    return [(c[0, 0], c[1, 0]) for c in cor], grid.log
 
 
 class TestBridgeLoop:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aerotrack import benchmarks, tracker
+from aerotrack.corridor import contains_all
 from aerotrack.errors import InvalidSpec, SeedOccupied
 from aerotrack.grid import MapSpec, OccupancyGrid, build_map
 from aerotrack.scenario import Scenario
@@ -143,20 +144,20 @@ class TestInflateBox:
     def test_empty_grid_centered(self):
         g = empty_grid(40)  # 4 m cube, seed at the exact center corner
         cube = g.inflate_box((2.0, 2.0, 2.0), max_extent=1.0)
-        assert np.allclose(cube.sides, 2.0)
-        assert np.allclose(cube.center, (2.0, 2.0, 2.0))
+        assert np.allclose(cube[1] - cube[0], 2.0)
+        assert np.allclose(cube.mean(axis=0), (2.0, 2.0, 2.0))
 
     def test_clamps_to_grid(self):
         g = empty_grid(10)
         cube = g.inflate_box((0.5, 0.5, 0.5), max_extent=5.0)
-        assert np.allclose(cube.min_corner, 0.0)
-        assert np.allclose(cube.max_corner, 1.0)
+        assert np.allclose(cube[0], 0.0)
+        assert np.allclose(cube[1], 1.0)
 
     def test_flush_against_wall(self):
         g = empty_grid(20)
         g.set_occupied_box((1.2, 0.0, 0.0), (1.3, 2.0, 2.0))
         cube = g.inflate_box((0.95, 1.0, 1.0), max_extent=1.0)
-        assert cube.max_corner[0] == pytest.approx(1.2)
+        assert cube[1, 0] == pytest.approx(1.2)
         assert cube_is_free(g, cube)
 
     def test_one_voxel_corridor(self):
@@ -164,9 +165,10 @@ class TestInflateBox:
         g.occupied[:] = True
         g.occupied[:, 5, 5] = False  # free line along x
         cube = g.inflate_box((0.55, 0.55, 0.55), max_extent=1.0)
-        assert cube.sides[1] == pytest.approx(g.resolution)
-        assert cube.sides[2] == pytest.approx(g.resolution)
-        assert cube.sides[0] > 5 * g.resolution
+        sides = cube[1] - cube[0]
+        assert sides[1] == pytest.approx(g.resolution)
+        assert sides[2] == pytest.approx(g.resolution)
+        assert sides[0] > 5 * g.resolution
         assert cube_is_free(g, cube)
 
     def test_occupied_seed_raises(self):
@@ -186,7 +188,7 @@ class TestInflateBox:
                 continue
             cube = g.inflate_box(seed, max_extent=0.6)
             assert cube_is_free(g, cube)
-            assert cube.contains(seed)
+            assert contains_all(cube[None], seed[None])
 
 
 BASE_MAP = {"origin": [0, 0, 0], "resolution": 0.1, "dims": [20, 10, 5], "obstacles": []}

@@ -188,10 +188,9 @@ class TestSearch:
         w = SearchWeights(freeze_z=True)
         path = search_toward(start, traj, g, w)
         assert path.info["reached_goal"]
-        assert np.linalg.norm(path.end_state.p - [9.0, 6.0, 1.5]) <= w.r_goal
+        assert np.linalg.norm(path.p[-1] - [9.0, 6.0, 1.5]) <= w.r_goal
         # distance to goal is monotone nonincreasing over the last 3 states
-        states = path.states[-4:]
-        dists = [np.linalg.norm(s.p - np.array([9.0, 6.0, 1.5])) for s in states]
+        dists = [np.linalg.norm(p - np.array([9.0, 6.0, 1.5])) for p in path.p[-4:]]
         assert all(d2 <= d1 + 1e-9 for d1, d2 in zip(dists, dists[1:]))
 
     def test_start_at_goal(self):
@@ -199,8 +198,8 @@ class TestSearch:
         traj = static_prediction((2.0, 2.0, 1.0))
         start = KinoState(p=(2.0, 2.0, 1.0), v=(0.0, 0.0, 0.0))
         path = search_toward(start, traj, g, SearchWeights(freeze_z=False))
-        assert len(path.controls) == 0 and path.states == [start]
-        assert path.end_state is start
+        assert len(path.controls) == 0
+        assert path.p.tolist() == [start.p.tolist()] and path.v.tolist() == [start.v.tolist()]
         assert path.total_cost == 0.0
 
     def test_start_occupied(self):
@@ -218,10 +217,10 @@ class TestSearch:
         start = KinoState(p=(2.0, 6.0, 1.5), v=(0.0, 0.0, 0.0))
         w = SearchWeights(freeze_z=True)
         path = search_toward(start, traj, g, w)
-        assert len(path.controls) == len(path.states) - 1 > 0
-        for a, b, u in zip(path.states, path.states[1:], path.controls):
-            assert np.allclose(a.p + a.v * w.tau + 0.5 * u * w.tau**2, b.p)
-            assert np.allclose(a.v + u * w.tau, b.v)
+        assert len(path.controls) == len(path.p) - 1 > 0
+        for p, v, p_end, v_end, u in zip(path.p, path.v, path.p[1:], path.v[1:], path.controls):
+            assert np.allclose(p + v * w.tau + 0.5 * u * w.tau**2, p_end)
+            assert np.allclose(v + u * w.tau, v_end)
         recomputed = sum((u @ u + w.rho) * path.tau for u in path.controls)
         assert path.total_cost == pytest.approx(recomputed, abs=1e-9)
 
@@ -247,7 +246,7 @@ class TestSearch:
             assert pts.shape == ref.shape
             assert np.max(np.abs(pts - ref)) < 1e-12
             assert np.array_equal(pts[0], start.p)
-            assert np.max(np.abs(pts[-1] - path.end_state.p)) < 1e-12
+            assert np.max(np.abs(pts[-1] - path.p[-1])) < 1e-12
 
     def test_determinism(self):
         g = open_grid()
@@ -258,9 +257,7 @@ class TestSearch:
         p1 = search_toward(start, traj, g, w)
         p2 = search_toward(start, traj, g, w)
         assert np.array_equal(p1.controls, p2.controls)
-        assert len(p1.states) == len(p2.states)
-        for s1, s2 in zip(p1.states, p2.states):
-            assert np.array_equal(s1.p, s2.p)
+        assert np.array_equal(p1.p, p2.p)
 
     def test_two_topology_routing(self):
         # block between start and goal; the slightly shorter west route hides
@@ -301,8 +298,7 @@ class TestSearch:
         path = search_toward(start, traj, g, SearchWeights(freeze_z=True, p_occ=200.0))
 
         def los_frac(path):
-            states = path.states
-            good = sum(g.line_of_sight(s.p, target) for s in states)
-            return good / len(states)
+            good = sum(g.line_of_sight(p, target) for p in path.p)
+            return good / len(path.p)
 
         assert los_frac(path) >= 0.9

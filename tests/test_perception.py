@@ -30,7 +30,7 @@ CFG = PerceptionConfig()  # the gimbal gains and rates the tracker flies with
 @pytest.fixture(autouse=True)
 def cold_fit_cache():
     """Every test starts with no memoized dataset, so the dataset and its fit really run."""
-    perception.make_calibration_dataset.cache_clear()
+    perception._calibration_dataset.cache_clear()
 
 
 @pytest.fixture
@@ -252,14 +252,14 @@ class TestCalibrationDatasetMemo:
 
     @staticmethod
     def hits_misses():
-        info = perception.make_calibration_dataset.cache_info()
+        info = perception._calibration_dataset.cache_info()
         return info.hits, info.misses
 
     def test_hit_equals_fresh_build(self):
         self.dataset()
         hit = self.dataset()
         assert self.hits_misses() == (1, 1)
-        perception.make_calibration_dataset.cache_clear()
+        perception._calibration_dataset.cache_clear()
         built = self.dataset()
         assert len(hit) == len(built) > 0
         for (f_hit, p_hit), (f_built, p_built) in zip(hit, built):
@@ -275,6 +275,12 @@ class TestCalibrationDatasetMemo:
         first = self.dataset()
         assert self.dataset() is first
         assert self.hits_misses() == (1, 1)
+
+    def test_defaults_given_or_left_out_are_one_dataset(self):
+        short = make_calibration_dataset(DEFAULT_CAMERA, BODY_LEN)
+        assert make_calibration_dataset(DEFAULT_CAMERA, BODY_LEN, n=320, seed=0) is short
+        assert make_calibration_dataset(DEFAULT_CAMERA, body_len=BODY_LEN, sigma_u=0) is short
+        assert self.hits_misses() == (2, 1)
 
     @pytest.mark.parametrize("edit, error", [
         (lambda d: d.append(d[0]), AttributeError),
@@ -323,7 +329,7 @@ class TestRegressionMemo:
         hit = fit_regression(self.dataset())
         assert len(solves) == 2  # depth map, then lateral; the hit solves nothing
         assert hit is first
-        perception.make_calibration_dataset.cache_clear()
+        perception._calibration_dataset.cache_clear()
         assert hit == fit_regression(self.dataset())
         assert len(solves) == 4
 

@@ -41,12 +41,12 @@ def test_recorded_path(label):
     assert path.info["expansions"] == exp["expansions"]
     assert path.info["reached_goal"] == exp["reached_goal"]
     assert path.total_cost == exp["total_cost"]
-    assert len(path.controls) == len(exp["primitives"]) == len(path.states) - 1
-    start = path.states[0]
-    assert start.p.tolist() == problem["start"]["p"] and start.v.tolist() == problem["start"]["v"]
-    for u, end, e in zip(path.controls, path.states[1:], exp["primitives"]):
+    assert len(path.controls) == len(exp["primitives"]) == len(path.p) - 1
+    assert path.p[0].tolist() == problem["start"]["p"]
+    assert path.v[0].tolist() == problem["start"]["v"]
+    for u, p, v, e in zip(path.controls, path.p[1:], path.v[1:], exp["primitives"]):
         assert u.tolist() == e["u"] and path.tau == e["tau"]
-        assert end.p.tolist() == e["p"] and end.v.tolist() == e["v"]
+        assert p.tolist() == e["p"] and v.tolist() == e["v"]
 
 
 def test_budget_exhausting_search_memory():

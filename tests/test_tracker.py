@@ -150,11 +150,24 @@ class TestStep:
         assert [name for name, _ in calls] == stages
         assert [args[0] for _, args in calls[:3]] == [8 * world.dt] * 3  # execute takes no time
 
-    def test_run_counts_the_failed_cycles_of_its_trace(self):
+    def test_run_counts_the_failed_cycles_of_its_trace(self, monkeypatch):
+        # every third optimize call fails; a warm-up cycle has no prediction,
+        # so it fails without a plan attempt and is not counted
+        real, calls = traj_opt.optimize, []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) % 3 == 0:
+                raise TrajectoryLeftCorridor("scripted failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(traj_opt, "optimize", flaky)
         scenario = Scenario.from_dict(dict(benchmarks.ALL["sharp_turn_low"](), duration=1.0))
         metrics, rows = tracker.run_scenario(scenario)
         failed = [row for row in rows if row[TRACE_COLUMNS.index("plan_ok")] == 0]
-        assert failed and metrics.plan_failures == len(failed)
+        warmup = [row for row in failed if np.isnan(row[TRACE_COLUMNS.index("pred_t0_x")])]
+        assert warmup and len(failed) > len(warmup)
+        assert metrics.plan_failures == len(failed) - len(warmup) == len(calls) // 3
 
     def test_run_counts_the_relocations_of_its_trace(self):
         # relocation runs from cycle 66 through 126 and ends at 127
@@ -372,7 +385,7 @@ class TestBenchmark:
 
 def clear_calibration_caches():
     """Forget every memoized calibration dataset, and with it the dataset's fit."""
-    perception.make_calibration_dataset.cache_clear()
+    perception._calibration_dataset.cache_clear()
 
 
 class TestRegressionSetup:
@@ -490,7 +503,7 @@ class TestGoldenTrace:
         first = TrackerWorld(scenario) if fit == "cached" else None
         world = TrackerWorld(scenario)
         hits = 1 if fit == "cached" else 0
-        assert perception.make_calibration_dataset.cache_info().hits == hits
+        assert perception._calibration_dataset.cache_info().hits == hits
         if first is not None:
             assert world.params is first.params
         assert trace_digest(world, 65) == GOLDEN_TRACE_SHA256[name]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from aerotrack.corridor import Corridor, build_corridor
+from aerotrack.corridor import build_corridor, contains_all, overlap
 from aerotrack import traj_opt
 from aerotrack.errors import (
     BarrierDomainViolated, DescentFailed, OutOfDomain, SingularSystem, TrajectoryLeftCorridor)
-from aerotrack.grid import Cube, OccupancyGrid
+from aerotrack.grid import OccupancyGrid
 from aerotrack.kino_search import KinoState, SearchWeights, search
 from aerotrack.perception import TargetObservation
 from aerotrack.prediction import fit_predicted_trajectory
@@ -27,9 +27,9 @@ def chain_corridor(n_cubes=4, span=2.0, overlap=0.8, size=1.6):
     cubes = []
     x = 0.0
     for _ in range(n_cubes):
-        cubes.append(Cube((x, 0.0, 0.0), (x + size, size, size)))
+        cubes.append([(x, 0.0, 0.0), (x + size, size, size)])
         x += size - overlap
-    return Corridor(cubes)
+    return np.array(cubes)
 
 
 class TestInnerTrajectory:
@@ -151,8 +151,8 @@ class TestSample:
 
 class TestCostAndGradient:
     def test_symmetric_barrier_gradient_zero(self):
-        huge = Corridor([Cube((-10, -10, -10), (10, 10, 10)),
-                         Cube((-10, -10, -10), (10, 10, 10))])
+        huge = np.array([[(-10, -10, -10), (10, 10, 10)],
+                         [(-10, -10, -10), (10, 10, 10)]], dtype=float)
         bc = rest_to_rest((-1, 0, 0), (1, 0, 0))
         w = OptWeights(rho_v=0.0, rho_a=0.0, rho_t=0.0)
         # only the barrier depends on the waypoint once smoothness is removed:
@@ -170,7 +170,7 @@ class TestCostAndGradient:
         cor = chain_corridor(3)
         bc = rest_to_rest((0.4, 0.8, 0.8), (3.0, 0.8, 0.8))
         w = OptWeights(kappa=1e-12, rho_t=7.0, v_max=50.0, a_max=50.0)
-        q = np.array([c.center for c in cor.intersections()])
+        q = overlap(cor[:-1], cor[1:]).mean(axis=1)
         T = np.full(3, 4.0)
         J, _, _ = cost_and_gradient(q, T, cor, bc, w)
         J_smooth, _, _ = cost_and_gradient(q, T, cor, bc,
@@ -182,18 +182,19 @@ class TestCostAndGradient:
     def test_gradients_match_finite_differences(self, n_cubes):
         rng = np.random.default_rng(1)
         cor = chain_corridor(n_cubes)
-        inters = cor.intersections()
+        inters = overlap(cor[:-1], cor[1:])
         bc = BoundaryConditions(
-            p0=cor.cubes[0].center + rng.uniform(-0.2, 0.2, 3),
+            p0=cor[0].mean(axis=0) + rng.uniform(-0.2, 0.2, 3),
             v0=rng.uniform(-1, 1, 3), a0=rng.uniform(-1, 1, 3),
-            p1=cor.cubes[-1].center + rng.uniform(-0.2, 0.2, 3),
+            p1=cor[-1].mean(axis=0) + rng.uniform(-0.2, 0.2, 3),
             v1=rng.uniform(-1, 1, 3), a1=rng.uniform(-1, 1, 3))
         # tight limits so the soft penalties are active
         w = OptWeights(kappa=0.05, rho_t=5.0, rho_v=40.0, rho_a=40.0,
                        v_max=0.8, a_max=0.8)
         for _ in range(10):
             q = np.array([
-                i.center + rng.uniform(-0.3, 0.3, 3) * (i.sides / 2) for i in inters])
+                i.mean(axis=0) + rng.uniform(-0.3, 0.3, 3) * ((i[1] - i[0]) / 2)
+                for i in inters])
             T = rng.uniform(0.6, 2.0, len(cor))
             J, dq, dT = cost_and_gradient(q, T, cor, bc, w)
             eps = 1e-6
@@ -212,7 +213,7 @@ class TestCostAndGradient:
 
     def test_barrier_domain_violation(self):
         cor = chain_corridor(2)
-        bc = rest_to_rest(cor.cubes[0].center, cor.cubes[1].center)
+        bc = rest_to_rest(cor[0].mean(axis=0), cor[1].mean(axis=0))
         q = np.array([[50.0, 0.5, 0.5]])
         with pytest.raises(BarrierDomainViolated):
             cost_and_gradient(q, np.array([1.0, 1.0]), cor, bc, OptWeights())
@@ -220,7 +221,7 @@ class TestCostAndGradient:
 
 class TestOptimize:
     def test_single_cube_matches_analytic_quintic(self):
-        cor = Corridor([Cube((0, 0, 0), (4, 2, 2))])
+        cor = np.array([[(0, 0, 0), (4, 2, 2)]], dtype=float)
         p0 = np.array([0.5, 1.0, 1.0])
         p1 = np.array([3.5, 1.0, 1.0])
         traj = optimize(cor, rest_to_rest(p0, p1))
@@ -254,7 +255,7 @@ class TestOptimize:
         assert junction_mismatch(traj) < 1e-9
         ts = np.arange(0.0, traj.duration, 0.01)
         pts = traj.eval(ts)
-        assert cor.contains_all(pts, margin=1e-9)
+        assert contains_all(cor, pts, margin=1e-9)
 
     @staticmethod
     def sideways_start(vy):
@@ -272,10 +273,10 @@ class TestOptimize:
     def test_kappa_sweep_monotone_toward_unconstrained(self):
         # staircase corridor with tight intersections placed off the natural
         # route, so the barrier genuinely binds
-        cor = Corridor([
-            Cube((0.0, 0.0, 0.0), (2.0, 2.0, 2.0)),
-            Cube((1.6, 1.6, 0.0), (3.6, 3.6, 2.0)),
-            Cube((3.2, 3.2, 0.0), (5.2, 5.2, 2.0)),
+        cor = np.array([
+            [(0.0, 0.0, 0.0), (2.0, 2.0, 2.0)],
+            [(1.6, 1.6, 0.0), (3.6, 3.6, 2.0)],
+            [(3.2, 3.2, 0.0), (5.2, 5.2, 2.0)],
         ])
         bc = rest_to_rest((0.3, 0.9, 1.0), (4.9, 4.3, 1.0))
         opts = dict(grad_tol=1e-7, max_iter=600)
@@ -301,7 +302,7 @@ class TestOptimize:
         cor = build_corridor(path, grid)
         bc = BoundaryConditions(
             p0=start.p, v0=start.v, a0=np.zeros(3),
-            p1=path.end_state.p, v1=path.end_state.v, a1=np.zeros(3))
+            p1=path.p[-1], v1=path.v[-1], a1=np.zeros(3))
         w = OptWeights()
         traj = optimize(cor, bc, w)
         speeds, accels = [], []
