@@ -12,6 +12,9 @@ in T. Its stationary points are taken from the eigenvalues of the quartic's
 companion matrix and polished by Newton steps; the quartic is negative at
 T = 0 and grows without bound, so every row has a positive root.
 
+A kinematic state is a float array indexed ``[order, axis]``: the search's
+start and goal are (2, 3) arrays ``[p, v]``, position then velocity.
+
 A search returns a ``KinoPath``: the N node positions and velocities as two
 (N, 3) arrays, start first, the (N - 1, 3) constant control of each edge and
 the edge duration. Its dense samples come from a ``PiecewisePoly`` of degree-2
@@ -29,16 +32,6 @@ import numpy as np
 from .errors import NoPath, StartOccupied, require_positive
 from .grid import OccupancyGrid
 from .poly import PiecewisePoly
-
-
-@dataclass(frozen=True)
-class KinoState:
-    p: np.ndarray   # position [m]
-    v: np.ndarray   # velocity [m/s]
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
 
 @dataclass
@@ -62,6 +55,9 @@ class SearchWeights:
     def __post_init__(self):
         # without a time weight the heuristic's energy-time cost has no minimum
         require_positive("rho", self.rho)
+        # a zero primitive duration never moves, and a zero bin divides by zero
+        require_positive("tau", self.tau)
+        require_positive("vel_bin", self.vel_bin)
 
 
 @dataclass
@@ -103,15 +99,14 @@ def _obvp_coeffs(dp, v0, vf):
     return alpha, beta, gamma
 
 
-def obvp_cost(x_c: KinoState, x_g: KinoState, rho: float) -> tuple[float, float]:
-    """Minimal energy-time cost and its duration between two full states.
+def obvp_cost(x_c: np.ndarray, x_g: np.ndarray, rho: float) -> tuple[float, float]:
+    """Minimal energy-time cost and its duration between two (2, 3) states ``[p, v]``.
 
     Minimizes ``integral |u|^2 dt + rho*T`` over T for the double integrator
     with both endpoint positions and velocities fixed: a one-row call of
     ``_obvp_batch``, so ``rho`` must be > 0.
     """
-    dp, v0, vf = (x_g.p - x_c.p)[None, :], x_c.v[None, :], x_g.v[None, :]
-    J, T = _obvp_batch(dp, v0, vf, rho)
+    J, T = _obvp_batch(x_g[:1] - x_c[:1], x_c[1:], x_g[1:], rho)
     return float(J[0]), float(T[0])
 
 
@@ -201,23 +196,24 @@ class _NodeStore:
         self.parent[rows], self.ctrl[rows] = parent, ctrl
 
 
-def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoState,
-           occlusion_target) -> KinoPath:
-    """Best-first kinodynamic search from ``start`` toward ``goal``.
+def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target) -> KinoPath:
+    """Best-first kinodynamic search from state ``start`` toward state ``goal``.
 
-    Nodes without line of sight to ``occlusion_target`` cost ``w.p_occ``
-    extra in the heuristic.
+    Both states are (2, 3) ``[p, v]``. Nodes without line of sight to
+    ``occlusion_target`` cost ``w.p_occ`` extra in the heuristic.
     """
-    if grid.is_occupied(start.p):
-        raise StartOccupied(f"search start {start.p.tolist()} is occupied")
+    start, goal = np.asarray(start, dtype=float), np.asarray(goal, dtype=float)
+    (p0, v0), (goal_p, goal_v) = start, goal
+    if grid.is_occupied(p0):
+        raise StartOccupied(f"search start {p0.tolist()} is occupied")
     x_tp = np.asarray(occlusion_target, dtype=float)
 
     def reached(p: np.ndarray, v: np.ndarray) -> bool:
-        return (np.linalg.norm(p - goal.p) <= w.r_goal
-                and np.linalg.norm(v - goal.v) <= w.v_goal_tol)
+        return (np.linalg.norm(p - goal_p) <= w.r_goal
+                and np.linalg.norm(v - goal_v) <= w.v_goal_tol)
 
-    if reached(start.p, start.v):
-        return KinoPath(start.p[None, :], start.v[None, :], np.zeros((0, 3)), w.tau, 0.0,
+    if reached(p0, v0):
+        return KinoPath(start[:1], start[1:], np.zeros((0, 3)), w.tau, 0.0,
                         info={"expansions": 0, "reached_goal": True})
 
     res = grid.resolution
@@ -248,14 +244,14 @@ def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoSt
     ts = np.linspace(0.0, tau, n_samp + 1)[1:]
 
     nodes = _NodeStore()
-    start_key = node_keys(start.p[None, :], start.v[None, :])[0]
+    start_key = node_keys(start[:1], start[1:])[0]
     row = nodes.new_row()
-    nodes.write(row, start.p, start.v, 0.0, -1, -1)
+    nodes.write(row, p0, v0, 0.0, -1, -1)
     rows = {start_key: row}
     h0, T0 = obvp_cost(start, goal, w.rho)
-    open_heap = [(h0 + w.c_time * T0 + occ_pen(start.p, start_key[:3]), 0.0, start_key)]
+    open_heap = [(h0 + w.c_time * T0 + occ_pen(p0, start_key[:3]), 0.0, start_key)]
     expansions = 0
-    best_fb = (float(np.linalg.norm(start.p - goal.p)), 0.0, row)
+    best_fb = (float(np.linalg.norm(p0 - goal_p)), 0.0, row)
     goal_row = None
 
     while open_heap and expansions < w.node_budget:
@@ -268,7 +264,7 @@ def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoSt
             goal_row = row
             break
         expansions += 1
-        dist = float(np.linalg.norm(p - goal.p))
+        dist = float(np.linalg.norm(p - goal_p))
         if (dist, f) < (best_fb[0], best_fb[1]):
             best_fb = (dist, f, row)
 
@@ -291,7 +287,7 @@ def search(start: KinoState, grid: OccupancyGrid, w: SearchWeights, goal: KinoSt
         if not surv:
             continue
         sp, sv, sg = child_p[surv], child_v[surv], child_g[surv]
-        D, T_star = _obvp_batch(goal.p[None, :] - sp, sv, np.tile(goal.v, (len(surv), 1)), w.rho)
+        D, T_star = _obvp_batch(goal_p[None, :] - sp, sv, np.tile(goal_v, (len(surv), 1)), w.rho)
         pen = [occ_pen(sp[j], keys[i][:3]) for j, i in enumerate(surv)]
         f_child = sg + (D + w.c_time * T_star + np.array(pen))
         # a key reached twice in this expansion keeps its last child

@@ -58,6 +58,6 @@ class PiecewisePoly:
                            len(self.durations) - 1)
         return self.eval_local(piece, ts - self._cum[piece], order)
 
-    def sample(self, t: float):
-        """(position, velocity, acceleration) at global time ``t``."""
-        return tuple(self.eval(t, order) for order in range(3))
+    def sample(self, t: float) -> np.ndarray:
+        """The (3, 3) kinematic state ``[p, v, a]`` at global time ``t``."""
+        return np.stack([self.eval(t, order) for order in range(3)])

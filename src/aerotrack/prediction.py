@@ -18,7 +18,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .errors import InsufficientData, is_count, require_positive
+from .errors import InsufficientData, is_count, is_number, require_positive
 from .poly import PiecewisePoly
 from .solvers import active_set_qp, qp_kkt_residual
 
@@ -58,6 +58,11 @@ class PredictionWeights:
 
     def __post_init__(self):
         require_positive("window", self.window)
+        # a zero decay constant or bound, or a negative horizon, leaves the QP infeasible
+        require_positive("tau_w", self.tau_w)
+        require_positive("a_max", self.a_max)
+        if not (is_number(self.horizon) and self.horizon >= 0):
+            raise ValueError(f"horizon must be a finite number >= 0, got {self.horizon!r}")
         if not (is_count(self.degree) and self.degree >= 1):
             raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
 

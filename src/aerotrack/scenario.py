@@ -111,9 +111,11 @@ class Scenario:
         self.quad_start = np.asarray(self.quad_start, dtype=float)
         lo = self.map_spec.origin
         hi = self.map_spec.origin + self.map_spec.dims * self.map_spec.resolution
-        for i, p in enumerate(self.target.waypoints):
+        points = [("quad_start", self.quad_start)]
+        points += [(f"target waypoint {i}", p) for i, p in enumerate(self.target.waypoints)]
+        for name, p in points:
             if np.any(p < lo) or np.any(p > hi):
-                raise InvalidScenario(f"target waypoint {i} {p.tolist()} outside map bounds")
+                raise InvalidScenario(f"{name} {p.tolist()} outside map bounds")
         if self.target.speed > self.prediction.v_max:
             raise InvalidScenario(
                 f"target speed {self.target.speed} exceeds prediction bound "

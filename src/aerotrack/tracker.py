@@ -35,7 +35,7 @@ from . import corridor as corridor_mod
 from . import kino_search, traj_opt
 from .errors import InsufficientData, UnknownVariant
 from .grid import build_map
-from .kino_search import KinoState, SearchWeights
+from .kino_search import SearchWeights
 from .perception import (
     GimbalState,
     Pose,
@@ -81,6 +81,8 @@ _MODE = TRACE_COLUMNS.index("mode")
 _LOS = TRACE_COLUMNS.index("los")
 _PLAN_OK = TRACE_COLUMNS.index("plan_ok")
 _PRED_T0_X = TRACE_COLUMNS.index("pred_t0_x")
+_TGT_X = TRACE_COLUMNS.index("tgt_x")
+_QUAD_X = TRACE_COLUMNS.index("quad_x")
 _NO_PATH = (float("nan"), 0, float("nan"), "")  # path_cost .. path_los, no new path
 
 
@@ -157,9 +159,8 @@ class TrackerWorld:
         self.params = fit_regression(make_calibration_dataset(
             cfg.camera, cfg.body_len, sigma_u=cfg.sigma_u, sigma_len=cfg.sigma_len))
 
-        self.quad_p = np.array(scenario.quad_start, dtype=float)
-        self.quad_v = np.zeros(3)
-        self.quad_a = np.zeros(3)
+        self.quad = np.zeros((3, 3))  # kinematic state [p, v, a], at rest at the start
+        self.quad[0] = scenario.quad_start
         self.quad_yaw = 0.0
         self.gimbal = GimbalState(yaw=0.0)
         self.mode = ModeState()
@@ -174,13 +175,19 @@ class TrackerWorld:
         self.stage_totals: dict[str, float] = {}
         self.collided = False
         self.fail_streak = 0.0
-        self.distances: list[float] = []
         self.last_plan_error = ""
 
     @property
     def los_flags(self) -> list[bool]:
         """Whether the quadrotor saw the target at the end of each cycle: the trace's ``los``."""
         return [bool(row[_LOS]) for row in self.trace_rows]
+
+    @property
+    def distances(self) -> list[float]:
+        """Quadrotor-to-target distance at the end of each cycle, from the trace's positions."""
+        return [float(np.linalg.norm(np.array(row[_QUAD_X:_QUAD_X + 3])
+                                     - np.array(row[_TGT_X:_TGT_X + 3])))
+                for row in self.trace_rows]
 
     @contextlib.contextmanager
     def _stage(self, name: str):
@@ -220,8 +227,8 @@ class _SeedState(ISeedSequence):
 _seed_state = functools.lru_cache(maxsize=_SEED_CACHE_SIZE)(_SeedState)
 
 
-def blend_goal(traj, t: float, w: SearchWeights) -> tuple[KinoState, np.ndarray]:
-    """Search goal blended from the prediction now and at the look-ahead time.
+def blend_goal(traj, t: float, w: SearchWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Search goal ``[p, v]`` blended from the prediction now and at the look-ahead time.
 
     The goal state is ``1 - w.w_goal`` parts the predicted state at ``t`` and
     ``w.w_goal`` parts the predicted state at ``min(t + w.t_lookahead, t_p)``.
@@ -231,7 +238,7 @@ def blend_goal(traj, t: float, w: SearchWeights) -> tuple[KinoState, np.ndarray]
     p_pred, v_pred = traj.evaluate(min(t + w.t_lookahead, traj.t_p))
     p = (1.0 - w.w_goal) * p_now + w.w_goal * p_pred
     v = (1.0 - w.w_goal) * v_now + w.w_goal * v_pred
-    return KinoState(p=p, v=v), p_pred
+    return np.array([p, v]), p_pred
 
 
 def _free_goal(world: TrackerWorld, goal_p: np.ndarray) -> np.ndarray:
@@ -242,34 +249,33 @@ def _free_goal(world: TrackerWorld, goal_p: np.ndarray) -> np.ndarray:
     """
     if not world.grid.is_occupied(goal_p):
         return goal_p
-    direction = world.quad_p - goal_p
+    direction = world.quad[0] - goal_p
     dist = float(np.linalg.norm(direction))
     if dist < 1e-6:
-        return world.quad_p.copy()
+        return world.quad[0].copy()
     n = max(int(dist / (world.grid.resolution / 2.0)), 1)
     candidates = goal_p + np.linspace(0.0, 1.0, n + 1)[1:, None] * direction
     free = np.flatnonzero(~world.grid.occupied_at(candidates))
-    return candidates[free[0]] if free.size else world.quad_p.copy()
+    return candidates[free[0]] if free.size else world.quad[0].copy()
 
 
 def _plan_goal(world: TrackerWorld, t: float):
-    """Goal state and occlusion target at time ``t`` from the current prediction."""
+    """Goal state ``[p, v]`` and occlusion target at time ``t`` from the current prediction."""
     sc = world.scenario
     traj = world.prediction
     if world.mode.mode == RELOCATING:
         p_end, _ = traj.evaluate(traj.t_p)
         goal_p = _free_goal(world, np.array([p_end[0], p_end[1], sc.quad_start[2]]))
-        return KinoState(p=goal_p, v=np.zeros(3)), goal_p
+        return np.array([goal_p, np.zeros(3)]), goal_p
 
-    blend, p_pred = blend_goal(traj, float(np.clip(t, traj.t0, traj.t_p)), sc.search)
-    x_g_p, x_g_v = blend.p, blend.v
+    (x_g_p, x_g_v), p_pred = blend_goal(traj, float(np.clip(t, traj.t0, traj.t_p)), sc.search)
     # standoff: back off along the goal velocity, or toward the quadrotor
     # for a near-stationary target
     speed = float(np.linalg.norm(x_g_v[:2]))
     if speed > 0.3:
         back = x_g_v / max(np.linalg.norm(x_g_v), 1e-9)
     else:
-        to_quad = world.quad_p - x_g_p
+        to_quad = world.quad[0] - x_g_p
         to_quad[2] = 0.0
         norm = float(np.linalg.norm(to_quad))
         back = -(to_quad / norm) if norm > 1e-6 else np.array([1.0, 0.0, 0.0])
@@ -278,10 +284,10 @@ def _plan_goal(world: TrackerWorld, t: float):
     goal_p = _free_goal(world, goal_p)
     goal_v = x_g_v.copy()
     goal_v[2] = 0.0
-    return KinoState(p=goal_p, v=goal_v), p_pred
+    return np.array([goal_p, goal_v]), p_pred
 
 
-def _keeps_trajectory(world: TrackerWorld, goal: KinoState, entered: bool) -> bool:
+def _keeps_trajectory(world: TrackerWorld, goal: np.ndarray, entered: bool) -> bool:
     """Whether a relocation cycle flies on along its trajectory without replanning.
 
     It does while the goal stays within ``r_goal`` of the goal the trajectory
@@ -292,7 +298,7 @@ def _keeps_trajectory(world: TrackerWorld, goal: KinoState, entered: bool) -> bo
     return (world.mode.mode == RELOCATING and not entered
             and world.trajectory is not None and not world.last_plan_error
             and world.trajectory.duration - world.traj_clock >= RELOCATION_MIN_REMAINING_S
-            and float(np.linalg.norm(goal.p - world.plan_goal)) <= world.scenario.search.r_goal)
+            and float(np.linalg.norm(goal[0] - world.plan_goal)) <= world.scenario.search.r_goal)
 
 
 def perceive(world: TrackerWorld, t: float, target_p: np.ndarray
@@ -310,7 +316,7 @@ def perceive(world: TrackerWorld, t: float, target_p: np.ndarray
             world.gimbal = gimbal_track_step(world.gimbal, world.last_u, cfg, dt)
 
         cam_pose = Pose(
-            position=world.quad_p + np.array([0.0, 0.0, cfg.camera.mount_height]),
+            position=world.quad[0] + np.array([0.0, 0.0, cfg.camera.mount_height]),
             yaw=world.gimbal.yaw)
         feats = project_target(
             target_p, cfg.body_len, cfg.camera, cam_pose, timestamp=t, grid=world.grid,
@@ -349,20 +355,17 @@ def plan(world: TrackerWorld, t: float, entered_relocation: bool) -> tuple:
         goal, occl_target = _plan_goal(world, t)
         if _keeps_trajectory(world, goal, entered_relocation):
             return (*_NO_PATH, 1)
-        start = KinoState(p=world.quad_p.copy(), v=world.quad_v.copy())
         try:
             with world._stage("search"):
-                path = kino_search.search(start, world.grid, world.scenario.search, goal,
-                                          occl_target)
+                path = kino_search.search(world.quad[:2], world.grid, world.scenario.search,
+                                          goal, occl_target)
 
             with world._stage("corridor"):
                 cor = corridor_mod.build_corridor(path, world.grid)
 
             with world._stage("optimize"):
-                bc = traj_opt.BoundaryConditions(
-                    p0=world.quad_p, v0=world.quad_v, a0=world.quad_a,
-                    p1=path.p[-1], v1=path.v[-1], a1=np.zeros(3))
-                traj = traj_opt.optimize(cor, bc, world.scenario.opt)
+                boundary = np.stack([world.quad, [path.p[-1], path.v[-1], np.zeros(3)]])
+                traj = traj_opt.optimize(cor, boundary, world.scenario.opt)
             j_sigma = traj.info["objective"]
             path_los = int(all(world.grid.line_of_sight(p, occl_target) for p in path.p))
         except Exception as exc:  # stage failure: keep the previous trajectory
@@ -370,7 +373,7 @@ def plan(world: TrackerWorld, t: float, entered_relocation: bool) -> tuple:
         else:
             world.trajectory = traj
             world.traj_clock = 0.0
-            world.plan_goal = goal.p
+            world.plan_goal = goal[0]
             world.last_plan_error = ""
             return path.total_cost, len(cor), j_sigma, path_los, 1
     world.last_plan_error = error
@@ -382,13 +385,12 @@ def execute(world: TrackerWorld) -> None:
     if world.trajectory is not None:
         world.traj_clock += world.dt
         if world.traj_clock >= world.trajectory.duration:
-            p = world.trajectory.eval(world.trajectory.duration)
-            v = np.zeros(3)  # hover once the trajectory is exhausted
-            a = np.zeros(3)
             world.traj_clock = world.trajectory.duration
+            # hover once the trajectory is exhausted
+            world.quad = np.vstack([world.trajectory.eval(world.traj_clock), np.zeros((2, 3))])
         else:
-            p, v, a = world.trajectory.sample(world.traj_clock)
-        world.quad_p, world.quad_v, world.quad_a = p, v, a
+            world.quad = world.trajectory.sample(world.traj_clock)
+        v = world.quad[1]
         if np.linalg.norm(v[:2]) > 0.1:
             world.quad_yaw = float(np.arctan2(v[1], v[0]))
 
@@ -396,10 +398,10 @@ def execute(world: TrackerWorld) -> None:
 def _record(world: TrackerWorld, t: float, target_p: np.ndarray,
             obs: TargetObservation | None, planned: tuple) -> None:
     """Score the cycle against the target and append its trace row."""
-    dist = float(np.linalg.norm(world.quad_p - target_p))
-    world.distances.append(dist)
-    los = world.grid.line_of_sight(world.quad_p, target_p)
-    if world.grid.is_occupied(world.quad_p):
+    p = world.quad[0]
+    dist = float(np.linalg.norm(p - target_p))
+    los = world.grid.line_of_sight(p, target_p)
+    if world.grid.is_occupied(p):
         world.collided = True
     if dist > world.scenario.tracker.d_fail:
         world.fail_streak += world.dt
@@ -417,7 +419,7 @@ def _record(world: TrackerWorld, t: float, target_p: np.ndarray,
     world.trace_rows.append([
         world.cycle, t, *target_p, int(obs is not None), *obs_p,
         *pred_t0, *pred_tp, world.mode.mode, path_cost, corridor_m, j_sigma,
-        *world.quad_p, world.quad_yaw, int(los), path_los, plan_ok,
+        *p, world.quad_yaw, int(los), path_los, plan_ok,
     ])
     world.cycle += 1
 
@@ -453,9 +455,10 @@ def run_scenario(scenario: Scenario, variant: str = "full") -> tuple[Metrics, li
     runs = [(mode, sum(1 for _ in rows))
             for mode, rows in itertools.groupby(row[_MODE] for row in world.trace_rows)]
     relocation_times = [sum([world.dt] * n) for mode, n in runs[:-1] if mode == RELOCATING]
+    distances = world.distances
     metrics = Metrics(
-        mean_target_distance=float(np.mean(world.distances)),
-        max_target_distance=float(np.max(world.distances)),
+        mean_target_distance=float(np.mean(distances)),
+        max_target_distance=float(np.max(distances)),
         los_fraction=float(np.mean(world.los_flags)),
         loss_episodes=sum(mode == RELOCATING for mode, _ in runs),
         relocation_times=relocation_times,

@@ -10,10 +10,14 @@ adds a logarithmic barrier keeping each intermediate waypoint inside its cube
 intersection and a soft aggressiveness penalty on total time and on waypoint
 finite-difference speed and acceleration surrogates.
 
+A kinematic state is a float array indexed ``[order, axis]``: a (3, 3)
+array ``[p, v, a]``. The boundary is the (2, 3, 3) stack of the start and end
+states, ``[[p0, v0, a0], [p1, v1, a1]]``.
+
 The inner solve works on one array ``D`` of junction derivatives, shape
-``(M + 1, 3, 3)`` and indexed ``[junction, order, axis]``: order 0 holds the
-waypoints, the end junctions hold the boundary velocities and accelerations,
-and the 2(M - 1) interior velocities and accelerations are the unknowns. Piece
+``(M + 1, 3, 3)`` and indexed ``[junction, order, axis]``: the end junctions
+hold the boundary states, order 0 holds the waypoints, and the 2(M - 1)
+interior velocities and accelerations are the unknowns. Piece
 i reads ``D[i:i + 2]`` as its six endpoint derivatives, so the pieces' jerk
 forms add into one matrix over the flattened ``D``, and the unknowns come from
 its free/fixed partition. Each jerk form is the unit piece's, scaled:
@@ -41,22 +45,6 @@ from .errors import (
     BarrierDomainViolated, DescentFailed, SingularSystem, TrajectoryLeftCorridor)
 from .poly import PiecewisePoly
 from .solvers import lbfgs_minimize
-
-
-@dataclass
-class BoundaryConditions:
-    """Full start and goal derivatives for the trajectory."""
-
-    p0: np.ndarray
-    v0: np.ndarray
-    a0: np.ndarray
-    p1: np.ndarray
-    v1: np.ndarray
-    a1: np.ndarray
-
-    def __post_init__(self):
-        for name in ("p0", "v0", "a0", "p1", "v1", "a1"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
 @dataclass
@@ -119,14 +107,13 @@ def _jerk_forms(T: np.ndarray):
 # Inner minimum-jerk solve
 # ----------------------------------------------------------------------
 
-def _solve_inner(waypoints: np.ndarray, Q: np.ndarray, boundary: BoundaryConditions):
+def _solve_inner(waypoints: np.ndarray, Q: np.ndarray, boundary: np.ndarray):
     """Optimal per-piece endpoint derivatives ``d`` (M, 6, 3) and the jerk cost."""
     M = len(Q)
     # D[junction, order, axis]; the interior velocities and accelerations are free
     D = np.zeros((M + 1, 3, 3))
+    D[[0, M]] = boundary
     D[:, 0] = waypoints
-    D[0, 1:] = boundary.v0, boundary.a0
-    D[M, 1:] = boundary.v1, boundary.a1
     free = np.zeros((M + 1, 3), dtype=bool)
     free[1:M, 1:] = True
     free = free.ravel()
@@ -144,7 +131,7 @@ def _solve_inner(waypoints: np.ndarray, Q: np.ndarray, boundary: BoundaryConditi
     return d_all, float(np.einsum("ila,ilm,ima->", d_all, Q, d_all))
 
 
-def inner_trajectory(waypoints, T, boundary: BoundaryConditions) -> PiecewisePoly:
+def inner_trajectory(waypoints, T, boundary: np.ndarray) -> PiecewisePoly:
     """Minimum-jerk C2 piecewise quintic through the waypoints."""
     waypoints = np.asarray(waypoints, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -165,7 +152,7 @@ def inner_trajectory(waypoints, T, boundary: BoundaryConditions) -> PiecewisePol
 # Outer cost and gradients
 # ----------------------------------------------------------------------
 
-def cost_and_gradient(q_interior, T, corridor: np.ndarray, boundary: BoundaryConditions,
+def cost_and_gradient(q_interior, T, corridor: np.ndarray, boundary: np.ndarray,
                       w: OptWeights):
     """Total cost and analytic gradients w.r.t. interior waypoints and durations.
 
@@ -176,7 +163,7 @@ def cost_and_gradient(q_interior, T, corridor: np.ndarray, boundary: BoundaryCon
     M = len(corridor)
     q_interior = np.asarray(q_interior, dtype=float).reshape(M - 1, 3)
     T = np.asarray(T, dtype=float)
-    waypoints = np.vstack([boundary.p0, q_interior, boundary.p1])
+    waypoints = np.vstack([boundary[0, 0], q_interior, boundary[1, 0]])
 
     # smoothness term and its envelope gradients; dq covers all M + 1
     # waypoints, and the fixed ends are dropped on return
@@ -251,7 +238,7 @@ def _trapezoid_time(dist: float, v_cruise: float, a: float) -> float:
     return dist / v_cruise + v_cruise / a
 
 
-def optimize(corridor: np.ndarray, boundary: BoundaryConditions,
+def optimize(corridor: np.ndarray, boundary: np.ndarray,
              w: OptWeights | None = None) -> PiecewisePoly:
     """Descend the joint waypoint/duration cost and return the trajectory.
 
@@ -270,7 +257,7 @@ def optimize(corridor: np.ndarray, boundary: BoundaryConditions,
     if np.any(lo >= hi):
         raise BarrierDomainViolated("corridor has empty consecutive intersections")
     q0 = 0.5 * (lo + hi)
-    waypoints0 = np.vstack([boundary.p0, q0, boundary.p1])
+    waypoints0 = np.vstack([boundary[0, 0], q0, boundary[1, 0]])
     T0 = np.array([
         max(_trapezoid_time(float(np.linalg.norm(waypoints0[i + 1] - waypoints0[i])),
                             w.v_max / 2.0, w.a_max), 10.0 * w.t_min)
@@ -297,7 +284,7 @@ def optimize(corridor: np.ndarray, boundary: BoundaryConditions,
             f"descent raised the cost from {history[0]!r} to {history[-1]!r}")
     q_int = x_opt[: 3 * (M - 1)].reshape(M - 1, 3)
     T = w.t_min + np.exp(x_opt[3 * (M - 1):])
-    traj = inner_trajectory(np.vstack([boundary.p0, q_int, boundary.p1]), T, boundary)
+    traj = inner_trajectory(np.vstack([boundary[0, 0], q_int, boundary[1, 0]]), T, boundary)
     ts = np.arange(0.0, traj.duration + 1e-9, 0.01)
     if not contains_all(corridor, traj.eval(ts), margin=1e-9):
         raise TrajectoryLeftCorridor(

@@ -48,8 +48,8 @@ def capture(scenario_name: str, cycles: set[int]) -> dict[int, dict]:
         if world.cycle in cycles:
             captured[world.cycle] = {
                 "weights": dataclasses.asdict(w),
-                "start": {"p": _vec(start.p), "v": _vec(start.v)},
-                "goal": {"p": _vec(goal.p), "v": _vec(goal.v)},
+                "start": {"p": _vec(start[0]), "v": _vec(start[1])},
+                "goal": {"p": _vec(goal[0]), "v": _vec(goal[1])},
                 "occlusion_target": _vec(occlusion_target),
                 "in_loop": describe(path),
             }
@@ -68,8 +68,8 @@ def solve(scenario_name: str, problem: dict) -> kino_search.KinoPath:
     """Run the search on one recorded problem."""
     grid = build_map(Scenario.from_dict(benchmarks.ALL[scenario_name]()).map_spec)
     weights = dict(problem["weights"], u_grid=tuple(problem["weights"]["u_grid"]))
-    start = kino_search.KinoState(p=problem["start"]["p"], v=problem["start"]["v"])
-    goal = kino_search.KinoState(p=problem["goal"]["p"], v=problem["goal"]["v"])
+    start = [problem["start"]["p"], problem["start"]["v"]]
+    goal = [problem["goal"]["p"], problem["goal"]["v"]]
     return kino_search.search(start, grid, kino_search.SearchWeights(**weights),
                               goal, problem["occlusion_target"])
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from aerotrack.corridor import _contains_box, _fat
 from aerotrack.errors import CorridorFailed, SeedOccupied
-from aerotrack.traj_opt import BoundaryConditions
 
 _SCAN_T = np.arange(1e-3, 20.0 + 1e-3, 1e-3)
 
@@ -97,9 +96,7 @@ def solve_inner_per_slot(waypoints, T, boundary):
         kind = local % 3
         if kind == 0:
             return waypoints[junction, axis]
-        if junction == 0:
-            return (boundary.v0 if kind == 1 else boundary.a0)[axis]
-        return (boundary.v1 if kind == 1 else boundary.a1)[axis]
+        return boundary[0 if junction == 0 else 1][kind][axis]
 
     z = np.zeros((0, 3))
     if nz > 0:
@@ -212,11 +209,6 @@ def de_casteljau(control_points, s: float) -> np.ndarray:
     return pts[0]
 
 
-def rest_to_rest(p0, p1) -> BoundaryConditions:
-    z = np.zeros(3)
-    return BoundaryConditions(p0, z, z, p1, z, z)
-
-
 def cube_is_free(grid, cube) -> bool:
     """Exhaustively scan all voxels overlapping ``cube`` (interior overlap)."""
     lo = np.floor((cube[0] - grid.origin) / grid.resolution + 1e-9).astype(int)
@@ -234,16 +226,16 @@ def free_goal(world, goal_p):
     """
     if not world.grid.is_occupied(goal_p):
         return goal_p
-    direction = world.quad_p - goal_p
+    direction = world.quad[0] - goal_p
     dist = float(np.linalg.norm(direction))
     if dist < 1e-6:
-        return world.quad_p.copy()
+        return world.quad[0].copy()
     n = max(int(dist / (world.grid.resolution / 2.0)), 1)
     for frac in np.linspace(0.0, 1.0, n + 1)[1:]:
         candidate = goal_p + frac * direction
         if not world.grid.is_occupied(candidate):
             return candidate
-    return world.quad_p.copy()
+    return world.quad[0].copy()
 
 
 def inflate_box(grid, seed, max_extent: float) -> np.ndarray:

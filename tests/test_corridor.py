@@ -4,7 +4,7 @@ import pytest
 from aerotrack.corridor import build_corridor, contains_all, overlap
 from aerotrack.errors import CorridorFailed
 from aerotrack.grid import MapSpec, OccupancyGrid, build_map
-from aerotrack.kino_search import KinoPath, KinoState, SearchWeights, search
+from aerotrack.kino_search import KinoPath, SearchWeights, search
 from aerotrack.prediction import fit_predicted_trajectory
 from aerotrack.perception import TargetObservation
 from aerotrack.tracker import blend_goal
@@ -115,7 +115,7 @@ class TestBuildCorridor:
     def test_straight_path_empty_map(self):
         grid = OccupancyGrid((0, 0, 0), 0.1, (120, 80, 30))
         traj = static_prediction((10.0, 4.0, 1.5))
-        start = KinoState(p=(2.0, 4.0, 1.5), v=(0, 0, 0))
+        start = np.array([(2.0, 4.0, 1.5), (0, 0, 0)], dtype=float)
         path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
         cor = build_corridor(path, grid)
         corridor_invariants(cor, grid, path)
@@ -136,7 +136,7 @@ class TestBuildCorridor:
         grid.set_occupied_box((5.0, 4.0, 0.0), (5.3, 4.8, 0.8))
         grid.set_occupied_box((5.0, 4.0, 1.6), (5.3, 4.8, 2.5))
         traj = static_prediction((9.0, 4.4, 1.2))
-        start = KinoState(p=(2.0, 4.4, 1.2), v=(0, 0, 0))
+        start = np.array([(2.0, 4.4, 1.2), (0, 0, 0)], dtype=float)
         path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
         cor = build_corridor(path, grid)
         corridor_invariants(cor, grid, path)
@@ -149,7 +149,7 @@ class TestBuildCorridor:
         for seed in range(12):
             grid = forest_grid(seed)
             traj = static_prediction((13.0, 13.0, 1.2))
-            start = KinoState(p=(2.0, 2.0, 1.2), v=(0, 0, 0))
+            start = np.array([(2.0, 2.0, 1.2), (0, 0, 0)], dtype=float)
             path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
             cor = build_corridor(path, grid)
             corridor_invariants(cor, grid, path)

@@ -4,7 +4,6 @@ import pytest
 from aerotrack.errors import StartOccupied
 from aerotrack.grid import OccupancyGrid
 from aerotrack.kino_search import (
-    KinoState,
     SearchWeights,
     _obvp_batch,
     _obvp_coeffs,
@@ -35,12 +34,12 @@ def search_toward(start, traj, grid, w):
 
 class TestObvp:
     def test_identical_states(self):
-        s = KinoState(p=(1, 1, 1), v=(0, 0, 0))
+        s = np.array([(1, 1, 1), (0, 0, 0)], dtype=float)
         assert obvp_cost(s, s, 1.0) == (0.0, 0.0)
 
     def test_rest_to_rest_matches_scan(self):
-        a = KinoState(p=(0, 0, 0), v=(0, 0, 0))
-        b = KinoState(p=(1, 0, 0), v=(0, 0, 0))
+        a = np.array([(0, 0, 0), (0, 0, 0)], dtype=float)
+        b = np.array([(1, 0, 0), (0, 0, 0)], dtype=float)
         D, T = obvp_cost(a, b, 1.0)
         Ts = np.arange(1e-3, 20, 1e-3)
         Js = Ts + 12.0 / Ts**3
@@ -50,13 +49,14 @@ class TestObvp:
     def test_random_pairs_match_scan(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            a = KinoState(p=rng.uniform(-5, 5, 3), v=rng.uniform(-3, 3, 3))
-            b = KinoState(p=rng.uniform(-5, 5, 3), v=rng.uniform(-3, 3, 3))
+            a = np.array([rng.uniform(-5, 5, 3), rng.uniform(-3, 3, 3)], dtype=float)
+            b = np.array([rng.uniform(-5, 5, 3), rng.uniform(-3, 3, 3)], dtype=float)
             D, _ = obvp_cost(a, b, 1.0)
-            dp = b.p - a.p
+            (pa, va), (pb, vb) = a, b
+            dp = pb - pa
             alpha = 12 * dp @ dp
-            beta = -12 * dp @ (a.v + b.v)
-            gamma = 4 * (a.v @ a.v + a.v @ b.v + b.v @ b.v)
+            beta = -12 * dp @ (va + vb)
+            gamma = 4 * (va @ va + va @ vb + vb @ vb)
             Ts = np.arange(1e-3, 20, 1e-3)
             Js = Ts + alpha / Ts**3 + beta / Ts**2 + gamma / Ts
             assert D == pytest.approx(Js.min(), rel=1e-4, abs=1e-9)
@@ -127,15 +127,16 @@ class TestObvp:
         rng = np.random.default_rng(3)
         w = SearchWeights(freeze_z=False)
         for _ in range(20):
-            a = KinoState(p=rng.uniform(-1, 1, 3), v=rng.uniform(-1, 1, 3))
+            a = np.array([rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)], dtype=float)
             u = rng.uniform(-2, 2, 3)
             steps = rng.integers(1, 4)
             s = a
             cost = 0.0
             for _ in range(steps):
-                s = KinoState(p=s.p + s.v * w.tau + 0.5 * u * w.tau**2, v=s.v + u * w.tau)
+                p, v = s
+                s = np.array([p + v * w.tau + 0.5 * u * w.tau**2, v + u * w.tau])
                 cost += (u @ u + w.rho) * w.tau
-            D, _ = obvp_cost(a, KinoState(s.p, s.v), w.rho)
+            D, _ = obvp_cost(a, s, w.rho)
             assert D <= cost + 1e-6
 
 
@@ -155,15 +156,15 @@ class TestGoalState:
         g1, _ = blend_goal(traj, 2.0, SearchWeights(w_goal=1.0))
         p_now, v_now = traj.evaluate(2.0)
         p_ahead, v_ahead = traj.evaluate(3.0)
-        assert np.allclose(g0.p, p_now) and np.allclose(g0.v, v_now)
-        assert np.allclose(g1.p, p_ahead) and np.allclose(g1.v, v_ahead)
+        assert g0.shape == g1.shape == (2, 3)
+        assert np.allclose(g0, [p_now, v_now]) and np.allclose(g1, [p_ahead, v_ahead])
 
     def test_stationary_target(self):
         traj = static_prediction((2.0, 3.0, 1.0))
         for wg in (0.0, 0.4, 1.0):
             g, _ = blend_goal(traj, 2.0, SearchWeights(w_goal=wg))
-            assert np.allclose(g.p, (2.0, 3.0, 1.0), atol=1e-5)
-            assert np.linalg.norm(g.v) < 1e-5
+            assert np.allclose(g[0], (2.0, 3.0, 1.0), atol=1e-5)
+            assert np.linalg.norm(g[1]) < 1e-5
 
     def test_lookahead_position(self):
         times = np.linspace(0, 2, 14)
@@ -175,16 +176,16 @@ class TestGoalState:
             t_ahead = min(t + lookahead, traj.t_p)
             assert np.array_equal(p_ahead, traj.evaluate(t_ahead)[0])
             p_now, v_now = traj.evaluate(t)
-            assert np.array_equal(goal.p, (1.0 - 0.7) * p_now + 0.7 * p_ahead)
+            assert np.array_equal(goal[0], (1.0 - 0.7) * p_now + 0.7 * p_ahead)
             v_ahead = traj.evaluate(t_ahead)[1]
-            assert np.array_equal(goal.v, (1.0 - 0.7) * v_now + 0.7 * v_ahead)
+            assert np.array_equal(goal[1], (1.0 - 0.7) * v_now + 0.7 * v_ahead)
 
 
 class TestSearch:
     def test_free_map_reaches_goal(self):
         g = open_grid()
         traj = static_prediction((9.0, 6.0, 1.5))
-        start = KinoState(p=(6.0, 6.0, 1.5), v=(0.0, 0.0, 0.0))
+        start = np.array([(6.0, 6.0, 1.5), (0.0, 0.0, 0.0)], dtype=float)
         w = SearchWeights(freeze_z=True)
         path = search_toward(start, traj, g, w)
         assert path.info["reached_goal"]
@@ -196,10 +197,10 @@ class TestSearch:
     def test_start_at_goal(self):
         g = open_grid()
         traj = static_prediction((2.0, 2.0, 1.0))
-        start = KinoState(p=(2.0, 2.0, 1.0), v=(0.0, 0.0, 0.0))
+        start = np.array([(2.0, 2.0, 1.0), (0.0, 0.0, 0.0)], dtype=float)
         path = search_toward(start, traj, g, SearchWeights(freeze_z=False))
         assert len(path.controls) == 0
-        assert path.p.tolist() == [start.p.tolist()] and path.v.tolist() == [start.v.tolist()]
+        assert np.array_equal(np.concatenate([path.p, path.v]), start)
         assert path.total_cost == 0.0
 
     def test_start_occupied(self):
@@ -207,14 +208,14 @@ class TestSearch:
         g.set_occupied_box((0.9, 0.9, 0.9), (1.3, 1.3, 1.3))
         traj = static_prediction((5.0, 5.0, 1.0))
         with pytest.raises(StartOccupied):
-            search_toward(KinoState(p=(1.0, 1.0, 1.0), v=(0, 0, 0)), traj, g,
+            search_toward(np.array([(1.0, 1.0, 1.0), (0, 0, 0)], dtype=float), traj, g,
                           SearchWeights(freeze_z=False))
 
     def test_path_continuity_and_cost_bookkeeping(self):
         g = open_grid()
         g.set_occupied_box((4.0, 2.0, 0.0), (4.2, 9.0, 3.0))
         traj = static_prediction((7.0, 6.0, 1.5))
-        start = KinoState(p=(2.0, 6.0, 1.5), v=(0.0, 0.0, 0.0))
+        start = np.array([(2.0, 6.0, 1.5), (0.0, 0.0, 0.0)], dtype=float)
         w = SearchWeights(freeze_z=True)
         path = search_toward(start, traj, g, w)
         assert len(path.controls) == len(path.p) - 1 > 0
@@ -228,7 +229,7 @@ class TestSearch:
         g = open_grid()
         g.set_occupied_box((4.0, 0.0, 0.0), (4.3, 8.0, 3.0))
         traj = static_prediction((8.0, 9.0, 1.5))
-        start = KinoState(p=(2.0, 3.0, 1.5), v=(0.0, 0.0, 0.0))
+        start = np.array([(2.0, 3.0, 1.5), (0.0, 0.0, 0.0)], dtype=float)
         path = search_toward(start, traj, g, SearchWeights(freeze_z=True))
         pts = path.sample_positions(g.resolution / 4)
         assert not g.occupied_at(pts).any()
@@ -237,7 +238,7 @@ class TestSearch:
         g = open_grid()
         g.set_occupied_box((4.0, 2.0, 0.0), (4.2, 9.0, 3.0))
         traj = static_prediction((7.0, 6.0, 1.5))
-        start = KinoState(p=(2.0, 6.0, 1.5), v=(0.3, -0.2, 0.0))
+        start = np.array([(2.0, 6.0, 1.5), (0.3, -0.2, 0.0)], dtype=float)
         path = search_toward(start, traj, g, SearchWeights(freeze_z=True))
         assert len(path.controls) > 3
         for spacing in (0.025, 0.05, 0.3):
@@ -245,14 +246,14 @@ class TestSearch:
             ref = rollout_positions(path, spacing)
             assert pts.shape == ref.shape
             assert np.max(np.abs(pts - ref)) < 1e-12
-            assert np.array_equal(pts[0], start.p)
+            assert np.array_equal(pts[0], start[0])
             assert np.max(np.abs(pts[-1] - path.p[-1])) < 1e-12
 
     def test_determinism(self):
         g = open_grid()
         g.set_occupied_box((4.0, 3.0, 0.0), (4.4, 10.0, 3.0))
         traj = static_prediction((8.0, 7.0, 1.5))
-        start = KinoState(p=(2.0, 5.0, 1.5), v=(0.3, 0.0, 0.0))
+        start = np.array([(2.0, 5.0, 1.5), (0.3, 0.0, 0.0)], dtype=float)
         w = SearchWeights(freeze_z=True)
         p1 = search_toward(start, traj, g, w)
         p2 = search_toward(start, traj, g, w)
@@ -267,9 +268,9 @@ class TestSearch:
         g = open_grid(140, 140, 20)
         g.set_occupied_box((5.0, 4.0, 0.0), (7.0, 8.0, 2.0))
         x_tp = np.array([9.5, 7.0, 1.0])
-        start = KinoState(p=(4.8, 1.0, 1.0), v=(0.0, 0.0, 0.0))
-        goal = KinoState(p=(6.0, 9.0, 1.0), v=(0.0, 0.0, 0.0))
-        assert g.line_of_sight(start.p, x_tp)
+        start = np.array([(4.8, 1.0, 1.0), (0.0, 0.0, 0.0)], dtype=float)
+        goal = np.array([(6.0, 9.0, 1.0), (0.0, 0.0, 0.0)], dtype=float)
+        assert g.line_of_sight(start[0], x_tp)
 
         def side_of_block(path):
             # +1 if the path passes east of the block, -1 if west
@@ -294,7 +295,7 @@ class TestSearch:
         g.set_occupied_box((6.0, 10.4, 0.0), (6.2, 14.0, 2.0))
         target = np.array([8.0, 10.0, 1.0])
         traj = static_prediction(target)
-        start = KinoState(p=(3.0, 9.5, 1.0), v=(0.0, 0.0, 0.0))
+        start = np.array([(3.0, 9.5, 1.0), (0.0, 0.0, 0.0)], dtype=float)
         path = search_toward(start, traj, g, SearchWeights(freeze_z=True, p_occ=200.0))
 
         def los_frac(path):

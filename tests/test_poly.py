@@ -54,5 +54,11 @@ class TestEval:
         assert traj.eval(np.linspace(0.0, traj.duration, 7)).shape == (7, 3)
         assert traj.eval(np.full((4, 5), 0.5), 2).shape == (4, 5, 3)
         assert traj.eval_local(np.array([0, 1, 2]), 0.1).shape == (3, 3)
-        p, v, a = traj.sample(0.5)
-        assert p.shape == v.shape == a.shape == (3,)
+        assert traj.sample(0.5).shape == (3, 3)
+
+    def test_sample_is_the_state_of_derivatives(self):
+        traj = random_quintic(np.random.default_rng(4), 3)
+        for t in np.linspace(0.0, traj.duration, 11):
+            state = traj.sample(t)
+            assert state.shape == (3, 3)
+            assert np.array_equal(state, np.stack([traj.eval(t, k) for k in range(3)]))

@@ -90,6 +90,14 @@ class TestFromDict:
         (dict(valid(), quad_start=["2.5", "7", "1.3"]), "quad_start must be 3 finite numbers"),
         (with_search(node_budget=10.5), "search: node_budget must be a non-negative integer"),
         (with_search(freeze_z=1), "search: freeze_z must be true or false"),
+        (with_section("prediction", tau_w=0), "prediction: tau_w must be a finite number > 0"),
+        (with_section("prediction", a_max=-1), "prediction: a_max must be a finite number > 0"),
+        (with_section("prediction", horizon=-3),
+         "prediction: horizon must be a finite number >= 0"),
+        (with_search(tau=0), "search: tau must be a finite number > 0"),
+        (with_search(vel_bin=0), "search: vel_bin must be a finite number > 0"),
+        (dict(valid(), quad_start=[-5, 7, 1.3]),
+         r"quad_start \[-5.0, 7.0, 1.3\] outside map bounds"),
     ], ids=["perception-list", "search-list", "duration-text", "duration-nan", "seed-text",
             "quad-start-text", "quad-start-2d", "fov-0", "fov-200", "target-speed-nan",
             "target-smoothing-nan", "target-waypoint-nan", "seed-negative", "seed-fraction",
@@ -99,7 +107,9 @@ class TestFromDict:
             "max-iter-text", "opt-v-max-text", "tau-text", "d-track-text", "sigma-u-text",
             "prediction-v-max-text", "target-speed-text", "target-smoothing-bool",
             "target-smoothing-negative", "target-one-waypoint", "fov-bool", "duration-text-number",
-            "quad-start-text-numbers", "node-budget-fraction", "freeze-z-int"])
+            "quad-start-text-numbers", "node-budget-fraction", "freeze-z-int", "tau-w-0",
+            "prediction-a-max-negative", "horizon-negative", "tau-0", "vel-bin-0",
+            "quad-start-outside-map"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)
@@ -114,6 +124,9 @@ class TestFromDict:
         # 41 fields: each is checked by its declared type, so none takes a string
         with pytest.raises(InvalidScenario, match=f"{section}: {name} must be"):
             Scenario.from_dict(with_section(section, **{name: "1"}))
+
+    def test_zero_prediction_horizon_is_valid(self):
+        assert Scenario.from_dict(with_section("prediction", horizon=0)).prediction.horizon == 0
 
     def test_replaced_seed_is_validated(self):
         scenario = Scenario.from_dict(valid())

@@ -13,7 +13,7 @@ import pytest
 
 from aerotrack import benchmarks
 from aerotrack.grid import build_map
-from aerotrack.kino_search import KinoState, SearchWeights, search
+from aerotrack.kino_search import SearchWeights, search
 from aerotrack.scenario import Scenario
 
 PROBLEMS = json.loads((Path(__file__).parent / "data" / "search_problems.json").read_text())
@@ -27,8 +27,8 @@ def scenario_grid(name):
 
 def run(problem):
     weights = dict(problem["weights"], u_grid=tuple(problem["weights"]["u_grid"]))
-    start = KinoState(p=problem["start"]["p"], v=problem["start"]["v"])
-    goal = KinoState(p=problem["goal"]["p"], v=problem["goal"]["v"])
+    start = [problem["start"]["p"], problem["start"]["v"]]
+    goal = [problem["goal"]["p"], problem["goal"]["v"]]
     return search(start, scenario_grid(problem["scenario"]), SearchWeights(**weights),
                   goal, problem["occlusion_target"])
 

@@ -58,7 +58,7 @@ class TestFreeGoal:
         wall_lo, wall_hi = np.array([10.0, 4.0, 1.3]), np.array([10.4, 10.0, 1.3])
         outside_lo, outside_hi = np.array([24.5, -3.0, 1.3]), np.array([30.0, 19.0, 1.3])
         for _ in range(20):
-            world.quad_p = np.array([rng.uniform(1.0, 9.5), rng.uniform(1.0, 15.0), 1.3])
+            world.quad[0] = rng.uniform(1.0, 9.5), rng.uniform(1.0, 15.0), 1.3
             for lo, hi in ((wall_lo, wall_hi), (outside_lo, outside_hi)):
                 goal_p = rng.uniform(lo, hi)
                 assert world.grid.is_occupied(goal_p)
@@ -66,9 +66,9 @@ class TestFreeGoal:
                 assert not world.grid.is_occupied(picked)
 
     def test_blocked_segment_falls_back_to_the_quadrotor(self, world):
-        world.quad_p = np.array([10.2, 4.5, 1.3])  # inside the wall, like the goal
+        world.quad[0] = 10.2, 4.5, 1.3  # inside the wall, like the goal
         picked = self.assert_same_goal(world, np.array([10.2, 9.5, 1.3]))
-        assert np.array_equal(picked, world.quad_p) and picked is not world.quad_p
+        assert np.array_equal(picked, world.quad[0]) and not np.shares_memory(picked, world.quad)
 
     def test_free_goal_is_kept(self, world):
         goal_p = np.array([5.0, 5.0, 1.3])
@@ -241,7 +241,7 @@ class TestVariants:
         yaws = []
         for k in range(calls):
             yaw = world.gimbal.yaw + np.pi
-            behind = world.quad_p + 3.0 * np.array([np.cos(yaw), np.sin(yaw), 0.0])
+            behind = world.quad[0] + 3.0 * np.array([np.cos(yaw), np.sin(yaw), 0.0])
             tracker.perceive(world, k * world.dt, behind)
             assert world.mode.mode == RELOCATING
             yaws.append(world.gimbal.yaw)

@@ -6,20 +6,21 @@ from aerotrack import traj_opt
 from aerotrack.errors import (
     BarrierDomainViolated, DescentFailed, OutOfDomain, SingularSystem, TrajectoryLeftCorridor)
 from aerotrack.grid import OccupancyGrid
-from aerotrack.kino_search import KinoState, SearchWeights, search
+from aerotrack.kino_search import SearchWeights, search
 from aerotrack.perception import TargetObservation
 from aerotrack.prediction import fit_predicted_trajectory
 from aerotrack.tracker import blend_goal
-from aerotrack.traj_opt import (
-    BoundaryConditions,
-    OptWeights,
-    cost_and_gradient,
-    inner_trajectory,
-    optimize,
-)
+from aerotrack.traj_opt import OptWeights, cost_and_gradient, inner_trajectory, optimize
 from oracles import (
-    jerk_cost, jerk_quadratic, jerk_quadratic_dT, junction_mismatch, rest_to_rest,
-    solve_inner_per_slot, tail_maps)
+    jerk_cost, jerk_quadratic, jerk_quadratic_dT, junction_mismatch, solve_inner_per_slot,
+    tail_maps)
+
+
+def at_rest(p0, p1):
+    """Boundary ``[[p0, v0, a0], [p1, v1, a1]]`` at rest at both ends."""
+    boundary = np.zeros((2, 3, 3))
+    boundary[:, 0] = p0, p1
+    return boundary
 
 
 def chain_corridor(n_cubes=4, span=2.0, overlap=0.8, size=1.6):
@@ -37,7 +38,7 @@ class TestInnerTrajectory:
         p0 = np.array([0.0, 0.0, 0.0])
         p1 = np.array([2.0, -1.0, 0.5])
         T = 3.0
-        traj = inner_trajectory([p0, p1], [T], rest_to_rest(p0, p1))
+        traj = inner_trajectory([p0, p1], [T], at_rest(p0, p1))
         for t in np.linspace(0, T, 40):
             s = t / T
             ref = p0 + (p1 - p0) * (10 * s**3 - 15 * s**4 + 6 * s**5)
@@ -48,7 +49,7 @@ class TestInnerTrajectory:
         # single quintic across the whole interval
         p0 = np.zeros(3)
         p1 = np.array([4.0, 0.0, 0.0])
-        bc = rest_to_rest(p0, p1)
+        bc = at_rest(p0, p1)
         single = inner_trajectory([p0, p1], [2.0], bc)
         multi = inner_trajectory(
             [p0, 0.25 * p1, 0.5 * p1, p1], [0.5, 0.5, 1.0], bc)
@@ -60,14 +61,11 @@ class TestInnerTrajectory:
         assert jerk_cost(multi) >= jerk_cost(single) - 1e-9
 
     def test_boundary_hit_exactly(self):
-        bc = BoundaryConditions(
-            p0=(0, 0, 0), v0=(1, 0, 0), a0=(0, 1, 0),
-            p1=(3, 1, 1), v1=(0, -1, 0), a1=(0, 0, 0))
+        bc = np.array([[(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+                       [(3, 1, 1), (0, -1, 0), (0, 0, 0)]], dtype=float)
         traj = inner_trajectory([(0, 0, 0), (1.5, 0.4, 0.6), (3, 1, 1)], [1.0, 1.2], bc)
-        p, v, a = traj.sample(0.0)
-        assert np.allclose(p, bc.p0) and np.allclose(v, bc.v0) and np.allclose(a, bc.a0)
-        p, v, a = traj.sample(traj.duration)
-        assert np.allclose(p, bc.p1) and np.allclose(v, bc.v1) and np.allclose(a, bc.a1)
+        assert np.allclose(traj.sample(0.0), bc[0])
+        assert np.allclose(traj.sample(traj.duration), bc[1])
 
     def test_junction_continuity(self):
         rng = np.random.default_rng(0)
@@ -75,8 +73,8 @@ class TestInnerTrajectory:
             n = rng.integers(2, 6)
             way = np.cumsum(rng.uniform(-1, 1, (n + 1, 3)), axis=0)
             T = rng.uniform(0.5, 2.0, n)
-            bc = BoundaryConditions(way[0], rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
-                                    way[-1], rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+            bc = np.array([[way[0], *rng.uniform(-1, 1, (2, 3))],
+                           [way[-1], *rng.uniform(-1, 1, (2, 3))]])
             traj = inner_trajectory(way, T, bc)
             assert junction_mismatch(traj) < 1e-9
 
@@ -86,8 +84,8 @@ class TestInnerTrajectory:
         for _ in range(20):
             way = np.cumsum(rng.uniform(-2, 2, (M + 1, 3)), axis=0)
             T = rng.uniform(0.2, 3.0, M)
-            bc = BoundaryConditions(way[0], *rng.uniform(-2, 2, (2, 3)),
-                                    way[-1], *rng.uniform(-2, 2, (2, 3)))
+            bc = np.array([[way[0], *rng.uniform(-2, 2, (2, 3))],
+                           [way[-1], *rng.uniform(-2, 2, (2, 3))]])
             yield way, T, bc
 
     @pytest.mark.parametrize("M", range(1, 7))
@@ -112,7 +110,7 @@ class TestInnerTrajectory:
                 assert np.all(err <= 1e-12 * (np.abs(H3) @ np.abs(d_all[i])).T)
 
     def test_nonpositive_duration_rejected(self):
-        bc = rest_to_rest((0, 0, 0), (1, 0, 0))
+        bc = at_rest((0, 0, 0), (1, 0, 0))
         with pytest.raises(SingularSystem):
             inner_trajectory([(0, 0, 0), (1, 0, 0)], [-1.0], bc)
 
@@ -128,15 +126,14 @@ class TestJerkForms:
 
 class TestSample:
     def test_out_of_domain(self):
-        bc = rest_to_rest((0, 0, 0), (1, 0, 0))
+        bc = at_rest((0, 0, 0), (1, 0, 0))
         traj = inner_trajectory([(0, 0, 0), (1, 0, 0)], [1.0], bc)
         with pytest.raises(OutOfDomain):
             traj.sample(1.5)
 
     def test_derivatives_match_finite_differences(self):
-        bc = BoundaryConditions(
-            p0=(0, 0, 0), v0=(0.5, 0, 0), a0=(0, 0.5, 0),
-            p1=(2, 1, 0), v1=(0, 0, 0), a1=(0, 0, 0))
+        bc = np.array([[(0, 0, 0), (0.5, 0, 0), (0, 0.5, 0)],
+                       [(2, 1, 0), (0, 0, 0), (0, 0, 0)]])
         traj = inner_trajectory([(0, 0, 0), (1, 0.5, 0.2), (2, 1, 0)], [1.0, 1.5], bc)
         eps = 1e-6
         for t in np.linspace(0.1, traj.duration - 0.1, 25):
@@ -153,7 +150,7 @@ class TestCostAndGradient:
     def test_symmetric_barrier_gradient_zero(self):
         huge = np.array([[(-10, -10, -10), (10, 10, 10)],
                          [(-10, -10, -10), (10, 10, 10)]], dtype=float)
-        bc = rest_to_rest((-1, 0, 0), (1, 0, 0))
+        bc = at_rest((-1, 0, 0), (1, 0, 0))
         w = OptWeights(rho_v=0.0, rho_a=0.0, rho_t=0.0)
         # only the barrier depends on the waypoint once smoothness is removed:
         # compare barrier gradient at the exact center
@@ -168,7 +165,7 @@ class TestCostAndGradient:
 
     def test_slow_trajectory_time_penalty_only(self):
         cor = chain_corridor(3)
-        bc = rest_to_rest((0.4, 0.8, 0.8), (3.0, 0.8, 0.8))
+        bc = at_rest((0.4, 0.8, 0.8), (3.0, 0.8, 0.8))
         w = OptWeights(kappa=1e-12, rho_t=7.0, v_max=50.0, a_max=50.0)
         q = overlap(cor[:-1], cor[1:]).mean(axis=1)
         T = np.full(3, 4.0)
@@ -183,11 +180,9 @@ class TestCostAndGradient:
         rng = np.random.default_rng(1)
         cor = chain_corridor(n_cubes)
         inters = overlap(cor[:-1], cor[1:])
-        bc = BoundaryConditions(
-            p0=cor[0].mean(axis=0) + rng.uniform(-0.2, 0.2, 3),
-            v0=rng.uniform(-1, 1, 3), a0=rng.uniform(-1, 1, 3),
-            p1=cor[-1].mean(axis=0) + rng.uniform(-0.2, 0.2, 3),
-            v1=rng.uniform(-1, 1, 3), a1=rng.uniform(-1, 1, 3))
+        bc = np.array([
+            [cor[0].mean(axis=0) + rng.uniform(-0.2, 0.2, 3), *rng.uniform(-1, 1, (2, 3))],
+            [cor[-1].mean(axis=0) + rng.uniform(-0.2, 0.2, 3), *rng.uniform(-1, 1, (2, 3))]])
         # tight limits so the soft penalties are active
         w = OptWeights(kappa=0.05, rho_t=5.0, rho_v=40.0, rho_a=40.0,
                        v_max=0.8, a_max=0.8)
@@ -213,7 +208,7 @@ class TestCostAndGradient:
 
     def test_barrier_domain_violation(self):
         cor = chain_corridor(2)
-        bc = rest_to_rest(cor[0].mean(axis=0), cor[1].mean(axis=0))
+        bc = at_rest(cor[0].mean(axis=0), cor[1].mean(axis=0))
         q = np.array([[50.0, 0.5, 0.5]])
         with pytest.raises(BarrierDomainViolated):
             cost_and_gradient(q, np.array([1.0, 1.0]), cor, bc, OptWeights())
@@ -224,7 +219,7 @@ class TestOptimize:
         cor = np.array([[(0, 0, 0), (4, 2, 2)]], dtype=float)
         p0 = np.array([0.5, 1.0, 1.0])
         p1 = np.array([3.5, 1.0, 1.0])
-        traj = optimize(cor, rest_to_rest(p0, p1))
+        traj = optimize(cor, at_rest(p0, p1))
         # shape comparison at matched normalized times
         T = traj.duration
         for s in np.linspace(0, 1, 60):
@@ -241,13 +236,13 @@ class TestOptimize:
             return x0, 2.0, [1.0, 2.0]
 
         monkeypatch.setattr(traj_opt, "lbfgs_minimize", rising)
-        bc = rest_to_rest((0.4, 0.8, 0.8), (4.4, 0.8, 0.8))
+        bc = at_rest((0.4, 0.8, 0.8), (4.4, 0.8, 0.8))
         with pytest.raises(DescentFailed):
             optimize(chain_corridor(5), bc)
 
     def test_descent_and_containment(self):
         cor = chain_corridor(5)
-        bc = rest_to_rest((0.4, 0.8, 0.8), (4.4, 0.8, 0.8))
+        bc = at_rest((0.4, 0.8, 0.8), (4.4, 0.8, 0.8))
         traj = optimize(cor, bc)
         hist = traj.info["history"]
         assert all(h2 <= h1 + 1e-12 for h1, h2 in zip(hist, hist[1:]))
@@ -260,8 +255,8 @@ class TestOptimize:
     @staticmethod
     def sideways_start(vy):
         """Chain corridor along +x entered at speed ``vy`` toward its +y wall."""
-        bc = BoundaryConditions(p0=(0.4, 0.8, 0.8), v0=(0.0, vy, 0.0), a0=np.zeros(3),
-                                p1=(4.4, 0.8, 0.8), v1=np.zeros(3), a1=np.zeros(3))
+        bc = at_rest((0.4, 0.8, 0.8), (4.4, 0.8, 0.8))
+        bc[0, 1] = 0.0, vy, 0.0
         return chain_corridor(5), bc
 
     def test_forced_exit_raises(self):
@@ -278,7 +273,7 @@ class TestOptimize:
             [(1.6, 1.6, 0.0), (3.6, 3.6, 2.0)],
             [(3.2, 3.2, 0.0), (5.2, 5.2, 2.0)],
         ])
-        bc = rest_to_rest((0.3, 0.9, 1.0), (4.9, 4.3, 1.0))
+        bc = at_rest((0.3, 0.9, 1.0), (4.9, 4.3, 1.0))
         opts = dict(grad_tol=1e-7, max_iter=600)
         free = optimize(cor, bc, OptWeights(kappa=1e-10, **opts))
         dists = []
@@ -295,14 +290,14 @@ class TestOptimize:
         times = np.linspace(0, 2, 14)
         obs = [TargetObservation(np.array([10.0, 6.0, 1.5]), float(t)) for t in times]
         traj_pred = fit_predicted_trajectory(obs, t_c=2.0)
-        start = KinoState(p=(2.0, 2.0, 1.5), v=(0.5, 0.0, 0.0))
+        start = np.array([(2.0, 2.0, 1.5), (0.5, 0.0, 0.0)])
         w_search = SearchWeights(freeze_z=True)
         goal, occlusion_target = blend_goal(traj_pred, traj_pred.t_c, w_search)
         path = search(start, grid, w_search, goal, occlusion_target)
         cor = build_corridor(path, grid)
-        bc = BoundaryConditions(
-            p0=start.p, v0=start.v, a0=np.zeros(3),
-            p1=path.p[-1], v1=path.v[-1], a1=np.zeros(3))
+        bc = np.zeros((2, 3, 3))
+        bc[0, :2] = start
+        bc[1, :2] = path.p[-1], path.v[-1]
         w = OptWeights()
         traj = optimize(cor, bc, w)
         speeds, accels = [], []
@@ -315,7 +310,7 @@ class TestOptimize:
 
     def test_penalty_ablation_monotone(self):
         cor = chain_corridor(5, size=1.2, overlap=0.5)
-        bc = rest_to_rest((0.2, 0.6, 0.6), (3.4, 0.6, 0.6))
+        bc = at_rest((0.2, 0.6, 0.6), (3.4, 0.6, 0.6))
         max_speeds = []
         for scale in (1.0, 10.0):
             w = OptWeights(rho_v=100.0 * scale, rho_a=100.0 * scale,
