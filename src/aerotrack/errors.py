@@ -1,7 +1,11 @@
 """Exception types shared across the library, and the checks on outside input.
 
 Scenario files, map spec included, are read by :func:`read_json` and checked
-by the predicates here, which every reader shares.
+by the predicates here, which every reader shares. A config section derives
+from :class:`Config`: each field declares its rule by its annotation (a
+``float``, ``Positive``, ``NonNegative``, ``int``, ``PositiveCount``, ``bool``
+or ``tuple`` kind), and :func:`check_fields` checks every field on every
+construction, whether by a file, a direct call or ``dataclasses.replace``.
 """
 
 import json
@@ -33,11 +37,6 @@ def is_numbers(x, n=None) -> bool:
             and all(is_number(c) for c in x) and (n is None or len(x) == n))
 
 
-def require_positive(name: str, value) -> None:
-    if not is_positive(value):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-
-
 def key_problems(raw: dict, table: dict, where: str = "") -> list:
     """A message naming ``where`` and the key for each key of ``raw`` that breaks
     its ``(required, predicate, what it expects)`` row of ``table``."""
@@ -51,23 +50,44 @@ def key_problems(raw: dict, table: dict, where: str = "") -> list:
     return problems
 
 
-# what a config field takes, by its annotation's text (annotations are postponed)
+# kinds beyond the builtin types: a field's kind is its annotation's text, so
+# these aliases only keep that text a valid type
+Positive = NonNegative = float
+PositiveCount = int
+
+# what a config field takes, by its annotation's text
 _FIELD_KINDS = {
     "float": (is_number, "a finite number"),
+    "Positive": (is_positive, "a finite number > 0"),
+    "NonNegative": (lambda x: is_number(x) and x >= 0, "a finite number >= 0"),
     "int": (is_count, "a non-negative integer"),
+    "PositiveCount": (lambda x: is_count(x) and x >= 1, "an integer >= 1"),
     "bool": (lambda x: isinstance(x, bool), "true or false"),
-    "tuple": (is_numbers, "a list of finite numbers"),
+    "tuple": (lambda x: is_numbers(x) and len(x) > 0, "a non-empty list of finite numbers"),
 }
 
 
 def check_fields(config) -> None:
     """Raise ``ValueError`` at the first field of a config dataclass that breaks
-    its declared type; fields of other types, such as a camera, are skipped."""
+    the rule of its annotation's kind: ``float``, ``Positive``, ``NonNegative``,
+    ``int``, ``PositiveCount``, ``bool`` or a non-empty ``tuple``; fields of
+    other types, such as a camera, are skipped. :class:`Config` runs it on
+    every construction."""
     for f in fields(config):
         ok, expects = _FIELD_KINDS.get(f.type, (None, None))
         value = getattr(config, f.name)
         if ok is not None and not ok(value):
             raise ValueError(f"{f.name} must be {expects}, got {value!r}")
+
+
+class Config:
+    """Base of a config section dataclass: each construction checks its fields.
+
+    A subclass's module postpones annotations (``from __future__ import
+    annotations``), so each field's kind is its annotation's text."""
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def read_json(path, error: type):

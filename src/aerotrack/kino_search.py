@@ -29,35 +29,30 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NoPath, StartOccupied, require_positive
+from .errors import Config, NoPath, Positive, PositiveCount, StartOccupied
 from .grid import OccupancyGrid
 from .poly import PiecewisePoly
 
 
 @dataclass
-class SearchWeights:
-    """Weights, control set, bounds, and budgets for the search."""
+class SearchWeights(Config):
+    """Weights, control set, bounds, and budgets for the search; without a time
+    weight the heuristic's energy-time cost has no minimum, a zero primitive
+    duration never moves, and a zero bin divides by zero."""
 
-    rho: float = 1.0                      # time weight inside the energy-time cost
+    rho: Positive = 1.0                   # time weight inside the energy-time cost
     w_goal: float = 0.7                   # blend toward the predicted target state
     c_time: float = 1.0                   # multiplier on the heuristic's optimal duration
     p_occ: float = 60.0                   # penalty for nodes without line of sight
-    tau: float = 0.3                      # primitive duration [s]
+    tau: Positive = 0.3                   # primitive duration [s]
     u_grid: tuple = (-3.0, 0.0, 3.0)      # per-axis acceleration choices [m/s^2]
-    v_max: float = 3.0                    # per-axis speed bound [m/s]
+    v_max: Positive = 3.0                 # per-axis speed bound [m/s]
     t_lookahead: float = 1.0              # how far into the prediction the goal looks [s]
     r_goal: float = 0.5                   # goal position tolerance [m]
     v_goal_tol: float = 1.5               # goal velocity tolerance [m/s]
-    vel_bin: float = 0.5                  # velocity quantization for node identity [m/s]
-    node_budget: int = 30000
+    vel_bin: Positive = 0.5               # velocity quantization for node identity [m/s]
+    node_budget: PositiveCount = 30000
     freeze_z: bool = True                 # planar: no vertical control; False adds it
-
-    def __post_init__(self):
-        # without a time weight the heuristic's energy-time cost has no minimum
-        require_positive("rho", self.rho)
-        # a zero primitive duration never moves, and a zero bin divides by zero
-        require_positive("tau", self.tau)
-        require_positive("vel_bin", self.vel_bin)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FitDiverged, require_positive
+from .errors import Config, FitDiverged, Positive
 
 
 @dataclass(frozen=True)
@@ -38,20 +38,17 @@ DEFAULT_CAMERA = CameraModel.from_fov(np.deg2rad(87.0))
 
 
 @dataclass
-class PerceptionConfig:
+class PerceptionConfig(Config):
     """Camera, target size, detection noise and the gimbal's gains and rates."""
 
     camera: CameraModel = DEFAULT_CAMERA
-    body_len: float = 0.45
+    body_len: Positive = 0.45
     sigma_u: float = 2.0
     sigma_len: float = 2.0
     kp: float = 0.004
     ki: float = 0.0005
     yaw_rate_limit: float = 3.0
     omega_search: float = 1.5
-
-    def __post_init__(self):
-        require_positive("body_len", self.body_len)
 
 
 @dataclass(frozen=True)

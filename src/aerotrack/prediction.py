@@ -18,7 +18,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .errors import InsufficientData, is_count, is_number, require_positive
+from .errors import Config, InsufficientData, NonNegative, Positive, PositiveCount
 from .poly import PiecewisePoly
 from .solvers import active_set_qp, qp_kkt_residual
 
@@ -45,26 +45,17 @@ def _bezier_l2_matrix(m: int) -> np.ndarray:
 
 
 @dataclass
-class PredictionWeights:
-    """Weights and limits for the prediction QP."""
+class PredictionWeights(Config):
+    """Weights and limits for the prediction QP; a zero decay constant or
+    acceleration bound, or a negative horizon, would leave it infeasible."""
 
     smooth_weight: float = 0.05   # multiplier on the integrated-acceleration term
-    tau_w: float = 1.0            # time-decay constant of observation confidence [s]
+    tau_w: Positive = 1.0         # time-decay constant of observation confidence [s]
     v_max: float = 3.0            # predicted speed bound per axis [m/s]
-    a_max: float = 3.0            # predicted acceleration bound per axis [m/s^2]
-    horizon: float = 2.0          # prediction span past the newest fit time [s]
-    window: float = 2.0           # observation window length [s]
-    degree: int = 5
-
-    def __post_init__(self):
-        require_positive("window", self.window)
-        # a zero decay constant or bound, or a negative horizon, leaves the QP infeasible
-        require_positive("tau_w", self.tau_w)
-        require_positive("a_max", self.a_max)
-        if not (is_number(self.horizon) and self.horizon >= 0):
-            raise ValueError(f"horizon must be a finite number >= 0, got {self.horizon!r}")
-        if not (is_count(self.degree) and self.degree >= 1):
-            raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
+    a_max: Positive = 3.0         # predicted acceleration bound per axis [m/s^2]
+    horizon: NonNegative = 2.0    # prediction span past the newest fit time [s]
+    window: Positive = 2.0        # observation window length [s]
+    degree: PositiveCount = 5
 
 
 @dataclass

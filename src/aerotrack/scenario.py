@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    InvalidScenario, check_fields, is_count, is_number, is_numbers, is_positive, read_json,
-    require_positive)
+    Config, InvalidScenario, Positive, is_count, is_number, is_numbers, is_positive, read_json)
 from .grid import MapSpec
 from .kino_search import SearchWeights
 from .perception import DEFAULT_CAMERA, CameraModel, PerceptionConfig
@@ -80,15 +79,12 @@ class TargetScript:
 
 
 @dataclass
-class TrackerParams:
+class TrackerParams(Config):
     d_track: float = 2.0          # desired standoff distance [m]
     d_fail: float = 6.0           # losing distance threshold [m]
     t_fail: float = 3.0           # continuous seconds beyond d_fail to fail
     loss_timeout: float = 0.5     # invalid-observation streak entering relocation [s]
-    replan_hz: float = 13.0
-
-    def __post_init__(self):
-        require_positive("replan_hz", self.replan_hz)
+    replan_hz: Positive = 13.0
 
 
 @dataclass
@@ -133,9 +129,7 @@ class Scenario:
     def from_dict(raw: dict) -> "Scenario":
         """Build a scenario from its JSON object, or raise one ``InvalidScenario``.
 
-        Values pass through to the dataclasses, which check them; then the
-        field rule, :func:`errors.check_fields`, checks every field of each
-        config section by its declared type.
+        Values pass through to the dataclasses, which check them.
         """
         if not isinstance(raw, dict):
             raise InvalidScenario("scenario must be a JSON object")
@@ -152,11 +146,9 @@ class Scenario:
 
         def build(cls, key, cfg=None, **fixed):
             try:
-                config = cls(**fixed, **(section(key) if cfg is None else cfg))
-                check_fields(config)
+                return cls(**fixed, **(section(key) if cfg is None else cfg))
             except (TypeError, ValueError) as exc:
                 raise InvalidScenario(f"{key}: {exc}")
-            return config
 
         perception_raw = section("perception")
         fov = perception_raw.pop("horizontal_fov_deg", None)

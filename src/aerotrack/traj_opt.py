@@ -42,19 +42,20 @@ import numpy as np
 
 from .corridor import contains_all, overlap
 from .errors import (
-    BarrierDomainViolated, DescentFailed, SingularSystem, TrajectoryLeftCorridor)
+    BarrierDomainViolated, Config, DescentFailed, Positive, SingularSystem,
+    TrajectoryLeftCorridor)
 from .poly import PiecewisePoly
 from .solvers import lbfgs_minimize
 
 
 @dataclass
-class OptWeights:
+class OptWeights(Config):
     kappa: float = 1e-2     # barrier coefficient
     rho_t: float = 20.0     # total-time weight
     rho_v: float = 100.0    # soft speed penalty weight
     rho_a: float = 100.0    # soft acceleration penalty weight
-    v_max: float = 3.0
-    a_max: float = 4.0
+    v_max: Positive = 3.0
+    a_max: Positive = 4.0
     grad_tol: float = 1e-4
     max_iter: int = 200
     t_min: float = 1e-3

@@ -11,6 +11,10 @@ from aerotrack.scenario import PerceptionConfig, Scenario, TrackerParams
 from aerotrack.traj_opt import OptWeights
 
 
+SECTIONS = {"perception": PerceptionConfig, "prediction": PredictionWeights,
+            "search": SearchWeights, "opt": OptWeights, "tracker": TrackerParams}
+
+
 def valid():
     return benchmarks.ALL["sharp_turn_low"]()
 
@@ -88,7 +92,7 @@ class TestFromDict:
         (with_perception(horizontal_fov_deg=True), "horizontal_fov_deg"),
         (dict(valid(), duration="2"), "duration must be finite and > 0"),
         (dict(valid(), quad_start=["2.5", "7", "1.3"]), "quad_start must be 3 finite numbers"),
-        (with_search(node_budget=10.5), "search: node_budget must be a non-negative integer"),
+        (with_search(node_budget=10.5), "search: node_budget must be an integer >= 1"),
         (with_search(freeze_z=1), "search: freeze_z must be true or false"),
         (with_section("prediction", tau_w=0), "prediction: tau_w must be a finite number > 0"),
         (with_section("prediction", a_max=-1), "prediction: a_max must be a finite number > 0"),
@@ -98,6 +102,11 @@ class TestFromDict:
         (with_search(vel_bin=0), "search: vel_bin must be a finite number > 0"),
         (dict(valid(), quad_start=[-5, 7, 1.3]),
          r"quad_start \[-5.0, 7.0, 1.3\] outside map bounds"),
+        (with_search(v_max=0), "search: v_max must be a finite number > 0"),
+        (with_search(u_grid=[]), "search: u_grid must be a non-empty list of finite numbers"),
+        (with_search(node_budget=0), "search: node_budget must be an integer >= 1"),
+        (with_section("opt", v_max=0), "opt: v_max must be a finite number > 0"),
+        (with_section("opt", a_max=0), "opt: a_max must be a finite number > 0"),
     ], ids=["perception-list", "search-list", "duration-text", "duration-nan", "seed-text",
             "quad-start-text", "quad-start-2d", "fov-0", "fov-200", "target-speed-nan",
             "target-smoothing-nan", "target-waypoint-nan", "seed-negative", "seed-fraction",
@@ -109,21 +118,22 @@ class TestFromDict:
             "target-smoothing-negative", "target-one-waypoint", "fov-bool", "duration-text-number",
             "quad-start-text-numbers", "node-budget-fraction", "freeze-z-int", "tau-w-0",
             "prediction-a-max-negative", "horizon-negative", "tau-0", "vel-bin-0",
-            "quad-start-outside-map"])
+            "quad-start-outside-map", "search-v-max-0", "u-grid-empty", "node-budget-0",
+            "opt-v-max-0", "opt-a-max-0"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)
 
     @pytest.mark.parametrize("section, name", [
-        (section, f.name)
-        for section, cls in [("perception", PerceptionConfig), ("prediction", PredictionWeights),
-                             ("search", SearchWeights), ("opt", OptWeights),
-                             ("tracker", TrackerParams)]
+        (section, f.name) for section, cls in SECTIONS.items()
         for f in fields(cls) if f.name != "camera"])
     def test_every_config_field_rejects_text(self, section, name):
-        # 41 fields: each is checked by its declared type, so none takes a string
+        # 41 fields: each is checked by its declared rule, so none takes a string,
+        # whether it comes from a file or a direct call
         with pytest.raises(InvalidScenario, match=f"{section}: {name} must be"):
             Scenario.from_dict(with_section(section, **{name: "1"}))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SECTIONS[section](**{name: "1"})
 
     def test_zero_prediction_horizon_is_valid(self):
         assert Scenario.from_dict(with_section("prediction", horizon=0)).prediction.horizon == 0
