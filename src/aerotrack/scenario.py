@@ -83,7 +83,7 @@ class TrackerParams(Config):
     d_track: float = 2.0          # desired standoff distance [m]
     d_fail: float = 6.0           # losing distance threshold [m]
     t_fail: float = 3.0           # continuous seconds beyond d_fail to fail
-    loss_timeout: float = 0.5     # invalid-observation streak entering relocation [s]
+    loss_timeout: Positive = 0.5  # unseen time that starts relocation [s]
     replan_hz: Positive = 13.0
 
 

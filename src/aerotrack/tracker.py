@@ -1,8 +1,8 @@
 """Closed-loop tracking simulator: perceive, predict, plan, execute, repeat.
 
 Each cycle moves the scripted target and runs four stages. ``perceive`` steps
-the gimbal, observes the target and advances the mode machine. ``predict``
-refits the prediction. ``plan`` searches an occlusion-aware path toward a
+the gimbal, observes the target and times how long it has been unseen.
+``predict`` refits the prediction. ``plan`` searches an occlusion-aware path toward a
 standoff goal, wraps it in a corridor and optimizes the tracking trajectory.
 ``execute`` flies the quadrotor along it as a perfect follower. The standoff
 goal backs off from ``blend_goal``, the one blend of the target's current and
@@ -95,31 +95,6 @@ def resolve_variant(variant: str) -> str:
 
 
 @dataclass
-class ModeState:
-    """Tracking/relocating machine: the mode and how long the target has been unseen [s]."""
-
-    mode: str = TRACKING
-    invalid_streak: float = 0.0
-
-
-def relocation_update(state: ModeState, obs: TargetObservation | None, dt: float,
-                      loss_timeout: float) -> ModeState:
-    """Advance the mode machine on one cycle's observation, ``None`` if the target was unseen.
-
-    An observation returns to tracking and ``loss_timeout`` seconds without one
-    start relocation; ``run_scenario`` times relocations from the trace.
-    """
-    if obs is not None:
-        state.mode = TRACKING
-        state.invalid_streak = 0.0
-        return state
-    state.invalid_streak += dt
-    if state.mode == TRACKING and state.invalid_streak >= loss_timeout:
-        state.mode = RELOCATING
-    return state
-
-
-@dataclass
 class Metrics:
     success: bool = True
     fail_reason: str = ""
@@ -163,7 +138,7 @@ class TrackerWorld:
         self.quad[0] = scenario.quad_start
         self.quad_yaw = 0.0
         self.gimbal = GimbalState(yaw=0.0)
-        self.mode = ModeState()
+        self.unseen_s = 0.0  # seconds since the target was last seen, 0 on a cycle that sees it
         self.observations: list[TargetObservation] = []
         self.prediction = None
         self.trajectory = None
@@ -176,6 +151,15 @@ class TrackerWorld:
         self.collided = False
         self.fail_streak = 0.0
         self.last_plan_error = ""
+
+    @property
+    def mode(self) -> str:
+        """``RELOCATING`` once the target has been unseen for ``loss_timeout``, else ``TRACKING``.
+
+        The unseen time only grows until the target is seen again, so relocation
+        lasts from the timeout to the next observation.
+        """
+        return RELOCATING if self.unseen_s >= self.scenario.tracker.loss_timeout else TRACKING
 
     @property
     def los_flags(self) -> list[bool]:
@@ -263,7 +247,7 @@ def _plan_goal(world: TrackerWorld, t: float):
     """Goal state ``[p, v]`` and occlusion target at time ``t`` from the current prediction."""
     sc = world.scenario
     traj = world.prediction
-    if world.mode.mode == RELOCATING:
+    if world.mode == RELOCATING:
         p_end, _ = traj.evaluate(traj.t_p)
         goal_p = _free_goal(world, np.array([p_end[0], p_end[1], sc.quad_start[2]]))
         return np.array([goal_p, np.zeros(3)]), goal_p
@@ -295,7 +279,7 @@ def _keeps_trajectory(world: TrackerWorld, goal: np.ndarray, entered: bool) -> b
     ``RELOCATION_MIN_REMAINING_S`` of the trajectory is left. The map is
     static and the trajectory passed the corridor check, so it stays safe.
     """
-    return (world.mode.mode == RELOCATING and not entered
+    return (world.mode == RELOCATING and not entered
             and world.trajectory is not None and not world.last_plan_error
             and world.trajectory.duration - world.traj_clock >= RELOCATION_MIN_REMAINING_S
             and float(np.linalg.norm(goal[0] - world.plan_goal)) <= world.scenario.search.r_goal)
@@ -310,7 +294,7 @@ def perceive(world: TrackerWorld, t: float, target_p: np.ndarray
     cfg = world.scenario.perception
     dt = world.dt
     with world._stage("perception"):
-        if world.mode.mode == RELOCATING:
+        if world.mode == RELOCATING:
             world.gimbal = gimbal_search_step(world.gimbal, cfg, dt)
         elif world.last_u is not None:
             world.gimbal = gimbal_track_step(world.gimbal, world.last_u, cfg, dt)
@@ -324,9 +308,9 @@ def perceive(world: TrackerWorld, t: float, target_p: np.ndarray
         obs = None if feats is None else localize(feats, world.params, cam_pose)
         world.last_u = None if feats is None else feats.u_px
 
-    was_relocating = world.mode.mode == RELOCATING
-    world.mode = relocation_update(world.mode, obs, dt, world.scenario.tracker.loss_timeout)
-    return obs, world.mode.mode == RELOCATING and not was_relocating
+    was_relocating = world.mode == RELOCATING
+    world.unseen_s = 0.0 if obs is not None else world.unseen_s + dt
+    return obs, world.mode == RELOCATING and not was_relocating
 
 
 def predict(world: TrackerWorld, t: float, obs: TargetObservation | None) -> None:
@@ -337,7 +321,7 @@ def predict(world: TrackerWorld, t: float, obs: TargetObservation | None) -> Non
             world.observations.append(obs)
         horizon_cut = t - cfg.window
         world.observations = [o for o in world.observations if o.timestamp >= horizon_cut - 1e-9]
-        if world.mode.mode == TRACKING and obs is not None:
+        if obs is not None:  # a cycle that sees the target tracks
             try:
                 world.prediction = fit_predicted_trajectory(world.observations, t, cfg)
             except InsufficientData:
@@ -418,7 +402,7 @@ def _record(world: TrackerWorld, t: float, target_p: np.ndarray,
     path_cost, corridor_m, j_sigma, path_los, plan_ok = planned
     world.trace_rows.append([
         world.cycle, t, *target_p, int(obs is not None), *obs_p,
-        *pred_t0, *pred_tp, world.mode.mode, path_cost, corridor_m, j_sigma,
+        *pred_t0, *pred_tp, world.mode, path_cost, corridor_m, j_sigma,
         *p, world.quad_yaw, int(los), path_los, plan_ok,
     ])
     world.cycle += 1

@@ -107,6 +107,8 @@ class TestFromDict:
         (with_search(node_budget=0), "search: node_budget must be an integer >= 1"),
         (with_section("opt", v_max=0), "opt: v_max must be a finite number > 0"),
         (with_section("opt", a_max=0), "opt: a_max must be a finite number > 0"),
+        (with_section("tracker", loss_timeout=0),
+         "tracker: loss_timeout must be a finite number > 0"),
     ], ids=["perception-list", "search-list", "duration-text", "duration-nan", "seed-text",
             "quad-start-text", "quad-start-2d", "fov-0", "fov-200", "target-speed-nan",
             "target-smoothing-nan", "target-waypoint-nan", "seed-negative", "seed-fraction",
@@ -119,7 +121,7 @@ class TestFromDict:
             "quad-start-text-numbers", "node-budget-fraction", "freeze-z-int", "tau-w-0",
             "prediction-a-max-negative", "horizon-negative", "tau-0", "vel-bin-0",
             "quad-start-outside-map", "search-v-max-0", "u-grid-empty", "node-budget-0",
-            "opt-v-max-0", "opt-a-max-0"])
+            "opt-v-max-0", "opt-a-max-0", "loss-timeout-0"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)

@@ -12,33 +12,19 @@ import pytest
 
 from aerotrack import benchmarks, kino_search, perception, tracker, traj_opt
 from aerotrack.errors import NoPath, TrajectoryLeftCorridor
-from aerotrack.perception import TargetObservation
 from aerotrack.scenario import Scenario
 from aerotrack.tracker import (
     RELOCATING,
     RELOCATION_MIN_REMAINING_S,
     TRACE_COLUMNS,
     TRACKING,
-    ModeState,
     TrackerWorld,
     format_trace_csv,
-    relocation_update,
     step,
 )
 from oracles import free_goal
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-DT = 0.125  # exact in binary, so streak sums hit the timeout exactly
-
-
-def lost():
-    return None  # an unseen target has no observation
-
-
-def seen(t=0.0):
-    return TargetObservation(position_world=np.zeros(3), timestamp=t)
-
 
 class TestFreeGoal:
     """``_free_goal`` picks the goal the one-point-at-a-time loop picks, to the bit."""
@@ -75,38 +61,42 @@ class TestFreeGoal:
         assert self.assert_same_goal(world, goal_p) is goal_p
 
 
-class TestRelocationUpdate:
-    def test_enters_relocation_exactly_at_timeout(self):
-        state = ModeState()
-        for _ in range(3):
-            state = relocation_update(state, lost(), DT, loss_timeout=0.5)
-            assert state.mode == TRACKING
-        state = relocation_update(state, lost(), DT, loss_timeout=0.5)
-        assert state.invalid_streak == 0.5
-        assert state.mode == RELOCATING
+class TestModeFromUnseenTime:
+    """The mode reads off the seconds since the target was last seen."""
 
-    def test_reacquisition_keeps_time_since_loss(self):
-        state = ModeState()
-        for _ in range(7):
-            state = relocation_update(state, lost(), DT, loss_timeout=0.5)
-        state = relocation_update(state, seen(), DT, loss_timeout=0.5)
-        assert state.mode == TRACKING
-        assert state.invalid_streak == 0.0
+    @pytest.fixture
+    def world(self):
+        """A sharp_turn_low world at 8 Hz: dt = 0.125 s is exact in binary, so the
+        unseen time hits the 0.5 s timeout exactly."""
+        raw = benchmarks.ALL["sharp_turn_low"]()
+        raw["tracker"] = dict(raw.get("tracker", {}), replan_hz=8.0)
+        world = TrackerWorld(Scenario.from_dict(raw))
+        assert world.dt == 0.125 and world.scenario.tracker.loss_timeout == 0.5
+        return world
+
+    @staticmethod
+    def perceive(world, seen):
+        """Perceive once with the target 3 m ahead of the camera, or behind it; returns the mode."""
+        yaw = world.gimbal.yaw + (0.0 if seen else np.pi)
+        target = world.quad[0] + 3.0 * np.array([np.cos(yaw), np.sin(yaw), 0.0])
+        obs, _ = tracker.perceive(world, 0.0, target)
+        assert (obs is not None) == seen
+        return world.mode
+
+    def test_enters_relocation_exactly_at_timeout(self, world):
+        assert [self.perceive(world, False) for _ in range(4)] == [TRACKING] * 3 + [RELOCATING]
+        assert world.unseen_s == 0.5
+
+    def test_reacquisition_keeps_time_since_loss(self, world):
+        assert [self.perceive(world, False) for _ in range(7)][-1] == RELOCATING
+        assert self.perceive(world, True) == TRACKING
+        assert world.unseen_s == 0.0
         # the next loss relocates again once the timeout passes again
-        for _ in range(3):
-            state = relocation_update(state, lost(), DT, loss_timeout=0.5)
-            assert state.mode == TRACKING
-        state = relocation_update(state, lost(), DT, loss_timeout=0.5)
-        assert state.mode == RELOCATING
+        assert [self.perceive(world, False) for _ in range(4)] == [TRACKING] * 3 + [RELOCATING]
 
-    def test_short_dropout_stays_tracking(self):
-        state = ModeState()
-        for _ in range(3):
-            state = relocation_update(state, lost(), DT, loss_timeout=0.5)
-        state = relocation_update(state, seen(), DT, loss_timeout=0.5)
-        for _ in range(3):
-            state = relocation_update(state, lost(), DT, loss_timeout=0.5)
-        assert state.mode == TRACKING
+    def test_short_dropout_stays_tracking(self, world):
+        modes = [self.perceive(world, seen) for seen in [False] * 3 + [True] + [False] * 3]
+        assert modes == [TRACKING] * 7
 
 
 class TestStep:
@@ -231,7 +221,7 @@ class TestVariants:
     def relocating(variant):
         """A fresh occlusion_turn world of ``variant`` in relocation, its gimbal at yaw 0.7."""
         world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["occlusion_turn"]()), variant)
-        world.mode.mode = RELOCATING
+        world.unseen_s = world.scenario.tracker.loss_timeout
         world.gimbal = dataclasses.replace(world.gimbal, yaw=0.7)
         return world
 
@@ -243,7 +233,7 @@ class TestVariants:
             yaw = world.gimbal.yaw + np.pi
             behind = world.quad[0] + 3.0 * np.array([np.cos(yaw), np.sin(yaw), 0.0])
             tracker.perceive(world, k * world.dt, behind)
-            assert world.mode.mode == RELOCATING
+            assert world.mode == RELOCATING
             yaws.append(world.gimbal.yaw)
         return yaws
 
@@ -290,7 +280,7 @@ class TestVariants:
 def relocating_world():
     """The builtin occlusion_turn world one cycle after relocation was entered and planned."""
     world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["occlusion_turn"]()))
-    while world.mode.mode != RELOCATING:
+    while world.mode != RELOCATING:
         step(world)
     step(world)
     return world
@@ -310,7 +300,7 @@ class TestRelocationReplan:
             return real(*args)
 
         monkeypatch.setattr(kino_search, "search", counted)
-        assert world.mode.mode == RELOCATING and world.last_plan_error == ""
+        assert world.mode == RELOCATING and world.last_plan_error == ""
         assert world.trajectory.duration - world.traj_clock > RELOCATION_MIN_REMAINING_S + 0.1
         return world
 
@@ -323,7 +313,7 @@ class TestRelocationReplan:
         step(world)
         assert self.searches == 0
         assert world.trajectory is held and world.traj_clock == clock + world.dt
-        assert world.mode.mode == RELOCATING and self.plan_ok(world) == 1
+        assert world.mode == RELOCATING and self.plan_ok(world) == 1
 
     @pytest.mark.parametrize("moved, searches", [(0.99, 0), (1.01, 1)])
     def test_goal_moved_beyond_r_goal_replans(self, world, moved, searches):
