@@ -191,6 +191,13 @@ class _NodeStore:
         self.parent[rows], self.ctrl[rows] = parent, ctrl
 
 
+def reaches(p: np.ndarray, v: np.ndarray, goal: np.ndarray, w: SearchWeights) -> bool:
+    """The search's goal test: position ``p`` within ``w.r_goal`` and velocity ``v``
+    within ``w.v_goal_tol`` of the (2, 3) goal state ``[p, v]``."""
+    return (np.linalg.norm(p - goal[0]) <= w.r_goal
+            and np.linalg.norm(v - goal[1]) <= w.v_goal_tol)
+
+
 def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target) -> KinoPath:
     """Best-first kinodynamic search from state ``start`` toward state ``goal``.
 
@@ -202,12 +209,7 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     if grid.is_occupied(p0):
         raise StartOccupied(f"search start {p0.tolist()} is occupied")
     x_tp = np.asarray(occlusion_target, dtype=float)
-
-    def reached(p: np.ndarray, v: np.ndarray) -> bool:
-        return (np.linalg.norm(p - goal_p) <= w.r_goal
-                and np.linalg.norm(v - goal_v) <= w.v_goal_tol)
-
-    if reached(p0, v0):
+    if reaches(p0, v0, goal, w):
         return KinoPath(start[:1], start[1:], np.zeros((0, 3)), w.tau, 0.0,
                         info={"expansions": 0, "reached_goal": True})
 
@@ -255,7 +257,7 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
         g, p, v = nodes.g[row], nodes.p[row], nodes.v[row]
         if -neg_g < g - 1e-12:  # stale heap entry
             continue
-        if reached(p, v):
+        if reaches(p, v, goal, w):
             goal_row = row
             break
         expansions += 1

@@ -2,18 +2,20 @@
 
 Each cycle moves the scripted target and runs four stages. ``perceive`` steps
 the gimbal, observes the target and times how long it has been unseen.
-``predict`` refits the prediction. ``plan`` searches an occlusion-aware path toward a
-standoff goal, wraps it in a corridor and optimizes the tracking trajectory.
-``execute`` flies the quadrotor along it as a perfect follower. The standoff
-goal backs off from ``blend_goal``, the one blend of the target's current and
-look-ahead predicted states. Stage failures keep the previous trajectory; the
+``predict`` refits the prediction. ``plan`` searches an occlusion-aware path
+toward a standoff goal, wraps it in a corridor and optimizes the tracking
+trajectory. ``execute`` flies the quadrotor along it as a perfect follower.
+The standoff goal backs off from ``blend_goal``, the one blend of the target's
+current and look-ahead predicted states. Stage failures keep the previous trajectory; the
 optimizer raises on a trajectory that leaves its corridor of free cubes, so
 every trajectory flown has passed that one safety check. Losing the target long
 enough switches to relocation: the quadrotor flies toward the last prediction's
 endpoint while the gimbal sweeps all bearings until the target is reacquired.
-Tracking replans every cycle; relocation plans once and flies that trajectory
-until the goal moves by more than the search's goal tolerance, the last attempt
-failed, or less than ``RELOCATION_MIN_REMAINING_S`` of it is left.
+Both modes replan by one rule: a cycle flies on along its trajectory while the
+last attempt succeeded, at least ``MIN_REMAINING_S`` of it is left, the state it
+ends in passes the search's own goal test for the new goal, and the target is
+seen, unseen or lost as it was when the trajectory was planned. Otherwise the
+cycle searches, builds a corridor and optimizes a new trajectory.
 Every stage reads its settings from the world's scenario; a variant is a set
 of config values (``VARIANTS``) applied to it once, so no stage branches on it.
 """
@@ -53,8 +55,8 @@ from .scenario import Scenario
 TRACKING = "TRACKING"
 RELOCATING = "RELOCATING"
 
-# Relocation replans once less than this much of its trajectory is left [s].
-RELOCATION_MIN_REMAINING_S = 1.0
+# A trajectory is replanned once less than this much of it is left [s].
+MIN_REMAINING_S = 1.0
 
 # Seed states kept per process; each holds four uint64 words (32 bytes).
 _SEED_CACHE_SIZE = 8
@@ -143,7 +145,8 @@ class TrackerWorld:
         self.prediction = None
         self.trajectory = None
         self.traj_clock = 0.0
-        self.plan_goal: np.ndarray | None = None  # goal the trajectory was planned for
+        # the state [p, v] the trajectory ends in, and the target state it was planned under
+        self.planned: tuple[np.ndarray, tuple] | None = None
         self.last_u: float | None = None
         self.cycle = 0
         self.trace_rows: list[list] = []
@@ -271,25 +274,32 @@ def _plan_goal(world: TrackerWorld, t: float):
     return np.array([goal_p, goal_v]), p_pred
 
 
-def _keeps_trajectory(world: TrackerWorld, goal: np.ndarray, entered: bool) -> bool:
-    """Whether a relocation cycle flies on along its trajectory without replanning.
+def _target_state(world: TrackerWorld) -> tuple[bool, str]:
+    """Seen this cycle, unseen while tracking, or lost: whether it is seen, and the mode."""
+    return world.unseen_s == 0.0, world.mode
 
-    It does while the goal stays within ``r_goal`` of the goal the trajectory
-    was planned for, the last attempt succeeded and at least
-    ``RELOCATION_MIN_REMAINING_S`` of the trajectory is left. The map is
-    static and the trajectory passed the corridor check, so it stays safe.
+
+def _keeps_trajectory(world: TrackerWorld, goal: np.ndarray) -> bool:
+    """Whether the cycle flies on along its trajectory without replanning.
+
+    It does while the last attempt succeeded, at least ``MIN_REMAINING_S`` of
+    the trajectory is left, the state it ends in passes the search's goal test
+    for ``goal``, so a new search could end there too, and the target state is
+    the one it was planned under. The map is static and the trajectory passed
+    the corridor check, so it stays safe.
     """
-    return (world.mode == RELOCATING and not entered
-            and world.trajectory is not None and not world.last_plan_error
-            and world.trajectory.duration - world.traj_clock >= RELOCATION_MIN_REMAINING_S
-            and float(np.linalg.norm(goal[0] - world.plan_goal)) <= world.scenario.search.r_goal)
+    if world.planned is None or world.last_plan_error:
+        return False
+    end, planned_state = world.planned
+    return (planned_state == _target_state(world)
+            and world.trajectory.duration - world.traj_clock >= MIN_REMAINING_S
+            and kino_search.reaches(end[0], end[1], goal, world.scenario.search))
 
 
-def perceive(world: TrackerWorld, t: float, target_p: np.ndarray
-             ) -> tuple[TargetObservation | None, bool]:
+def perceive(world: TrackerWorld, t: float, target_p: np.ndarray) -> TargetObservation | None:
     """Step the gimbal, sweeping while relocating and otherwise PI on the last pixel seen.
 
-    Returns the observation at ``t``, ``None`` if unseen, and whether relocation began.
+    Returns the observation at ``t``, ``None`` if unseen.
     """
     cfg = world.scenario.perception
     dt = world.dt
@@ -308,9 +318,8 @@ def perceive(world: TrackerWorld, t: float, target_p: np.ndarray
         obs = None if feats is None else localize(feats, world.params, cam_pose)
         world.last_u = None if feats is None else feats.u_px
 
-    was_relocating = world.mode == RELOCATING
     world.unseen_s = 0.0 if obs is not None else world.unseen_s + dt
-    return obs, world.mode == RELOCATING and not was_relocating
+    return obs
 
 
 def predict(world: TrackerWorld, t: float, obs: TargetObservation | None) -> None:
@@ -328,7 +337,7 @@ def predict(world: TrackerWorld, t: float, obs: TargetObservation | None) -> Non
                 pass
 
 
-def plan(world: TrackerWorld, t: float, entered_relocation: bool) -> tuple:
+def plan(world: TrackerWorld, t: float) -> tuple:
     """Keep the trajectory, or search, build a corridor and optimize a new one.
 
     Returns the trace's ``path_cost, corridor_m, j_sigma, path_los, plan_ok``. A failed
@@ -337,7 +346,7 @@ def plan(world: TrackerWorld, t: float, entered_relocation: bool) -> tuple:
     error = "no_prediction_yet"
     if world.prediction is not None:
         goal, occl_target = _plan_goal(world, t)
-        if _keeps_trajectory(world, goal, entered_relocation):
+        if _keeps_trajectory(world, goal):
             return (*_NO_PATH, 1)
         try:
             with world._stage("search"):
@@ -357,7 +366,7 @@ def plan(world: TrackerWorld, t: float, entered_relocation: bool) -> tuple:
         else:
             world.trajectory = traj
             world.traj_clock = 0.0
-            world.plan_goal = goal[0]
+            world.planned = boundary[1, :2], _target_state(world)
             world.last_plan_error = ""
             return path.total_cost, len(cor), j_sigma, path_los, 1
     world.last_plan_error = error
@@ -412,9 +421,9 @@ def step(world: TrackerWorld) -> TrackerWorld:
     """Advance the closed loop by one replanning cycle of ``world.dt`` seconds."""
     t = world.cycle * world.dt
     target_p, _ = world.scenario.target.state(t)
-    obs, entered_relocation = perceive(world, t, target_p)
+    obs = perceive(world, t, target_p)
     predict(world, t, obs)
-    planned = plan(world, t, entered_relocation)
+    planned = plan(world, t)
     execute(world)
     _record(world, t, target_p, obs, planned)
     return world

@@ -50,7 +50,7 @@ def test_recorded_path(label):
 
 
 def test_budget_exhausting_search_memory():
-    # 4019 nodes: per-node storage must not keep each expansion's
+    # 4026 nodes: per-node storage must not keep each expansion's
     # (controls x samples x 3) collision-sample buffer alive
     problem = BY_LABEL["occlusion_turn-c66-relocation"]
     assert problem["expected"]["expansions"] == problem["weights"]["node_budget"]
