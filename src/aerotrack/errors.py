@@ -63,16 +63,17 @@ _FIELD_KINDS = {
     "int": (is_count, "a non-negative integer"),
     "PositiveCount": (lambda x: is_count(x) and x >= 1, "an integer >= 1"),
     "bool": (lambda x: isinstance(x, bool), "true or false"),
-    "tuple": (lambda x: is_numbers(x) and len(x) > 0, "a non-empty list of finite numbers"),
+    "tuple": (lambda x: is_numbers(x) and any(c != 0 for c in x),
+              "a list of finite numbers with a non-zero value"),
 }
 
 
 def check_fields(config) -> None:
     """Raise ``ValueError`` at the first field of a config dataclass that breaks
     the rule of its annotation's kind: ``float``, ``Positive``, ``NonNegative``,
-    ``int``, ``PositiveCount``, ``bool`` or a non-empty ``tuple``; fields of
-    other types, such as a camera, are skipped. :class:`Config` runs it on
-    every construction."""
+    ``int``, ``PositiveCount``, ``bool`` or a ``tuple`` with a non-zero value;
+    fields of other types, such as a camera, are skipped. :class:`Config` runs
+    it on every construction."""
     for f in fields(config):
         ok, expects = _FIELD_KINDS.get(f.type, (None, None))
         value = getattr(config, f.name)
