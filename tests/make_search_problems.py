@@ -38,14 +38,17 @@ def _vec(a) -> list[float]:
     return [float(x) for x in a]
 
 
-def capture(scenario_name: str, cycles: set[int]) -> dict[int, dict]:
-    """Search arguments of the given cycles of one builtin scenario run."""
+def capture(scenario_name: str, cycles: set[int]) -> tuple[dict[int, dict], list[int]]:
+    """Search arguments of the given cycles of one builtin scenario run, and
+    every cycle of that run that searched, up to the last one given."""
     world = tracker.TrackerWorld(Scenario.from_dict(benchmarks.ALL[scenario_name]()))
     original = kino_search.search
     captured = {}
+    searching = []
 
     def recording(start, grid, w, goal, occlusion_target):
         path = original(start, grid, w, goal, occlusion_target)
+        searching.append(world.cycle)
         if world.cycle in cycles:
             captured[world.cycle] = {
                 "weights": dataclasses.asdict(w),
@@ -62,7 +65,7 @@ def capture(scenario_name: str, cycles: set[int]) -> dict[int, dict]:
             tracker.step(world)
     finally:
         kino_search.search = original
-    return captured
+    return captured, searching
 
 
 def solve(scenario_name: str, problem: dict) -> kino_search.KinoPath:
@@ -89,10 +92,15 @@ def main() -> None:
     wanted: dict[str, set[int]] = {}
     for _, scenario_name, cycle, _ in PROBLEMS:
         wanted.setdefault(scenario_name, set()).add(cycle)
-    captured = {name: capture(name, cycles) for name, cycles in wanted.items()}
+    runs = {name: capture(name, cycles) for name, cycles in wanted.items()}
     records = []
     for label, scenario_name, cycle, overrides in PROBLEMS:
-        problem = dict(captured[scenario_name][cycle])
+        captured, searching = runs[scenario_name]
+        if cycle not in captured:
+            raise RuntimeError(
+                f"{label}: cycle {cycle} of {scenario_name} runs no search; the cycles "
+                f"that search, up to {max(wanted[scenario_name])}, are {searching}")
+        problem = dict(captured[cycle])
         in_loop = problem.pop("in_loop")
         problem["weights"] = dict(problem["weights"], **overrides)
         record = {"label": label, "scenario": scenario_name, "cycle": cycle, **problem}
