@@ -3,7 +3,7 @@
 Walking dense samples of the kinodynamic path, a new cube is inflated
 whenever a sample leaves the current one. Consecutive cubes must overlap with
 comfortably fat intersections (at least two voxels on every axis) so the
-downstream waypoint barrier has interior to work in. A sliver overlap is
+optimizer's waypoints, started at their centers, have room. A sliver overlap is
 bridged by at most eight cubes, each seeded halfway from the last seed to the
 uncovered sample, or a quarter of the way when that cube overlaps thinly too.
 

@@ -154,7 +154,7 @@ class SingularSystem(RuntimeError):
 
 
 class BarrierDomainViolated(RuntimeError):
-    """A waypoint left the interior of its corridor intersection."""
+    """Consecutive corridor boxes do not overlap, so no waypoint can join them."""
 
 
 class DescentFailed(RuntimeError):

@@ -14,8 +14,10 @@ endpoint while the gimbal sweeps all bearings until the target is reacquired.
 Both modes replan by one rule: a cycle flies on along its trajectory while the
 last attempt succeeded, at least ``MIN_REMAINING_S`` of it is left, the state it
 ends in passes the search's own goal test for the new goal, and the target is
-seen, unseen or lost as it was when the trajectory was planned. Otherwise the
-cycle searches, builds a corridor and optimizes a new trajectory.
+seen, unseen or lost as it was when the trajectory was planned. For a path
+that ran out of the search's node budget, the goal it was searched for takes
+the end state's place in that test. Otherwise the cycle searches, builds a
+corridor and optimizes a new trajectory.
 Every stage reads its settings from the world's scenario; a variant is a set
 of config values (``VARIANTS``) applied to it once, so no stage branches on it.
 """
@@ -145,7 +147,8 @@ class TrackerWorld:
         self.prediction = None
         self.trajectory = None
         self.traj_clock = 0.0
-        # the state [p, v] the trajectory ends in, and the target state it was planned under
+        # the state [p, v] the trajectory ends in (a budget path's searched goal),
+        # and the target state it was planned under
         self.planned: tuple[np.ndarray, tuple] | None = None
         self.last_u: float | None = None
         self.cycle = 0
@@ -285,8 +288,11 @@ def _keeps_trajectory(world: TrackerWorld, goal: np.ndarray) -> bool:
     It does while the last attempt succeeded, at least ``MIN_REMAINING_S`` of
     the trajectory is left, the state it ends in passes the search's goal test
     for ``goal``, so a new search could end there too, and the target state is
-    the one it was planned under. The map is static and the trajectory passed
-    the corridor check, so it stays safe.
+    the one it was planned under. A path that used up the node budget ends
+    short of the goal set, so the goal it searched for stands in for its end:
+    a new search toward a goal that passes would likely run out the same way.
+    The map is static and the trajectory passed the corridor check, so it
+    stays safe.
     """
     if world.planned is None or world.last_plan_error:
         return False
@@ -366,7 +372,8 @@ def plan(world: TrackerWorld, t: float) -> tuple:
         else:
             world.trajectory = traj
             world.traj_clock = 0.0
-            world.planned = boundary[1, :2], _target_state(world)
+            world.planned = (boundary[1, :2] if path.info["reached_goal"] else goal,
+                             _target_state(world))
             world.last_plan_error = ""
             return path.total_cost, len(cor), j_sigma, path_los, 1
     world.last_plan_error = error

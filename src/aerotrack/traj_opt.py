@@ -3,12 +3,14 @@
 The trajectory has one degree-5 polynomial piece per corridor cube. For fixed
 waypoints and piece durations, the inner problem (minimum integrated jerk with
 C2 junctions and given boundary derivatives) is an unconstrained quadratic
-solved by a small linear system; because the inner solution is stationary in
-the free junction derivatives, the outer gradients with respect to waypoints
-and durations follow from the per-piece quadratic forms alone. The outer cost
-adds a logarithmic barrier keeping each intermediate waypoint inside its cube
-intersection and a soft aggressiveness penalty on total time and on waypoint
-finite-difference speed and acceleration surrogates.
+solved by a small linear system. The outer cost is that jerk, a weight on total
+time and one penalty, integrated over each piece by the trapezoid rule on
+``SAMPLES`` intervals: the cubed excess of each sample beyond its own piece's
+box shrunk by ``MARGIN``, of its squared speed beyond ``v_max`` squared and of
+its squared acceleration beyond ``a_max`` squared (Wang et al., "Geometrically
+Constrained Trajectory Optimization for Multicopters", T-RO 2022). The penalty
+reads the solved junction derivatives, so its waypoint and duration gradients
+go through the adjoint of the inner solve.
 
 A kinematic state is a float array indexed ``[order, axis]``: a (3, 3)
 array ``[p, v, a]``. The boundary is the (2, 3, 3) stack of the start and end
@@ -18,25 +20,25 @@ The inner solve works on one array ``D`` of junction derivatives, shape
 ``(M + 1, 3, 3)`` and indexed ``[junction, order, axis]``: the end junctions
 hold the boundary states, order 0 holds the waypoints, and the 2(M - 1)
 interior velocities and accelerations are the unknowns. Piece
-i reads ``D[i:i + 2]`` as its six endpoint derivatives, so the pieces' jerk
-forms add into one matrix over the flattened ``D``, and the unknowns come from
-its free/fixed partition. Each jerk form is the unit piece's, scaled:
-Q(T) = S Q(1) S / T^5 with S = diag(1, T, T^2, 1, T, T^2) (Wang et al.,
-"Geometrically Constrained Trajectory Optimization for Multicopters", T-RO
-2022). The outer gradients cover all M + 1 waypoints and drop the two fixed
-ends on return.
+i reads ``D[i:i + 2]`` as its six endpoint derivatives ``d``, so the pieces'
+jerk forms add into one matrix over the flattened ``D``, and the unknowns come
+from its free/fixed partition. A piece of duration T with derivatives d is the
+unit piece with derivatives S d, S = diag(1, T, T^2, 1, T, T^2), run T times
+slower: its jerk form is Q(T) = S Q(1) S / T^5, and its r-th derivative is the
+unit piece's divided by T^r. The outer gradients cover all M + 1 waypoints and
+drop the two fixed ends on return.
 
 The corridor is the (M, 2, 3) stack of ``build_corridor``, one box
 ``[min corner, max corner]`` per piece. Waypoint i starts at the midpoint of
-row i - 1 of ``overlap(corridor[:-1], corridor[1:])``, and its barrier reads
-the corners of boxes i - 1 and i. Trajectories are ``PiecewisePoly`` curves
-with coefficients of shape ``(M, 3, 6)``; the containment check is
-``contains_all`` of the stack over a batch of samples.
+row i - 1 of ``overlap(corridor[:-1], corridor[1:])``. Trajectories are
+``PiecewisePoly`` curves with coefficients of shape ``(M, 3, 6)``; the
+containment check is ``contains_all`` of the stack over a batch of samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import perm
 
 import numpy as np
 
@@ -50,10 +52,10 @@ from .solvers import lbfgs_minimize
 
 @dataclass
 class OptWeights(Config):
-    kappa: float = 1e-2     # barrier coefficient
+    kappa: float = 1e6      # corridor penalty weight
     rho_t: float = 20.0     # total-time weight
-    rho_v: float = 100.0    # soft speed penalty weight
-    rho_a: float = 100.0    # soft acceleration penalty weight
+    rho_v: float = 100.0    # speed penalty weight
+    rho_a: float = 100.0    # acceleration penalty weight
     v_max: Positive = 3.0
     a_max: Positive = 4.0
     grad_tol: float = 1e-4
@@ -61,55 +63,72 @@ class OptWeights(Config):
     t_min: float = 1e-3
 
 
+# trapezoid intervals per piece, and how far inside its box the penalty keeps a sample [m]
+SAMPLES = 16
+MARGIN = 0.05
+
 # ----------------------------------------------------------------------
 # Quintic Hermite pieces and their jerk quadratic forms
 # ----------------------------------------------------------------------
 
-# tail coefficients (c3, c4, c5) of the unit-duration quintic with endpoint
-# derivatives d = (p0, v0, a0, p1, v1, a1); c0 = p0, c1 = v0, c2 = a0 / 2
-_H3_UNIT = np.array([
+# power coefficients c0..c5 of the unit-duration quintic with endpoint
+# derivatives (p0, v0, a0, p1, v1, a1)
+_UNIT = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.5, 0.0, 0.0, 0.0],
     [-10.0, -6.0, -1.5, 10.0, -4.0, 0.5],
     [15.0, 8.0, 1.5, -15.0, 7.0, -1.0],
     [-6.0, -3.0, -0.5, 6.0, -3.0, 0.5],
 ])
-# jerk form of the unit piece: H3' G H3, G the Gram matrix of (6, 24t, 60t^2) on [0, 1]
-_Q_UNIT = _H3_UNIT.T @ np.array([
+# jerk form of the unit piece: H' G H, H its tail rows and G the Gram matrix
+# of (6, 24t, 60t^2) on [0, 1]
+_Q_UNIT = _UNIT[3:].T @ np.array([
     [36.0, 72.0, 120.0],
     [72.0, 192.0, 360.0],
     [120.0, 360.0, 720.0],
-]) @ _H3_UNIT
-
-
-def _scales(T: np.ndarray):
-    """Diagonals of S = diag(1, T, T^2, 1, T, T^2) and of dS/dT, each (M, 6)."""
-    one, zero = np.ones_like(T), np.zeros_like(T)
-    s = np.stack([one, T, T * T], axis=1)
-    ds = np.stack([zero, one, 2.0 * T], axis=1)
-    return np.tile(s, 2), np.tile(ds, 2)
+]) @ _UNIT[3:]
+# the derivative order of each endpoint derivative, the power of T in S
+_ORDER = np.array([0, 1, 2, 0, 1, 2])
+# trapezoid nodes and weights on the unit piece; _BASIS[r] maps S d to the
+# unit piece's r-th derivative at the nodes
+_NODES = np.linspace(0.0, 1.0, SAMPLES + 1)
+_TRAPEZOID = np.r_[0.5, np.ones(SAMPLES - 1), 0.5] / SAMPLES
+_BASIS = np.stack([
+    [perm(k, r) for k in range(6)] * _NODES[:, None] ** np.maximum(np.arange(6) - r, 0)
+    for r in range(3)]) @ _UNIT
 
 
 def _jerk_forms(T: np.ndarray):
-    """Jerk forms Q (M, 6, 6), with piece jerk cost d' Q d, and dQ/dT.
-
-    A piece of duration T with derivatives d is the unit piece with
-    derivatives S d, run T times slower, so Q(T) = S Q(1) S / T^5.
-    """
+    """Jerk forms Q (M, 6, 6), with piece jerk cost d' Q d, and dQ/dT, then
+    the diagonals of S and of dS/dT, each (M, 6)."""
     if np.any(T <= 0.0):
         raise SingularSystem("piece durations must be positive")
-    S, dS = _scales(T)
+    S = T[:, None] ** _ORDER
+    dS = _ORDER * S / T[:, None]
     T5 = T[:, None, None] ** 5
     Q = S[:, :, None] * _Q_UNIT * S[:, None, :] / T5
     dQ = ((dS[:, :, None] * _Q_UNIT * S[:, None, :] + S[:, :, None] * _Q_UNIT * dS[:, None, :])
           / T5 - 5.0 * Q / T[:, None, None])
-    return Q, dQ
+    return Q, dQ, S, dS
 
 
 # ----------------------------------------------------------------------
 # Inner minimum-jerk solve
 # ----------------------------------------------------------------------
 
+def _pieces(D: np.ndarray) -> np.ndarray:
+    """Each piece's six endpoint derivatives (M, 6, 3) from the junctions' (M + 1, 3, 3)."""
+    return np.concatenate([D[:-1], D[1:]], axis=1)
+
+
 def _solve_inner(waypoints: np.ndarray, Q: np.ndarray, boundary: np.ndarray):
-    """Optimal per-piece endpoint derivatives ``d`` (M, 6, 3) and the jerk cost."""
+    """Optimal per-piece endpoint derivatives ``d`` (M, 6, 3), the jerk cost and the adjoint.
+
+    ``adjoint(g)`` takes a cost's gradient over ``d`` (M, 6, 3) with the solve held
+    fixed and returns the solve's multipliers per piece (M, 6, 3), zero on the
+    fixed entries: ``lam`` with K_ff lam = g on the free junction entries.
+    """
     M = len(Q)
     # D[junction, order, axis]; the interior velocities and accelerations are free
     D = np.zeros((M + 1, 3, 3))
@@ -122,30 +141,33 @@ def _solve_inner(waypoints: np.ndarray, Q: np.ndarray, boundary: np.ndarray):
     K = np.zeros((3 * (M + 1), 3 * (M + 1)))
     for i in range(M):
         K[3 * i:3 * i + 6, 3 * i:3 * i + 6] += Q[i]
+    K_ff = K[np.ix_(free, free)]
     x = D.reshape(3 * (M + 1), 3)  # a view: filling x[free] fills D
     try:
-        x[free] = np.linalg.solve(K[np.ix_(free, free)], -K[np.ix_(free, ~free)] @ x[~free])
+        x[free] = np.linalg.solve(K_ff, -K[np.ix_(free, ~free)] @ x[~free])
     except np.linalg.LinAlgError:
         raise SingularSystem("inner jerk system is singular")
 
-    d_all = np.concatenate([D[:-1], D[1:]], axis=1)
-    return d_all, float(np.einsum("ila,ilm,ima->", d_all, Q, d_all))
+    def adjoint(g: np.ndarray) -> np.ndarray:
+        G = np.zeros_like(D)
+        G[:-1] += g[:, :3]
+        G[1:] += g[:, 3:]
+        lam = np.zeros_like(D)
+        lam.reshape(3 * (M + 1), 3)[free] = np.linalg.solve(K_ff, G.reshape(3 * (M + 1), 3)[free])
+        return _pieces(lam)
+
+    d = _pieces(D)
+    return d, float((d * (Q @ d)).sum()), adjoint
 
 
 def inner_trajectory(waypoints, T, boundary: np.ndarray) -> PiecewisePoly:
     """Minimum-jerk C2 piecewise quintic through the waypoints."""
     waypoints = np.asarray(waypoints, dtype=float)
     T = np.asarray(T, dtype=float)
-    Q, _ = _jerk_forms(T)
-    d_all, _ = _solve_inner(waypoints, Q, boundary)
-    coeffs = np.zeros((len(T), 3, 6))
-    coeffs[:, :, 0] = d_all[:, 0]
-    coeffs[:, :, 1] = d_all[:, 1]
-    coeffs[:, :, 2] = 0.5 * d_all[:, 2]
-    # c_k = (H3(1) S d)_k / T^k: the unit piece's tail, slowed to duration T
-    S, _ = _scales(T)
-    coeffs[:, :, 3:] = (np.einsum("kl,il,ila->iak", _H3_UNIT, S, d_all)
-                        / T[:, None, None] ** np.arange(3, 6))
+    Q, _, S, _ = _jerk_forms(T)
+    d, _, _ = _solve_inner(waypoints, Q, boundary)
+    # c_k = (U S d)_k / T^k: the unit piece's coefficients, slowed to duration T
+    coeffs = np.einsum("kl,il,ila->iak", _UNIT, S, d) / T[:, None, None] ** np.arange(6)
     return PiecewisePoly(coeffs, T)
 
 
@@ -157,76 +179,48 @@ def cost_and_gradient(q_interior, T, corridor: np.ndarray, boundary: np.ndarray,
                       w: OptWeights):
     """Total cost and analytic gradients w.r.t. interior waypoints and durations.
 
-    ``q_interior`` has shape (M-1, 3); waypoint i sits in the intersection of
-    boxes i and i+1 of the (M, 2, 3) corridor and must be strictly inside it
-    (barrier domain).
+    ``q_interior`` has shape (M-1, 3) and ``T`` (M,), for the (M, 2, 3)
+    corridor. The cost is the jerk, ``w.rho_t`` times the total time and the
+    sampled penalty, weighted by ``w.kappa`` on the boxes, ``w.rho_v`` on speed
+    and ``w.rho_a`` on acceleration; it is defined for any waypoints.
     """
     M = len(corridor)
     q_interior = np.asarray(q_interior, dtype=float).reshape(M - 1, 3)
     T = np.asarray(T, dtype=float)
     waypoints = np.vstack([boundary[0, 0], q_interior, boundary[1, 0]])
+    Q, dQ, S, dS = _jerk_forms(T)
+    d, J_S, adjoint = _solve_inner(waypoints, Q, boundary)
 
-    # smoothness term and its envelope gradients; dq covers all M + 1
-    # waypoints, and the fixed ends are dropped on return
-    Q, dQ = _jerk_forms(T)
-    d_all, J_S = _solve_inner(waypoints, Q, boundary)
-    grad_d = 2.0 * np.einsum("ilm,ima->ila", Q, d_all)  # (M, 6, 3)
+    # samples X[r, piece, node] of p, v and a, and the penalty's gradient over them
+    Tr = (T ** np.arange(3.0)[:, None])[:, :, None, None]
+    X = _BASIS[:, None] @ (S[:, :, None] * d) / Tr
+    p, v, a = X
+    below = np.maximum(corridor[:, None, 0] + MARGIN - p, 0.0)
+    above = np.maximum(p - corridor[:, None, 1] + MARGIN, 0.0)
+    v_excess = np.maximum((v * v).sum(axis=-1) - w.v_max**2, 0.0)
+    a_excess = np.maximum((a * a).sum(axis=-1) - w.a_max**2, 0.0)
+    dt = T[:, None] * _TRAPEZOID
+    phi = dt * (w.kappa * (below**3 + above**3).sum(axis=-1)
+                + w.rho_v * v_excess**3 + w.rho_a * a_excess**3)
+    G = dt[..., None] * np.stack([3.0 * w.kappa * (above**2 - below**2),
+                                  6.0 * w.rho_v * v_excess[..., None]**2 * v,
+                                  6.0 * w.rho_a * a_excess[..., None]**2 * a])
+
+    # the gradient over S d and over d with the solve held fixed, then the solve's response
+    grad_Sd = (_BASIS.swapaxes(1, 2)[:, None] @ (G / Tr)).sum(axis=0)
+    grad_d = 2.0 * (Q @ d) + S[:, :, None] * grad_Sd
+    lam = adjoint(grad_d)
+    grad_d -= Q @ lam
     dq = np.zeros((M + 1, 3))
     dq[:M] += grad_d[:, 0]      # waypoint i is piece i's start position
     dq[1:] += grad_d[:, 3]      # and piece i - 1's end position
-    dT = np.einsum("ila,ilm,ima->i", d_all, dQ, d_all)
-
-    # corridor barrier
-    J_F = 0.0
-    for j in range(1, M):
-        q = waypoints[j]
-        for box in corridor[j - 1:j + 1]:
-            slacks = np.concatenate([box[1] - q, q - box[0]])
-            if np.any(slacks <= 0.0):
-                raise BarrierDomainViolated(
-                    f"waypoint {j} at {q.tolist()} left its intersection")
-            J_F -= w.kappa * float(np.sum(np.log(slacks)))
-            dq[j] += w.kappa * (1.0 / slacks[:3] - 1.0 / slacks[3:])
-
-    # aggressiveness penalty
-    J_D = w.rho_t * float(np.sum(T))
-    dT += w.rho_t
-
-    def dl(x):
-        return 3.0 * max(x, 0.0) ** 2
-
-    def l(x):
-        return max(x, 0.0) ** 3
-
-    for j in range(1, M):
-        t_sum = T[j - 1] + T[j]
-        V = (waypoints[j + 1] - waypoints[j - 1]) / t_sum
-        arg = float(V @ V) - w.v_max**2
-        J_D += w.rho_v * l(arg)
-        coef = w.rho_v * dl(arg)
-        if coef != 0.0:
-            gV = coef * 2.0 * V
-            dq[j + 1] += gV / t_sum
-            dq[j - 1] -= gV / t_sum
-            dT[j - 1] += float(gV @ (-V / t_sum))
-            dT[j] += float(gV @ (-V / t_sum))
-
-        m = 0.5 * t_sum
-        W1 = (waypoints[j + 1] - waypoints[j]) / T[j]
-        W0 = (waypoints[j] - waypoints[j - 1]) / T[j - 1]
-        Acc = (W1 - W0) / m
-        arg_a = float(Acc @ Acc) - w.a_max**2
-        J_D += w.rho_a * l(arg_a)
-        coef_a = w.rho_a * dl(arg_a)
-        if coef_a != 0.0:
-            gA = coef_a * 2.0 * Acc
-            dq[j + 1] += gA / (T[j] * m)
-            dq[j] += gA * (-1.0 / T[j] - 1.0 / T[j - 1]) / m
-            dq[j - 1] += gA / (T[j - 1] * m)
-            dT[j] += float(gA @ (-W1 / (T[j] * m) - Acc / (2.0 * m)))
-            dT[j - 1] += float(gA @ (W0 / (T[j - 1] * m) - Acc / (2.0 * m)))
-
-    return J_S + J_F + J_D, dq[1:M], dT
+    # the jerk form's change and the solve's response to it, then the penalty's
+    # through S, through the 1 / T^r of each derivative and through the weights
+    dT = (((d - lam) * (dQ @ d)).sum(axis=(1, 2))
+          + (grad_Sd * dS[:, :, None] * d).sum(axis=(1, 2))
+          + (phi.sum(axis=1) - (np.arange(3.0)[:, None, None, None] * G * X).sum(axis=(0, 2, 3)))
+          / T + w.rho_t)
+    return J_S + w.rho_t * float(T.sum()) + float(phi.sum()), dq[1:M], dT
 
 
 # ----------------------------------------------------------------------
@@ -243,13 +237,15 @@ def optimize(corridor: np.ndarray, boundary: np.ndarray,
              w: OptWeights | None = None) -> PiecewisePoly:
     """Descend the joint waypoint/duration cost and return the trajectory.
 
-    ``corridor`` is an (M, 2, 3) stack of boxes. Waypoints start at the
+    ``corridor`` is an (M, 2, 3) stack of boxes; consecutive boxes must
+    overlap, or ``BarrierDomainViolated`` is raised. Waypoints start at the
     centers of consecutive boxes' overlaps and durations from a trapezoidal
     profile at half the speed limit; durations are kept positive through a
-    log reparameterization. The barrier only constrains waypoints, so the
-    trajectory is sampled every 0.01 s and checked with ``contains_all``
-    over the stack, and one that leaves raises ``TrajectoryLeftCorridor``.
-    ``info["contained"]`` is always True, and ``info["kappa"]`` is ``w.kappa``.
+    log reparameterization. The penalty is soft and reads each piece at its
+    nodes only, so the trajectory is sampled every 0.01 s and checked with
+    ``contains_all`` over the stack, and one that leaves raises
+    ``TrajectoryLeftCorridor``. ``info["contained"]`` is always True, and
+    ``info["kappa"]`` is ``w.kappa``.
     """
     if w is None:
         w = OptWeights()
@@ -266,15 +262,12 @@ def optimize(corridor: np.ndarray, boundary: np.ndarray,
     ])
 
     def objective(x):
-        q_int = x[: 3 * (M - 1)].reshape(M - 1, 3)
+        q_int = x[: 3 * (M - 1)]
         theta = x[3 * (M - 1):]
         if np.any(theta > 8.0):  # absurd durations; keep exp() sane
             return np.inf, np.zeros_like(x)
         T = w.t_min + np.exp(theta)
-        try:
-            J, dq, dT = cost_and_gradient(q_int, T, corridor, boundary, w)
-        except (BarrierDomainViolated, OverflowError):
-            return np.inf, np.zeros_like(x)
+        J, dq, dT = cost_and_gradient(q_int, T, corridor, boundary, w)
         return J, np.concatenate([dq.ravel(), dT * np.exp(theta)])
 
     x0 = np.concatenate([q0.ravel(), np.log(T0 - w.t_min)])
@@ -289,7 +282,7 @@ def optimize(corridor: np.ndarray, boundary: np.ndarray,
     ts = np.arange(0.0, traj.duration + 1e-9, 0.01)
     if not contains_all(corridor, traj.eval(ts), margin=1e-9):
         raise TrajectoryLeftCorridor(
-            f"the trajectory left its corridor at barrier weight {w.kappa!r}")
+            f"the trajectory left its corridor at corridor penalty weight {w.kappa!r}")
     traj.info.update({
         "objective": J_opt, "history": history, "contained": True,
         "kappa": w.kappa, "iterations": len(history) - 1,

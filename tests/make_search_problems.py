@@ -26,11 +26,11 @@ OUT = Path(__file__).resolve().parent / "data" / "search_problems.json"
 # (label, builtin scenario, cycle, weight overrides)
 PROBLEMS = [
     ("occlusion_turn-c66-relocation", "occlusion_turn", 66, {}),
-    ("occlusion_turn-c72-relocation", "occlusion_turn", 72, {}),
-    ("occlusion_turn-c72-relocation-p_occ0", "occlusion_turn", 72, {"p_occ": 0.0}),
+    ("occlusion_turn-c79-relocation", "occlusion_turn", 79, {}),
+    ("occlusion_turn-c79-relocation-p_occ0", "occlusion_turn", 79, {"p_occ": 0.0}),
     ("sharp_turn_low-c140", "sharp_turn_low", 140, {}),
     ("sharp_turn_low-c144", "sharp_turn_low", 144, {}),
-    ("sharp_turn_high-c145", "sharp_turn_high", 145, {}),
+    ("sharp_turn_high-c114", "sharp_turn_high", 114, {}),
 ]
 
 

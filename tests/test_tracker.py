@@ -169,12 +169,12 @@ class TestStep:
         assert metrics.plan_failures == len(failed) - len(warmup) == len(calls) // 2
 
     def test_run_counts_the_relocations_of_its_trace(self):
-        # relocation runs from cycle 66 through 128 and ends at 129
+        # relocation runs from cycle 66 through 127 and ends at 128
         raw = dict(benchmarks.ALL["occlusion_turn"](), duration=140 / 13)
         metrics, rows = tracker.run_scenario(Scenario.from_dict(raw))
         assert len(rows) == 140
         assert metrics.loss_episodes == 1
-        assert metrics.relocation_times == [sum([1 / 13] * 63)]
+        assert metrics.relocation_times == [sum([1 / 13] * 62)]
 
 
 class TestStageFailures:
@@ -366,6 +366,21 @@ class TestReplan:
         assert (relocating.trajectory is not held) == bool(searches)
         assert self.plan_ok(relocating) == 1
 
+    @pytest.mark.parametrize("moved, searches", [(0.0, 0), (1.01, 1)])
+    def test_budget_path_is_kept_while_its_searched_goal_holds(self, relocating, moved,
+                                                               searches):
+        # the fixture flies a path that used up the node budget: its end fails the
+        # goal test, and the goal it was searched for stands in for the end state
+        goal, _ = tracker._plan_goal(relocating, relocating.cycle * relocating.dt)
+        p_end, v_end, _ = relocating.trajectory.sample(relocating.trajectory.duration)
+        assert not kino_search.reaches(p_end, v_end, goal, relocating.scenario.search)
+        assert np.array_equal(relocating.planned[0], goal)
+        searched = goal.copy()
+        searched[0, 0] += moved * relocating.scenario.search.r_goal
+        relocating.planned = searched, relocating.planned[1]
+        step(relocating)
+        assert self.searches == searches
+
     def test_target_lost_from_view_replans(self, tracking, monkeypatch):
         monkeypatch.setattr(tracker, "project_target", lambda *args, **kwargs: None)
         step(tracking)
@@ -520,27 +535,29 @@ class TestRegressionSetup:
             TrackerWorld(scenario).rng.spawn(1)
 
 
-# sha256 of the 65-cycle trace CSV at the builtin seed, recorded when tracking
-# and relocation came to share one replan rule; the jerk forms come from one
-# scaled unit form, the inner solve from one partitioned matrix, the regression
-# cost from an einsum and the prediction from a power-basis PiecewisePoly, and
-# perf changes must keep these byte-identical
+# sha256 of the 65-cycle trace CSV at the builtin seed, recorded when the
+# optimizer's one penalty came to sample every piece and a path that used up
+# the search's node budget came to be kept while its goal holds; the jerk forms
+# come from one scaled unit form, the inner solve from one partitioned matrix,
+# the regression cost from an einsum and the prediction from a power-basis
+# PiecewisePoly, and perf changes must keep these byte-identical
 GOLDEN_TRACE_SHA256 = {
-    "sharp_turn_low": "9fe4bbed45eb7cd41c62d871bf018d128ef40fea8e070d86f2c4020e4c6cd8af",
-    "sharp_turn_high": "064c6db47914ba2692fc5a7a0479432a2be730abf90e5a47a89d2029fd510a0a",
-    "occlusion_turn": "4ddf67d0c521316e20543061b47ca7905a34b8d347a26001869ba46b2e20260f",
+    "sharp_turn_low": "3f47c0dd25189e067344640bd5c2c660ef7099b08bf348ab469bb3cfce81d3f1",
+    "sharp_turn_high": "8a70c5369fc8916107699142f530580f9ac52f1285a05c7e130b692811c45c7c",
+    "occlusion_turn": "6e230eee18a306f02b6b9d479513a7d4cedee7c17e051d3bd69873712f13e341",
 }
 # sha256 of the 140-cycle occlusion_turn trace at the builtin seed: it enters
 # relocation at cycle 66, searches to the node budget without reaching the
-# goal on cycles 66-71, reaches it at cycle 72, keeps that plan through cycle
-# 128 and reacquires the target at cycle 129
-RELOCATION_TRACE_SHA256 = "44fad7659afbf6aaa41014d7b6fb549a0a030f20201e79e45699492366c4cb17"
+# goal, keeps that path while its goal holds until less than MIN_REMAINING_S of
+# it is left, reaches the goal at cycle 79, keeps that plan through cycle 127
+# and reacquires the target at cycle 128
+RELOCATION_TRACE_SHA256 = "c7baec8a0fcbb72260ff3df6af06d2063c23a7befa775e6b421736bf4b1877e8"
 # sha256 of the 222-cycle sharp_turn_low trace at the builtin seed: it takes
-# block A's corners, replanning on 12 of the 20 cycles from 136 to 155; the
+# block A's corners, replanning on 13 of the 20 cycles from 136 to 155; the
 # corridor's bisection between cubes and its stall are pinned by
 # test_corridor.py's TestBridgeLoop, since no builtin scenario now stalls at its
 # builtin seed
-BRIDGE_TRACE_SHA256 = "f42ee696d81f13dbcaa211c30f82e3c41639636fae2dcd4ebe81a1136b0c3494"
+BRIDGE_TRACE_SHA256 = "1fa79f39edb0918bd2cbeb17d2d83a6cf78d0904c45c3c3447aeb470f853083e"
 
 
 def trace_digest(world, cycles):

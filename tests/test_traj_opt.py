@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from aerotrack.corridor import build_corridor, contains_all, overlap
 from aerotrack import traj_opt
 from aerotrack.errors import (
-    BarrierDomainViolated, DescentFailed, OutOfDomain, SingularSystem, TrajectoryLeftCorridor)
+    DescentFailed, OutOfDomain, SingularSystem, TrajectoryLeftCorridor)
 from aerotrack.grid import OccupancyGrid
 from aerotrack.kino_search import SearchWeights, search
 from aerotrack.perception import TargetObservation
@@ -91,8 +93,8 @@ class TestInnerTrajectory:
     @pytest.mark.parametrize("M", range(1, 7))
     def test_solve_matches_per_slot_assembly(self, M):
         for way, T, bc in self.random_problems(M):
-            Q, _ = traj_opt._jerk_forms(T)
-            d_all, j_cost = traj_opt._solve_inner(way, Q, bc)
+            Q = traj_opt._jerk_forms(T)[0]
+            d_all, j_cost, _ = traj_opt._solve_inner(way, Q, bc)
             d_ref, j_ref = solve_inner_per_slot(way, T, bc)
             assert np.max(np.abs(d_all - d_ref)) <= 1e-12 * np.max(np.abs(d_ref))
             j_scale = float(np.einsum("ila,ilm,ima->", np.abs(d_ref), np.abs(Q), np.abs(d_ref)))
@@ -102,7 +104,7 @@ class TestInnerTrajectory:
     def test_tail_coefficients_match_hermite_maps(self, M):
         for way, T, bc in self.random_problems(M):
             traj = inner_trajectory(way, T, bc)
-            d_all, _ = traj_opt._solve_inner(way, traj_opt._jerk_forms(T)[0], bc)
+            d_all, _, _ = traj_opt._solve_inner(way, traj_opt._jerk_forms(T)[0], bc)
             for i, t in enumerate(T):
                 W, Dmap = tail_maps(float(t))
                 H3 = W @ Dmap
@@ -118,7 +120,7 @@ class TestInnerTrajectory:
 class TestJerkForms:
     def test_scaled_unit_form_matches_per_piece_forms(self):
         T = np.linspace(1e-3, 10.0, 200)
-        Q, dQ = traj_opt._jerk_forms(T)
+        Q, dQ, _, _ = traj_opt._jerk_forms(T)
         for i, t in enumerate(T):
             for got, ref in ((Q[i], jerk_quadratic(float(t))), (dQ[i], jerk_quadratic_dT(float(t)))):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -151,17 +153,15 @@ class TestCostAndGradient:
         huge = np.array([[(-10, -10, -10), (10, 10, 10)],
                          [(-10, -10, -10), (10, 10, 10)]], dtype=float)
         bc = at_rest((-1, 0, 0), (1, 0, 0))
-        w = OptWeights(rho_v=0.0, rho_a=0.0, rho_t=0.0)
-        # only the barrier depends on the waypoint once smoothness is removed:
-        # compare barrier gradient at the exact center
+        # deep inside both boxes the corridor penalty is zero, so its weight
+        # leaves the waypoint gradient at the exact center unchanged
         q = np.array([[0.0, 0.0, 0.0]])
         T = np.array([1.0, 1.0])
         _, dq1, _ = cost_and_gradient(q, T, huge, bc, OptWeights(kappa=1.0, rho_t=0.0,
                                                                  rho_v=0.0, rho_a=0.0))
         _, dq0, _ = cost_and_gradient(q, T, huge, bc, OptWeights(kappa=1e-12, rho_t=0.0,
                                                                  rho_v=0.0, rho_a=0.0))
-        barrier_part = dq1 - dq0
-        assert np.allclose(barrier_part, 0.0, atol=1e-9)
+        assert np.allclose(dq1 - dq0, 0.0, atol=1e-9)
 
     def test_slow_trajectory_time_penalty_only(self):
         cor = chain_corridor(3)
@@ -175,22 +175,37 @@ class TestCostAndGradient:
                                                       v_max=50.0, a_max=50.0))
         assert J - J_smooth == pytest.approx(7.0 * float(np.sum(T)), rel=1e-12)
 
-    @pytest.mark.parametrize("n_cubes", [2, 4])
-    def test_gradients_match_finite_differences(self, n_cubes):
-        rng = np.random.default_rng(1)
-        cor = chain_corridor(n_cubes)
+    @staticmethod
+    def gradient_inputs(cor, rng):
+        """Ten inputs near the overlap centers at rest-ish ends, then one with every
+        penalty active: waypoints outside their boxes and a fast, accelerating start."""
         inters = overlap(cor[:-1], cor[1:])
         bc = np.array([
             [cor[0].mean(axis=0) + rng.uniform(-0.2, 0.2, 3), *rng.uniform(-1, 1, (2, 3))],
             [cor[-1].mean(axis=0) + rng.uniform(-0.2, 0.2, 3), *rng.uniform(-1, 1, (2, 3))]])
-        # tight limits so the soft penalties are active
-        w = OptWeights(kappa=0.05, rho_t=5.0, rho_v=40.0, rho_a=40.0,
-                       v_max=0.8, a_max=0.8)
         for _ in range(10):
             q = np.array([
                 i.mean(axis=0) + rng.uniform(-0.3, 0.3, 3) * ((i[1] - i[0]) / 2)
                 for i in inters])
-            T = rng.uniform(0.6, 2.0, len(cor))
+            yield q, rng.uniform(0.6, 2.0, len(cor)), bc
+        fast = bc.copy()
+        fast[0, 1:] = (2.5, 1.5, 0.0), (3.0, -2.0, 1.0)
+        q = np.array([i.mean(axis=0) + 1.5 * (i[1] - i[0]) for i in inters])
+        yield q, rng.uniform(0.6, 2.0, len(cor)), fast
+
+    @pytest.mark.parametrize("n_cubes", [2, 4])
+    def test_gradients_match_finite_differences(self, n_cubes):
+        rng = np.random.default_rng(1)
+        cor = chain_corridor(n_cubes)
+        # tight limits so the penalties are active
+        w = OptWeights(kappa=50.0, rho_t=5.0, rho_v=40.0, rho_a=40.0,
+                       v_max=0.8, a_max=0.8)
+        inputs = list(self.gradient_inputs(cor, rng))
+        q, T, bc = inputs[-1]
+        J = cost_and_gradient(q, T, cor, bc, w)[0]
+        for name in ("kappa", "rho_v", "rho_a"):
+            assert cost_and_gradient(q, T, cor, bc, dataclasses.replace(w, **{name: 0.0}))[0] < J
+        for q, T, bc in inputs:
             J, dq, dT = cost_and_gradient(q, T, cor, bc, w)
             eps = 1e-6
             for idx in np.ndindex(q.shape):
@@ -205,13 +220,6 @@ class TestCostAndGradient:
                 fd = (cost_and_gradient(q, Tp, cor, bc, w)[0]
                       - cost_and_gradient(q, Tm, cor, bc, w)[0]) / (2 * eps)
                 assert dT[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
-    def test_barrier_domain_violation(self):
-        cor = chain_corridor(2)
-        bc = at_rest(cor[0].mean(axis=0), cor[1].mean(axis=0))
-        q = np.array([[50.0, 0.5, 0.5]])
-        with pytest.raises(BarrierDomainViolated):
-            cost_and_gradient(q, np.array([1.0, 1.0]), cor, bc, OptWeights())
 
 
 class TestOptimize:
@@ -265,24 +273,29 @@ class TestOptimize:
         with pytest.raises(TrajectoryLeftCorridor):
             optimize(*self.sideways_start(3.0))
 
-    def test_kappa_sweep_monotone_toward_unconstrained(self):
-        # staircase corridor with tight intersections placed off the natural
-        # route, so the barrier genuinely binds
-        cor = np.array([
-            [(0.0, 0.0, 0.0), (2.0, 2.0, 2.0)],
-            [(1.6, 1.6, 0.0), (3.6, 3.6, 2.0)],
-            [(3.2, 3.2, 0.0), (5.2, 5.2, 2.0)],
-        ])
-        bc = at_rest((0.3, 0.9, 1.0), (4.9, 4.3, 1.0))
-        opts = dict(grad_tol=1e-7, max_iter=600)
-        free = optimize(cor, bc, OptWeights(kappa=1e-10, **opts))
-        dists = []
-        for kappa in (1.0, 1e-1, 1e-2):
-            traj = optimize(cor, bc, OptWeights(kappa=kappa, **opts))
-            # each piece starts at its waypoint, so pieces 1.. start at the interior ones
-            dists.append(float(np.max(np.abs(traj.coeffs[1:, :, 0] - free.coeffs[1:, :, 0]))))
-        assert dists[0] >= dists[1] >= dists[2] - 1e-6
-        assert dists[0] > dists[2] + 1e-3  # the sweep actually moves the waypoints
+    @pytest.mark.parametrize("vy", [round(0.1 * k, 1) for k in range(11, 21)])
+    def test_sideways_start_within_braking_distance_is_contained(self, vy):
+        # braking from 2.0 m/s at a_max = 4 m/s^2 takes 0.5 m, less than the
+        # 0.8 m to the wall, so the trajectory fits between its samples too
+        cor, bc = self.sideways_start(vy)
+        traj = optimize(cor, bc)
+        assert contains_all(cor, traj.eval(np.arange(0.0, traj.duration, 0.01)), margin=1e-9)
+
+    def test_kappa_sweep_monotone_toward_unconstrained(self, monkeypatch):
+        # with the containment check off, a larger corridor weight leaves the
+        # boxes by no more, and the unweighted trajectory leaves them most
+        monkeypatch.setattr(traj_opt, "contains_all", lambda *args, **kwargs: True)
+        cor, bc = self.sideways_start(2.0)
+        excess = []
+        for kappa in (0.0, 1e2, 1e4, 1e6):
+            traj = optimize(cor, bc, OptWeights(kappa=kappa))
+            # how far any sample gets past a wall of its own piece's box
+            excess.append(max(
+                float(np.max(np.maximum(box[0] - p, p - box[1])))
+                for box, p in zip(cor, (traj.eval_local(i, np.linspace(0.0, t, 101))
+                                        for i, t in enumerate(traj.durations)))))
+        assert excess == sorted(excess, reverse=True)
+        assert excess[0] > 0.5 and excess[-1] < 0.0
 
     def test_speed_and_accel_within_soft_bounds(self):
         grid = OccupancyGrid((0, 0, 0), 0.1, (120, 80, 30))
