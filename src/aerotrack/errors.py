@@ -118,7 +118,8 @@ class UnknownVariant(InvalidInput):
 
 
 class SeedOccupied(ValueError):
-    """Box inflation was seeded inside an occupied voxel."""
+    """The voxel box holding a box inflation's seed points holds an occupied
+    voxel or leaves the grid."""
 
 
 class FitDiverged(RuntimeError):
@@ -145,16 +146,14 @@ class NoPath(RuntimeError):
     """Search start is fully enclosed; not a single node could be expanded."""
 
 
-class CorridorFailed(RuntimeError):
-    """Corridor construction could not bridge consecutive cubes."""
-
-
 class SingularSystem(RuntimeError):
     """Inner minimum-jerk system is singular (non-positive piece duration)."""
 
 
 class BarrierDomainViolated(RuntimeError):
-    """Consecutive corridor boxes do not overlap, so no waypoint can join them."""
+    """Consecutive corridor boxes do not overlap, so no waypoint can join them;
+    a corridor cube grown from one point where the path clips an obstacle's
+    corner can leave such a pair."""
 
 
 class DescentFailed(RuntimeError):

@@ -136,17 +136,21 @@ class OccupancyGrid:
     def inflate_box(self, seed, max_extent: float) -> np.ndarray:
         """Grow a free axis-aligned box around ``seed``: ``[min corner, max corner]``.
 
-        Growth is greedy, one voxel layer at a time, cycling through the
-        directions +x, -x, +y, -y, +z, -z. A face stops once the next layer
-        contains an occupied voxel, leaves the grid, or would move the face
-        farther than ``max_extent`` from the seed point. The result is maximal
-        under that growth order.
+        ``seed`` is one point or an (N, 3) stack of points. Growth starts from
+        the voxel box that holds them all, which must be free and inside the
+        grid, or ``SeedOccupied`` is raised. It is greedy, one voxel layer at a
+        time, cycling through the directions +x, -x, +y, -y, +z, -z. A face
+        stops once the next layer contains an occupied voxel, leaves the grid,
+        or would move the face farther than ``max_extent`` from the same face
+        of the points' bounding box. The result is maximal under that growth
+        order; for one point it is the box grown from that point's voxel.
         """
-        seed = np.asarray(seed, dtype=float)
-        if self.is_occupied(seed):
-            raise SeedOccupied(f"inflation seed {seed.tolist()} is occupied")
-        lo = self.world_to_voxel(seed)
-        hi = lo.copy()  # inclusive voxel index range
+        points = np.asarray(seed, dtype=float).reshape(-1, 3)
+        low, high = points.min(axis=0), points.max(axis=0)
+        lo, hi = self.world_to_voxel(low), self.world_to_voxel(high)  # inclusive voxel index range
+        if (np.any(lo < 0) or np.any(hi >= self.dims)
+                or self.occupied[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1].any()):
+            raise SeedOccupied(f"inflation seed {np.asarray(seed).tolist()} is occupied")
 
         def layer_free(ax: int, index: int) -> bool:
             if index < 0 or index >= self.dims[ax]:
@@ -163,8 +167,8 @@ class OccupancyGrid:
                 ax, up = side // 2, side % 2 == 0
                 nxt = hi[ax] + 1 if up else lo[ax] - 1
                 face = self.origin[ax] + (nxt + 1 if up else nxt) * self.resolution
-                within = (face <= seed[ax] + max_extent + 1e-9 if up
-                          else face >= seed[ax] - max_extent - 1e-9)
+                within = (face <= high[ax] + max_extent + 1e-9 if up
+                          else face >= low[ax] - max_extent - 1e-9)
                 if within and layer_free(ax, nxt):
                     (hi if up else lo)[ax] = nxt
                 else:

@@ -238,14 +238,16 @@ def optimize(corridor: np.ndarray, boundary: np.ndarray,
     """Descend the joint waypoint/duration cost and return the trajectory.
 
     ``corridor`` is an (M, 2, 3) stack of boxes; consecutive boxes must
-    overlap, or ``BarrierDomainViolated`` is raised. Waypoints start at the
-    centers of consecutive boxes' overlaps and durations from a trapezoidal
-    profile at half the speed limit; durations are kept positive through a
-    log reparameterization. The penalty is soft and reads each piece at its
-    nodes only, so the trajectory is sampled every 0.01 s and checked with
-    ``contains_all`` over the stack, and one that leaves raises
-    ``TrajectoryLeftCorridor``. ``info["contained"]`` is always True, and
-    ``info["kappa"]`` is ``w.kappa``.
+    overlap with positive volume, or ``BarrierDomainViolated`` is raised.
+    ``build_corridor`` promises only that each overlap holds a path sample,
+    and not even that where a cube grew from one point, so an overlap can be
+    thin or empty. Waypoints start at the centers of consecutive boxes'
+    overlaps and durations from a trapezoidal profile at half the speed
+    limit; durations are kept positive through a log reparameterization.
+    The penalty is soft and reads each piece at its nodes only, so the
+    trajectory is sampled every 0.01 s and checked with ``contains_all`` over
+    the stack, and one that leaves raises ``TrajectoryLeftCorridor``.
+    ``info["contained"]`` is always True, and ``info["kappa"]`` is ``w.kappa``.
     """
     if w is None:
         w = OptWeights()

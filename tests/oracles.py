@@ -10,8 +10,7 @@ from math import comb
 
 import numpy as np
 
-from aerotrack.corridor import _contains_box, _fat
-from aerotrack.errors import CorridorFailed, SeedOccupied
+from aerotrack.errors import SeedOccupied
 
 _SCAN_T = np.arange(1e-3, 20.0 + 1e-3, 1e-3)
 
@@ -281,63 +280,3 @@ def inflate_box(grid, seed, max_extent: float) -> np.ndarray:
                     growing[side] = False
     return np.array([grid.origin + lo * grid.resolution,
                      grid.origin + (hi + 1) * grid.resolution])
-
-
-def build_corridor(path, grid, max_extent: float = 2.0) -> np.ndarray:
-    """The corridor ``corridor.build_corridor`` builds, bisecting with two copied blocks.
-
-    A frozen copy of the function before its midpoint and quarter-point
-    attempts shared one loop body. It reads only ``path.sample_positions`` and
-    the grid's ``resolution``, ``inflate_box`` and ``is_occupied``.
-    """
-    samples = path.sample_positions(grid.resolution / 4.0)
-    min_side = 2.0 * grid.resolution
-    first = grid.inflate_box(samples[0], max_extent)
-    cubes = [first]
-    last_inside = samples[0]
-    for s in samples[1:]:
-        if np.all(s >= cubes[-1][0]) and np.all(s <= cubes[-1][1]):
-            last_inside = s
-            continue
-        new = grid.inflate_box(s, max_extent)
-        bridge = []
-        a = cubes[-1]
-        anchor = last_inside
-        guard = 0
-        while not _fat(bridge[-1] if bridge else a, new, min_side):
-            guard += 1
-            if guard > 8:
-                raise CorridorFailed(
-                    f"could not bridge corridor cubes near {s.tolist()}")
-            mid = 0.5 * (np.asarray(anchor) + np.asarray(s))
-            if grid.is_occupied(mid):
-                raise CorridorFailed(
-                    f"intermediate corridor seed {mid.tolist()} is occupied")
-            mid_cube = grid.inflate_box(mid, max_extent)
-            prev = bridge[-1] if bridge else a
-            if _fat(prev, mid_cube, min_side):
-                bridge.append(mid_cube)
-                anchor = mid
-            else:
-                s_local = mid
-                mid2 = 0.5 * (np.asarray(anchor) + s_local)
-                if grid.is_occupied(mid2):
-                    raise CorridorFailed(
-                        f"intermediate corridor seed {mid2.tolist()} is occupied")
-                cube2 = grid.inflate_box(mid2, max_extent)
-                if not _fat(prev, cube2, min_side):
-                    raise CorridorFailed(
-                        f"corridor bridging stalled near {s.tolist()}")
-                bridge.append(cube2)
-                anchor = mid2
-        for c in bridge:
-            if not _contains_box(cubes[-1], c):
-                cubes.append(c)
-        if _contains_box(new, cubes[-1]) and (
-            len(cubes) == 1 or _fat(cubes[-2], new, min_side)
-        ):
-            cubes[-1] = new
-        elif not _contains_box(cubes[-1], new):
-            cubes.append(new)
-        last_inside = s
-    return np.array(cubes)

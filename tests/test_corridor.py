@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from aerotrack import benchmarks
 from aerotrack.corridor import build_corridor, contains_all, overlap
-from aerotrack.errors import CorridorFailed
+from aerotrack.errors import SeedOccupied
 from aerotrack.grid import MapSpec, OccupancyGrid, build_map
 from aerotrack.kino_search import KinoPath, SearchWeights, search
 from aerotrack.prediction import fit_predicted_trajectory
@@ -60,6 +61,13 @@ def corridor_invariants(cor: np.ndarray, grid: OccupancyGrid, path=None):
         assert inside.mean() >= 0.99
         assert contains_all(cor[:1], pts[:1], margin=1e-9)
         assert contains_all(cor[-1:], path.p[-1:], margin=1e-9)
+
+
+def overlaps_hold_path_samples(cor: np.ndarray, path, grid: OccupancyGrid) -> bool:
+    """Whether each consecutive overlap holds a sample the corridor was built from."""
+    pts = path.sample_positions(grid.resolution / 4)[:, None, :]
+    lo, hi = overlap(cor[:-1], cor[1:]).swapaxes(0, 1)
+    return bool(np.all((pts >= lo) & (pts <= hi), axis=2).any(axis=0).all())
 
 
 class TestCubeIntersection:
@@ -140,6 +148,7 @@ class TestBuildCorridor:
         path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
         cor = build_corridor(path, grid)
         corridor_invariants(cor, grid, path)
+        assert overlaps_hold_path_samples(cor, path, grid)
         # some cube must be pinched to at most the doorway cross-section
         min_cross = float((cor[:, 1, 1:] - cor[:, 0, 1:]).min())
         assert min_cross <= 0.8 + 1e-9
@@ -153,8 +162,40 @@ class TestBuildCorridor:
             path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
             cor = build_corridor(path, grid)
             corridor_invariants(cor, grid, path)
+            assert overlaps_hold_path_samples(cor, path, grid)
             ok += 1
         assert ok == 12
+
+    def test_path_clipping_a_voxel_corner_falls_back_to_a_point_seed(self):
+        grid = OccupancyGrid((0, 0, 0), 0.1, (20, 20, 4))
+        grid.occupied[10, 10, :] = True  # the column over [1.0, 1.1] x [1.0, 1.1]
+        # a straight path through the column's corner (1.0, 1.1), which falls
+        # between its samples 29 in voxel (9, 10) and 30 in voxel (10, 11)
+        v = np.array([0.5, 0.5, 0.0])
+        p = np.array([0.51, 0.61, 0.25]) + np.arange(5)[:, None] * 0.5 * v
+        path = KinoPath(p, np.tile(v, (5, 1)), np.zeros((4, 3)), 0.5, 0.0)
+        samples = path.sample_positions(grid.resolution / 4)
+        assert not grid.occupied_at(samples).any()
+        with pytest.raises(SeedOccupied):
+            grid.inflate_box(samples[29:31], 2.0)
+        cor = build_corridor(path, grid)
+        assert np.array_equal(cor, [grid.inflate_box(samples[0], 2.0),
+                                    grid.inflate_box(samples[30], 2.0)])
+        corridor_invariants(cor, grid, path)
+        assert not overlaps_hold_path_samples(cor, path, grid)
+
+    def test_sharp_turn_block_corners(self):
+        # the builtin slalom blocks, and paths that wrap the blocks' corners
+        grid = build_map(MapSpec.from_dict(benchmarks.ALL["sharp_turn_low"]()["map"]))
+        for start, goal in [((5.0, 7.4, 1.2), (10.8, 12.2, 1.2)),
+                            ((10.6, 12.0, 1.2), (13.2, 6.8, 1.2)),
+                            ((12.0, 7.2, 1.2), (17.6, 11.8, 1.2))]:
+            traj = static_prediction(goal)
+            path = search_toward(np.array([start, (0, 0, 0)], dtype=float), traj, grid,
+                                 SearchWeights(freeze_z=True))
+            cor = build_corridor(path, grid)
+            corridor_invariants(cor, grid, path)
+            assert overlaps_hold_path_samples(cor, path, grid)
 
 
 class TestInflateBoxOracle:
@@ -178,99 +219,3 @@ class TestInflateBoxOracle:
                         (extent_bound if down else stopped_short).add((ax, "-"))
         faces = {(ax, sign) for ax in range(3) for sign in "+-"}
         assert extent_bound == faces and stopped_short == faces
-
-
-class ScriptedGrid:
-    """A grid stand-in whose free cubes are set per seed on the x axis.
-
-    Each cube spans [-1, 1] in y and z. It logs every inflation and
-    occupancy query, so two corridor builders can be checked for the same
-    seeds in the same order.
-    """
-
-    resolution = 0.1
-
-    def __init__(self, spans, occupied=()):
-        self.spans = spans          # seed x -> (min x, max x) of its free cube
-        self.occupied = set(occupied)
-        self.log = []
-
-    @staticmethod
-    def _x(p):
-        p = np.asarray(p, dtype=float)
-        assert p[1] == 0.0 and p[2] == 0.0
-        return float(p[0])
-
-    def inflate_box(self, seed, max_extent):
-        x = self._x(seed)
-        self.log.append(("inflate_box", x, max_extent))
-        lo, hi = self.spans[x]
-        return box((lo, -1.0, -1.0), (hi, 1.0, 1.0))
-
-    def is_occupied(self, p):
-        x = self._x(p)
-        self.log.append(("is_occupied", x))
-        return x in self.occupied
-
-
-class TwoSamplePath:
-    """A path stand-in sampled at x = 0 and x = 1."""
-
-    @staticmethod
-    def sample_positions(spacing):
-        return np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-
-
-START, GOAL = (-0.5, 0.5), (0.9, 1.5)  # free cubes of the two samples, without a fat overlap
-# bridge seeds 0.5, 0.75, ... toward x = 1: each cube overlaps the one before
-# by at least 0.3 m and the cube of x = 1 in CHAIN's cases by less than 0.2 m
-CHAIN = {1.0 - 0.5**k: (0.5 - 0.5**k, 1.05 - 0.5**k) for k in range(1, 9)}
-
-# exit of the bridge loop -> (free cube spans, occupied seeds, x spans of the
-# corridor, or the CorridorFailed message)
-BRIDGE_EXITS = {
-    "midpoint-fat": (
-        {0.0: START, 1.0: GOAL, 0.5: (0.25, 0.8), 0.75: (0.55, 1.2)}, (),
-        [START, (0.25, 0.8), (0.55, 1.2), GOAL]),
-    "quarter-point-fat": (
-        {0.0: START, 1.0: (0.45, 1.5), 0.5: (0.45, 0.9), 0.25: (0.1, 0.7)}, (),
-        [START, (0.1, 0.7), (0.45, 1.5)]),
-    "stalled": (
-        {0.0: START, 1.0: GOAL, 0.5: (0.45, 0.9), 0.25: (0.2, 0.3)}, (),
-        "corridor bridging stalled near [1.0, 0.0, 0.0]"),
-    "occupied-midpoint": (
-        {0.0: START, 1.0: GOAL}, (0.5,),
-        "intermediate corridor seed [0.5, 0.0, 0.0] is occupied"),
-    "occupied-quarter-point": (
-        {0.0: START, 1.0: GOAL, 0.5: (0.45, 0.9)}, (0.25,),
-        "intermediate corridor seed [0.25, 0.0, 0.0] is occupied"),
-    "eighth-bridge-reaches": (
-        {0.0: START, 1.0: (0.99, 1.5), **CHAIN, 1.0 - 0.5**8: (0.5 - 0.5**8, 1.25)}, (),
-        [START, *list(CHAIN.values())[:7], (0.5 - 0.5**8, 1.25), (0.99, 1.5)]),
-    "eight-bridges": (
-        {0.0: START, 1.0: (0.99, 1.5), **CHAIN}, (),
-        "could not bridge corridor cubes near [1.0, 0.0, 0.0]"),
-}
-
-
-def corridor_outcome(builder, spans, occupied):
-    """x spans of the built cubes or the raised error, and the grid's query log."""
-    grid = ScriptedGrid(spans, occupied)
-    try:
-        cor = builder(TwoSamplePath(), grid)
-    except CorridorFailed as exc:
-        return (type(exc), str(exc)), grid.log
-    assert all(c[0, 1:].tolist() == [-1.0, -1.0] for c in cor)
-    return [(c[0, 0], c[1, 0]) for c in cor], grid.log
-
-
-class TestBridgeLoop:
-    @pytest.mark.parametrize("name", list(BRIDGE_EXITS))
-    def test_exit_matches_the_copied_blocks(self, name):
-        spans, occupied, expected = BRIDGE_EXITS[name]
-        got, log = corridor_outcome(build_corridor, spans, occupied)
-        assert (got, log) == corridor_outcome(oracles.build_corridor, spans, occupied)
-        if isinstance(expected, str):
-            assert got[0] is CorridorFailed and got[1] == expected
-        else:
-            assert got == expected

@@ -177,18 +177,46 @@ class TestInflateBox:
         with pytest.raises(SeedOccupied):
             g.inflate_box((0.55, 0.55, 0.55), max_extent=1.0)
 
-    def test_never_contains_occupied(self):
-        rng = np.random.default_rng(3)
+    def test_diagonal_two_point_seed_over_an_occupied_voxel_raises(self):
+        g = empty_grid()
+        g.occupied[5, 6, 5] = True
+        seed = np.array([(0.55, 0.55, 0.55), (0.65, 0.65, 0.55)])  # voxels (5, 5, 5), (6, 6, 5)
+        assert not g.occupied_at(seed).any()
+        with pytest.raises(SeedOccupied):
+            g.inflate_box(seed, max_extent=1.0)
+
+    def test_one_point_stack_grows_the_point_box(self):
         g = empty_grid(20)
-        for _ in range(60):
-            g.occupied[tuple(rng.integers(0, 20, 3))] = True
-        for _ in range(50):
-            seed = rng.uniform(0.1, 1.9, 3)
-            if g.is_occupied(seed):
-                continue
-            cube = g.inflate_box(seed, max_extent=0.6)
-            assert cube_is_free(g, cube)
-            assert contains_all(cube[None], seed[None])
+        g.set_occupied_box((1.2, 0.0, 0.0), (1.3, 2.0, 2.0))
+        for max_extent in (0.25, 1.0):
+            assert np.array_equal(g.inflate_box([(0.95, 1.0, 1.0)], max_extent),
+                                  g.inflate_box((0.95, 1.0, 1.0), max_extent))
+
+    def test_extent_is_measured_from_the_seed_points_box(self):
+        g = empty_grid(40)
+        cube = g.inflate_box([(1.05, 1.05, 1.05), (1.35, 1.15, 1.05)], max_extent=0.3)
+        assert np.allclose(cube, [(0.8, 0.8, 0.8), (1.6, 1.4, 1.3)])
+
+    def test_never_contains_occupied(self):
+        for n_points in (1, 2):
+            rng = np.random.default_rng(3)
+            g = empty_grid(20)
+            for _ in range(60):
+                g.occupied[tuple(rng.integers(0, 20, 3))] = True
+            for _ in range(50):
+                seed = rng.uniform(0.1, 1.9, 3)
+                if g.is_occupied(seed):
+                    continue
+                if n_points == 2:  # and a second point up to a voxel away
+                    seed = np.stack([seed, seed + rng.uniform(-0.1, 0.1, 3)])
+                    lo, hi = g.world_to_voxel(seed.min(axis=0)), g.world_to_voxel(seed.max(axis=0))
+                    if g.occupied[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1].any():
+                        with pytest.raises(SeedOccupied):
+                            g.inflate_box(seed, max_extent=0.6)
+                        continue
+                cube = g.inflate_box(seed, max_extent=0.6)
+                assert cube_is_free(g, cube)
+                assert contains_all(cube[None], np.reshape(seed, (-1, 3)))
 
 
 BASE_MAP = {"origin": [0, 0, 0], "resolution": 0.1, "dims": [20, 10, 5], "obstacles": []}

@@ -535,29 +535,27 @@ class TestRegressionSetup:
             TrackerWorld(scenario).rng.spawn(1)
 
 
-# sha256 of the 65-cycle trace CSV at the builtin seed, recorded when the
-# optimizer's one penalty came to sample every piece and a path that used up
-# the search's node budget came to be kept while its goal holds; the jerk forms
-# come from one scaled unit form, the inner solve from one partitioned matrix,
-# the regression cost from an einsum and the prediction from a power-basis
-# PiecewisePoly, and perf changes must keep these byte-identical
+# sha256 of the 65-cycle trace CSV at the builtin seed, recorded when each
+# corridor cube came to grow from the path segment it must hold; the optimizer's
+# one penalty samples every piece, a path that used up the search's node budget
+# is kept while its goal holds, the jerk forms come from one scaled unit form,
+# the inner solve from one partitioned matrix, the regression cost from an
+# einsum and the prediction from a power-basis PiecewisePoly, and perf changes
+# must keep these byte-identical
 GOLDEN_TRACE_SHA256 = {
     "sharp_turn_low": "3f47c0dd25189e067344640bd5c2c660ef7099b08bf348ab469bb3cfce81d3f1",
-    "sharp_turn_high": "8a70c5369fc8916107699142f530580f9ac52f1285a05c7e130b692811c45c7c",
-    "occlusion_turn": "6e230eee18a306f02b6b9d479513a7d4cedee7c17e051d3bd69873712f13e341",
+    "sharp_turn_high": "1a8f477c41b0181473c322d2ce835ea04fdf9b64335d9680de2bc4557819af8f",
+    "occlusion_turn": "78f4dada15ac8936f61a53f79f56044ebccf9fa6d312f150023b2daa5b4a9d5f",
 }
 # sha256 of the 140-cycle occlusion_turn trace at the builtin seed: it enters
 # relocation at cycle 66, searches to the node budget without reaching the
 # goal, keeps that path while its goal holds until less than MIN_REMAINING_S of
 # it is left, reaches the goal at cycle 79, keeps that plan through cycle 127
 # and reacquires the target at cycle 128
-RELOCATION_TRACE_SHA256 = "c7baec8a0fcbb72260ff3df6af06d2063c23a7befa775e6b421736bf4b1877e8"
+RELOCATION_TRACE_SHA256 = "484bee015e307d7e65be6144a1df7bd97ea53c0799e63d6323dd22c637d5f0f4"
 # sha256 of the 222-cycle sharp_turn_low trace at the builtin seed: it takes
-# block A's corners, replanning on 13 of the 20 cycles from 136 to 155; the
-# corridor's bisection between cubes and its stall are pinned by
-# test_corridor.py's TestBridgeLoop, since no builtin scenario now stalls at its
-# builtin seed
-BRIDGE_TRACE_SHA256 = "1fa79f39edb0918bd2cbeb17d2d83a6cf78d0904c45c3c3447aeb470f853083e"
+# block A's corners, replanning on 13 of the 20 cycles from 136 to 155
+CORNER_TRACE_SHA256 = "c6a4d063d82dc25ad68469919c73687fdf0c6145b1ddd2c53c16845d0f8955af"
 
 
 def trace_digest(world, cycles):
@@ -585,7 +583,7 @@ class TestGoldenTrace:
         world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["occlusion_turn"]()))
         assert trace_digest(world, 140) == RELOCATION_TRACE_SHA256
 
-    def test_bridge_trace_digest(self):
+    def test_corner_trace_digest(self):
         clear_calibration_caches()
         world = TrackerWorld(Scenario.from_dict(benchmarks.ALL["sharp_turn_low"]()))
-        assert trace_digest(world, 222) == BRIDGE_TRACE_SHA256
+        assert trace_digest(world, 222) == CORNER_TRACE_SHA256
