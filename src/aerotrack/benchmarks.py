@@ -142,6 +142,7 @@ def _bench_one(args):
         "max_dist": round(metrics.max_target_distance, 4),
         "los_fraction": round(metrics.los_fraction, 4),
         "loss_episodes": metrics.loss_episodes,
+        "plan_failures": metrics.plan_failures,
         "plan_ms": round(metrics.stage_ms.get("planning", 0.0), 3),
     }
 
@@ -165,20 +166,22 @@ def benchmark(scenario_dicts: list, variants: list, n_runs: int,
 
 
 def benchmark_table(rows: list) -> str:
-    """Aligned text table of success counts and aggregate metrics."""
+    """Aligned text table per (scenario, variant): successful runs of all runs,
+    mean distance, LOS fraction and planning ms, and plan failures summed."""
     groups: dict[tuple, list] = {}
     for r in rows:
         groups.setdefault((r["scenario"], r["variant"]), []).append(r)
     header = f"{'scenario':<28} {'variant':<24} {'success':>8} {'mean_dist':>10} " \
-             f"{'los_frac':>9} {'plan_ms':>8}"
+             f"{'los_frac':>9} {'plan_ms':>8} {'plan_failures':>13}"
     lines = [header, "-" * len(header)]
     for (scenario, variant), rs in sorted(groups.items()):
-        n_ok = sum(r["success"] for r in rs)
+        success = f"{sum(r['success'] for r in rs)}/{len(rs)}"
         lines.append(
-            f"{scenario:<28} {variant:<24} {n_ok}/{len(rs):<6} "
+            f"{scenario:<28} {variant:<24} {success:>8} "
             f"{np.mean([r['mean_dist'] for r in rs]):>10.3f} "
             f"{np.mean([r['los_fraction'] for r in rs]):>9.3f} "
-            f"{np.mean([r['plan_ms'] for r in rs]):>8.1f}")
+            f"{np.mean([r['plan_ms'] for r in rs]):>8.1f} "
+            f"{sum(r['plan_failures'] for r in rs):>13}")
     return "\n".join(lines) + "\n"
 
 

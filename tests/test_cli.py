@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -92,13 +93,30 @@ class TestBenchmark:
         assert main(["benchmark", str(tmp_path), "--runs", "1", "--out", str(out)]) == 0
         table = capsys.readouterr().out.splitlines()
         assert table[0].split() == [
-            "scenario", "variant", "success", "mean_dist", "los_frac", "plan_ms"]
+            "scenario", "variant", "success", "mean_dist", "los_frac", "plan_ms", "plan_failures"]
         assert [line.split()[:2] for line in table[2:]] == [
             ["sharp_turn_low", "full"], ["sharp_turn_low", "no_occlusion_penalty"]]
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["scenario"], r["variant"], r["run"]) for r in rows] == [
             ("sharp_turn_low", "full", "0"), ("sharp_turn_low", "no_occlusion_penalty", "0")]
+
+    def test_table_columns_end_under_their_headers(self):
+        def row(scenario, run, success):
+            return {"scenario": scenario, "variant": "full", "run": run, "success": success,
+                    "mean_dist": 3.0, "los_fraction": 0.9, "plan_ms": 12.0, "plan_failures": 1}
+
+        rows = ([row("a", i, 1) for i in range(10)] + [row("b", i, i % 2) for i in range(10)]
+                + [row("c", i, 1) for i in range(5)])
+        lines = benchmarks.benchmark_table(rows).splitlines()
+
+        def right_edges(line):
+            return [m.end() for m in re.finditer(r"\S+", line)][2:]
+
+        assert [line.split()[2:] for line in lines[2:]] == [
+            ["10/10", "3.000", "0.900", "12.0", "10"], ["5/10", "3.000", "0.900", "12.0", "10"],
+            ["5/5", "3.000", "0.900", "12.0", "5"]]
+        assert all(right_edges(line) == right_edges(lines[0]) for line in lines[2:])
 
     def test_empty_directory_exits_1(self, tmp_path, capsys):
         assert main(["benchmark", str(tmp_path)]) == 1
