@@ -53,7 +53,7 @@ def build_corridor(path: KinoPath, grid: OccupancyGrid, max_extent: float = 2.0)
     """Cover the path with a chain of overlapping free cubes: an (M, 2, 3) stack."""
     samples = path.sample_positions(grid.resolution / 4.0)
     cubes = [grid.inflate_box(samples[0], max_extent)]
-    for inside, s in zip(samples[:-1], samples[1:]):
+    for inside, s in zip(samples[:-1], samples[1:]):  # the previous sample lies in cubes[-1]
         if np.all(cubes[-1][0] <= s) and np.all(s <= cubes[-1][1]):
             continue
         try:
