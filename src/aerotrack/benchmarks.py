@@ -47,7 +47,6 @@ def sharp_turn_scenario(speed: float, seed: int = 100) -> dict:
             "origin": [0, 0, 0],
             "resolution": 0.1,
             "dims": [260, 180, 25],
-            "seed": 5,
             "obstacles": [
                 # slalom blocks whose corners the route wraps
                 {"type": "box", "min": [7.0, 8.0, 0.0], "max": [10.0, 11.0, 2.5]},

@@ -10,11 +10,16 @@ both sides so rays cannot leak diagonally between occupied cells.
 
 A box is a (2, 3) float array ``[min corner, max corner]`` in metres; a
 stack of M boxes, such as a corridor, is one (M, 2, 3) array.
+
+A map is the shapes its spec lists: :class:`MapSpec` parses the boxes and
+vertical cylinders of a JSON map once into read-only arrays, and
+:func:`build_map` rasterizes them conservatively: a voxel is occupied when
+it overlaps a box with positive volume, or when its footprint square meets a
+cylinder's disc within the cylinder's height.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 from itertools import product
@@ -191,7 +196,6 @@ _SPEC_KEYS = {
     "resolution": _POSITIVE,
     "dims": (True, lambda x: _vec3(x) and all(is_count(d) and d > 0 for d in x),
              "3 positive integers"),
-    "seed": (False, is_count, "a non-negative integer"),
     "obstacles": (False, lambda x: isinstance(x, list), "a list"),
 }
 _OBSTACLE_KEYS = {
@@ -199,68 +203,42 @@ _OBSTACLE_KEYS = {
     "cylinder": {"center": (True, lambda x: is_numbers(x) and len(x) >= 2,
                             "at least [x, y], finite"),
                  "radius": _POSITIVE, "zmin": _Z, "zmax": _Z},
-    "forest": {"density": (True, is_positive, "a finite number > 0 (trees per m^2)"),
-               "radius": _POSITIVE,
-               "keep_clear": (False, lambda x: isinstance(x, list) and all(map(_vec3, x)),
-                              "a list of [x, y, r]")},
 }
 
 
 @dataclass(frozen=True, eq=False)
 class MapSpec:
-    """Declarative map description, parsed from a JSON object by :meth:`from_dict`.
+    """A voxel lattice and the obstacle shapes it holds, parsed by :meth:`from_dict`.
 
     Required keys: ``origin`` (3-vector, m), ``resolution`` (m per voxel) and
-    ``dims`` (3 positive voxel counts). Optional: ``seed`` (int, for forests)
-    and ``obstacles``, a list of objects whose ``type`` is
-    ``box`` (``min``, ``max``), ``cylinder`` (``center`` [x, y], ``radius``,
-    optional ``zmin``/``zmax``) or ``forest`` (``density`` in trees per m^2,
-    ``radius``, optional ``keep_clear`` list of [x, y, r] discs).
+    ``dims`` (3 positive voxel counts). Optional: ``obstacles``, a list of
+    objects whose ``type`` is ``box`` (``min``, ``max``) or ``cylinder``
+    (``center`` [x, y], ``radius``, optional ``zmin``/``zmax``, which default
+    to the map's bottom and top).
 
     ``from_dict`` checks each key against its row of ``_SPEC_KEYS`` or of its
     obstacle type's ``_OBSTACLE_KEYS`` table, with the shared predicates of
-    :mod:`aerotrack.errors`, and lists every broken key by its field path in
-    one ``InvalidSpec``. It copies the obstacle list, and its content must not
-    be edited afterwards: :func:`build_map` rasterizes a spec once and keeps
-    the grid on it.
+    :mod:`aerotrack.errors`, then each shape for a positive volume, and lists
+    every broken key or shape by its field path in one ``InvalidSpec``. It
+    parses the shapes once into two read-only arrays: ``boxes``, a (B, 2, 3)
+    stack of ``[min corner, max corner]``, and ``cylinders``, a (C, 5) array
+    of ``[cx, cy, radius, zmin, zmax]`` rows.
     """
 
     origin: np.ndarray
     resolution: float
     dims: np.ndarray
-    obstacles: list
-    seed: int = 0
+    boxes: np.ndarray
+    cylinders: np.ndarray
 
     @functools.cached_property
     def _grid(self) -> OccupancyGrid:
         """The read-only grid of :func:`build_map`, rasterized once per spec."""
         grid = OccupancyGrid(self.origin, self.resolution, self.dims)
-        zmin_map = float(self.origin[2])
-        zmax_map = float(self.origin[2] + self.dims[2] * self.resolution)
-        rng = np.random.default_rng(self.seed)
-        for obs in self.obstacles:
-            kind = obs["type"]
-            if kind == "box":
-                grid.set_occupied_box(np.asarray(obs["min"], float), np.asarray(obs["max"], float))
-            elif kind == "cylinder":
-                _rasterize_cylinder(
-                    grid,
-                    obs["center"],
-                    float(obs["radius"]),
-                    float(obs.get("zmin", zmin_map)),
-                    float(obs.get("zmax", zmax_map)),
-                )
-            elif kind == "forest":
-                extent = self.dims[:2] * self.resolution
-                area = float(extent[0] * extent[1])
-                count = int(round(float(obs["density"]) * area))
-                radius = float(obs["radius"])
-                keep_clear = [np.asarray(c, dtype=float) for c in obs.get("keep_clear", [])]
-                xy = self.origin[:2] + rng.uniform(0.0, 1.0, size=(count, 2)) * extent
-                for tx, ty in xy:
-                    if any(np.hypot(tx - c[0], ty - c[1]) < c[2] + radius for c in keep_clear):
-                        continue
-                    _rasterize_cylinder(grid, (tx, ty), radius, zmin_map, zmax_map)
+        for min_corner, max_corner in self.boxes:
+            grid.set_occupied_box(min_corner, max_corner)
+        for cx, cy, radius, zmin, zmax in self.cylinders:
+            _rasterize_cylinder(grid, (cx, cy), radius, zmin, zmax)
         for shared in (grid.occupied, grid.origin, grid.dims):
             shared.flags.writeable = False
         return grid
@@ -282,13 +260,29 @@ class MapSpec:
                 problems += key_problems(obs, _OBSTACLE_KEYS[obs["type"]], f"{where}.")
         if problems:
             raise InvalidSpec("invalid map spec: " + "; ".join(problems))
-        return MapSpec(
-            origin=np.asarray(raw["origin"], dtype=float),
-            resolution=float(raw["resolution"]),
-            dims=np.asarray([int(d) for d in raw["dims"]]),
-            obstacles=copy.deepcopy(obstacles),
-            seed=int(raw.get("seed", 0)),
-        )
+        origin = np.asarray(raw["origin"], dtype=float)
+        resolution = float(raw["resolution"])
+        dims = np.asarray([int(d) for d in raw["dims"]])
+        bottom, top = float(origin[2]), float(origin[2] + dims[2] * resolution)
+        boxes, cylinders = [], []
+        for i, obs in enumerate(obstacles):
+            # a box lists both corners; a cylinder's z bounds default to the map's
+            lo_key, hi_key = ("min", "max") if obs["type"] == "box" else ("zmin", "zmax")
+            low, high = obs.get(lo_key, bottom), obs.get(hi_key, top)
+            if not np.less(low, high).all():
+                problems.append(f"obstacles[{i}]: holds no volume, "
+                                f"{lo_key} {low} is not below {hi_key} {high}")
+            if obs["type"] == "box":
+                boxes.append([low, high])
+            else:
+                cylinders.append([*obs["center"][:2], obs["radius"], low, high])
+        if problems:
+            raise InvalidSpec("invalid map spec: " + "; ".join(problems))
+        boxes = np.asarray(boxes, dtype=float).reshape(-1, 2, 3)
+        cylinders = np.asarray(cylinders, dtype=float).reshape(-1, 5)
+        for shapes in (boxes, cylinders):
+            shapes.flags.writeable = False
+        return MapSpec(origin, resolution, dims, boxes, cylinders)
 
 
 def _rasterize_cylinder(grid: OccupancyGrid, center, radius: float, zmin: float, zmax: float):
@@ -317,12 +311,13 @@ def _rasterize_cylinder(grid: OccupancyGrid, center, radius: float, zmin: float,
 
 
 def build_map(spec: MapSpec) -> OccupancyGrid:
-    """Rasterize a map spec into a grid. Pure function of (spec, seed).
+    """Rasterize a map spec's boxes and cylinders into a grid.
 
-    The grid is built on the first call for a spec and kept on that spec, so
-    every caller of one spec gets the same grid. Its ``occupied``, ``origin``
-    and ``dims`` arrays are therefore read-only: writing to them raises
-    ``ValueError``. Copy the occupancy into a new ``OccupancyGrid`` to edit
-    a map.
+    The grid is a pure function of the spec's lattice and listed shapes; no
+    random numbers are drawn. It is built on the first call for a spec and
+    kept on that spec, so every caller of one spec gets the same grid. Its
+    ``occupied``, ``origin`` and ``dims`` arrays are therefore read-only:
+    writing to them raises ``ValueError``. Copy the occupancy into a new
+    ``OccupancyGrid`` to edit a map.
     """
     return spec._grid

@@ -280,3 +280,21 @@ def inflate_box(grid, seed, max_extent: float) -> np.ndarray:
                     growing[side] = False
     return np.array([grid.origin + lo * grid.resolution,
                      grid.origin + (hi + 1) * grid.resolution])
+
+
+def forest(raw_map: dict, seed: int, density: float, radius: float, keep_clear=()) -> list:
+    """Cylinder obstacles of a random forest over the x-y extent of ``raw_map``.
+
+    ``round(density * area)`` trees of ``radius`` are drawn uniformly from
+    ``np.random.default_rng(seed)``, and a tree closer than ``r + radius`` to
+    the centre of a keep-clear disc ``[x, y, r]`` is dropped. Each tree spans
+    the map's height. A frozen copy of the map spec's former ``forest``
+    obstacle type, so the same arguments list the same trees.
+    """
+    extent = np.asarray(raw_map["dims"][:2]) * raw_map["resolution"]
+    count = int(round(density * float(extent[0] * extent[1])))
+    uniform = np.random.default_rng(seed).uniform(0.0, 1.0, size=(count, 2))
+    xy = np.asarray(raw_map["origin"], dtype=float)[:2] + uniform * extent
+    return [{"type": "cylinder", "center": [float(x), float(y)], "radius": radius}
+            for x, y in xy
+            if all(np.hypot(x - cx, y - cy) >= r + radius for cx, cy, r in keep_clear)]

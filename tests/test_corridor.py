@@ -26,16 +26,10 @@ def search_toward(start, traj, grid, w):
 
 def forest_grid(seed):
     """A 16 m x 16 m random forest whose trees keep clear of (2, 2) and (13, 13)."""
-    return build_map(MapSpec.from_dict({
-        "origin": [0, 0, 0],
-        "resolution": 0.1,
-        "dims": [160, 160, 25],
-        "seed": int(seed),
-        "obstacles": [{
-            "type": "forest", "density": 0.05, "radius": 0.35,
-            "keep_clear": [[2.0, 2.0, 0.8], [13.0, 13.0, 0.8]],
-        }],
-    }))
+    raw = {"origin": [0, 0, 0], "resolution": 0.1, "dims": [160, 160, 25]}
+    raw["obstacles"] = oracles.forest(raw, seed, density=0.05, radius=0.35,
+                                      keep_clear=[[2.0, 2.0, 0.8], [13.0, 13.0, 0.8]])
+    return build_map(MapSpec.from_dict(raw))
 
 
 def box(min_corner, max_corner):

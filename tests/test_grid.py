@@ -10,6 +10,7 @@ from aerotrack.corridor import contains_all
 from aerotrack.errors import InvalidSpec, SeedOccupied
 from aerotrack.grid import MapSpec, OccupancyGrid, build_map
 from aerotrack.scenario import Scenario
+import oracles
 from oracles import cube_is_free
 
 
@@ -231,8 +232,6 @@ MALFORMED_MAPS = {
     "resolution-nan": ({"resolution": float("nan")}, "resolution"),
     "resolution-inf": ({"resolution": float("inf")}, "resolution"),
     "resolution-bool": ({"resolution": True}, "resolution"),
-    "seed-bool": ({"seed": True}, "seed"),
-    "seed-negative": ({"seed": -1}, "seed"),
     "box-min-text": (
         {"obstacles": [{"type": "box", "min": ["a", 0, 0], "max": [1, 1, 1]}]},
         "obstacles[0].min"),
@@ -245,13 +244,16 @@ MALFORMED_MAPS = {
     "cylinder-zmax-text": (
         {"obstacles": [{"type": "cylinder", "center": [1, 1], "radius": 0.3, "zmax": "top"}]},
         "obstacles[0].zmax"),
-    "forest-density-text": (
-        {"obstacles": [{"type": "forest", "density": "d", "radius": 0.3}]},
-        "obstacles[0].density"),
-    "forest-keep-clear-short": (
-        {"obstacles": [{"type": "forest", "density": 0.05, "radius": 0.3,
-                        "keep_clear": [[1, 1]]}]},
-        "obstacles[0].keep_clear"),
+    "box-empty": (
+        {"obstacles": [{"type": "box", "min": [1, 1, 1], "max": [0.5, 0.5, 0.5]}]},
+        "obstacles[0]: holds no volume"),
+    "cylinder-empty": (
+        {"obstacles": [{"type": "cylinder", "center": [1, 1], "radius": 0.3,
+                        "zmin": 0.8, "zmax": 0.2}]},
+        "obstacles[0]: holds no volume"),
+    "forest-type": (
+        {"obstacles": [{"type": "forest", "density": 0.05, "radius": 0.3}]},
+        "obstacles[0].type"),
 }
 
 
@@ -273,30 +275,11 @@ class TestBuildMap:
         assert g.occupied.mean() == 0.0
 
     def test_determinism(self):
-        raw = {
-            "origin": [0, 0, 0],
-            "resolution": 0.1,
-            "dims": [100, 100, 20],
-            "obstacles": [{"type": "forest", "density": 0.05, "radius": 0.3}],
-            "seed": 42,
-        }
+        raw = {"origin": [0, 0, 0], "resolution": 0.1, "dims": [100, 100, 20]}
+        raw["obstacles"] = oracles.forest(raw, 42, density=0.05, radius=0.3)
         g1 = build_map(MapSpec.from_dict(raw))
         g2 = build_map(MapSpec.from_dict(raw))
         assert np.array_equal(g1.occupied, g2.occupied)
-
-    def test_forest_fraction_near_expectation(self):
-        density, radius = 0.02, 1.0
-        raw = {
-            "origin": [0, 0, 0],
-            "resolution": 0.1,
-            "dims": [400, 400, 10],
-            "obstacles": [{"type": "forest", "density": density, "radius": radius}],
-            "seed": 7,
-        }
-        g = build_map(MapSpec.from_dict(raw))
-        expected = density * np.pi * radius**2
-        frac = g.occupied.mean()
-        assert expected * 0.8 <= frac <= expected * 1.2
 
     def test_box_rasterized_conservatively(self):
         raw = {
@@ -334,13 +317,13 @@ class TestBuildMap:
         assert "origin" in msg and "resolution" in msg and "obstacles[0]" in msg
 
 
-FOREST_MAP = {
+MEMO_MAP = {
     "origin": [0, 0, 0],
     "resolution": 0.1,
     "dims": [60, 60, 10],
     "obstacles": [{"type": "box", "min": [0.5, 0.5, 0.0], "max": [1.0, 1.0, 1.0]},
-                  {"type": "forest", "density": 0.2, "radius": 0.2}],
-    "seed": 3,
+                  {"type": "cylinder", "center": [3.0, 4.0], "radius": 0.4},
+                  {"type": "cylinder", "center": [4.5, 1.5], "radius": 0.2, "zmax": 0.6}],
 }
 
 
@@ -356,32 +339,35 @@ class TestMapMemo:
                 shared[0] = 0
 
     def test_hit_equals_cold_rasterization(self):
-        spec = MapSpec.from_dict(FOREST_MAP)
+        spec = MapSpec.from_dict(MEMO_MAP)
         shared = build_map(spec)
         assert build_map(spec) is shared
-        fresh = build_map(MapSpec.from_dict(FOREST_MAP))
+        fresh = build_map(MapSpec.from_dict(MEMO_MAP))
         assert fresh is not shared
         assert np.array_equal(fresh.occupied, shared.occupied)
         assert fresh.occupied.any()
 
     @pytest.mark.parametrize("change", [
-        {"obstacles": [dict(FOREST_MAP["obstacles"][0], max=[1.0, 1.1, 1.0]),
-                       FOREST_MAP["obstacles"][1]]},
-        {"seed": 4},
+        {"obstacles": [dict(MEMO_MAP["obstacles"][0], max=[1.0, 1.1, 1.0]),
+                       *MEMO_MAP["obstacles"][1:]]},
+        {"obstacles": [*MEMO_MAP["obstacles"][:2],
+                       dict(MEMO_MAP["obstacles"][2], center=[4.5, 2.5])]},
         {"resolution": 0.12},
         {"dims": [60, 60, 11]},
         {"origin": [0, 0, 0.1]},
     ])
     def test_changed_content_gets_its_own_grid(self, change):
-        shared = build_map(MapSpec.from_dict(FOREST_MAP))
-        other = build_map(MapSpec.from_dict(dict(FOREST_MAP, **change)))
+        shared = build_map(MapSpec.from_dict(MEMO_MAP))
+        other = build_map(MapSpec.from_dict(dict(MEMO_MAP, **change)))
         assert other is not shared
         assert not np.array_equal(other.occupied, shared.occupied)
 
     def test_spec_does_not_alias_the_callers_obstacles(self):
-        raw = json.loads(json.dumps(FOREST_MAP))
+        raw = json.loads(json.dumps(MEMO_MAP))
         spec = MapSpec.from_dict(raw)
         raw["obstacles"][0]["max"][1] = 2.0
-        assert spec.obstacles == FOREST_MAP["obstacles"]
+        assert spec.boxes[0].tolist() == [[0.5, 0.5, 0.0], [1.0, 1.0, 1.0]]
+        with pytest.raises(ValueError):
+            spec.boxes[0, 1, 1] = 2.0
         assert np.array_equal(build_map(spec).occupied,
-                              build_map(MapSpec.from_dict(FOREST_MAP)).occupied)
+                              build_map(MapSpec.from_dict(MEMO_MAP)).occupied)
