@@ -218,9 +218,9 @@ class MapSpec:
 
     ``from_dict`` checks each key against its row of ``_SPEC_KEYS`` or of its
     obstacle type's ``_OBSTACLE_KEYS`` table, with the shared predicates of
-    :mod:`aerotrack.errors`, then each shape for a positive volume, and lists
-    every broken key or shape by its field path in one ``InvalidSpec``. It
-    parses the shapes once into two read-only arrays: ``boxes``, a (B, 2, 3)
+    :mod:`aerotrack.errors`, then each shape for a positive volume; either
+    check lists every broken key or shape by its field path in one
+    ``InvalidSpec``. It parses the shapes once into two read-only arrays: ``boxes``, a (B, 2, 3)
     stack of ``[min corner, max corner]``, and ``cylinders``, a (C, 5) array
     of ``[cx, cy, radius, zmin, zmax]`` rows.
     """
