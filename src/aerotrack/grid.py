@@ -266,16 +266,14 @@ class MapSpec:
         bottom, top = float(origin[2]), float(origin[2] + dims[2] * resolution)
         boxes, cylinders = [], []
         for i, obs in enumerate(obstacles):
-            # a box lists both corners; a cylinder's z bounds default to the map's
-            lo_key, hi_key = ("min", "max") if obs["type"] == "box" else ("zmin", "zmax")
-            low, high = obs.get(lo_key, bottom), obs.get(hi_key, top)
-            if not np.less(low, high).all():
-                problems.append(f"obstacles[{i}]: holds no volume, "
-                                f"{lo_key} {low} is not below {hi_key} {high}")
             if obs["type"] == "box":
+                low, high = obs["min"], obs["max"]
                 boxes.append([low, high])
             else:
+                low, high = obs.get("zmin", bottom), obs.get("zmax", top)
                 cylinders.append([*obs["center"][:2], obs["radius"], low, high])
+            if not np.less(low, high).all():
+                problems.append(f"obstacles[{i}]: holds no volume, {low} is not below {high}")
         if problems:
             raise InvalidSpec("invalid map spec: " + "; ".join(problems))
         boxes = np.asarray(boxes, dtype=float).reshape(-1, 2, 3)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (
     Config, InvalidScenario, Positive, is_count, is_number, is_numbers, is_positive, read_json)
-from .grid import MapSpec, build_map
+from .grid import MapSpec
 from .kino_search import SearchWeights
 from .perception import DEFAULT_CAMERA, CameraModel, PerceptionConfig
 from .prediction import PredictionWeights
@@ -112,9 +112,6 @@ class Scenario:
         for name, p in points:
             if np.any(p < lo) or np.any(p > hi):
                 raise InvalidScenario(f"{name} {p.tolist()} outside map bounds")
-        if build_map(self.map_spec).is_occupied(self.quad_start):
-            raise InvalidScenario(
-                f"quad_start {self.quad_start.tolist()} lies in an occupied voxel of the map")
         if self.target.speed > self.prediction.v_max:
             raise InvalidScenario(
                 f"target speed {self.target.speed} exceeds prediction bound "

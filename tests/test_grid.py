@@ -247,6 +247,9 @@ MALFORMED_MAPS = {
     "box-empty": (
         {"obstacles": [{"type": "box", "min": [1, 1, 1], "max": [0.5, 0.5, 0.5]}]},
         "obstacles[0]: holds no volume"),
+    "box-flat": (
+        {"obstacles": [{"type": "box", "min": [1, 1, 1.05], "max": [2, 2, 1.05]}]},
+        "obstacles[0]: holds no volume"),
     "cylinder-empty": (
         {"obstacles": [{"type": "cylinder", "center": [1, 1], "radius": 0.3,
                         "zmin": 0.8, "zmax": 0.2}]},

@@ -102,8 +102,6 @@ class TestFromDict:
         (with_search(vel_bin=0), "search: vel_bin must be a finite number > 0"),
         (dict(valid(), quad_start=[-5, 7, 1.3]),
          r"quad_start \[-5.0, 7.0, 1.3\] outside map bounds"),
-        (dict(valid(), quad_start=[8.5, 9.5, 1.3]),
-         r"quad_start \[8.5, 9.5, 1.3\] lies in an occupied voxel"),
         (with_search(v_max=0), "search: v_max must be a finite number > 0"),
         (with_search(u_grid=[]),
          "search: u_grid must be a list of finite numbers with a non-zero value"),
@@ -125,8 +123,8 @@ class TestFromDict:
             "target-smoothing-negative", "target-one-waypoint", "fov-bool", "duration-text-number",
             "quad-start-text-numbers", "node-budget-fraction", "freeze-z-int", "tau-w-0",
             "prediction-a-max-negative", "horizon-negative", "tau-0", "vel-bin-0",
-            "quad-start-outside-map", "quad-start-in-obstacle", "search-v-max-0", "u-grid-empty",
-            "u-grid-zero", "node-budget-0", "opt-v-max-0", "opt-a-max-0", "loss-timeout-0"])
+            "quad-start-outside-map", "search-v-max-0", "u-grid-empty", "u-grid-zero",
+            "node-budget-0", "opt-v-max-0", "opt-a-max-0", "loss-timeout-0"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)
