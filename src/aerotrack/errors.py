@@ -1,15 +1,18 @@
-"""Exception types shared across the library, and the checks on outside input.
+"""Exception types shared across the library, and the one checker of outside input.
 
-Scenario files, map spec included, are read by :func:`read_json` and checked
-by the predicates here, which every reader shares. A config section derives
-from :class:`Config`: each field declares its rule by its annotation (a
-``float``, ``Positive``, ``NonNegative``, ``int``, ``PositiveCount``, ``bool``
-or ``tuple`` kind), and :func:`check_fields` checks every field on every
-construction, whether by a file, a direct call or ``dataclasses.replace``.
+A scenario file is read by :func:`read_json` and checked, map and shapes
+included, by :meth:`Config.problems`. A :class:`Config` dataclass is a schema:
+its field names are the keys of the JSON object it reads, a field without a
+default is required, and each field's annotation names its kind (a key of
+``_KINDS``) or a class with its own ``problems`` and ``from_dict`` that reads
+that key's object. Every construction of a config, whether by a file, a direct
+call or ``dataclasses.replace``, raises all of its problems on one line.
 """
 
+import functools
 import json
-from dataclasses import fields
+import sys
+from dataclasses import MISSING, fields
 from numbers import Integral, Real
 from pathlib import Path
 from sys import float_info
@@ -17,88 +20,58 @@ from sys import float_info
 import numpy as np
 
 
-def is_number(x) -> bool:
+def _number(x) -> bool:
     """A finite real number; a bool is not a number here."""
     return isinstance(x, Real) and not isinstance(x, bool) and abs(x) <= float_info.max
 
 
-def is_positive(x) -> bool:
-    return is_number(x) and x > 0
-
-
-def is_count(x) -> bool:
+def _count(x) -> bool:
     """A non-negative integer that is not a bool."""
     return isinstance(x, Integral) and not isinstance(x, bool) and x >= 0
 
 
-def is_numbers(x, n=None) -> bool:
+def _numbers(x, n=None) -> bool:
     """A list, tuple or 1-d array of finite numbers, of length ``n`` when given."""
     return ((isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim == 1)
-            and all(is_number(c) for c in x) and (n is None or len(x) == n))
-
-
-def key_problems(raw: dict, table: dict, where: str = "") -> list:
-    """A message naming ``where`` and the key for each key of ``raw`` that breaks
-    its ``(required, predicate, what it expects)`` row of ``table``."""
-    problems = []
-    for key, (required, ok, expects) in table.items():
-        if key not in raw:
-            if required:
-                problems.append(f"{where}{key}: missing required field")
-        elif not ok(raw[key]):
-            problems.append(f"{where}{key}: expected {expects}, got {raw[key]!r}")
-    return problems
+            and all(_number(c) for c in x) and (n is None or len(x) == n))
 
 
 # kinds beyond the builtin types: a field's kind is its annotation's text, so
 # these aliases only keep that text a valid type
-Positive = NonNegative = float
+Positive = NonNegative = FieldOfView = float
 PositiveCount = int
+Point = Planar = Dims = Route = np.ndarray
 
-# what a config field takes, by its annotation's text
-_FIELD_KINDS = {
-    "float": (is_number, "a finite number"),
-    "Positive": (is_positive, "a finite number > 0"),
-    "NonNegative": (lambda x: is_number(x) and x >= 0, "a finite number >= 0"),
-    "int": (is_count, "a non-negative integer"),
-    "PositiveCount": (lambda x: is_count(x) and x >= 1, "an integer >= 1"),
+# what a field of each kind takes, by its annotation's text
+_KINDS = {
+    "str": (lambda x: isinstance(x, str), "a string"),
+    "float": (_number, "a finite number"),
+    "Positive": (lambda x: _number(x) and x > 0, "a finite number > 0"),
+    "NonNegative": (lambda x: _number(x) and x >= 0, "a finite number >= 0"),
+    "FieldOfView": (lambda x: _number(x) and 0 < x < 180, "a number of degrees in (0, 180)"),
+    "int": (_count, "a non-negative integer"),
+    "PositiveCount": (lambda x: _count(x) and x >= 1, "an integer >= 1"),
     "bool": (lambda x: isinstance(x, bool), "true or false"),
-    "tuple": (lambda x: is_numbers(x) and any(c != 0 for c in x),
+    "tuple": (lambda x: _numbers(x) and any(c != 0 for c in x),
               "a list of finite numbers with a non-zero value"),
+    "list": (lambda x: isinstance(x, list), "a list"),
+    "Point": (lambda x: _numbers(x, 3), "3 finite numbers"),
+    "Planar": (lambda x: _numbers(x) and len(x) >= 2, "at least [x, y], finite"),
+    "Dims": (lambda x: _numbers(x, 3) and all(_count(d) and d > 0 for d in x),
+             "3 positive integers"),
+    "Route": (lambda x: isinstance(x, (list, tuple, np.ndarray)) and len(x) >= 2
+              and all(_numbers(p, 3) for p in x), "at least 2 rows of 3 finite numbers"),
 }
 
 
-def check_fields(config) -> None:
-    """Raise ``ValueError`` at the first field of a config dataclass that breaks
-    the rule of its annotation's kind: ``float``, ``Positive``, ``NonNegative``,
-    ``int``, ``PositiveCount``, ``bool`` or a ``tuple`` with a non-zero value;
-    fields of other types, such as a camera, are skipped. :class:`Config` runs
-    it on every construction."""
-    for f in fields(config):
-        ok, expects = _FIELD_KINDS.get(f.type, (None, None))
-        value = getattr(config, f.name)
-        if ok is not None and not ok(value):
-            raise ValueError(f"{f.name} must be {expects}, got {value!r}")
-
-
-class Config:
-    """Base of a config section dataclass: each construction checks its fields.
-
-    A subclass's module postpones annotations (``from __future__ import
-    annotations``), so each field's kind is its annotation's text."""
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-def read_json(path, error: type):
-    """The value of the JSON file at ``path``; bytes that are not UTF-8 JSON
-    raise ``error`` naming the file, and an ``OSError`` passes through."""
-    data = Path(path).read_bytes()
-    try:
-        return json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-        raise error(f"{path}: not valid JSON ({exc})") from None
+@functools.cache
+def _rules(schema: type) -> dict:
+    """Each field of a schema: whether its key is required, and its kind's
+    ``(predicate, what it expects)`` or the class that reads its object."""
+    names = vars(sys.modules[schema.__module__])
+    return {f.name: (f.default is MISSING and f.default_factory is MISSING,
+                     _KINDS[f.type] if f.type in _KINDS else names[f.type])
+            for f in fields(schema)}
 
 
 class InvalidInput(ValueError):
@@ -111,6 +84,63 @@ class InvalidSpec(InvalidInput):
 
 class InvalidScenario(InvalidInput):
     """A scenario file or dict failed validation."""
+
+
+def refuse(problems: list, error: type = InvalidScenario) -> None:
+    """Raise ``error`` with every message of ``problems`` on one line, if there is any."""
+    if problems:
+        raise error("; ".join(problems))
+
+
+class Config:
+    """Base of a schema dataclass: each construction checks every field.
+
+    A subclass's module postpones annotations (``from __future__ import
+    annotations``), so each field's kind is its annotation's text.
+    """
+
+    def __post_init__(self):
+        refuse(self.problems(vars(self)))
+
+    @classmethod
+    def problems(cls, raw: dict, where: str = "") -> list:
+        """A message, prefixed by ``where``, for each unknown key of the object
+        ``raw``, each required key it lacks and each value that breaks its rule."""
+        rules = _rules(cls)
+        problems = [f"{where}{key}: unknown key" for key in raw if key not in rules]
+        for name, (required, rule) in rules.items():
+            if name not in raw:
+                if required:
+                    problems.append(f"{where}{name}: missing required field")
+            elif not isinstance(rule, type):
+                ok, expects = rule
+                if not ok(raw[name]):
+                    problems.append(f"{where}{name} must be {expects}, got {raw[name]!r}")
+            elif isinstance(raw[name], dict):
+                problems += rule.problems(raw[name], f"{where}{name}: ")
+            elif not isinstance(raw[name], rule):
+                problems.append(f"{where}{name}: expected an object")
+        return problems
+
+    @classmethod
+    def from_dict(cls, raw: dict):
+        """Build from a JSON object, nested objects included, or raise one
+        ``InvalidScenario`` naming every broken key."""
+        refuse(cls.problems(raw) if isinstance(raw, dict) else ["expected a JSON object"])
+        rules = _rules(cls)
+        return cls(**{key: rules[key][1].from_dict(value)
+                      if isinstance(rules[key][1], type) and isinstance(value, dict) else value
+                      for key, value in raw.items()})
+
+
+def read_json(path, error: type):
+    """The value of the JSON file at ``path``; bytes that are not UTF-8 JSON
+    raise ``error`` naming the file, and an ``OSError`` passes through."""
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise error(f"{path}: not valid JSON ({exc})") from None
 
 
 class UnknownVariant(InvalidInput):
@@ -131,7 +161,8 @@ class InsufficientData(ValueError):
 
 
 class QPInfeasible(RuntimeError):
-    """The constrained fit QP has no feasible point (should be unreachable)."""
+    """The active-set QP started from an infeasible point or did not converge
+    within its iterations; a high-degree prediction fit can do the latter."""
 
 
 class OutOfDomain(ValueError):

@@ -21,13 +21,12 @@ cylinder's disc within the cylinder's height.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .errors import (
-    InvalidSpec, SeedOccupied, is_count, is_number, is_numbers, is_positive, key_problems)
+from .errors import Config, Dims, InvalidSpec, Planar, Point, Positive, SeedOccupied, refuse
 
 # Boundary tolerance for supercover corner handling, in voxel units.
 _CORNER_EPS = 1e-7
@@ -185,25 +184,33 @@ class OccupancyGrid:
 # Map construction
 # ----------------------------------------------------------------------
 
-_vec3 = functools.partial(is_numbers, n=3)
-_POINT = (True, _vec3, "3 finite numbers")
-_POSITIVE = (True, is_positive, "a finite number > 0")
-_Z = (False, is_number, "a finite number")
-# what each key of a map spec holds, and each key of each obstacle type:
-# key -> (required, predicate, what it expects)
-_SPEC_KEYS = {
-    "origin": _POINT,
-    "resolution": _POSITIVE,
-    "dims": (True, lambda x: _vec3(x) and all(is_count(d) and d > 0 for d in x),
-             "3 positive integers"),
-    "obstacles": (False, lambda x: isinstance(x, list), "a list"),
-}
-_OBSTACLE_KEYS = {
-    "box": {"min": _POINT, "max": _POINT},
-    "cylinder": {"center": (True, lambda x: is_numbers(x) and len(x) >= 2,
-                            "at least [x, y], finite"),
-                 "radius": _POSITIVE, "zmin": _Z, "zmax": _Z},
-}
+# The schemas of a map spec's keys and of each obstacle type's keys; they are
+# only checked against, never built.
+@dataclass
+class _Lattice(Config):
+    origin: Point
+    resolution: Positive
+    dims: Dims
+    obstacles: list = field(default_factory=list)
+
+
+@dataclass
+class _Box(Config):
+    type: str
+    min: Point
+    max: Point
+
+
+@dataclass
+class _Cylinder(Config):
+    type: str
+    center: Planar
+    radius: Positive
+    zmin: float = None  # the map's bottom when omitted
+    zmax: float = None  # the map's top when omitted
+
+
+_SHAPES = {"box": _Box, "cylinder": _Cylinder}
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,13 +223,12 @@ class MapSpec:
     (``center`` [x, y], ``radius``, optional ``zmin``/``zmax``, which default
     to the map's bottom and top).
 
-    ``from_dict`` checks each key against its row of ``_SPEC_KEYS`` or of its
-    obstacle type's ``_OBSTACLE_KEYS`` table, with the shared predicates of
-    :mod:`aerotrack.errors`, then each shape for a positive volume; either
-    check lists every broken key or shape by its field path in one
-    ``InvalidSpec``. It parses the shapes once into two read-only arrays: ``boxes``, a (B, 2, 3)
-    stack of ``[min corner, max corner]``, and ``cylinders``, a (C, 5) array
-    of ``[cx, cy, radius, zmin, zmax]`` rows.
+    ``from_dict`` checks the keys against the ``_Lattice`` schema and each
+    obstacle's against its type's schema, then each shape for a positive
+    volume; either check lists every broken key or shape in one
+    ``InvalidSpec``. It parses the shapes once into two read-only arrays:
+    ``boxes``, a (B, 2, 3) stack of ``[min corner, max corner]``, and
+    ``cylinders``, a (C, 5) array of ``[cx, cy, radius, zmin, zmax]`` rows.
     """
 
     origin: np.ndarray
@@ -244,28 +250,34 @@ class MapSpec:
         return grid
 
     @staticmethod
+    def problems(raw: dict, where: str = "") -> list:
+        """A message, prefixed by ``where``, for each key of the spec ``raw`` or
+        of one of its obstacles that breaks its schema."""
+        problems = _Lattice.problems(raw, where)
+        obstacles = raw.get("obstacles")
+        for i, obs in enumerate(obstacles if isinstance(obstacles, list) else []):
+            at = f"{where}obstacles[{i}]"
+            if not isinstance(obs, dict):
+                problems.append(f"{at}: expected an object")
+            elif obs.get("type") not in _SHAPES:
+                problems.append(f"{at}.type must be one of {tuple(_SHAPES)}, "
+                                f"got {obs.get('type')!r}")
+            else:
+                problems += _SHAPES[obs["type"]].problems(obs, f"{at}.")
+        return problems
+
+    @staticmethod
     def from_dict(raw: dict) -> "MapSpec":
         if not isinstance(raw, dict):
             raise InvalidSpec("map spec must be a JSON object")
-        problems = key_problems(raw, _SPEC_KEYS)
-        obstacles = raw.get("obstacles", [])
-        for i, obs in enumerate(obstacles if isinstance(obstacles, list) else []):
-            where = f"obstacles[{i}]"
-            if not isinstance(obs, dict):
-                problems.append(f"{where}: expected an object")
-            elif obs.get("type") not in _OBSTACLE_KEYS:
-                problems.append(f"{where}.type: expected one of {tuple(_OBSTACLE_KEYS)}, "
-                                f"got {obs.get('type')!r}")
-            else:
-                problems += key_problems(obs, _OBSTACLE_KEYS[obs["type"]], f"{where}.")
-        if problems:
-            raise InvalidSpec("invalid map spec: " + "; ".join(problems))
+        refuse(MapSpec.problems(raw), InvalidSpec)
+        problems = []
         origin = np.asarray(raw["origin"], dtype=float)
         resolution = float(raw["resolution"])
         dims = np.asarray([int(d) for d in raw["dims"]])
         bottom, top = float(origin[2]), float(origin[2] + dims[2] * resolution)
         boxes, cylinders = [], []
-        for i, obs in enumerate(obstacles):
+        for i, obs in enumerate(raw.get("obstacles", [])):
             if obs["type"] == "box":
                 low, high = obs["min"], obs["max"]
                 boxes.append([low, high])
@@ -274,8 +286,7 @@ class MapSpec:
                 cylinders.append([*obs["center"][:2], obs["radius"], low, high])
             if not np.less(low, high).all():
                 problems.append(f"obstacles[{i}]: holds no volume, {low} is not below {high}")
-        if problems:
-            raise InvalidSpec("invalid map spec: " + "; ".join(problems))
+        refuse(problems, InvalidSpec)
         boxes = np.asarray(boxes, dtype=float).reshape(-1, 2, 3)
         cylinders = np.asarray(cylinders, dtype=float).reshape(-1, 5)
         for shapes in (boxes, cylinders):

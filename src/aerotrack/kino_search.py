@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import Config, NoPath, Positive, PositiveCount, StartOccupied
+from .errors import Config, NoPath, NonNegative, Positive, PositiveCount, StartOccupied
 from .grid import OccupancyGrid
 from .poly import PiecewisePoly
 
@@ -47,7 +47,7 @@ class SearchWeights(Config):
     tau: Positive = 0.3                   # primitive duration [s]
     u_grid: tuple = (-3.0, 0.0, 3.0)      # per-axis acceleration choices [m/s^2]
     v_max: Positive = 3.0                 # per-axis speed bound [m/s]
-    t_lookahead: float = 1.0              # how far into the prediction the goal looks [s]
+    t_lookahead: NonNegative = 1.0        # how far into the prediction the goal looks [s]
     r_goal: float = 0.5                   # goal position tolerance [m]
     v_goal_tol: float = 1.5               # goal velocity tolerance [m/s]
     vel_bin: Positive = 0.5               # velocity quantization for node identity [m/s]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import Config, FitDiverged, Positive
+from .errors import Config, FieldOfView, FitDiverged, Positive
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,21 @@ DEFAULT_CAMERA = CameraModel.from_fov(np.deg2rad(87.0))
 
 @dataclass
 class PerceptionConfig(Config):
-    """Camera, target size, detection noise and the gimbal's gains and rates."""
+    """Camera field of view, target size, detection noise and the gimbal's
+    gains and rates; a yaw rate limit of 0 or less would invert its clip."""
 
-    camera: CameraModel = DEFAULT_CAMERA
+    horizontal_fov_deg: FieldOfView = 87.0
     body_len: Positive = 0.45
     sigma_u: float = 2.0
     sigma_len: float = 2.0
     kp: float = 0.004
     ki: float = 0.0005
-    yaw_rate_limit: float = 3.0
+    yaw_rate_limit: Positive = 3.0
     omega_search: float = 1.5
+
+    @functools.cached_property  # read every cycle; a config is not edited once built
+    def camera(self) -> CameraModel:
+        return CameraModel.from_fov(np.deg2rad(self.horizontal_fov_deg))
 
 
 @dataclass(frozen=True)

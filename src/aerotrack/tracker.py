@@ -37,7 +37,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import corridor as corridor_mod
 from . import kino_search, traj_opt
-from .errors import InsufficientData, UnknownVariant
+from .errors import InsufficientData, QPInfeasible, UnknownVariant
 from .grid import build_map
 from .kino_search import SearchWeights
 from .perception import (
@@ -125,7 +125,7 @@ class TrackerWorld:
         for section, values in VARIANTS[resolve_variant(variant)].items():
             scenario = replace(scenario, **{section: replace(getattr(scenario, section), **values)})
         self.scenario = scenario
-        self.grid = build_map(scenario.map_spec)
+        self.grid = build_map(scenario.map)
         self.dt = 1.0 / scenario.tracker.replan_hz
         self.rng = np.random.Generator(np.random.PCG64(_seed_state(scenario.seed)))
         # The map spec keeps its read-only grid, make_calibration_dataset
@@ -339,7 +339,7 @@ def predict(world: TrackerWorld, t: float, obs: TargetObservation | None) -> Non
         if obs is not None:  # a cycle that sees the target tracks
             try:
                 world.prediction = fit_predicted_trajectory(world.observations, t, cfg)
-            except InsufficientData:
+            except (InsufficientData, QPInfeasible):  # keep the previous prediction
                 pass
 
 

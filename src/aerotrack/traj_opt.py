@@ -44,7 +44,7 @@ import numpy as np
 
 from .corridor import contains_all, overlap
 from .errors import (
-    BarrierDomainViolated, Config, DescentFailed, Positive, SingularSystem,
+    BarrierDomainViolated, Config, DescentFailed, NonNegative, Positive, SingularSystem,
     TrajectoryLeftCorridor)
 from .poly import PiecewisePoly
 from .solvers import lbfgs_minimize
@@ -60,7 +60,7 @@ class OptWeights(Config):
     a_max: Positive = 4.0
     grad_tol: float = 1e-4
     max_iter: int = 200
-    t_min: float = 1e-3
+    t_min: NonNegative = 1e-3
 
 
 # trapezoid intervals per piece, and how far inside its box the penalty keeps a sample [m]

@@ -70,7 +70,7 @@ def capture(scenario_name: str, cycles: set[int]) -> tuple[dict[int, dict], list
 
 def solve(scenario_name: str, problem: dict) -> kino_search.KinoPath:
     """Run the search on one recorded problem."""
-    grid = build_map(Scenario.from_dict(benchmarks.ALL[scenario_name]()).map_spec)
+    grid = build_map(Scenario.from_dict(benchmarks.ALL[scenario_name]()).map)
     weights = dict(problem["weights"], u_grid=tuple(problem["weights"]["u_grid"]))
     start = [problem["start"]["p"], problem["start"]["v"]]
     goal = [problem["goal"]["p"], problem["goal"]["v"]]

@@ -254,6 +254,10 @@ MALFORMED_MAPS = {
         {"obstacles": [{"type": "cylinder", "center": [1, 1], "radius": 0.3,
                         "zmin": 0.8, "zmax": 0.2}]},
         "obstacles[0]: holds no volume"),
+    "map-key-typo": ({"obstacels": []}, "obstacels: unknown key"),
+    "obstacle-key-typo": (
+        {"obstacles": [{"type": "box", "min": [0, 0, 0], "max": [1, 1, 1], "heigth": 1}]},
+        "obstacles[0].heigth: unknown key"),
     "forest-type": (
         {"obstacles": [{"type": "forest", "density": 0.05, "radius": 0.3}]},
         "obstacles[0].type"),

@@ -1,11 +1,13 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from aerotrack import benchmarks, kino_search, tracker
 from aerotrack.errors import InvalidScenario
 from aerotrack.kino_search import SearchWeights
+from aerotrack.perception import DEFAULT_CAMERA, CameraModel
 from aerotrack.prediction import PredictionWeights
 from aerotrack.scenario import PerceptionConfig, Scenario, TrackerParams
 from aerotrack.traj_opt import OptWeights
@@ -52,16 +54,16 @@ class TestFromDict:
         (dict(valid(), perception=[1, 2]), "perception: expected an object"),
         (dict(valid(), search=[1, 2]), "search: expected an object"),
         (dict(valid(), duration="abc"), "duration"),
-        (dict(valid(), duration=math.nan), "duration must be finite and > 0"),
+        (dict(valid(), duration=math.nan), "duration must be a finite number > 0"),
         (dict(valid(), seed="x"), "seed"),
         (dict(valid(), quad_start=[1, "x"]), "quad_start"),
         (dict(valid(), quad_start=[1.0, 2.0]), "quad_start must be 3 finite numbers"),
         (with_perception(horizontal_fov_deg=0), "horizontal_fov_deg"),
         (with_perception(horizontal_fov_deg=200), "horizontal_fov_deg"),
-        (with_target(speed=math.nan), "target speed must be finite and > 0"),
-        (with_target(smoothing=math.nan), "target smoothing must be finite"),
+        (with_target(speed=math.nan), "target: speed must be a finite number > 0"),
+        (with_target(smoothing=math.nan), "target: smoothing must be a finite number"),
         (with_target(waypoints=[[1.0, 1.0, 1.0], [math.nan, 1.0, 1.0]]),
-         "target waypoints must be finite"),
+         "target: waypoints must be at least 2 rows of 3 finite numbers"),
         (dict(valid(), seed=-1), "seed must be a non-negative integer"),
         (dict(valid(), seed=2.7), "seed must be a non-negative integer"),
         (dict(valid(), seed=True), "seed must be a non-negative integer"),
@@ -85,12 +87,12 @@ class TestFromDict:
         (with_section("tracker", d_track="3"), "tracker: d_track must be a finite number"),
         (with_perception(sigma_u="2"), "perception: sigma_u must be a finite number"),
         (with_section("prediction", v_max="3"), "prediction: v_max must be a finite number"),
-        (with_target(speed="1.2"), "target speed must be finite and > 0"),
-        (with_target(smoothing=True), "target smoothing must be finite and >= 0"),
-        (with_target(smoothing=-0.5), "target smoothing must be finite and >= 0"),
-        (with_target(waypoints=[[3.0, 7.2, 0.9]]), "target waypoints must be finite, at least 2"),
+        (with_target(speed="1.2"), "target: speed must be a finite number > 0"),
+        (with_target(smoothing=True), "target: smoothing must be a finite number >= 0"),
+        (with_target(smoothing=-0.5), "target: smoothing must be a finite number >= 0"),
+        (with_target(waypoints=[[3.0, 7.2, 0.9]]), "target: waypoints must be at least 2 rows"),
         (with_perception(horizontal_fov_deg=True), "horizontal_fov_deg"),
-        (dict(valid(), duration="2"), "duration must be finite and > 0"),
+        (dict(valid(), duration="2"), "duration must be a finite number > 0"),
         (dict(valid(), quad_start=["2.5", "7", "1.3"]), "quad_start must be 3 finite numbers"),
         (with_search(node_budget=10.5), "search: node_budget must be an integer >= 1"),
         (with_search(freeze_z=1), "search: freeze_z must be true or false"),
@@ -112,6 +114,16 @@ class TestFromDict:
         (with_section("opt", a_max=0), "opt: a_max must be a finite number > 0"),
         (with_section("tracker", loss_timeout=0),
          "tracker: loss_timeout must be a finite number > 0"),
+        (with_search(t_lookahead=-5), "search: t_lookahead must be a finite number >= 0"),
+        (with_section("opt", t_min=-1), "opt: t_min must be a finite number >= 0"),
+        (with_perception(yaw_rate_limit=-3),
+         "perception: yaw_rate_limit must be a finite number > 0"),
+        (with_perception(yaw_rate_limit=0),
+         "perception: yaw_rate_limit must be a finite number > 0"),
+        (with_section("prediction", degree=30),
+         r"prediction degree 30 needs 31 observations, more than the 26 cycles"),
+        (with_section("prediction", degree=25, window=1.0), "prediction degree 25 needs 26"),
+        (dict(valid(), name=7), "name must be a string"),
     ], ids=["perception-list", "search-list", "duration-text", "duration-nan", "seed-text",
             "quad-start-text", "quad-start-2d", "fov-0", "fov-200", "target-speed-nan",
             "target-smoothing-nan", "target-waypoint-nan", "seed-negative", "seed-fraction",
@@ -124,21 +136,62 @@ class TestFromDict:
             "quad-start-text-numbers", "node-budget-fraction", "freeze-z-int", "tau-w-0",
             "prediction-a-max-negative", "horizon-negative", "tau-0", "vel-bin-0",
             "quad-start-outside-map", "search-v-max-0", "u-grid-empty", "u-grid-zero",
-            "node-budget-0", "opt-v-max-0", "opt-a-max-0", "loss-timeout-0"])
+            "node-budget-0", "opt-v-max-0", "opt-a-max-0", "loss-timeout-0",
+            "t-lookahead-negative", "t-min-negative", "yaw-rate-limit-negative",
+            "yaw-rate-limit-0", "degree-beyond-window", "degree-beyond-short-window",
+            "name-number"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)
 
     @pytest.mark.parametrize("section, name", [
         (section, f.name) for section, cls in SECTIONS.items()
-        for f in fields(cls) if f.name != "camera"])
+        for f in fields(cls)])
     def test_every_config_field_rejects_text(self, section, name):
-        # 41 fields: each is checked by its declared rule, so none takes a string,
+        # 42 fields: each is checked by its declared rule, so none takes a string,
         # whether it comes from a file or a direct call
         with pytest.raises(InvalidScenario, match=f"{section}: {name} must be"):
             Scenario.from_dict(with_section(section, **{name: "1"}))
         with pytest.raises(ValueError, match=f"^{name} must be"):
             SECTIONS[section](**{name: "1"})
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda raw: raw.update(quad_strat=raw["quad_start"]), "^quad_strat: unknown key$"),
+        (lambda raw: raw["map"].update(obstacels=[]), "^map: obstacels: unknown key$"),
+        (lambda raw: raw["map"]["obstacles"][0].update(hieght=2.0),
+         r"^map: obstacles\[0\]\.hieght: unknown key$"),
+        (lambda raw: raw["target"].update(sped=1.0), "^target: sped: unknown key$"),
+    ], ids=["top-level", "map", "obstacle", "target"])
+    def test_unknown_key_is_refused(self, change, message):
+        raw = valid()
+        change(raw)
+        with pytest.raises(InvalidScenario, match=message):
+            Scenario.from_dict(raw)
+
+    def test_one_message_names_every_broken_key(self):
+        raw = with_search(rho=0, t_lookahead=-1)
+        raw["perception"] = {"body_len": "long"}
+        raw["seed"] = -2
+        raw["quad_strat"] = raw.pop("quad_start")
+        with pytest.raises(InvalidScenario) as err:
+            Scenario.from_dict(raw)
+        assert str(err.value).split("; ") == [
+            "quad_strat: unknown key",
+            "quad_start: missing required field",
+            "seed must be a non-negative integer, got -2",
+            "perception: body_len must be a finite number > 0, got 'long'",
+            "search: rho must be a finite number > 0, got 0",
+            "search: t_lookahead must be a finite number >= 0, got -1",
+        ]
+
+    def test_degree_the_window_fits_is_valid(self):
+        assert Scenario.from_dict(with_section("prediction", degree=25)).prediction.degree == 25
+
+    def test_camera_follows_the_field_of_view(self):
+        assert Scenario.from_dict(valid()).perception.camera == DEFAULT_CAMERA
+        wide = Scenario.from_dict(with_perception(horizontal_fov_deg=120)).perception.camera
+        assert wide == CameraModel.from_fov(np.deg2rad(120))
+        assert wide.horizontal_fov == pytest.approx(np.deg2rad(120))
 
     def test_zero_prediction_horizon_is_valid(self):
         assert Scenario.from_dict(with_section("prediction", horizon=0)).prediction.horizon == 0

@@ -22,7 +22,7 @@ BY_LABEL = {p["label"]: p for p in PROBLEMS}
 
 @lru_cache(maxsize=None)
 def scenario_grid(name):
-    return build_map(Scenario.from_dict(benchmarks.ALL[name]()).map_spec)
+    return build_map(Scenario.from_dict(benchmarks.ALL[name]()).map)
 
 
 def run(problem):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from aerotrack import benchmarks, kino_search, perception, tracker, traj_opt
-from aerotrack.errors import NoPath, TrajectoryLeftCorridor
+from aerotrack.errors import NoPath, QPInfeasible, TrajectoryLeftCorridor
 from aerotrack.scenario import Scenario
 from aerotrack.tracker import (
     MIN_REMAINING_S,
@@ -147,6 +147,28 @@ class TestStep:
         step(world)
         assert [name for name, _ in calls] == stages
         assert [args[0] for _, args in calls[:3]] == [8 * world.dt] * 3  # execute takes no time
+
+    def test_unconverged_prediction_fit_keeps_the_previous_prediction(self, monkeypatch):
+        # a degree-20 fit's active-set QP does not converge at some of these cycles
+        real, unconverged = tracker.fit_predicted_trajectory, []
+
+        def counted(*args):
+            try:
+                return real(*args)
+            except QPInfeasible:
+                unconverged.append(world.cycle)
+                raise
+
+        monkeypatch.setattr(tracker, "fit_predicted_trajectory", counted)
+        raw = benchmarks.ALL["sharp_turn_low"]()
+        raw["prediction"] = dict(raw.get("prediction", {}), degree=20)
+        world = TrackerWorld(Scenario.from_dict(raw))
+        for _ in range(130):
+            kept = world.prediction
+            step(world)
+            if unconverged and unconverged[-1] == world.cycle - 1:
+                assert world.prediction is kept
+        assert unconverged and world.prediction is not None
 
     def test_run_counts_the_failed_cycles_of_its_trace(self, monkeypatch):
         # every second optimize call fails, and the cycle after a failure
