@@ -13,9 +13,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .benchmarks import benchmark, benchmark_table, write_benchmark_csv
-from .errors import InvalidInput, InvalidScenario, read_json
+from .errors import InvalidInput, read_json
 from .scenario import Scenario
-from .tracker import run_scenario, write_trace
+from .tracker import VARIANTS, run_scenario, write_trace
 
 
 def _cmd_run(args) -> int:
@@ -41,7 +41,7 @@ def _cmd_benchmark(args) -> int:
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise InvalidInput(f"no scenario files in {directory}")
-    scenario_dicts = [read_json(p, InvalidScenario) for p in paths]
+    scenario_dicts = [read_json(p) for p in paths]
     for raw in scenario_dicts:
         Scenario.from_dict(raw)  # validate early
     rows = benchmark(scenario_dicts, variants, args.runs, workers=args.workers)
@@ -62,14 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--trace", help="write the per-cycle trace CSV here")
     run.add_argument("--variant", default="full",
-                     help="full | no_occ | no_search (default: full)")
+                     help=f"{' | '.join(VARIANTS)} (default: full)")
     run.set_defaults(fn=_cmd_run)
 
     bench = sub.add_parser("benchmark", help="seeded comparison across variants")
     bench.add_argument("scenario_dir", help="directory of scenario JSON files")
     bench.add_argument("--runs", type=int, default=10)
-    bench.add_argument("--variants", default="full,no_occ",
-                       help="comma list: full,no_occ,no_search")
+    bench.add_argument("--variants", default="full,no_occlusion_penalty",
+                       help=f"comma list: {','.join(VARIANTS)}")
     bench.add_argument("--out", help="write per-run rows as CSV")
     bench.add_argument("--workers", type=int, default=1)
     bench.set_defaults(fn=_cmd_benchmark)

@@ -6,7 +6,8 @@ its field names are the keys of the JSON object it reads, a field without a
 default is required, and each field's annotation names its kind (a key of
 ``_KINDS``) or a class with its own ``problems`` and ``from_dict`` that reads
 that key's object. Every construction of a config, whether by a file, a direct
-call or ``dataclasses.replace``, raises all of its problems on one line.
+call or ``dataclasses.replace``, raises all of its problems on one line as
+:class:`InvalidScenario`, the one error of a bad scenario file.
 """
 
 import functools
@@ -51,7 +52,6 @@ _KINDS = {
     "FieldOfView": (lambda x: _number(x) and 0 < x < 180, "a number of degrees in (0, 180)"),
     "int": (_count, "a non-negative integer"),
     "PositiveCount": (lambda x: _count(x) and x >= 1, "an integer >= 1"),
-    "bool": (lambda x: isinstance(x, bool), "true or false"),
     "tuple": (lambda x: _numbers(x) and any(c != 0 for c in x),
               "a list of finite numbers with a non-zero value"),
     "list": (lambda x: isinstance(x, list), "a list"),
@@ -78,18 +78,14 @@ class InvalidInput(ValueError):
     """Outside input failed its checks; the message is one line for the user."""
 
 
-class InvalidSpec(InvalidInput):
-    """A map spec dict failed validation; message lists field paths."""
-
-
 class InvalidScenario(InvalidInput):
-    """A scenario file or dict failed validation."""
+    """A scenario file or dict, its map and shapes included, failed validation."""
 
 
-def refuse(problems: list, error: type = InvalidScenario) -> None:
-    """Raise ``error`` with every message of ``problems`` on one line, if there is any."""
+def refuse(problems: list) -> None:
+    """Raise ``InvalidScenario`` with every message of ``problems`` on one line, if any."""
     if problems:
-        raise error("; ".join(problems))
+        raise InvalidScenario("; ".join(problems))
 
 
 class Config:
@@ -133,18 +129,18 @@ class Config:
                       for key, value in raw.items()})
 
 
-def read_json(path, error: type):
+def read_json(path):
     """The value of the JSON file at ``path``; bytes that are not UTF-8 JSON
-    raise ``error`` naming the file, and an ``OSError`` passes through."""
+    raise ``InvalidScenario`` naming the file, and an ``OSError`` passes through."""
     data = Path(path).read_bytes()
     try:
         return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-        raise error(f"{path}: not valid JSON ({exc})") from None
+        raise InvalidScenario(f"{path}: not valid JSON ({exc})") from None
 
 
 class UnknownVariant(InvalidInput):
-    """A tracker variant name is neither a variant nor an alias of one."""
+    """A tracker variant name is not one of the variants."""
 
 
 class SeedOccupied(ValueError):

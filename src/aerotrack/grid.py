@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import Config, Dims, InvalidSpec, Planar, Point, Positive, SeedOccupied, refuse
+from .errors import Config, Dims, Planar, Point, Positive, SeedOccupied, refuse
 
 # Boundary tolerance for supercover corner handling, in voxel units.
 _CORNER_EPS = 1e-7
@@ -226,7 +226,7 @@ class MapSpec:
     ``from_dict`` checks the keys against the ``_Lattice`` schema and each
     obstacle's against its type's schema, then each shape for a positive
     volume; either check lists every broken key or shape in one
-    ``InvalidSpec``. It parses the shapes once into two read-only arrays:
+    ``InvalidScenario``. It parses the shapes once into two read-only arrays:
     ``boxes``, a (B, 2, 3) stack of ``[min corner, max corner]``, and
     ``cylinders``, a (C, 5) array of ``[cx, cy, radius, zmin, zmax]`` rows.
     """
@@ -268,9 +268,7 @@ class MapSpec:
 
     @staticmethod
     def from_dict(raw: dict) -> "MapSpec":
-        if not isinstance(raw, dict):
-            raise InvalidSpec("map spec must be a JSON object")
-        refuse(MapSpec.problems(raw), InvalidSpec)
+        refuse(MapSpec.problems(raw) if isinstance(raw, dict) else ["map: expected an object"])
         problems = []
         origin = np.asarray(raw["origin"], dtype=float)
         resolution = float(raw["resolution"])
@@ -286,7 +284,7 @@ class MapSpec:
                 cylinders.append([*obs["center"][:2], obs["radius"], low, high])
             if not np.less(low, high).all():
                 problems.append(f"obstacles[{i}]: holds no volume, {low} is not below {high}")
-        refuse(problems, InvalidSpec)
+        refuse(problems)
         boxes = np.asarray(boxes, dtype=float).reshape(-1, 2, 3)
         cylinders = np.asarray(cylinders, dtype=float).reshape(-1, 5)
         for shapes in (boxes, cylinders):

@@ -1,11 +1,13 @@
 """Occlusion-aware kinodynamic path search over acceleration motion primitives.
 
 Best-first search in (position, velocity) space toward a goal state that the
-caller gives. Each edge applies a constant acceleration for a fixed duration;
-accumulated cost trades control effort against time. The heuristic combines
-the closed-form energy-time cost of the double-integrator boundary value
-problem toward the goal, a time penalty on the remaining optimal duration, and
-a visibility penalty on nodes that cannot see the given occlusion target.
+caller gives. The search is planar: each edge applies a constant horizontal
+acceleration ``(ux, uy, 0)``, both components taken from ``u_grid``, for a
+fixed duration; accumulated cost trades control effort against time. The
+heuristic combines the closed-form energy-time cost of the double-integrator
+boundary value problem toward the goal, a time penalty on the remaining
+optimal duration, and a visibility penalty on nodes that cannot see the given
+occlusion target.
 
 The boundary value problem's optimal duration is a positive root of a quartic
 in T. Its stationary points are taken from the eigenvalues of the quartic's
@@ -45,14 +47,13 @@ class SearchWeights(Config):
     c_time: float = 1.0                   # multiplier on the heuristic's optimal duration
     p_occ: float = 60.0                   # penalty for nodes without line of sight
     tau: Positive = 0.3                   # primitive duration [s]
-    u_grid: tuple = (-3.0, 0.0, 3.0)      # per-axis acceleration choices [m/s^2]
+    u_grid: tuple = (-3.0, 0.0, 3.0)      # x and y acceleration choices [m/s^2]
     v_max: Positive = 3.0                 # per-axis speed bound [m/s]
     t_lookahead: NonNegative = 1.0        # how far into the prediction the goal looks [s]
     r_goal: float = 0.5                   # goal position tolerance [m]
     v_goal_tol: float = 1.5               # goal velocity tolerance [m/s]
     vel_bin: Positive = 0.5               # velocity quantization for node identity [m/s]
     node_budget: PositiveCount = 30000
-    freeze_z: bool = True                 # planar: no vertical control; False adds it
 
 
 @dataclass
@@ -152,9 +153,8 @@ def _obvp_batch(dp, v0, vf, rho):
 # ----------------------------------------------------------------------
 
 def _controls(w: SearchWeights) -> np.ndarray:
-    axes = [np.asarray(w.u_grid, dtype=float)] * 2
-    axes.append(np.array([0.0]) if w.freeze_z else np.asarray(w.u_grid, dtype=float))
-    return np.array(list(product(*axes)))
+    """The planar control set: ``(ux, uy, 0)`` for each pair of ``w.u_grid`` values."""
+    return np.array([(ux, uy, 0.0) for ux, uy in product(w.u_grid, repeat=2)], dtype=float)
 
 
 class _NodeStore:

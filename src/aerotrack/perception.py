@@ -5,6 +5,7 @@ with optional pixel noise. Localization inverts two fitted exponential maps:
 depth from the apparent upper-body length, lateral offset from the horizontal
 image coordinate scaled by an affine function of depth. Height is held
 constant in the camera frame since target motion is assumed horizontal.
+Image features carry no time; ``localize`` stamps the observation it returns.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ class CameraModel:
     @staticmethod
     def from_fov(horizontal_fov_rad: float) -> "CameraModel":
         return CameraModel(CameraModel.image_width_px / (2.0 * np.tan(horizontal_fov_rad / 2.0)))
-
-
-DEFAULT_CAMERA = CameraModel.from_fov(np.deg2rad(87.0))
 
 
 @dataclass
@@ -81,7 +79,6 @@ class ImageFeatures:
 
     body_len_px: float    # apparent upper-body length L_t
     u_px: float           # horizontal image coordinate of the target center
-    timestamp: float
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,8 @@ class RegressionParams:
 # ----------------------------------------------------------------------
 
 def project_target(target_world, target_body_len: float, cam: CameraModel, cam_pose: Pose,
-                   timestamp: float = 0.0, grid=None, sigma_u: float = 0.0,
-                   sigma_len: float = 0.0, rng: np.random.Generator | None = None
-                   ) -> ImageFeatures | None:
+                   grid=None, sigma_u: float = 0.0, sigma_len: float = 0.0,
+                   rng: np.random.Generator | None = None) -> ImageFeatures | None:
     """Pinhole projection of the target, or None when it cannot be detected.
 
     Detection fails when the target is behind the camera, outside the
@@ -152,16 +148,17 @@ def project_target(target_world, target_body_len: float, cam: CameraModel, cam_p
         body_len += sigma_len * rng.standard_normal()
     u = float(np.clip(u, 0.0, cam.image_width_px))
     body_len = max(float(body_len), 1e-3)
-    return ImageFeatures(body_len_px=body_len, u_px=u, timestamp=timestamp)
+    return ImageFeatures(body_len_px=body_len, u_px=u)
 
 
-def localize(features: ImageFeatures, params: RegressionParams, cam_pose: Pose
-             ) -> TargetObservation:
-    """Map image features through the fitted regression into a world position."""
+def localize(features: ImageFeatures, params: RegressionParams, cam_pose: Pose,
+             t: float) -> TargetObservation:
+    """Map image features seen at time ``t`` through the fitted regression into
+    a world position, stamped ``t``."""
     x_c = float(params.depth(features.body_len_px))
     y_c = float(params.lateral(features.u_px, x_c))
     p_world = cam_pose.camera_to_world((x_c, y_c, params.z_const))
-    return TargetObservation(position_world=p_world, timestamp=features.timestamp)
+    return TargetObservation(position_world=p_world, timestamp=t)
 
 
 # ----------------------------------------------------------------------
@@ -374,11 +371,10 @@ def _calibration_dataset(cam, body_len, n, range_band, seed, sigma_u, sigma_len)
     pose = Pose(position=np.zeros(3), yaw=0.0)
     half_fov = np.tan(np.deg2rad(0.45 * np.rad2deg(cam.horizontal_fov)))
     samples = []
-    for i, depth in enumerate(ranges):
+    for depth in ranges:
         lateral = depth * rng.uniform(-half_fov, half_fov)
         target = np.array([depth, lateral, rng.uniform(0.6, 1.2)])
-        feats = project_target(target, body_len, cam, pose, timestamp=float(i),
-                               sigma_u=sigma_u, sigma_len=sigma_len,
+        feats = project_target(target, body_len, cam, pose, sigma_u=sigma_u, sigma_len=sigma_len,
                                rng=rng if (sigma_u or sigma_len) else None)
         if feats is not None:
             target.flags.writeable = False

@@ -113,8 +113,8 @@ def _constraint_rows(n: int, scale: float):
     return np.vstack([V, -V, A, -A]), V.shape[0], A.shape[0]
 
 
-def fit_predicted_trajectory(observations, t_c: float, w: PredictionWeights | None = None
-                             ) -> PredictedTrajectory:
+def fit_predicted_trajectory(observations, t_c: float,
+                             w: PredictionWeights) -> PredictedTrajectory:
     """Fit the prediction curve to the observations inside the window.
 
     Solves, per axis, min over control points c of
@@ -123,8 +123,6 @@ def fit_predicted_trajectory(observations, t_c: float, w: PredictionWeights | No
     parameterization spans [t_c - window, t_c + horizon] so evaluation past
     t_c is the extrapolation.
     """
-    if w is None:
-        w = PredictionWeights()
     n = w.degree
     t0 = t_c - w.window
     t_p = t_c + w.horizon

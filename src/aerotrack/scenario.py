@@ -6,7 +6,8 @@ builds anything. Only the checks that relate two fields are written here.
 
 The target follows timed waypoints at a commanded speed; corners are rounded
 by a moving-average smoother whose window bounds the turn acceleration, so
-scripted motion stays within the prediction module's dynamic assumptions.
+scripted motion stays within the prediction module's dynamic assumptions. The
+loop reads only the target's position, ``TargetScript.position(t)``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    Config, InvalidScenario, NonNegative, Point, Positive, Route, read_json, refuse)
+from .errors import Config, NonNegative, Point, Positive, Route, read_json, refuse
 from .grid import MapSpec
 from .kino_search import SearchWeights
 from .perception import PerceptionConfig
@@ -62,24 +62,19 @@ class TargetScript(Config):
             total += 0.5 * (self._linear(lo) + self._linear(hi)) * (hi - lo)
         return total
 
-    def state(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Smoothed position and velocity at time ``t``."""
-        if self.smoothing <= 0:
-            eps = 1e-4
-            pos = self._linear(t)
-            vel = (self._linear(t + eps) - self._linear(t - eps)) / (2 * eps)
-            return pos, vel
-        w = self.smoothing
-        pos = self._linear_integral(t - w, t) / w
-        vel = (self._linear(t) - self._linear(t - w)) / w
-        return pos, vel
+    def position(self, t: float) -> np.ndarray:
+        """Position at time ``t``: the route's mean over the last ``smoothing``
+        seconds, or the route itself when ``smoothing`` is 0."""
+        if self.smoothing == 0:
+            return self._linear(t)
+        return self._linear_integral(t - self.smoothing, t) / self.smoothing
 
 
 @dataclass
 class TrackerParams(Config):
     d_track: float = 2.0          # desired standoff distance [m]
-    d_fail: float = 6.0           # losing distance threshold [m]
-    t_fail: float = 3.0           # continuous seconds beyond d_fail to fail
+    d_fail: Positive = 6.0        # losing distance threshold [m]
+    t_fail: NonNegative = 3.0     # continuous seconds beyond d_fail to fail
     loss_timeout: Positive = 0.5  # unseen time that starts relocation [s]
     replan_hz: Positive = 13.0
 
@@ -121,4 +116,4 @@ class Scenario(Config):
 
     @staticmethod
     def from_json(path) -> "Scenario":
-        return Scenario.from_dict(read_json(path, InvalidScenario))
+        return Scenario.from_dict(read_json(path))

@@ -70,10 +70,6 @@ VARIANTS = {
     "no_occlusion_penalty": {"search": {"p_occ": 0.0}},
     "no_gimbal_search": {"perception": {"omega_search": 0.0}},
 }
-_VARIANT_ALIASES = {
-    "no_occ": "no_occlusion_penalty",
-    "no_search": "no_gimbal_search",
-}
 
 TRACE_COLUMNS = [
     "cycle", "t", "tgt_x", "tgt_y", "tgt_z", "obs_valid", "obs_x", "obs_y", "obs_z",
@@ -91,11 +87,10 @@ _NO_PATH = (float("nan"), 0, float("nan"), "")  # path_cost .. path_los, no new 
 
 
 def resolve_variant(variant: str) -> str:
-    """Canonical name of a variant given by name or alias; UnknownVariant if unknown."""
-    name = _VARIANT_ALIASES.get(variant, variant)
-    if name not in VARIANTS:
+    """``variant`` if it names one of ``VARIANTS``; UnknownVariant if not."""
+    if variant not in VARIANTS:
         raise UnknownVariant(f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}")
-    return name
+    return variant
 
 
 @dataclass
@@ -319,9 +314,9 @@ def perceive(world: TrackerWorld, t: float, target_p: np.ndarray) -> TargetObser
             position=world.quad[0] + np.array([0.0, 0.0, cfg.camera.mount_height]),
             yaw=world.gimbal.yaw)
         feats = project_target(
-            target_p, cfg.body_len, cfg.camera, cam_pose, timestamp=t, grid=world.grid,
+            target_p, cfg.body_len, cfg.camera, cam_pose, grid=world.grid,
             sigma_u=cfg.sigma_u, sigma_len=cfg.sigma_len, rng=world.rng)
-        obs = None if feats is None else localize(feats, world.params, cam_pose)
+        obs = None if feats is None else localize(feats, world.params, cam_pose, t)
         world.last_u = None if feats is None else feats.u_px
 
     world.unseen_s = 0.0 if obs is not None else world.unseen_s + dt
@@ -427,7 +422,7 @@ def _record(world: TrackerWorld, t: float, target_p: np.ndarray,
 def step(world: TrackerWorld) -> TrackerWorld:
     """Advance the closed loop by one replanning cycle of ``world.dt`` seconds."""
     t = world.cycle * world.dt
-    target_p, _ = world.scenario.target.state(t)
+    target_p = world.scenario.target.position(t)
     obs = perceive(world, t, target_p)
     predict(world, t, obs)
     planned = plan(world, t)

@@ -233,8 +233,7 @@ def _trapezoid_time(dist: float, v_cruise: float, a: float) -> float:
     return dist / v_cruise + v_cruise / a
 
 
-def optimize(corridor: np.ndarray, boundary: np.ndarray,
-             w: OptWeights | None = None) -> PiecewisePoly:
+def optimize(corridor: np.ndarray, boundary: np.ndarray, w: OptWeights) -> PiecewisePoly:
     """Descend the joint waypoint/duration cost and return the trajectory.
 
     ``corridor`` is an (M, 2, 3) stack of boxes; consecutive boxes must
@@ -249,8 +248,6 @@ def optimize(corridor: np.ndarray, boundary: np.ndarray,
     the stack, and one that leaves raises ``TrajectoryLeftCorridor``.
     ``info["contained"]`` is always True, and ``info["kappa"]`` is ``w.kappa``.
     """
-    if w is None:
-        w = OptWeights()
     M = len(corridor)
     lo, hi = overlap(corridor[:-1], corridor[1:]).swapaxes(0, 1)
     if np.any(lo >= hi):

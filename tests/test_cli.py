@@ -33,10 +33,10 @@ class TestRun:
 
     def test_unknown_variant_exits_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "ok.json", benchmarks.ALL["sharp_turn_low"]())
-        assert main(["run", path, "--variant", "bogus"]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
-            "unknown variant 'bogus'; choose from full, no_occlusion_penalty, no_gimbal_search"]
+        for variant in ("bogus", "no_occ"):  # a variant has one name, its VARIANTS key
+            assert main(["run", path, "--variant", variant]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"unknown variant {variant!r}; "
+                "choose from full, no_occlusion_penalty, no_gimbal_search"]
 
     def test_zero_time_weight_exits_1(self, tmp_path, capsys):
         raw = benchmarks.ALL["sharp_turn_low"]()

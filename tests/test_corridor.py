@@ -6,7 +6,7 @@ from aerotrack.corridor import build_corridor, contains_all, overlap
 from aerotrack.errors import SeedOccupied
 from aerotrack.grid import MapSpec, OccupancyGrid, build_map
 from aerotrack.kino_search import KinoPath, SearchWeights, search
-from aerotrack.prediction import fit_predicted_trajectory
+from aerotrack.prediction import PredictionWeights, fit_predicted_trajectory
 from aerotrack.perception import TargetObservation
 from aerotrack.tracker import blend_goal
 import oracles
@@ -16,7 +16,7 @@ from oracles import cube_is_free
 def static_prediction(point, t_c=2.0):
     times = np.linspace(t_c - 2.0, t_c, 14)
     obs = [TargetObservation(np.asarray(point, float), float(t)) for t in times]
-    return fit_predicted_trajectory(obs, t_c=t_c)
+    return fit_predicted_trajectory(obs, t_c=t_c, w=PredictionWeights())
 
 
 def search_toward(start, traj, grid, w):
@@ -118,7 +118,7 @@ class TestBuildCorridor:
         grid = OccupancyGrid((0, 0, 0), 0.1, (120, 80, 30))
         traj = static_prediction((10.0, 4.0, 1.5))
         start = np.array([(2.0, 4.0, 1.5), (0, 0, 0)], dtype=float)
-        path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
+        path = search_toward(start, traj, grid, SearchWeights())
         cor = build_corridor(path, grid)
         corridor_invariants(cor, grid, path)
 
@@ -139,7 +139,7 @@ class TestBuildCorridor:
         grid.set_occupied_box((5.0, 4.0, 1.6), (5.3, 4.8, 2.5))
         traj = static_prediction((9.0, 4.4, 1.2))
         start = np.array([(2.0, 4.4, 1.2), (0, 0, 0)], dtype=float)
-        path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
+        path = search_toward(start, traj, grid, SearchWeights())
         cor = build_corridor(path, grid)
         corridor_invariants(cor, grid, path)
         assert overlaps_hold_path_samples(cor, path, grid)
@@ -153,7 +153,7 @@ class TestBuildCorridor:
             grid = forest_grid(seed)
             traj = static_prediction((13.0, 13.0, 1.2))
             start = np.array([(2.0, 2.0, 1.2), (0, 0, 0)], dtype=float)
-            path = search_toward(start, traj, grid, SearchWeights(freeze_z=True))
+            path = search_toward(start, traj, grid, SearchWeights())
             cor = build_corridor(path, grid)
             corridor_invariants(cor, grid, path)
             assert overlaps_hold_path_samples(cor, path, grid)
@@ -186,7 +186,7 @@ class TestBuildCorridor:
                             ((12.0, 7.2, 1.2), (17.6, 11.8, 1.2))]:
             traj = static_prediction(goal)
             path = search_toward(np.array([start, (0, 0, 0)], dtype=float), traj, grid,
-                                 SearchWeights(freeze_z=True))
+                                 SearchWeights())
             cor = build_corridor(path, grid)
             corridor_invariants(cor, grid, path)
             assert overlaps_hold_path_samples(cor, path, grid)

@@ -7,7 +7,7 @@ import pytest
 
 from aerotrack import benchmarks, tracker
 from aerotrack.corridor import contains_all
-from aerotrack.errors import InvalidSpec, SeedOccupied
+from aerotrack.errors import InvalidScenario, SeedOccupied
 from aerotrack.grid import MapSpec, OccupancyGrid, build_map
 from aerotrack.scenario import Scenario
 import oracles
@@ -268,7 +268,7 @@ class TestMapSpec:
     @pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
     def test_malformed_input_is_invalid_spec(self, case):
         change, field = MALFORMED_MAPS[case]
-        with pytest.raises(InvalidSpec) as err:
+        with pytest.raises(InvalidScenario) as err:
             MapSpec.from_dict(dict(BASE_MAP, **change))
         assert field in str(err.value)
 
@@ -311,7 +311,7 @@ class TestBuildMap:
         assert g.occupied.dtype == bool
 
     def test_invalid_spec_diagnostics(self):
-        with pytest.raises(InvalidSpec) as err:
+        with pytest.raises(InvalidScenario) as err:
             MapSpec.from_dict(
                 {
                     "origin": [0, 0],

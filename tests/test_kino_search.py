@@ -11,7 +11,7 @@ from aerotrack.kino_search import (
     search,
 )
 from aerotrack.perception import TargetObservation
-from aerotrack.prediction import fit_predicted_trajectory
+from aerotrack.prediction import PredictionWeights, fit_predicted_trajectory
 from aerotrack.tracker import blend_goal
 from oracles import rollout_positions, scan_minimum
 
@@ -19,7 +19,7 @@ from oracles import rollout_positions, scan_minimum
 def static_prediction(point, t_c=2.0):
     times = np.linspace(t_c - 2.0, t_c, 14)
     obs = [TargetObservation(np.asarray(point, float), float(t)) for t in times]
-    return fit_predicted_trajectory(obs, t_c=t_c)
+    return fit_predicted_trajectory(obs, t_c=t_c, w=PredictionWeights())
 
 
 def open_grid(nx=120, ny=120, nz=30, res=0.1):
@@ -125,7 +125,7 @@ class TestObvp:
     def test_admissibility_vs_primitives(self):
         # closed-form optimum never exceeds any concrete primitive rollout cost
         rng = np.random.default_rng(3)
-        w = SearchWeights(freeze_z=False)
+        w = SearchWeights()
         for _ in range(20):
             a = np.array([rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)], dtype=float)
             u = rng.uniform(-2, 2, 3)
@@ -151,7 +151,7 @@ class TestGoalState:
     def test_blend_extremes(self):
         times = np.linspace(0, 2, 14)
         obs = [TargetObservation(np.array([t, 0.0, 0.0]), float(t)) for t in times]
-        traj = fit_predicted_trajectory(obs, t_c=2.0)
+        traj = fit_predicted_trajectory(obs, t_c=2.0, w=PredictionWeights())
         g0, _ = blend_goal(traj, 2.0, SearchWeights(w_goal=0.0))
         g1, _ = blend_goal(traj, 2.0, SearchWeights(w_goal=1.0))
         p_now, v_now = traj.evaluate(2.0)
@@ -169,7 +169,7 @@ class TestGoalState:
     def test_lookahead_position(self):
         times = np.linspace(0, 2, 14)
         obs = [TargetObservation(np.array([t, 0.5 * t, 0.0]), float(t)) for t in times]
-        traj = fit_predicted_trajectory(obs, t_c=2.0)
+        traj = fit_predicted_trajectory(obs, t_c=2.0, w=PredictionWeights())
         for t, lookahead in ((0.5, 1.0), (2.0, 0.4), (2.0, 1.0), (traj.t_p - 0.1, 1.0)):
             w = SearchWeights(w_goal=0.7, t_lookahead=lookahead)
             goal, p_ahead = blend_goal(traj, t, w)
@@ -186,7 +186,7 @@ class TestSearch:
         g = open_grid()
         traj = static_prediction((9.0, 6.0, 1.5))
         start = np.array([(6.0, 6.0, 1.5), (0.0, 0.0, 0.0)], dtype=float)
-        w = SearchWeights(freeze_z=True)
+        w = SearchWeights()
         path = search_toward(start, traj, g, w)
         assert path.info["reached_goal"]
         assert np.linalg.norm(path.p[-1] - [9.0, 6.0, 1.5]) <= w.r_goal
@@ -198,7 +198,7 @@ class TestSearch:
         g = open_grid()
         traj = static_prediction((2.0, 2.0, 1.0))
         start = np.array([(2.0, 2.0, 1.0), (0.0, 0.0, 0.0)], dtype=float)
-        path = search_toward(start, traj, g, SearchWeights(freeze_z=False))
+        path = search_toward(start, traj, g, SearchWeights())
         assert len(path.controls) == 0
         assert np.array_equal(np.concatenate([path.p, path.v]), start)
         assert path.total_cost == 0.0
@@ -209,14 +209,14 @@ class TestSearch:
         traj = static_prediction((5.0, 5.0, 1.0))
         with pytest.raises(StartOccupied):
             search_toward(np.array([(1.0, 1.0, 1.0), (0, 0, 0)], dtype=float), traj, g,
-                          SearchWeights(freeze_z=False))
+                          SearchWeights())
 
     def test_path_continuity_and_cost_bookkeeping(self):
         g = open_grid()
         g.set_occupied_box((4.0, 2.0, 0.0), (4.2, 9.0, 3.0))
         traj = static_prediction((7.0, 6.0, 1.5))
         start = np.array([(2.0, 6.0, 1.5), (0.0, 0.0, 0.0)], dtype=float)
-        w = SearchWeights(freeze_z=True)
+        w = SearchWeights()
         path = search_toward(start, traj, g, w)
         assert len(path.controls) == len(path.p) - 1 > 0
         for p, v, p_end, v_end, u in zip(path.p, path.v, path.p[1:], path.v[1:], path.controls):
@@ -230,7 +230,7 @@ class TestSearch:
         g.set_occupied_box((4.0, 0.0, 0.0), (4.3, 8.0, 3.0))
         traj = static_prediction((8.0, 9.0, 1.5))
         start = np.array([(2.0, 3.0, 1.5), (0.0, 0.0, 0.0)], dtype=float)
-        path = search_toward(start, traj, g, SearchWeights(freeze_z=True))
+        path = search_toward(start, traj, g, SearchWeights())
         pts = path.sample_positions(g.resolution / 4)
         assert not g.occupied_at(pts).any()
 
@@ -239,7 +239,7 @@ class TestSearch:
         g.set_occupied_box((4.0, 2.0, 0.0), (4.2, 9.0, 3.0))
         traj = static_prediction((7.0, 6.0, 1.5))
         start = np.array([(2.0, 6.0, 1.5), (0.3, -0.2, 0.0)], dtype=float)
-        path = search_toward(start, traj, g, SearchWeights(freeze_z=True))
+        path = search_toward(start, traj, g, SearchWeights())
         assert len(path.controls) > 3
         for spacing in (0.025, 0.05, 0.3):
             pts = path.sample_positions(spacing)
@@ -254,7 +254,7 @@ class TestSearch:
         g.set_occupied_box((4.0, 3.0, 0.0), (4.4, 10.0, 3.0))
         traj = static_prediction((8.0, 7.0, 1.5))
         start = np.array([(2.0, 5.0, 1.5), (0.3, 0.0, 0.0)], dtype=float)
-        w = SearchWeights(freeze_z=True)
+        w = SearchWeights()
         p1 = search_toward(start, traj, g, w)
         p2 = search_toward(start, traj, g, w)
         assert np.array_equal(p1.controls, p2.controls)
@@ -278,8 +278,8 @@ class TestSearch:
             mid = pts[(pts[:, 1] > 4.0) & (pts[:, 1] < 8.0)]
             return 1 if np.median(mid[:, 0]) > 6.0 else -1
 
-        w_occ = SearchWeights(freeze_z=True, p_occ=200.0, node_budget=60000)
-        w_plain = SearchWeights(freeze_z=True, p_occ=0.0, node_budget=60000)
+        w_occ = SearchWeights(p_occ=200.0, node_budget=60000)
+        w_plain = SearchWeights(p_occ=0.0, node_budget=60000)
         path_occ = search(start, g, w_occ, goal, x_tp)
         path_plain = search(start, g, w_plain, goal, x_tp)
         assert path_occ.info["reached_goal"] and path_plain.info["reached_goal"]
@@ -296,7 +296,7 @@ class TestSearch:
         target = np.array([8.0, 10.0, 1.0])
         traj = static_prediction(target)
         start = np.array([(3.0, 9.5, 1.0), (0.0, 0.0, 0.0)], dtype=float)
-        path = search_toward(start, traj, g, SearchWeights(freeze_z=True, p_occ=200.0))
+        path = search_toward(start, traj, g, SearchWeights(p_occ=200.0))
 
         def los_frac(path):
             good = sum(g.line_of_sight(p, target) for p in path.p)

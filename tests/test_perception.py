@@ -8,7 +8,6 @@ from aerotrack import perception
 from aerotrack.errors import FitDiverged
 from aerotrack.grid import OccupancyGrid
 from aerotrack.perception import (
-    DEFAULT_CAMERA,
     CalibrationDataset,
     CameraModel,
     GimbalState,
@@ -24,6 +23,7 @@ from aerotrack.perception import (
 )
 
 BODY_LEN = 0.45
+DEFAULT_CAMERA = CameraModel.from_fov(np.deg2rad(87.0))  # the scenario default's camera
 CFG = PerceptionConfig()  # the gimbal gains and rates the tracker flies with
 
 
@@ -99,7 +99,7 @@ class TestRegression:
             f = project_target(target, BODY_LEN, DEFAULT_CAMERA, pose)
             if f is None:
                 continue
-            obs = localize(f, fitted_params, pose)
+            obs = localize(f, fitted_params, pose, 0.0)
             errors.append(np.linalg.norm(obs.position_world - target))
         rms = float(np.sqrt(np.mean(np.square(errors))))
         assert rms < 0.01
@@ -118,7 +118,7 @@ class TestRegression:
         samples = []
         for i in range(10):
             target = np.array([3.0, 0.1 * i - 0.5, 1.0])
-            f = project_target(target, BODY_LEN, DEFAULT_CAMERA, pose, timestamp=i)
+            f = project_target(target, BODY_LEN, DEFAULT_CAMERA, pose)
             samples.append((f, target))
         with pytest.raises(FitDiverged):
             fit_regression(CalibrationDataset(samples))
@@ -140,7 +140,8 @@ class TestRegression:
                                sigma_u=2.0, sigma_len=2.0, rng=rng)
             if f is None:
                 continue
-            obs = localize(f, params, pose)
+            obs = localize(f, params, pose, t)
+            assert obs.timestamp == t  # localize stamps the time it is given
             errors.append(np.linalg.norm(obs.position_world - target))
         mean_err = float(np.mean(errors))
         assert 0.10 <= mean_err <= 0.35

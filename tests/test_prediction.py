@@ -101,7 +101,7 @@ class TestFit:
     def test_stationary_target(self):
         times = np.linspace(0.0, 2.0, 14)
         obs = make_obs(times, [[1.0, 2.0, 0.5]] * len(times))
-        traj = fit_predicted_trajectory(obs, t_c=2.0)
+        traj = fit_predicted_trajectory(obs, t_c=2.0, w=PredictionWeights())
         for t in np.linspace(traj.t0, traj.t_p, 50):
             pos, vel = traj.evaluate(t)
             assert np.allclose(pos, [1.0, 2.0, 0.5], atol=1e-6)
@@ -163,12 +163,12 @@ class TestFit:
         times = np.linspace(0.0, 2.0, 15)
         base_pts = [t * np.array([0.5, 0.0, 0.0]) for t in times]
         obs = make_obs(times, base_pts)
-        traj0 = fit_predicted_trajectory(obs, t_c=2.0)
+        traj0 = fit_predicted_trajectory(obs, t_c=2.0, w=PredictionWeights())
 
         def perturbed(index):
             pts = [p.copy() for p in base_pts]
             pts[index] = pts[index] + np.array([0.3, 0.0, 0.0])
-            return fit_predicted_trajectory(make_obs(times, pts), t_c=2.0)
+            return fit_predicted_trajectory(make_obs(times, pts), t_c=2.0, w=PredictionWeights())
 
         def l2_change(traj):
             ts = np.linspace(0.0, 2.0, 80)
@@ -181,19 +181,19 @@ class TestFit:
         times = np.linspace(0.0, 2.0, 4)
         obs = make_obs(times, [[0, 0, 0]] * 4)
         with pytest.raises(InsufficientData):
-            fit_predicted_trajectory(obs, t_c=2.0)
+            fit_predicted_trajectory(obs, t_c=2.0, w=PredictionWeights())
 
     def test_out_of_domain(self):
         times = np.linspace(0.0, 2.0, 10)
         obs = make_obs(times, [[0, 0, 0]] * 10)
-        traj = fit_predicted_trajectory(obs, t_c=2.0)
+        traj = fit_predicted_trajectory(obs, t_c=2.0, w=PredictionWeights())
         with pytest.raises(OutOfDomain):
             traj.evaluate(traj.t_p + 0.5)
 
     def test_evaluate_matches_basis_sum(self):
         times = np.linspace(0.0, 2.0, 12)
         pts = [[np.sin(t), np.cos(t), t] for t in times]
-        traj = fit_predicted_trajectory(make_obs(times, pts), t_c=2.0)
+        traj = fit_predicted_trajectory(make_obs(times, pts), t_c=2.0, w=PredictionWeights())
         for t in np.linspace(traj.t0, traj.t_p, 30):
             s = (t - traj.t0) / traj.scale
             ref = sum(
@@ -206,7 +206,7 @@ class TestFit:
         rng = np.random.default_rng(9)
         times = np.linspace(0.0, 2.0, 16)
         pts = rng.normal(size=(16, 3))
-        traj = fit_predicted_trajectory(make_obs(times, pts), t_c=2.0)
+        traj = fit_predicted_trajectory(make_obs(times, pts), t_c=2.0, w=PredictionWeights())
         lo = traj.control_points.min(axis=0) - 1e-9
         hi = traj.control_points.max(axis=0) + 1e-9
         for t in np.linspace(traj.t0, traj.t_p, 100):

@@ -7,7 +7,7 @@ import pytest
 from aerotrack import benchmarks, kino_search, tracker
 from aerotrack.errors import InvalidScenario
 from aerotrack.kino_search import SearchWeights
-from aerotrack.perception import DEFAULT_CAMERA, CameraModel
+from aerotrack.perception import CameraModel
 from aerotrack.prediction import PredictionWeights
 from aerotrack.scenario import PerceptionConfig, Scenario, TrackerParams
 from aerotrack.traj_opt import OptWeights
@@ -42,6 +42,13 @@ def with_search(**fields):
 def with_section(key, **fields):
     raw = valid()
     raw[key] = dict(raw.get(key, {}), **fields)
+    return raw
+
+
+def with_flat_box():
+    raw = valid()
+    box = raw["map"]["obstacles"][0]
+    raw["map"]["obstacles"][0] = dict(box, max=box["min"])
     return raw
 
 
@@ -95,7 +102,7 @@ class TestFromDict:
         (dict(valid(), duration="2"), "duration must be a finite number > 0"),
         (dict(valid(), quad_start=["2.5", "7", "1.3"]), "quad_start must be 3 finite numbers"),
         (with_search(node_budget=10.5), "search: node_budget must be an integer >= 1"),
-        (with_search(freeze_z=1), "search: freeze_z must be true or false"),
+        (with_search(freeze_z=1), "^search: freeze_z: unknown key$"),
         (with_section("prediction", tau_w=0), "prediction: tau_w must be a finite number > 0"),
         (with_section("prediction", a_max=-1), "prediction: a_max must be a finite number > 0"),
         (with_section("prediction", horizon=-3),
@@ -124,6 +131,9 @@ class TestFromDict:
          r"prediction degree 30 needs 31 observations, more than the 26 cycles"),
         (with_section("prediction", degree=25, window=1.0), "prediction degree 25 needs 26"),
         (dict(valid(), name=7), "name must be a string"),
+        (with_section("tracker", d_fail=-1), "tracker: d_fail must be a finite number > 0"),
+        (with_section("tracker", t_fail=-1), "tracker: t_fail must be a finite number >= 0"),
+        (with_flat_box(), r"obstacles\[0\]: holds no volume"),
     ], ids=["perception-list", "search-list", "duration-text", "duration-nan", "seed-text",
             "quad-start-text", "quad-start-2d", "fov-0", "fov-200", "target-speed-nan",
             "target-smoothing-nan", "target-waypoint-nan", "seed-negative", "seed-fraction",
@@ -139,7 +149,8 @@ class TestFromDict:
             "node-budget-0", "opt-v-max-0", "opt-a-max-0", "loss-timeout-0",
             "t-lookahead-negative", "t-min-negative", "yaw-rate-limit-negative",
             "yaw-rate-limit-0", "degree-beyond-window", "degree-beyond-short-window",
-            "name-number"])
+            "name-number", "tracker-d-fail-negative", "tracker-t-fail-negative",
+            "map-box-no-volume"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)
@@ -148,7 +159,7 @@ class TestFromDict:
         (section, f.name) for section, cls in SECTIONS.items()
         for f in fields(cls)])
     def test_every_config_field_rejects_text(self, section, name):
-        # 42 fields: each is checked by its declared rule, so none takes a string,
+        # 41 fields: each is checked by its declared rule, so none takes a string,
         # whether it comes from a file or a direct call
         with pytest.raises(InvalidScenario, match=f"{section}: {name} must be"):
             Scenario.from_dict(with_section(section, **{name: "1"}))
@@ -188,7 +199,8 @@ class TestFromDict:
         assert Scenario.from_dict(with_section("prediction", degree=25)).prediction.degree == 25
 
     def test_camera_follows_the_field_of_view(self):
-        assert Scenario.from_dict(valid()).perception.camera == DEFAULT_CAMERA
+        default = Scenario.from_dict(valid()).perception.camera
+        assert default == CameraModel.from_fov(np.deg2rad(87))
         wide = Scenario.from_dict(with_perception(horizontal_fov_deg=120)).perception.camera
         assert wide == CameraModel.from_fov(np.deg2rad(120))
         assert wide.horizontal_fov == pytest.approx(np.deg2rad(120))
@@ -203,23 +215,16 @@ class TestFromDict:
             replace(scenario, seed=-1)
 
 
-class TestPlanarDefault:
-    """A scenario searches in the plane unless it sets ``freeze_z`` to false."""
+def test_every_closed_loop_search_uses_the_nine_planar_controls(monkeypatch):
+    raw = dict(valid(), duration=8 / 13)  # three planning cycles after the warm-up
+    controls = []
+    real = kino_search.search
 
-    @pytest.mark.parametrize("search, controls", [
-        ({}, 9), ({"freeze_z": True}, 9), ({"freeze_z": False}, 27)],
-        ids=["default", "frozen", "vertical"])
-    def test_searches_use_the_scenario_control_set(self, monkeypatch, search, controls):
-        raw = valid()
-        raw["search"] = dict(raw.get("search", {}), **search)
-        raw["duration"] = 8 / 13  # three planning cycles after the warm-up
-        sizes = []
-        real = kino_search.search
+    def counted(start, grid, w, *args):
+        controls.append(kino_search._controls(w))
+        return real(start, grid, w, *args)
 
-        def counted(start, grid, w, *args):
-            sizes.append(len(kino_search._controls(w)))
-            return real(start, grid, w, *args)
-
-        monkeypatch.setattr(kino_search, "search", counted)
-        tracker.run_scenario(Scenario.from_dict(raw))
-        assert sizes and set(sizes) == {controls}
+    monkeypatch.setattr(kino_search, "search", counted)
+    tracker.run_scenario(Scenario.from_dict(raw))
+    planar = [[ux, uy, 0.0] for ux in (-3.0, 0.0, 3.0) for uy in (-3.0, 0.0, 3.0)]
+    assert controls and all(c.tolist() == planar for c in controls)

@@ -280,7 +280,7 @@ class TestVariants:
             return real(start, grid, w, *args)
 
         monkeypatch.setattr(kino_search, "search", captured)
-        world = TrackerWorld(scenario, "no_occ")
+        world = TrackerWorld(scenario, "no_occlusion_penalty")
         for _ in range(8):
             step(world)
         assert scenario.search.p_occ > 0.0
@@ -288,7 +288,7 @@ class TestVariants:
             w == dataclasses.replace(scenario.search, p_occ=0.0) for w in weights)
 
     def test_no_search_holds_the_gimbal_while_relocating(self):
-        assert self.perceive_unseen(self.relocating("no_search"), 4) == [0.7] * 4
+        assert self.perceive_unseen(self.relocating("no_gimbal_search"), 4) == [0.7] * 4
 
     def test_full_sweeps_the_gimbal_while_relocating(self):
         world = self.relocating("full")

@@ -10,7 +10,7 @@ from aerotrack.errors import (
 from aerotrack.grid import OccupancyGrid
 from aerotrack.kino_search import SearchWeights, search
 from aerotrack.perception import TargetObservation
-from aerotrack.prediction import fit_predicted_trajectory
+from aerotrack.prediction import PredictionWeights, fit_predicted_trajectory
 from aerotrack.tracker import blend_goal
 from aerotrack.traj_opt import OptWeights, cost_and_gradient, inner_trajectory, optimize
 from oracles import (
@@ -227,7 +227,7 @@ class TestOptimize:
         cor = np.array([[(0, 0, 0), (4, 2, 2)]], dtype=float)
         p0 = np.array([0.5, 1.0, 1.0])
         p1 = np.array([3.5, 1.0, 1.0])
-        traj = optimize(cor, at_rest(p0, p1))
+        traj = optimize(cor, at_rest(p0, p1), OptWeights())
         # shape comparison at matched normalized times
         T = traj.duration
         for s in np.linspace(0, 1, 60):
@@ -246,12 +246,12 @@ class TestOptimize:
         monkeypatch.setattr(traj_opt, "lbfgs_minimize", rising)
         bc = at_rest((0.4, 0.8, 0.8), (4.4, 0.8, 0.8))
         with pytest.raises(DescentFailed):
-            optimize(chain_corridor(5), bc)
+            optimize(chain_corridor(5), bc, OptWeights())
 
     def test_descent_and_containment(self):
         cor = chain_corridor(5)
         bc = at_rest((0.4, 0.8, 0.8), (4.4, 0.8, 0.8))
-        traj = optimize(cor, bc)
+        traj = optimize(cor, bc, OptWeights())
         hist = traj.info["history"]
         assert all(h2 <= h1 + 1e-12 for h1, h2 in zip(hist, hist[1:]))
         assert traj.info["contained"]
@@ -271,14 +271,14 @@ class TestOptimize:
         # 3 m/s toward a wall 0.8 m away: the trajectory leaves its
         # corridor, and no uncontained trajectory is returned
         with pytest.raises(TrajectoryLeftCorridor):
-            optimize(*self.sideways_start(3.0))
+            optimize(*self.sideways_start(3.0), OptWeights())
 
     @pytest.mark.parametrize("vy", [round(0.1 * k, 1) for k in range(11, 21)])
     def test_sideways_start_within_braking_distance_is_contained(self, vy):
         # braking from 2.0 m/s at a_max = 4 m/s^2 takes 0.5 m, less than the
         # 0.8 m to the wall, so the trajectory fits between its samples too
         cor, bc = self.sideways_start(vy)
-        traj = optimize(cor, bc)
+        traj = optimize(cor, bc, OptWeights())
         assert contains_all(cor, traj.eval(np.arange(0.0, traj.duration, 0.01)), margin=1e-9)
 
     def test_kappa_sweep_monotone_toward_unconstrained(self, monkeypatch):
@@ -302,9 +302,9 @@ class TestOptimize:
         grid.set_occupied_box((5.0, 0.0, 0.0), (5.4, 5.0, 3.0))
         times = np.linspace(0, 2, 14)
         obs = [TargetObservation(np.array([10.0, 6.0, 1.5]), float(t)) for t in times]
-        traj_pred = fit_predicted_trajectory(obs, t_c=2.0)
+        traj_pred = fit_predicted_trajectory(obs, t_c=2.0, w=PredictionWeights())
         start = np.array([(2.0, 2.0, 1.5), (0.5, 0.0, 0.0)])
-        w_search = SearchWeights(freeze_z=True)
+        w_search = SearchWeights()
         goal, occlusion_target = blend_goal(traj_pred, traj_pred.t_c, w_search)
         path = search(start, grid, w_search, goal, occlusion_target)
         cor = build_corridor(path, grid)
