@@ -223,9 +223,9 @@ class MapSpec:
     (``center`` [x, y], ``radius``, optional ``zmin``/``zmax``, which default
     to the map's bottom and top).
 
-    ``from_dict`` checks the keys against the ``_Lattice`` schema and each
-    obstacle's against its type's schema, then each shape for a positive
-    volume; either check lists every broken key or shape in one
+    :meth:`problems` checks the keys against the ``_Lattice`` schema, each
+    obstacle's against its type's schema and each shape for a positive
+    volume, and ``from_dict`` raises every problem it finds in one
     ``InvalidScenario``. It parses the shapes once into two read-only arrays:
     ``boxes``, a (B, 2, 3) stack of ``[min corner, max corner]``, and
     ``cylinders``, a (C, 5) array of ``[cx, cy, radius, zmin, zmax]`` rows.
@@ -252,8 +252,14 @@ class MapSpec:
     @staticmethod
     def problems(raw: dict, where: str = "") -> list:
         """A message, prefixed by ``where``, for each key of the spec ``raw`` or
-        of one of its obstacles that breaks its schema."""
+        of one of its obstacles that breaks its schema, and for each shape that
+        holds no volume. A cylinder's omitted height bound is only checked when
+        the lattice keys that set it are valid."""
         problems = _Lattice.problems(raw, where)
+        bottom, top = -np.inf, np.inf
+        if not _Lattice.problems({k: raw[k] for k in ("origin", "resolution", "dims") if k in raw}):
+            bottom = float(raw["origin"][2])
+            top = float(bottom + raw["dims"][2] * raw["resolution"])
         obstacles = raw.get("obstacles")
         for i, obs in enumerate(obstacles if isinstance(obstacles, list) else []):
             at = f"{where}obstacles[{i}]"
@@ -262,34 +268,41 @@ class MapSpec:
             elif obs.get("type") not in _SHAPES:
                 problems.append(f"{at}.type must be one of {tuple(_SHAPES)}, "
                                 f"got {obs.get('type')!r}")
+            elif shape_problems := _SHAPES[obs["type"]].problems(obs, f"{at}."):
+                problems += shape_problems
             else:
-                problems += _SHAPES[obs["type"]].problems(obs, f"{at}.")
+                low, high = _extent(obs, bottom, top)
+                if not np.less(low, high).all():
+                    problems.append(f"{at}: holds no volume, {low} is not below {high}")
         return problems
 
     @staticmethod
     def from_dict(raw: dict) -> "MapSpec":
         refuse(MapSpec.problems(raw) if isinstance(raw, dict) else ["map: expected an object"])
-        problems = []
         origin = np.asarray(raw["origin"], dtype=float)
         resolution = float(raw["resolution"])
         dims = np.asarray([int(d) for d in raw["dims"]])
         bottom, top = float(origin[2]), float(origin[2] + dims[2] * resolution)
         boxes, cylinders = [], []
-        for i, obs in enumerate(raw.get("obstacles", [])):
+        for obs in raw.get("obstacles", []):
+            low, high = _extent(obs, bottom, top)
             if obs["type"] == "box":
-                low, high = obs["min"], obs["max"]
                 boxes.append([low, high])
             else:
-                low, high = obs.get("zmin", bottom), obs.get("zmax", top)
                 cylinders.append([*obs["center"][:2], obs["radius"], low, high])
-            if not np.less(low, high).all():
-                problems.append(f"obstacles[{i}]: holds no volume, {low} is not below {high}")
-        refuse(problems)
         boxes = np.asarray(boxes, dtype=float).reshape(-1, 2, 3)
         cylinders = np.asarray(cylinders, dtype=float).reshape(-1, 5)
         for shapes in (boxes, cylinders):
             shapes.flags.writeable = False
         return MapSpec(origin, resolution, dims, boxes, cylinders)
+
+
+def _extent(obs: dict, bottom: float, top: float) -> tuple:
+    """A shape's ``(low, high)``: a box's min and max corners, or a cylinder's
+    zmin and zmax, the map's ``bottom`` and ``top`` when omitted."""
+    if obs["type"] == "box":
+        return obs["min"], obs["max"]
+    return obs.get("zmin", bottom), obs.get("zmax", top)
 
 
 def _rasterize_cylinder(grid: OccupancyGrid, center, radius: float, zmin: float, zmax: float):

@@ -40,7 +40,8 @@ from .poly import PiecewisePoly
 class SearchWeights(Config):
     """Weights, control set, bounds, and budgets for the search; without a time
     weight the heuristic's energy-time cost has no minimum, a zero primitive
-    duration never moves, and a zero bin divides by zero."""
+    duration never moves, a zero bin divides by zero, and a goal tolerance of 0
+    or less is never met, so every search would spend its whole node budget."""
 
     rho: Positive = 1.0                   # time weight inside the energy-time cost
     w_goal: float = 0.7                   # blend toward the predicted target state
@@ -50,8 +51,8 @@ class SearchWeights(Config):
     u_grid: tuple = (-3.0, 0.0, 3.0)      # x and y acceleration choices [m/s^2]
     v_max: Positive = 3.0                 # per-axis speed bound [m/s]
     t_lookahead: NonNegative = 1.0        # how far into the prediction the goal looks [s]
-    r_goal: float = 0.5                   # goal position tolerance [m]
-    v_goal_tol: float = 1.5               # goal velocity tolerance [m/s]
+    r_goal: Positive = 0.5                # goal position tolerance [m]
+    v_goal_tol: Positive = 1.5            # goal velocity tolerance [m/s]
     vel_bin: Positive = 0.5               # velocity quantization for node identity [m/s]
     node_budget: PositiveCount = 30000
 

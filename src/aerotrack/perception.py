@@ -5,7 +5,9 @@ with optional pixel noise. Localization inverts two fitted exponential maps:
 depth from the apparent upper-body length, lateral offset from the horizontal
 image coordinate scaled by an affine function of depth. Height is held
 constant in the camera frame since target motion is assumed horizontal.
-Image features carry no time; ``localize`` stamps the observation it returns.
+``fit_regression`` fits the maps once per camera, body length and noise
+sigmas to a fixed calibration draw. Image features carry no time;
+``localize`` stamps the observation it returns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import Config, FieldOfView, FitDiverged, Positive
+from .errors import Config, FieldOfView, FitDiverged, NonNegative, Positive
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,13 @@ class CameraModel:
 @dataclass
 class PerceptionConfig(Config):
     """Camera field of view, target size, detection noise and the gimbal's
-    gains and rates; a yaw rate limit of 0 or less would invert its clip."""
+    gains and rates; a yaw rate limit of 0 or less would invert its clip, and
+    a negative noise sigma would draw noise of its magnitude."""
 
     horizontal_fov_deg: FieldOfView = 87.0
     body_len: Positive = 0.45
-    sigma_u: float = 2.0
-    sigma_len: float = 2.0
+    sigma_u: NonNegative = 2.0
+    sigma_len: NonNegative = 2.0
     kp: float = 0.004
     ki: float = 0.0005
     yaw_rate_limit: Positive = 3.0
@@ -260,126 +263,106 @@ def _lateral_resid_jac(u, x_hat, y_gt):
 _FIT_STARTS = 16
 _FIT_SEED = 0
 
+# The calibration draw: samples, range band [m] and seed.
+_CALIBRATION_N = 320
+_CALIBRATION_BAND = (1.0, 5.0)
+_CALIBRATION_SEED = 0
 
-def fit_regression(dataset: CalibrationDataset) -> RegressionParams:
-    """Fit the localization regression from (ImageFeatures, camera-frame truth) pairs.
+# Fits kept per process, one per (camera, body length, noise sigmas).
+_FIT_CACHE_SIZE = 8
 
-    Multi-start damped Gauss-Newton on each of the two maps; the depth map is
-    fitted first because the lateral map consumes its estimate. All starts of
-    a map advance in lockstep through one batched solve per iteration, each
-    with its own damping and stopping test. The lowest residual wins, ties
-    broken by the lowest parameter norm, then by start order.
-    Raises FitDiverged when the dataset has fewer than 8 samples, no start
-    converges or the dataset is rank deficient (for example, all samples at a
-    single range).
 
-    The fit is :attr:`CalibrationDataset.params`, computed once per dataset.
-    Failures are not kept, so they are raised on every call.
+@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
+def fit_regression(cam: CameraModel, body_len: float, sigma_u: float,
+                   sigma_len: float) -> RegressionParams:
+    """The localization regression fitted to :func:`calibration_samples` of
+    these arguments. An LRU cache keeps ``_FIT_CACHE_SIZE`` fits per process,
+    and a hit returns the frozen fit itself. Failures are not kept, so they
+    are raised on every call."""
+    return fit_samples(*calibration_samples(cam, body_len, sigma_u, sigma_len))
+
+
+def calibration_samples(cam: CameraModel, body_len: float, sigma_u: float,
+                        sigma_len: float) -> tuple:
+    """Mocap-style calibration samples: ranges concentrated around the working standoff.
+
+    ``_CALIBRATION_N`` ranges are drawn in ``_CALIBRATION_BAND`` from a
+    truncated normal centered mid-band (the tracker operates near its standoff
+    distance) plus a thin uniform sweep so the full band stays covered, and
+    projected with pixel noise of ``sigma_u`` and ``sigma_len``. Returns the
+    detected samples' ``(body_len_px, u_px, truth)`` arrays for
+    :func:`fit_samples`, ``truth`` holding their (M, 3) camera-frame positions.
     """
-    return dataset.params
-
-
-class CalibrationDataset(tuple):
-    """An immutable tuple of calibration samples that keeps its own fit.
-
-    ``params`` is the :func:`fit_regression` result of these samples,
-    computed on first use and kept on the dataset; a tuple cannot be edited,
-    so it stays true.
-    """
-
-    @functools.cached_property
-    def params(self) -> RegressionParams:
-        """The regression fit of these samples, described at :func:`fit_regression`."""
-        if len(self) < 8:
-            raise FitDiverged(f"dataset of {len(self)} samples is too small to fit")
-        L = np.array([f.body_len_px for f, _ in self], dtype=float)
-        u = np.array([f.u_px for f, _ in self], dtype=float)
-        truth = np.array([np.asarray(p, dtype=float) for _, p in self])
-        x_gt, y_gt, z_gt = truth[:, 0], truth[:, 1], truth[:, 2]
-        rng = np.random.default_rng(_FIT_SEED)
-
-        # depth map starts: exponent pairs log-uniform, amplitudes by linear solve
-        depth_starts = []
-        for _ in range(_FIT_STARTS):
-            k = -np.exp(rng.uniform(np.log(1e-3), np.log(0.2), 2))
-            A = np.column_stack([np.exp(k[0] * L), np.exp(k[1] * L)])
-            lam, *_ = np.linalg.lstsq(A, x_gt, rcond=None)
-            depth_starts.append(np.array([lam[0], lam[1], k[0], k[1]]))
-        p_x, J_x = _best_start(_depth_resid_jac(L, x_gt), depth_starts)
-
-        sv = np.linalg.svd(J_x, compute_uv=False)
-        if sv[-1] < 1e-10 * sv[0]:
-            raise FitDiverged("depth regression is rank deficient "
-                              "(dataset does not span a range band)")
-
-        x_hat = p_x[0] * np.exp(p_x[2] * L) + p_x[1] * np.exp(p_x[3] * L)
-
-        # lateral map starts: fit y/x_hat as a difference of exponentials in u
-        ratio = y_gt / np.maximum(x_hat, 1e-6)
-        lateral_starts = []
-        for _ in range(_FIT_STARTS):
-            k = rng.uniform(-5e-3, 5e-3, 2)
-            A = np.column_stack([np.exp(k[0] * u), np.exp(k[1] * u)])
-            lam, *_ = np.linalg.lstsq(A, ratio, rcond=None)
-            lateral_starts.append(np.array([lam[0], lam[1], k[0], k[1], 1.0, 0.0]))
-        p_y, _ = _best_start(_lateral_resid_jac(u, x_hat, y_gt), lateral_starts)
-        return RegressionParams(
-            lam1=p_x[0], lam2=p_x[1], k1=p_x[2], k2=p_x[3],
-            lam3=p_y[0], lam4=p_y[1], k3=p_y[2], k4=p_y[3], a=p_y[4], b=p_y[5],
-            z_const=float(np.mean(z_gt)),
-        )
-
-
-# Calibration datasets kept per process; each holds a few hundred samples.
-_DATASET_CACHE_SIZE = 8
-
-
-def make_calibration_dataset(cam: CameraModel, body_len: float, n: int = 320,
-                             range_band: tuple = (1.0, 5.0), seed: int = 0,
-                             sigma_u: float = 0.0, sigma_len: float = 0.0
-                             ) -> CalibrationDataset:
-    """Mocap-style dataset: ranges concentrated around the working standoff.
-
-    Ranges are drawn from a truncated normal centered mid-band (the tracker
-    operates near its standoff distance) plus a thin uniform sweep so the
-    full band stays covered. Returns (ImageFeatures, camera-frame truth)
-    pairs suitable for :func:`fit_regression`.
-
-    Datasets are memoized per process by ``_calibration_dataset``, an LRU
-    cache of ``_DATASET_CACHE_SIZE`` datasets keyed on all seven arguments
-    with the defaults filled in, so one dataset spelled with or without its
-    defaults is built once, and ``range_band`` must be hashable. The dataset
-    is a pure function of those arguments, so a hit equals a fresh build. A
-    hit returns the memoized :class:`CalibrationDataset` itself: a tuple of
-    frozen ``ImageFeatures`` and read-only truth arrays that keeps its fit
-    once made, so no caller can change what a later call returns, and
-    :func:`fit_regression` on it costs O(1) after the first. To edit one,
-    make a new ``CalibrationDataset``.
-    """
-    return _calibration_dataset(cam, body_len, n, range_band, seed, sigma_u, sigma_len)
-
-
-@functools.lru_cache(maxsize=_DATASET_CACHE_SIZE)
-def _calibration_dataset(cam, body_len, n, range_band, seed, sigma_u, sigma_len):
-    """The dataset of :func:`make_calibration_dataset`, every argument given."""
-    rng = np.random.default_rng(seed)
-    lo, hi = range_band
+    rng = np.random.default_rng(_CALIBRATION_SEED)
+    n, (lo, hi) = _CALIBRATION_N, _CALIBRATION_BAND
     center, spread = 0.5 * (lo + hi) - 0.5, 0.25 * (hi - lo)
     ranges = rng.normal(center, spread, size=4 * n)
     ranges = ranges[(ranges > lo) & (ranges < hi)][: n - n // 8]
     ranges = np.concatenate([ranges, np.linspace(lo, hi, n - len(ranges))])
     pose = Pose(position=np.zeros(3), yaw=0.0)
     half_fov = np.tan(np.deg2rad(0.45 * np.rad2deg(cam.horizontal_fov)))
-    samples = []
+    L, u, truth = [], [], []
     for depth in ranges:
         lateral = depth * rng.uniform(-half_fov, half_fov)
         target = np.array([depth, lateral, rng.uniform(0.6, 1.2)])
-        feats = project_target(target, body_len, cam, pose, sigma_u=sigma_u, sigma_len=sigma_len,
-                               rng=rng if (sigma_u or sigma_len) else None)
+        feats = project_target(target, body_len, cam, pose, sigma_u=sigma_u,
+                               sigma_len=sigma_len, rng=rng)
         if feats is not None:
-            target.flags.writeable = False
-            samples.append((feats, target))
-    return CalibrationDataset(samples)
+            L.append(feats.body_len_px)
+            u.append(feats.u_px)
+            truth.append(target)
+    return np.array(L), np.array(u), np.array(truth)
+
+
+def fit_samples(L, u, truth) -> RegressionParams:
+    """Fit the localization regression to the arrays of samples' apparent body
+    lengths ``L``, horizontal image coordinates ``u`` and (M, 3) camera-frame
+    ``truth``.
+
+    Multi-start damped Gauss-Newton on each of the two maps; the depth map is
+    fitted first because the lateral map consumes its estimate. All starts of
+    a map advance in lockstep through one batched solve per iteration, each
+    with its own damping and stopping test. The lowest residual wins, ties
+    broken by the lowest parameter norm, then by start order.
+    Raises FitDiverged when there are fewer than 8 samples, no start
+    converges or the samples are rank deficient (for example, all at a
+    single range).
+    """
+    if len(L) < 8:
+        raise FitDiverged(f"dataset of {len(L)} samples is too small to fit")
+    x_gt, y_gt, z_gt = truth[:, 0], truth[:, 1], truth[:, 2]
+    rng = np.random.default_rng(_FIT_SEED)
+
+    # depth map starts: exponent pairs log-uniform, amplitudes by linear solve
+    depth_starts = []
+    for _ in range(_FIT_STARTS):
+        k = -np.exp(rng.uniform(np.log(1e-3), np.log(0.2), 2))
+        A = np.column_stack([np.exp(k[0] * L), np.exp(k[1] * L)])
+        lam, *_ = np.linalg.lstsq(A, x_gt, rcond=None)
+        depth_starts.append(np.array([lam[0], lam[1], k[0], k[1]]))
+    p_x, J_x = _best_start(_depth_resid_jac(L, x_gt), depth_starts)
+
+    sv = np.linalg.svd(J_x, compute_uv=False)
+    if sv[-1] < 1e-10 * sv[0]:
+        raise FitDiverged("depth regression is rank deficient "
+                          "(dataset does not span a range band)")
+
+    x_hat = p_x[0] * np.exp(p_x[2] * L) + p_x[1] * np.exp(p_x[3] * L)
+
+    # lateral map starts: fit y/x_hat as a difference of exponentials in u
+    ratio = y_gt / np.maximum(x_hat, 1e-6)
+    lateral_starts = []
+    for _ in range(_FIT_STARTS):
+        k = rng.uniform(-5e-3, 5e-3, 2)
+        A = np.column_stack([np.exp(k[0] * u), np.exp(k[1] * u)])
+        lam, *_ = np.linalg.lstsq(A, ratio, rcond=None)
+        lateral_starts.append(np.array([lam[0], lam[1], k[0], k[1], 1.0, 0.0]))
+    p_y, _ = _best_start(_lateral_resid_jac(u, x_hat, y_gt), lateral_starts)
+    return RegressionParams(
+        lam1=p_x[0], lam2=p_x[1], k1=p_x[2], k2=p_x[3],
+        lam3=p_y[0], lam4=p_y[1], k3=p_y[2], k4=p_y[3], a=p_y[4], b=p_y[5],
+        z_const=float(np.mean(z_gt)),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .perception import (
     gimbal_search_step,
     gimbal_track_step,
     localize,
-    make_calibration_dataset,
     project_target,
     TargetObservation,
 )
@@ -123,15 +122,12 @@ class TrackerWorld:
         self.grid = build_map(scenario.map)
         self.dt = 1.0 / scenario.tracker.replan_hz
         self.rng = np.random.Generator(np.random.PCG64(_seed_state(scenario.seed)))
-        # The map spec keeps its read-only grid, make_calibration_dataset
-        # memoizes one immutable dataset per calibration config (camera, body
-        # length, noise sigmas) and that dataset keeps its fit, so a later
-        # world of the same scenario rebuilds none of them. Both calls stay
-        # one per world because perfbench times each world's build_map and
-        # fit_regression spans.
+        # The map spec keeps its read-only grid and fit_regression memoizes one
+        # fit per camera, body length and noise sigmas, so a later world of the
+        # same scenario rebuilds neither. Both calls stay one per world because
+        # perfbench times each world's build_map and fit_regression spans.
         cfg = scenario.perception
-        self.params = fit_regression(make_calibration_dataset(
-            cfg.camera, cfg.body_len, sigma_u=cfg.sigma_u, sigma_len=cfg.sigma_len))
+        self.params = fit_regression(cfg.camera, cfg.body_len, cfg.sigma_u, cfg.sigma_len)
 
         self.quad = np.zeros((3, 3))  # kinematic state [p, v, a], at rest at the start
         self.quad[0] = scenario.quad_start

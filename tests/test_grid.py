@@ -254,6 +254,13 @@ MALFORMED_MAPS = {
         {"obstacles": [{"type": "cylinder", "center": [1, 1], "radius": 0.3,
                         "zmin": 0.8, "zmax": 0.2}]},
         "obstacles[0]: holds no volume"),
+    "cylinder-above-top": (
+        {"obstacles": [{"type": "cylinder", "center": [1, 1], "radius": 0.3, "zmin": 0.6}]},
+        "obstacles[0]: holds no volume, 0.6 is not below 0.5"),
+    "dims-text-cylinder-default-top": (
+        {"dims": ["a", 1, 1],
+         "obstacles": [{"type": "cylinder", "center": [1, 1], "radius": 0.3, "zmin": 0.6}]},
+        "dims must be"),
     "map-key-typo": ({"obstacels": []}, "obstacels: unknown key"),
     "obstacle-key-typo": (
         {"obstacles": [{"type": "box", "min": [0, 0, 0], "max": [1, 1, 1], "heigth": 1}]},

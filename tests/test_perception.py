@@ -1,5 +1,4 @@
 import dataclasses
-import operator
 
 import numpy as np
 import pytest
@@ -8,17 +7,17 @@ from aerotrack import perception
 from aerotrack.errors import FitDiverged
 from aerotrack.grid import OccupancyGrid
 from aerotrack.perception import (
-    CalibrationDataset,
     CameraModel,
     GimbalState,
     PerceptionConfig,
     Pose,
     RegressionParams,
+    calibration_samples,
     fit_regression,
+    fit_samples,
     gimbal_search_step,
     gimbal_track_step,
     localize,
-    make_calibration_dataset,
     project_target,
 )
 
@@ -29,14 +28,21 @@ CFG = PerceptionConfig()  # the gimbal gains and rates the tracker flies with
 
 @pytest.fixture(autouse=True)
 def cold_fit_cache():
-    """Every test starts with no memoized dataset, so the dataset and its fit really run."""
-    perception._calibration_dataset.cache_clear()
+    """Every test starts with no memoized fit, so the calibration draw and its fit really run."""
+    perception.fit_regression.cache_clear()
 
 
 @pytest.fixture
 def fitted_params():
-    dataset = make_calibration_dataset(DEFAULT_CAMERA, BODY_LEN, n=320, seed=0)
-    return fit_regression(dataset)
+    return fit_regression(DEFAULT_CAMERA, BODY_LEN, 0.0, 0.0)
+
+
+def single_range_samples():
+    """Ten noiseless samples all at a 3 m range, which no depth map can fit."""
+    pose = Pose(np.zeros(3), 0.0)
+    truth = np.array([[3.0, 0.1 * i - 0.5, 1.0] for i in range(10)])
+    feats = [project_target(p, BODY_LEN, DEFAULT_CAMERA, pose) for p in truth]
+    return (np.array([f.body_len_px for f in feats]), np.array([f.u_px for f in feats]), truth)
 
 
 class TestCameraModel:
@@ -114,20 +120,12 @@ class TestRegression:
         assert abs(fitted_params.lateral(u_c, 3.0)) < 0.02
 
     def test_single_range_dataset_diverges(self):
-        pose = Pose(np.zeros(3), 0.0)
-        samples = []
-        for i in range(10):
-            target = np.array([3.0, 0.1 * i - 0.5, 1.0])
-            f = project_target(target, BODY_LEN, DEFAULT_CAMERA, pose)
-            samples.append((f, target))
         with pytest.raises(FitDiverged):
-            fit_regression(CalibrationDataset(samples))
+            fit_samples(*single_range_samples())
 
     def test_noisy_error_near_paper_level(self):
         # sigma 2 px tuned to land near the reported ~0.2 m average error
-        dataset = make_calibration_dataset(
-            DEFAULT_CAMERA, BODY_LEN, n=400, seed=3, sigma_u=2.0, sigma_len=2.0)
-        params = fit_regression(dataset)
+        params = fit_regression(DEFAULT_CAMERA, BODY_LEN, 2.0, 2.0)
         pose = Pose(np.zeros(3), 0.0)
         rng = np.random.default_rng(4)
         errors = []
@@ -151,12 +149,10 @@ class TestRegressionExactness:
     """The lockstep multi-start fit reproduces the one-start-at-a-time solver."""
 
     def test_default_dataset_values(self):
-        # the calibration dataset TrackerWorld fits; values recorded when the
-        # batched cost became an einsum (the fit stops on a 1e-10 relative
-        # cost drop, so the summation order moved them by about 1e-8)
-        dataset = make_calibration_dataset(
-            DEFAULT_CAMERA, BODY_LEN, n=320, seed=0, sigma_u=2.0, sigma_len=2.0)
-        assert fit_regression(dataset) == RegressionParams(
+        # the fit TrackerWorld makes for the default perception config; values
+        # recorded when the batched cost became an einsum (the fit stops on a
+        # 1e-10 relative cost drop, so the summation order moved them by about 1e-8)
+        assert fit_regression(DEFAULT_CAMERA, BODY_LEN, 2.0, 2.0) == RegressionParams(
             lam1=11.734251709904111, lam2=3.3067328452187352,
             k1=-0.05315664179610821, k2=-0.008046828950235061,
             lam3=-3.9177658980012358, lam4=4.469482543048546,
@@ -238,126 +234,74 @@ class TestRegressionExactness:
         assert calls[0] == 1  # max_iter spent without one evaluation
 
     def test_too_small_dataset_diverges(self):
-        dataset = make_calibration_dataset(DEFAULT_CAMERA, BODY_LEN, n=320, seed=0)
+        samples = calibration_samples(DEFAULT_CAMERA, BODY_LEN, 0.0, 0.0)
         with pytest.raises(FitDiverged, match="too small"):
-            fit_regression(CalibrationDataset(dataset[:7]))
+            fit_samples(*(a[:7] for a in samples))
 
 
 class TestCalibrationDatasetMemo:
-    """``make_calibration_dataset`` builds once per argument set and hands out that dataset."""
+    """``fit_regression`` memoizes one fit per camera, body length and noise sigmas."""
 
     @staticmethod
-    def dataset(cam=DEFAULT_CAMERA, range_band=(1.0, 5.0), seed=0, sigma_u=2.0):
-        return make_calibration_dataset(cam, BODY_LEN, range_band=range_band, seed=seed,
-                                        sigma_u=sigma_u, sigma_len=2.0)
+    def fit(cam=DEFAULT_CAMERA, body_len=BODY_LEN, sigma_u=2.0):
+        return fit_regression(cam, body_len, sigma_u, 2.0)
 
     @staticmethod
     def hits_misses():
-        info = perception._calibration_dataset.cache_info()
+        info = perception.fit_regression.cache_info()
         return info.hits, info.misses
 
     def test_hit_equals_fresh_build(self):
-        self.dataset()
-        hit = self.dataset()
+        first = self.fit()
+        hit = self.fit()
+        assert hit is first
         assert self.hits_misses() == (1, 1)
-        perception._calibration_dataset.cache_clear()
-        built = self.dataset()
-        assert len(hit) == len(built) > 0
-        for (f_hit, p_hit), (f_built, p_built) in zip(hit, built):
-            assert f_hit == f_built
-            assert np.array_equal(p_hit, p_built)
-
-    def test_targets_are_read_only(self):
-        _, target = self.dataset()[0]
-        with pytest.raises(ValueError):
-            target[0] = 0.0
-
-    def test_hit_returns_the_same_dataset(self):
-        first = self.dataset()
-        assert self.dataset() is first
-        assert self.hits_misses() == (1, 1)
-
-    def test_defaults_given_or_left_out_are_one_dataset(self):
-        short = make_calibration_dataset(DEFAULT_CAMERA, BODY_LEN)
-        assert make_calibration_dataset(DEFAULT_CAMERA, BODY_LEN, n=320, seed=0) is short
-        assert make_calibration_dataset(DEFAULT_CAMERA, body_len=BODY_LEN, sigma_u=0) is short
-        assert self.hits_misses() == (2, 1)
-
-    @pytest.mark.parametrize("edit, error", [
-        (lambda d: d.append(d[0]), AttributeError),
-        (lambda d: operator.setitem(d, 0, d[1]), TypeError),
-        (lambda d: operator.delitem(d, slice(0, 10)), TypeError),
-        (lambda d: d.reverse(), AttributeError),
-        (lambda d: d.sort(key=lambda s: s[0].u_px), AttributeError),
-    ], ids=["append", "setitem", "delitem", "reverse", "sort"])
-    def test_dataset_cannot_be_edited(self, edit, error):
-        dataset = self.dataset()
-        with pytest.raises(error):
-            edit(dataset)
-        assert self.dataset() is dataset
+        perception.fit_regression.cache_clear()
+        built = self.fit()
+        assert built is not hit and built == hit
 
     @pytest.mark.parametrize("change", [
-        dict(seed=1), dict(sigma_u=1.0), dict(cam=CameraModel.from_fov(np.deg2rad(60.0)))])
+        dict(body_len=0.5), dict(sigma_u=1.0), dict(cam=CameraModel.from_fov(np.deg2rad(60.0)))])
     def test_changed_argument_misses(self, change):
-        self.dataset()
-        self.dataset(**change)
+        first = self.fit()
+        assert self.fit(**change) != first
         assert self.hits_misses() == (0, 2)
 
 
 class TestRegressionMemo:
-    """A ``CalibrationDataset`` fits once and keeps its fit."""
+    """A memoized fit is returned without drawing or fitting a sample again."""
 
     @staticmethod
-    def dataset():
-        return make_calibration_dataset(
-            DEFAULT_CAMERA, BODY_LEN, n=320, seed=0, sigma_u=2.0, sigma_len=2.0)
-
-    @staticmethod
-    def count_solves(monkeypatch):
+    def count(monkeypatch, name):
         calls = []
-        real = perception._lockstep_gauss_newton
+        real = getattr(perception, name)
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(perception, "_lockstep_gauss_newton", counted)
+        monkeypatch.setattr(perception, name, counted)
         return calls
 
     def test_hit_equals_cold_fit(self, monkeypatch):
-        solves = self.count_solves(monkeypatch)
-        first = fit_regression(self.dataset())
-        hit = fit_regression(self.dataset())
-        assert len(solves) == 2  # depth map, then lateral; the hit solves nothing
+        solves = self.count(monkeypatch, "_lockstep_gauss_newton")
+        projections = self.count(monkeypatch, "project_target")
+        first = fit_regression(DEFAULT_CAMERA, BODY_LEN, 2.0, 2.0)
+        assert (len(solves), len(projections)) == (2, 320)  # depth map, then lateral
+        hit = fit_regression(DEFAULT_CAMERA, BODY_LEN, 2.0, 2.0)
+        assert (len(solves), len(projections)) == (2, 320)  # the hit draws and solves nothing
         assert hit is first
-        perception._calibration_dataset.cache_clear()
-        assert hit == fit_regression(self.dataset())
-        assert len(solves) == 4
-
-    def test_hit_on_a_made_dataset_reads_no_sample(self, monkeypatch):
-        made = self.dataset()
-        first = fit_regression(made)
-        remade = CalibrationDataset(made)
-        reads = []
-        monkeypatch.setattr(perception.CalibrationDataset, "__iter__",
-                            lambda d: reads.append(len(d)) or tuple.__iter__(d))
-        assert fit_regression(made) is first
-        assert reads == []
-        refit = fit_regression(remade)  # a new dataset is fitted from its samples
-        assert refit is not first and refit == first
-        assert reads
+        perception.fit_regression.cache_clear()
+        assert hit == fit_regression(DEFAULT_CAMERA, BODY_LEN, 2.0, 2.0)
+        assert (len(solves), len(projections)) == (4, 640)
 
     def test_failures_are_raised_on_every_call(self, monkeypatch):
-        pose = Pose(np.zeros(3), 0.0)
-        samples = []
-        for i in range(10):
-            target = np.array([3.0, 0.1 * i - 0.5, 1.0])
-            samples.append((project_target(target, BODY_LEN, DEFAULT_CAMERA, pose), target))
-        dataset = CalibrationDataset(samples)
-        solves = self.count_solves(monkeypatch)
+        monkeypatch.setattr(perception, "calibration_samples",
+                            lambda *args: single_range_samples())
+        solves = self.count(monkeypatch, "_lockstep_gauss_newton")
         for _ in range(2):
             with pytest.raises(FitDiverged, match="rank deficient"):
-                fit_regression(dataset)
+                fit_regression(DEFAULT_CAMERA, BODY_LEN, 0.0, 0.0)
         assert len(solves) == 2  # one depth solve per call, then the rank check raises
 
     def test_params_are_frozen(self, fitted_params):

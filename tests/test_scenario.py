@@ -133,7 +133,15 @@ class TestFromDict:
         (dict(valid(), name=7), "name must be a string"),
         (with_section("tracker", d_fail=-1), "tracker: d_fail must be a finite number > 0"),
         (with_section("tracker", t_fail=-1), "tracker: t_fail must be a finite number >= 0"),
-        (with_flat_box(), r"obstacles\[0\]: holds no volume"),
+        (with_flat_box(), r"^map: obstacles\[0\]: holds no volume"),
+        (dict(with_flat_box(), seed=-1),
+         r"^map: obstacles\[0\]: holds no volume, \[7.0, 8.0, 0.0\] is not below "
+         r"\[7.0, 8.0, 0.0\]; seed must be a non-negative integer, got -1$"),
+        (with_search(r_goal=-1), "search: r_goal must be a finite number > 0"),
+        (with_search(r_goal=0), "search: r_goal must be a finite number > 0"),
+        (with_search(v_goal_tol=0), "search: v_goal_tol must be a finite number > 0"),
+        (with_perception(sigma_u=-2), "perception: sigma_u must be a finite number >= 0"),
+        (with_perception(sigma_len=-2), "perception: sigma_len must be a finite number >= 0"),
     ], ids=["perception-list", "search-list", "duration-text", "duration-nan", "seed-text",
             "quad-start-text", "quad-start-2d", "fov-0", "fov-200", "target-speed-nan",
             "target-smoothing-nan", "target-waypoint-nan", "seed-negative", "seed-fraction",
@@ -150,7 +158,8 @@ class TestFromDict:
             "t-lookahead-negative", "t-min-negative", "yaw-rate-limit-negative",
             "yaw-rate-limit-0", "degree-beyond-window", "degree-beyond-short-window",
             "name-number", "tracker-d-fail-negative", "tracker-t-fail-negative",
-            "map-box-no-volume"])
+            "map-box-no-volume", "map-box-flat-and-seed-negative", "r-goal-negative",
+            "r-goal-0", "v-goal-tol-0", "sigma-u-negative", "sigma-len-negative"])
     def test_malformed_input_is_invalid_scenario(self, raw, message):
         with pytest.raises(InvalidScenario, match=message):
             Scenario.from_dict(raw)

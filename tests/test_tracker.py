@@ -472,8 +472,8 @@ class TestBenchmark:
 
 
 def clear_calibration_caches():
-    """Forget every memoized calibration dataset, and with it the dataset's fit."""
-    perception._calibration_dataset.cache_clear()
+    """Forget every memoized regression fit."""
+    perception.fit_regression.cache_clear()
 
 
 class TestRegressionSetup:
@@ -502,7 +502,7 @@ class TestRegressionSetup:
         assert tracker._seed_state.cache_info()[:2] == (0, 1)  # (hits, misses)
         calls.update(solve=0, project=0, fit=0, map=0)
         second = TrackerWorld(scenario)
-        # no dataset rebuild, no solve and no rasterizing, but still one
+        # no calibration draw, no solve and no rasterizing, but still one
         # fit_regression and one build_map call per world: perfbench reads
         # one fit span and one map span from each world it traces
         assert calls == {"solve": 0, "project": 0, "fit": 1, "map": 1}
@@ -595,7 +595,7 @@ class TestGoldenTrace:
         first = TrackerWorld(scenario) if fit == "cached" else None
         world = TrackerWorld(scenario)
         hits = 1 if fit == "cached" else 0
-        assert perception._calibration_dataset.cache_info().hits == hits
+        assert perception.fit_regression.cache_info().hits == hits
         if first is not None:
             assert world.params is first.params
         assert trace_digest(world, 65) == GOLDEN_TRACE_SHA256[name]
