@@ -252,13 +252,18 @@ class TestCalibrationDatasetMemo:
         return info.hits, info.misses
 
     def test_hit_equals_fresh_build(self):
-        first = self.fit()
+        self.fit()
         hit = self.fit()
-        assert hit is first
         assert self.hits_misses() == (1, 1)
         perception.fit_regression.cache_clear()
         built = self.fit()
         assert built is not hit and built == hit
+
+    def test_hit_returns_the_same_dataset(self):
+        # the memo holds the fit of the drawn dataset, and a hit hands out that object
+        first = self.fit()
+        assert self.fit() is first
+        assert self.hits_misses() == (1, 1)
 
     @pytest.mark.parametrize("change", [
         dict(body_len=0.5), dict(sigma_u=1.0), dict(cam=CameraModel.from_fov(np.deg2rad(60.0)))])
@@ -294,6 +299,13 @@ class TestRegressionMemo:
         perception.fit_regression.cache_clear()
         assert hit == fit_regression(DEFAULT_CAMERA, BODY_LEN, 2.0, 2.0)
         assert (len(solves), len(projections)) == (4, 640)
+
+    def test_hit_on_a_made_dataset_reads_no_sample(self, monkeypatch):
+        draws = self.count(monkeypatch, "calibration_samples")
+        first = fit_regression(DEFAULT_CAMERA, BODY_LEN, 2.0, 2.0)
+        assert len(draws) == 1
+        assert fit_regression(DEFAULT_CAMERA, BODY_LEN, 2.0, 2.0) is first
+        assert len(draws) == 1  # the hit draws no calibration sample
 
     def test_failures_are_raised_on_every_call(self, monkeypatch):
         monkeypatch.setattr(perception, "calibration_samples",
