@@ -158,40 +158,6 @@ def _controls(w: SearchWeights) -> np.ndarray:
     return np.array([(ux, uy, 0.0) for ux, uy in product(w.u_grid, repeat=2)], dtype=float)
 
 
-class _NodeStore:
-    """Search nodes as rows of flat arrays that double in length when full.
-
-    Row ``i`` holds one node's position, velocity, cost-to-come ``g``, parent
-    row (-1 for the start) and the index of the control that reached it; no
-    time, since node ``k`` of a path is ``k * tau`` into the search. The arrays
-    own their data, so no row refers to an expansion's collision samples.
-    """
-
-    _COLUMNS = ("p", "v", "g", "parent", "ctrl")
-
-    def __init__(self, capacity: int = 256):
-        self.p = np.empty((capacity, 3))
-        self.v = np.empty((capacity, 3))
-        self.g = np.empty(capacity)
-        self.parent = np.empty(capacity, dtype=np.intp)
-        self.ctrl = np.empty(capacity, dtype=np.intp)
-        self.size = 0
-
-    def new_row(self) -> int:
-        if self.size == len(self.g):
-            for name in self._COLUMNS:
-                old = getattr(self, name)
-                grown = np.empty((2 * len(old),) + old.shape[1:], dtype=old.dtype)
-                grown[:self.size] = old
-                setattr(self, name, grown)
-        self.size += 1
-        return self.size - 1
-
-    def write(self, rows, p, v, g, parent, ctrl) -> None:
-        self.p[rows], self.v[rows], self.g[rows] = p, v, g
-        self.parent[rows], self.ctrl[rows] = parent, ctrl
-
-
 def reaches(p: np.ndarray, v: np.ndarray, goal: np.ndarray, w: SearchWeights) -> bool:
     """The search's goal test: position ``p`` within ``w.r_goal`` and velocity ``v``
     within ``w.v_goal_tol`` of the (2, 3) goal state ``[p, v]``."""
@@ -204,6 +170,14 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
 
     Both states are (2, 3) ``[p, v]``. Nodes without line of sight to
     ``occlusion_target`` cost ``w.p_occ`` extra in the heuristic.
+
+    A node is identified by its key, its voxel and velocity bin, and stored
+    as row r of five arrays: position, velocity, cost-to-come, parent row (-1
+    for the start) and the index of the control that reached it. Row r is
+    the r-th key reached, so the ``rows`` dict that maps keys to rows also
+    counts the nodes. A key reached twice in one expansion keeps its last
+    child. The arrays double in length when an expansion's new keys would
+    overflow them.
     """
     start, goal = np.asarray(start, dtype=float), np.asarray(goal, dtype=float)
     (p0, v0), (goal_p, goal_v) = start, goal
@@ -241,21 +215,22 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     n_samp = max(int(np.ceil(np.sqrt(3) * w.v_max * tau / (0.25 * res))), 4)
     ts = np.linspace(0.0, tau, n_samp + 1)[1:]
 
-    nodes = _NodeStore()
+    node_p, node_v = np.empty((256, 3)), np.empty((256, 3))
+    node_g = np.empty(256)
+    parent, ctrl = np.empty(256, dtype=np.intp), np.empty(256, dtype=np.intp)
+    node_p[0], node_v[0], node_g[0], parent[0], ctrl[0] = p0, v0, 0.0, -1, -1
     start_key = node_keys(start[:1], start[1:])[0]
-    row = nodes.new_row()
-    nodes.write(row, p0, v0, 0.0, -1, -1)
-    rows = {start_key: row}
+    rows = {start_key: 0}
     h0, T0 = obvp_cost(start, goal, w.rho)
     open_heap = [(h0 + w.c_time * T0 + occ_pen(p0, start_key[:3]), 0.0, start_key)]
     expansions = 0
-    best_fb = (float(np.linalg.norm(p0 - goal_p)), 0.0, row)
+    best_fb = (float(np.linalg.norm(p0 - goal_p)), 0.0, 0)
     goal_row = None
 
     while open_heap and expansions < w.node_budget:
         f, neg_g, key = heapq.heappop(open_heap)
         row = rows[key]
-        g, p, v = nodes.g[row], nodes.p[row], nodes.v[row]
+        g, p, v = node_g[row], node_p[row], node_v[row]
         if -neg_g < g - 1e-12:  # stale heap entry
             continue
         if reaches(p, v, goal, w):
@@ -281,9 +256,12 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
         keys = node_keys(child_p, child_v)
         # dominance check first; the heuristic is only solved for survivors
         surv = [j for j, (ckey, g_child) in enumerate(zip(keys, child_g.tolist()))
-                if (r := rows.get(ckey)) is None or nodes.g[r] > g_child + 1e-12]
+                if (r := rows.get(ckey)) is None or node_g[r] > g_child + 1e-12]
         if not surv:
             continue
+        while len(rows) + len(surv) > len(node_g):
+            node_p, node_v, node_g, parent, ctrl = (
+                np.concatenate([a, np.empty_like(a)]) for a in (node_p, node_v, node_g, parent, ctrl))
         sp, sv, sg = child_p[surv], child_v[surv], child_g[surv]
         D, T_star = _obvp_batch(goal_p[None, :] - sp, sv, np.tile(goal_v, (len(surv), 1)), w.rho)
         pen = [occ_pen(sp[j], keys[i][:3]) for j, i in enumerate(surv)]
@@ -292,14 +270,12 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
         last = {}
         for j, (i, f_j, g_j) in enumerate(zip(surv, f_child.tolist(), sg.tolist())):
             ckey = keys[i]
-            r = rows.get(ckey)
-            if r is None:
-                r = rows[ckey] = nodes.new_row()
-            last[r] = j
+            last[rows.setdefault(ckey, len(rows))] = j
             heapq.heappush(open_heap, (f_j, -g_j, ckey))
         dst = np.fromiter(last.keys(), np.intp, len(last))
         src = np.fromiter(last.values(), np.intp, len(last))
-        nodes.write(dst, sp[src], sv[src], sg[src], row, kept[surv][src])
+        node_p[dst], node_v[dst], node_g[dst] = sp[src], sv[src], sg[src]
+        parent[dst], ctrl[dst] = row, kept[surv][src]
 
     if goal_row is None and len(rows) == 1:
         raise NoPath("no primitive could be expanded from the start state")
@@ -307,9 +283,9 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
 
     # reconstruct
     chain = [final]
-    while nodes.parent[chain[-1]] >= 0:
-        chain.append(int(nodes.parent[chain[-1]]))
+    while parent[chain[-1]] >= 0:
+        chain.append(int(parent[chain[-1]]))
     chain.reverse()
-    return KinoPath(nodes.p[chain], nodes.v[chain], controls[nodes.ctrl[chain[1:]]], tau,
-                    float(nodes.g[final]),
+    return KinoPath(node_p[chain], node_v[chain], controls[ctrl[chain[1:]]], tau,
+                    float(node_g[final]),
                     info={"expansions": expansions, "reached_goal": goal_row is not None})
