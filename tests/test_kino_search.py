@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aerotrack.errors import StartOccupied
+from aerotrack.errors import NoPath, StartOccupied
 from aerotrack.grid import OccupancyGrid
 from aerotrack.kino_search import (
     SearchWeights,
@@ -211,6 +211,16 @@ class TestSearch:
         with pytest.raises(StartOccupied):
             search_toward(np.array([(1.0, 1.0, 1.0), (0, 0, 0)], dtype=float), traj, g,
                           SearchWeights())
+
+    def test_start_pocket_without_exit_raises_no_path(self):
+        g = open_grid()
+        g.set_occupied_box((0.5, 0.5, 0.5), (1.5, 1.5, 1.5))
+        g.occupied[10, 10, 10] = False  # the start's voxel
+        start = np.array([(1.05, 1.05, 1.05), (0.0, 0.0, 0.0)], dtype=float)
+        goal = np.array([(5.0, 5.0, 1.0), (0.0, 0.0, 0.0)], dtype=float)
+        # the zero control stays in the start's key at a higher cost, every other collides
+        with pytest.raises(NoPath, match="no primitive could be expanded"):
+            search(start, g, SearchWeights(), goal, goal[0])
 
     def test_each_edge_is_the_cheapest_control_into_its_key(self):
         # velocity steps of 0.25 m/s under a 0.5 m/s bin: siblings share keys
