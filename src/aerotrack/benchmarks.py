@@ -127,9 +127,8 @@ def write_all(directory) -> list[Path]:
 # ----------------------------------------------------------------------
 
 def _bench_one(args):
-    scenario_dict, variant, run_idx = args
-    base = Scenario.from_dict(scenario_dict)
-    scenario = replace(base, seed=base.seed + run_idx)
+    scenario, variant, run_idx = args
+    scenario = replace(scenario, seed=scenario.seed + run_idx)
     metrics, _ = run_scenario(scenario, variant)
     return {
         "scenario": scenario.name,
@@ -146,12 +145,16 @@ def _bench_one(args):
     }
 
 
-def benchmark(scenario_dicts: list, variants: list, n_runs: int,
+def benchmark(scenarios: list[Scenario], variants: list, n_runs: int,
               workers: int = 1) -> list:
-    """Seeded repeated runs per (scenario, variant); rows sorted and merged."""
+    """Seeded repeated runs per (scenario, variant); rows sorted and merged.
+
+    Run ``i`` of a scenario uses its seed plus ``i``. The in-process jobs of
+    one scenario share its map spec, so they rasterize its grid once.
+    """
     variants = [resolve_variant(v) for v in variants]
-    jobs = [(sd, v, i)
-            for sd in scenario_dicts for v in variants for i in range(n_runs)]
+    jobs = [(sc, v, i)
+            for sc in scenarios for v in variants for i in range(n_runs)]
     if workers > 1 and len(jobs) > 1:
         # imported here so that importing the package does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -41,10 +41,8 @@ def _cmd_benchmark(args) -> int:
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise InvalidInput(f"no scenario files in {directory}")
-    scenario_dicts = [read_json(p) for p in paths]
-    for raw in scenario_dicts:
-        Scenario.from_dict(raw)  # validate early
-    rows = benchmark(scenario_dicts, variants, args.runs, workers=args.workers)
+    scenarios = [Scenario.from_dict(read_json(p)) for p in paths]
+    rows = benchmark(scenarios, variants, args.runs, workers=args.workers)
     print(benchmark_table(rows), end="")
     if args.out:
         write_benchmark_csv(rows, args.out)

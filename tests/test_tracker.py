@@ -460,7 +460,7 @@ class TestBenchmark:
         assert out.strip() == "[]"
 
     def test_workers_give_the_same_rows(self):
-        scenario = dict(benchmarks.ALL["sharp_turn_low"](), duration=1.0)
+        scenario = Scenario.from_dict(dict(benchmarks.ALL["sharp_turn_low"](), duration=1.0))
         serial = benchmarks.benchmark([scenario], ["full"], 2, workers=1)
         pooled = benchmarks.benchmark([scenario], ["full"], 2, workers=2)
 
@@ -469,6 +469,20 @@ class TestBenchmark:
 
         assert [r["run"] for r in serial] == [0, 1]
         assert outcome(pooled) == outcome(serial)
+
+    def test_in_process_jobs_of_one_scenario_build_one_grid(self, monkeypatch):
+        grids, real = [], tracker.build_map
+
+        def recorded(spec):
+            grids.append(real(spec))
+            return grids[-1]
+
+        monkeypatch.setattr(tracker, "build_map", recorded)
+        scenario = Scenario.from_dict(dict(benchmarks.ALL["occlusion_turn"](), duration=0.5))
+        rows = benchmarks.benchmark([scenario], ["full", "no_occlusion_penalty"], 3)
+        assert [(r["variant"], r["seed"]) for r in rows] == [
+            (v, scenario.seed + i) for v in ("full", "no_occlusion_penalty") for i in range(3)]
+        assert len(grids) == 6 and all(g is grids[0] for g in grids)
 
 
 def clear_calibration_caches():
