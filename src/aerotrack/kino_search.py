@@ -178,7 +178,8 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     counts the nodes. A key reached twice in one expansion keeps its
     cheapest child, the first of equals, as a key reached again in a later
     expansion keeps a child only more than 1e-12 cheaper than its node. The
-    arrays double in length when an expansion's new keys would overflow them.
+    arrays double in length, as often as needed, when an expansion's new
+    keys would overflow them.
     """
     start, goal = np.asarray(start, dtype=float), np.asarray(goal, dtype=float)
     (p0, v0), (goal_p, goal_v) = start, goal
@@ -219,7 +220,7 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     node_p, node_v = np.empty((256, 3)), np.empty((256, 3))
     node_g = np.empty(256)
     parent, ctrl = np.empty(256, dtype=np.intp), np.empty(256, dtype=np.intp)
-    node_p[0], node_v[0], node_g[0], parent[0], ctrl[0] = p0, v0, 0.0, -1, -1
+    node_p[0], node_v[0], node_g[0], parent[0] = p0, v0, 0.0, -1
     start_key = node_keys(start[:1], start[1:])[0]
     rows = {start_key: 0}
     h0, T0 = obvp_cost(start, goal, w.rho)

@@ -246,6 +246,16 @@ class TestSearch:
                 if key(p_other, v_other) == key(p_end, v_end):
                     assert cost_other >= cost - 1e-12, (u, u_other)
 
+    def test_expansion_with_more_children_than_two_row_blocks(self):
+        # 23 x 23 primitives in distinct velocity bins: 529 children of the start
+        g = open_grid()
+        w = SearchWeights(u_grid=tuple(np.linspace(-3.0, 3.0, 23)), vel_bin=0.05, node_budget=2)
+        start = np.array([(5.0, 5.0, 1.0), (0.0, 0.0, 0.0)], dtype=float)
+        goal = np.array([(8.0, 5.0, 1.0), (0.0, 0.0, 0.0)], dtype=float)
+        path = search(start, g, w, goal, goal[0])
+        assert path.info["expansions"] == 2 and len(path.controls) == 1
+        assert np.allclose(path.v[1], path.controls[0] * w.tau)
+
     def test_path_continuity_and_cost_bookkeeping(self):
         g = open_grid()
         g.set_occupied_box((4.0, 2.0, 0.0), (4.2, 9.0, 3.0))
