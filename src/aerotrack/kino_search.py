@@ -173,7 +173,8 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
 
     A node is identified by its key, its voxel and velocity bin, and stored
     as row r of five arrays: position, velocity, cost-to-come, parent row (-1
-    for the start) and the index of the control that reached it. Row r is
+    for the start) and the index of the control that reached it; no time,
+    since node k of a path is k * tau into the search. Row r is
     the r-th key reached, so the ``rows`` dict that maps keys to rows also
     counts the nodes. A key reached twice in one expansion keeps its
     cheapest child, the first of equals, as a key reached again in a later
@@ -268,8 +269,8 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
         if not surv:
             continue
         while len(rows) + len(surv) > len(node_g):
-            node_p, node_v, node_g, parent, ctrl = (
-                np.concatenate([a, np.empty_like(a)]) for a in (node_p, node_v, node_g, parent, ctrl))
+            node_p, node_v, node_g, parent, ctrl = (np.concatenate([a, np.empty_like(a)])
+                                                    for a in (node_p, node_v, node_g, parent, ctrl))
         sp, sv, sg = child_p[surv], child_v[surv], child_g[surv]
         D, T_star = _obvp_batch(goal_p[None, :] - sp, sv, np.tile(goal_v, (len(surv), 1)), w.rho)
         pen = [occ_pen(sp[j], keys[i][:3]) for j, i in enumerate(surv)]
