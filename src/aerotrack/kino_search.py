@@ -176,11 +176,9 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     for the start) and the index of the control that reached it; no time,
     since node k of a path is k * tau into the search. Row r is
     the r-th key reached, so the ``rows`` dict that maps keys to rows also
-    counts the nodes. A key reached twice in one expansion keeps its
-    cheapest child, the first of equals, as a key reached again in a later
-    expansion keeps a child only more than 1e-12 cheaper than its node. The
-    arrays double in length, as often as needed, when an expansion's new
-    keys would overflow them.
+    counts the nodes. A key reached twice in one expansion keeps its last
+    child. The arrays double in length, as often as needed, when an
+    expansion's new keys would overflow them.
     """
     start, goal = np.asarray(start, dtype=float), np.asarray(goal, dtype=float)
     (p0, v0), (goal_p, goal_v) = start, goal
@@ -257,15 +255,9 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
         child_p, child_v = pos[kept, -1, :], end_v[kept]
         child_g = g + control_costs[kept]
         keys = node_keys(child_p, child_v)
-        # dominance check first, against the key's node and against earlier
-        # children of this expansion; the heuristic is only solved for survivors
-        cheapest = {}
-        for j, (ckey, g_child) in enumerate(zip(keys, child_g.tolist())):
-            r = rows.get(ckey)
-            if ((r is None or node_g[r] > g_child + 1e-12)
-                    and (ckey not in cheapest or child_g[cheapest[ckey]] > g_child + 1e-12)):
-                cheapest[ckey] = j
-        surv = list(cheapest.values())
+        # dominance check first; the heuristic is only solved for survivors
+        surv = [j for j, (ckey, g_child) in enumerate(zip(keys, child_g.tolist()))
+                if (r := rows.get(ckey)) is None or node_g[r] > g_child + 1e-12]
         if not surv:
             continue
         while len(rows) + len(surv) > len(node_g):
@@ -275,11 +267,16 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
         D, T_star = _obvp_batch(goal_p[None, :] - sp, sv, np.tile(goal_v, (len(surv), 1)), w.rho)
         pen = [occ_pen(sp[j], keys[i][:3]) for j, i in enumerate(surv)]
         f_child = sg + (D + w.c_time * T_star + np.array(pen))
-        dst = [rows.setdefault(keys[i], len(rows)) for i in surv]
-        node_p[dst], node_v[dst], node_g[dst] = sp, sv, sg
-        parent[dst], ctrl[dst] = row, kept[surv]
-        for i, f_j, g_j in zip(surv, f_child.tolist(), sg.tolist()):
-            heapq.heappush(open_heap, (f_j, -g_j, keys[i]))
+        # a key reached twice in this expansion keeps its last child
+        last = {}
+        for j, (i, f_j, g_j) in enumerate(zip(surv, f_child.tolist(), sg.tolist())):
+            ckey = keys[i]
+            last[rows.setdefault(ckey, len(rows))] = j
+            heapq.heappush(open_heap, (f_j, -g_j, ckey))
+        dst = np.fromiter(last.keys(), np.intp, len(last))
+        src = np.fromiter(last.values(), np.intp, len(last))
+        node_p[dst], node_v[dst], node_g[dst] = sp[src], sv[src], sg[src]
+        parent[dst], ctrl[dst] = row, kept[surv][src]
 
     if goal_row is None and len(rows) == 1:
         raise NoPath("no primitive could be expanded from the start state")

@@ -5,7 +5,6 @@ from aerotrack.errors import NoPath, StartOccupied
 from aerotrack.grid import OccupancyGrid
 from aerotrack.kino_search import (
     SearchWeights,
-    _controls,
     _obvp_batch,
     _obvp_coeffs,
     obvp_cost,
@@ -221,30 +220,6 @@ class TestSearch:
         # the zero control stays in the start's key at a higher cost, every other collides
         with pytest.raises(NoPath, match="no primitive could be expanded"):
             search(start, g, SearchWeights(), goal, goal[0])
-
-    def test_each_edge_is_the_cheapest_control_into_its_key(self):
-        # velocity steps of 0.25 m/s under a 0.5 m/s bin: siblings share keys
-        g = OccupancyGrid((0, 0, 0), 0.1, (100, 100, 20))
-        w = SearchWeights(u_grid=(-0.5, 0.0, 0.5), tau=0.5)
-        start = np.array([(1.0, 1.0, 1.0), (0.0, 0.0, 0.0)], dtype=float)
-        goal = np.array([(3.0, 1.5, 1.0), (0.0, 0.0, 0.0)], dtype=float)
-        path = search(start, g, w, goal, goal[0])
-        assert path.info["reached_goal"]
-        controls = _controls(w)
-        costs = (np.sum(controls**2, axis=1) + w.rho) * w.tau
-
-        def key(p, v):  # the search's voxel and velocity bin
-            return tuple(np.concatenate([(p - g.origin) * (1.0 / g.resolution) // 1,
-                                         v * (1.0 / w.vel_bin) // 1]).astype(int))
-
-        assert len(path.controls) > 1
-        for p, v, p_end, v_end, u in zip(path.p, path.v, path.p[1:], path.v[1:], path.controls):
-            cost = (u @ u + w.rho) * w.tau
-            for u_other, cost_other in zip(controls, costs):
-                v_other = v + u_other * w.tau
-                p_other = p + v * w.tau + 0.5 * u_other * w.tau**2
-                if key(p_other, v_other) == key(p_end, v_end):
-                    assert cost_other >= cost - 1e-12, (u, u_other)
 
     def test_expansion_with_more_children_than_two_row_blocks(self):
         # 23 x 23 primitives in distinct velocity bins: 529 children of the start
