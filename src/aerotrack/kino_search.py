@@ -174,11 +174,11 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     A node is identified by its key, its voxel and velocity bin, and stored
     as row r of five arrays: position, velocity, cost-to-come, parent row (-1
     for the start) and the index of the control that reached it; no time,
-    since node k of a path is k * tau into the search. Row r is
-    the r-th key reached, so the ``rows`` dict that maps keys to rows also
-    counts the nodes. A key reached twice in one expansion keeps its last
-    child. The arrays double in length, as often as needed, when an
-    expansion's new keys would overflow them.
+    since node k of a path is k * tau into the search. Row r is the r-th key
+    reached, so the ``rows`` dict that maps keys to rows also counts the
+    nodes. A key reached twice in one expansion keeps its last child. The
+    arrays double in length, as often as needed, when an expansion's new keys
+    would overflow them.
     """
     start, goal = np.asarray(start, dtype=float), np.asarray(goal, dtype=float)
     (p0, v0), (goal_p, goal_v) = start, goal
