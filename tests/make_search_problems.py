@@ -30,6 +30,7 @@ PROBLEMS = [
     ("occlusion_turn-c79-relocation-p_occ0", "occlusion_turn", 79, {"p_occ": 0.0}),
     ("sharp_turn_low-c140", "sharp_turn_low", 140, {}),
     ("sharp_turn_low-c144", "sharp_turn_low", 144, {}),
+    ("sharp_turn_low-c18-start-in-goal", "sharp_turn_low", 18, {}),
     ("sharp_turn_high-c114", "sharp_turn_high", 114, {}),
 ]
 

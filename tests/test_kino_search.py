@@ -231,6 +231,44 @@ class TestSearch:
         assert path.info["expansions"] == 2 and len(path.controls) == 1
         assert np.allclose(path.v[1], path.controls[0] * w.tau)
 
+    # ROADMAP item 24's probe on control sets finer than a velocity bin, where
+    # siblings share keys: (start xy, goal offset, u, tau, expansions, total_cost)
+    # under the last-writer rule. Centre -> (4, 1) at +-0.5 over 0.3 s pops 14
+    # stale heap entries and corner -> (4, 1) pops 154; the builtin control set
+    # pops none.
+    SIBLING_PROBE = [
+        ((5.05, 5.05), (2.0, 0.5), 0.5, 0.3, 21, 3.5999999999999996),
+        ((5.05, 5.05), (4.0, 1.0), 0.5, 0.3, 94, 5.175),
+        ((5.05, 5.05), (-4.0, 1.0), 0.5, 0.3, 160, 8.775),
+        ((5.05, 5.05), (0.5, -2.0), 0.5, 0.3, 95, 5.25),
+        ((1.0, 1.0), (2.0, 0.5), 0.5, 0.3, 65, 3.75),
+        ((1.0, 1.0), (4.0, 1.0), 0.5, 0.3, 1103, 6.075),
+        ((5.05, 5.05), (2.0, 0.5), 0.5, 0.5, 5, 3.25),
+        ((5.05, 5.05), (4.0, 1.0), 0.5, 0.5, 14, 5.0),
+        ((5.05, 5.05), (-4.0, 1.0), 0.5, 0.5, 12, 6.125),
+        ((5.05, 5.05), (0.5, -2.0), 0.5, 0.5, 8, 4.25),
+        ((1.0, 1.0), (2.0, 0.5), 0.5, 0.5, 6, 4.125),
+        ((1.0, 1.0), (4.0, 1.0), 0.5, 0.5, 9, 6.125),
+        ((5.05, 5.05), (2.0, 0.5), 1.0, 0.3, 8, 4.499999999999999),
+        ((5.05, 5.05), (4.0, 1.0), 1.0, 0.3, 13, 6.299999999999998),
+        ((5.05, 5.05), (-4.0, 1.0), 1.0, 0.3, 13, 5.999999999999998),
+        ((5.05, 5.05), (0.5, -2.0), 1.0, 0.3, 8, 4.199999999999999),
+        ((1.0, 1.0), (2.0, 0.5), 1.0, 0.3, 8, 4.199999999999999),
+        ((1.0, 1.0), (4.0, 1.0), 1.0, 0.3, 13, 6.599999999999998),
+    ]
+
+    @pytest.mark.parametrize("xy, offset, u, tau, expansions, cost", SIBLING_PROBE)
+    def test_sibling_probe_on_fine_control_sets(self, xy, offset, u, tau, expansions, cost):
+        g = open_grid(100, 100, 20)
+        w = SearchWeights(u_grid=(-u, 0.0, u), tau=tau)
+        start = np.array([(*xy, 1.0), (0.0, 0.0, 0.0)])
+        goal = np.array([(xy[0] + offset[0], xy[1] + offset[1], 1.0), (0.0, 0.0, 0.0)])
+        path = search(start, g, w, goal, goal[0])
+        assert path.info == {"expansions": expansions, "reached_goal": True}
+        assert path.total_cost == cost
+        recomputed = sum((c @ c + w.rho) * w.tau for c in path.controls)
+        assert path.total_cost == pytest.approx(recomputed, rel=1e-12)
+
     def test_path_continuity_and_cost_bookkeeping(self):
         g = open_grid()
         g.set_occupied_box((4.0, 2.0, 0.0), (4.2, 9.0, 3.0))
