@@ -22,7 +22,7 @@ from .scenario import Scenario
 from .tracker import resolve_variant, run_scenario
 
 
-def sharp_turn_scenario(speed: float, seed: int = 100) -> dict:
+def sharp_turn_scenario(speed: float) -> dict:
     """Target snakes around two large blocks with two sharp turns.
 
     The turns happen right at block corners, so a tracker that hugs the
@@ -62,14 +62,14 @@ def sharp_turn_scenario(speed: float, seed: int = 100) -> dict:
         "target": {"waypoints": route, "speed": speed, "smoothing": 1.0},
         "quad_start": [1.0, 7.2, 1.3],
         "duration": round(route_len / speed + 4.0, 1),
-        "seed": seed,
+        "seed": 100,
         "tracker": {"d_track": 3.0},
         "search": {"v_max": 2.2, "r_goal": 0.5, "node_budget": 1500},
         "opt": {"v_max": 2.2, "a_max": 4.0},
     }
 
 
-def occlusion_turn_scenario(seed: int = 300) -> dict:
+def occlusion_turn_scenario() -> dict:
     """Relocation test: the target disappears behind a wall, then doubles back.
 
     The straight-ahead extrapolation sends the quadrotor to the wrong side of
@@ -98,7 +98,7 @@ def occlusion_turn_scenario(seed: int = 300) -> dict:
         },
         "quad_start": [2.5, 7.0, 1.3],
         "duration": 20.0,
-        "seed": seed,
+        "seed": 300,
         "search": {"node_budget": 1500},
     }
 

@@ -96,17 +96,6 @@ def _obvp_coeffs(dp, v0, vf):
     return alpha, beta, gamma
 
 
-def obvp_cost(x_c: np.ndarray, x_g: np.ndarray, rho: float) -> tuple[float, float]:
-    """Minimal energy-time cost and its duration between two (2, 3) states ``[p, v]``.
-
-    Minimizes ``integral |u|^2 dt + rho*T`` over T for the double integrator
-    with both endpoint positions and velocities fixed: a one-row call of
-    ``_obvp_batch``, so ``rho`` must be > 0.
-    """
-    J, T = _obvp_batch(x_g[:1] - x_c[:1], x_c[1:], x_g[1:], rho)
-    return float(J[0]), float(T[0])
-
-
 def _cheapest_stationary(roots, a, b, g, rho):
     """Newton-polished positive real roots per row and the cheapest one.
 
@@ -179,15 +168,17 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     nodes. A key reached twice in one expansion keeps its last child. The
     arrays double in length, as often as needed, when an expansion's new keys
     would overflow them.
+
+    Every node, the start included, enters the open set through ``admit``,
+    which ranks a batch by cost-to-come, OBVP heuristic and visibility
+    penalty, pushes it and stores its rows. The start is a batch of one; if
+    it already meets the goal, the first pop returns it as a one-node path.
     """
     start, goal = np.asarray(start, dtype=float), np.asarray(goal, dtype=float)
     (p0, v0), (goal_p, goal_v) = start, goal
     if grid.is_occupied(p0):
         raise StartOccupied(f"search start {p0.tolist()} is occupied")
     x_tp = np.asarray(occlusion_target, dtype=float)
-    if reaches(p0, v0, goal, w):
-        return KinoPath(start[:1], start[1:], np.zeros((0, 3)), w.tau, 0.0,
-                        info={"expansions": 0, "reached_goal": True})
 
     res = grid.resolution
     inv_res = 1.0 / res
@@ -219,11 +210,25 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     node_p, node_v = np.empty((256, 3)), np.empty((256, 3))
     node_g = np.empty(256)
     parent, ctrl = np.empty(256, dtype=np.intp), np.empty(256, dtype=np.intp)
-    node_p[0], node_v[0], node_g[0], parent[0] = p0, v0, 0.0, -1
-    start_key = node_keys(start[:1], start[1:])[0]
-    rows = {start_key: 0}
-    h0, T0 = obvp_cost(start, goal, w.rho)
-    open_heap = [(h0 + w.c_time * T0 + occ_pen(p0, start_key[:3]), 0.0, start_key)]
+    rows, open_heap = {}, []  # key -> row; (f, -g, key) entries
+
+    def admit(p, v, g, keys, from_row, via):
+        """Push rows ``p``, ``v``, ``g`` with keys ``keys``, reached from row
+        ``from_row`` by the controls ``via``, and store each at its key's row;
+        a key given twice keeps its last row."""
+        D, T_star = _obvp_batch(goal_p - p, v, goal_v, w.rho)
+        pen = [occ_pen(p_j, key[:3]) for p_j, key in zip(p, keys)]
+        f = g + (D + w.c_time * T_star + np.array(pen))
+        last = {}
+        for j, (key, f_j, g_j) in enumerate(zip(keys, f.tolist(), g.tolist())):
+            last[rows.setdefault(key, len(rows))] = j
+            heapq.heappush(open_heap, (f_j, -g_j, key))
+        dst = np.fromiter(last.keys(), np.intp, len(last))
+        src = np.fromiter(last.values(), np.intp, len(last))
+        node_p[dst], node_v[dst], node_g[dst] = p[src], v[src], g[src]
+        parent[dst], ctrl[dst] = from_row, via[src]
+
+    admit(start[:1], start[1:], np.zeros(1), node_keys(start[:1], start[1:]), -1, np.array([-1]))
     expansions = 0
     best_fb = (float(np.linalg.norm(p0 - goal_p)), 0.0, 0)
     goal_row = None
@@ -263,20 +268,7 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
         while len(rows) + len(surv) > len(node_g):
             node_p, node_v, node_g, parent, ctrl = (np.concatenate([a, np.empty_like(a)])
                                                     for a in (node_p, node_v, node_g, parent, ctrl))
-        sp, sv, sg = child_p[surv], child_v[surv], child_g[surv]
-        D, T_star = _obvp_batch(goal_p[None, :] - sp, sv, np.tile(goal_v, (len(surv), 1)), w.rho)
-        pen = [occ_pen(sp[j], keys[i][:3]) for j, i in enumerate(surv)]
-        f_child = sg + (D + w.c_time * T_star + np.array(pen))
-        # a key reached twice in this expansion keeps its last child
-        last = {}
-        for j, (i, f_j, g_j) in enumerate(zip(surv, f_child.tolist(), sg.tolist())):
-            ckey = keys[i]
-            last[rows.setdefault(ckey, len(rows))] = j
-            heapq.heappush(open_heap, (f_j, -g_j, ckey))
-        dst = np.fromiter(last.keys(), np.intp, len(last))
-        src = np.fromiter(last.values(), np.intp, len(last))
-        node_p[dst], node_v[dst], node_g[dst] = sp[src], sv[src], sg[src]
-        parent[dst], ctrl[dst] = row, kept[surv][src]
+        admit(child_p[surv], child_v[surv], child_g[surv], [keys[i] for i in surv], row, kept[surv])
 
     if goal_row is None and len(rows) == 1:
         raise NoPath("no primitive could be expanded from the start state")

@@ -7,7 +7,6 @@ from aerotrack.kino_search import (
     SearchWeights,
     _obvp_batch,
     _obvp_coeffs,
-    obvp_cost,
     search,
 )
 from aerotrack.perception import TargetObservation
@@ -24,6 +23,13 @@ def static_prediction(point, t_c=2.0):
 
 def open_grid(nx=120, ny=120, nz=30, res=0.1):
     return OccupancyGrid((0, 0, 0), res, (nx, ny, nz))
+
+
+def obvp_cost(a, b, rho):
+    """Minimal energy-time cost and its duration between two (2, 3) states
+    ``[p, v]``: a one-row ``_obvp_batch``."""
+    J, T = _obvp_batch(b[:1] - a[:1], a[1:], b[1:], rho)
+    return float(J[0]), float(T[0])
 
 
 def search_toward(start, traj, grid, w):
