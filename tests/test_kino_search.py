@@ -240,8 +240,8 @@ class TestSearch:
     # ROADMAP item 24's probe on control sets finer than a velocity bin, where
     # siblings share keys: (start xy, goal offset, u, tau, expansions, total_cost)
     # under the last-writer rule. Centre -> (4, 1) at +-0.5 over 0.3 s pops 14
-    # stale heap entries and corner -> (4, 1) pops 154; the builtin control set
-    # pops none.
+    # stale heap entries and corner -> (4, 1) pops 154; the builtin +-3 control
+    # set pops none on these goals.
     SIBLING_PROBE = [
         ((5.05, 5.05), (2.0, 0.5), 0.5, 0.3, 21, 3.5999999999999996),
         ((5.05, 5.05), (4.0, 1.0), 0.5, 0.3, 94, 5.175),
