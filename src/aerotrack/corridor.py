@@ -26,6 +26,8 @@ from .errors import SeedOccupied
 from .grid import OccupancyGrid
 from .kino_search import KinoPath
 
+_MAX_EXTENT = 2.0  # how far a cube's face may grow past its seed [m]
+
 
 def overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Axis-aligned intersection of two boxes, or of two stacks row by row.
@@ -49,17 +51,17 @@ def _contains_box(outer: np.ndarray, inner: np.ndarray) -> bool:
     return bool(np.all(outer[0] <= inner[0] + 1e-12) and np.all(outer[1] >= inner[1] - 1e-12))
 
 
-def build_corridor(path: KinoPath, grid: OccupancyGrid, max_extent: float = 2.0) -> np.ndarray:
+def build_corridor(path: KinoPath, grid: OccupancyGrid) -> np.ndarray:
     """Cover the path with a chain of overlapping free cubes: an (M, 2, 3) stack."""
     samples = path.sample_positions(grid.resolution / 4.0)
-    cubes = [grid.inflate_box(samples[0], max_extent)]
+    cubes = [grid.inflate_box(samples[0], _MAX_EXTENT)]
     for inside, s in zip(samples[:-1], samples[1:]):  # the previous sample lies in cubes[-1]
         if np.all(cubes[-1][0] <= s) and np.all(s <= cubes[-1][1]):
             continue
         try:
-            new = grid.inflate_box(np.stack([inside, s]), max_extent)
+            new = grid.inflate_box(np.stack([inside, s]), _MAX_EXTENT)
         except SeedOccupied:  # the path clips an obstacle's corner between the samples
-            new = grid.inflate_box(s, max_extent)
+            new = grid.inflate_box(s, _MAX_EXTENT)
         if _contains_box(new, cubes[-1]):
             cubes[-1] = new
         else:

@@ -7,7 +7,7 @@ fixed duration; accumulated cost trades control effort against time. The
 heuristic combines the closed-form energy-time cost of the double-integrator
 boundary value problem toward the goal, a time penalty on the remaining
 optimal duration, and a visibility penalty on nodes that cannot see the given
-occlusion target.
+occlusion target, added when a node is popped, as in Lazy Weighted A*.
 
 The boundary value problem's optimal duration is a positive root of a quartic
 in T. Its stationary points are taken from the eigenvalues of the quartic's
@@ -170,9 +170,12 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     would overflow them.
 
     Every node, the start included, enters the open set through ``admit``,
-    which ranks a batch by cost-to-come, OBVP heuristic and visibility
-    penalty, pushes it and stores its rows. The start is a batch of one; if
-    it already meets the goal, the first pop returns it as a one-node path.
+    which ranks a batch by cost-to-come and OBVP heuristic, pushes it and
+    stores its rows. The start is a batch of one; if it already meets the
+    goal, the first pop returns it as a one-node path. The pop adds the
+    visibility penalty before the goal test: an entry whose voxel is occluded
+    goes back with it, and a voxel's line of sight is taken once, from the
+    first node popped in it. An occluded key is thus (g + h) + p_occ.
     """
     start, goal = np.asarray(start, dtype=float), np.asarray(goal, dtype=float)
     (p0, v0), (goal_p, goal_v) = start, goal
@@ -189,17 +192,6 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
         cells = np.concatenate(((p - grid.origin) * inv_res // 1, v * inv_bin // 1), axis=1)
         return list(map(tuple, cells.astype(np.int64).tolist()))
 
-    occ_memo: dict[tuple, float] = {}
-
-    def occ_pen(p: np.ndarray, vox_key: tuple) -> float:
-        if w.p_occ == 0.0:
-            return 0.0
-        pen = occ_memo.get(vox_key)
-        if pen is None:
-            pen = 0.0 if grid.line_of_sight(p, x_tp) else w.p_occ
-            occ_memo[vox_key] = pen
-        return pen
-
     controls = _controls(w)
     tau = w.tau
     control_costs = (np.sum(controls**2, axis=1) + w.rho) * tau
@@ -210,19 +202,19 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     node_p, node_v = np.empty((256, 3)), np.empty((256, 3))
     node_g = np.empty(256)
     parent, ctrl = np.empty(256, dtype=np.intp), np.empty(256, dtype=np.intp)
-    rows, open_heap = {}, []  # key -> row; (f, -g, key) entries
+    rows, open_heap = {}, []  # key -> row; (f, -g, key, penalty added) entries
+    occ_memo: dict[tuple, float] = {}  # voxel -> occlusion penalty
 
     def admit(p, v, g, keys, from_row, via):
         """Push rows ``p``, ``v``, ``g`` with keys ``keys``, reached from row
         ``from_row`` by the controls ``via``, and store each at its key's row;
         a key given twice keeps its last row."""
         D, T_star = _obvp_batch(goal_p - p, v, goal_v, w.rho)
-        pen = [occ_pen(p_j, key[:3]) for p_j, key in zip(p, keys)]
-        f = g + (D + w.c_time * T_star + np.array(pen))
+        f = g + (D + w.c_time * T_star)
         last = {}
         for j, (key, f_j, g_j) in enumerate(zip(keys, f.tolist(), g.tolist())):
             last[rows.setdefault(key, len(rows))] = j
-            heapq.heappush(open_heap, (f_j, -g_j, key))
+            heapq.heappush(open_heap, (f_j, -g_j, key, w.p_occ == 0.0))
         dst = np.fromiter(last.keys(), np.intp, len(last))
         src = np.fromiter(last.values(), np.intp, len(last))
         node_p[dst], node_v[dst], node_g[dst] = p[src], v[src], g[src]
@@ -234,11 +226,17 @@ def search(start, grid: OccupancyGrid, w: SearchWeights, goal, occlusion_target)
     goal_row = None
 
     while open_heap and expansions < w.node_budget:
-        f, neg_g, key = heapq.heappop(open_heap)
+        f, neg_g, key, has_pen = heapq.heappop(open_heap)
         row = rows[key]
         g, p, v = node_g[row], node_p[row], node_v[row]
         if -neg_g < g - 1e-12:  # stale heap entry
             continue
+        if not has_pen:
+            if (pen := occ_memo.get(key[:3])) is None:
+                pen = occ_memo[key[:3]] = 0.0 if grid.line_of_sight(p, x_tp) else w.p_occ
+            if pen:
+                heapq.heappush(open_heap, (f + pen, neg_g, key, True))
+                continue
         if reaches(p, v, goal, w):
             goal_row = row
             break

@@ -168,7 +168,7 @@ def localize(features: ImageFeatures, params: RegressionParams, cam_pose: Pose,
 # Regression fitting
 # ----------------------------------------------------------------------
 
-def _lockstep_gauss_newton(resid_jac, starts, max_iter: int = 200, tol: float = 1e-10):
+def _lockstep_gauss_newton(resid_jac, starts):
     """Levenberg-damped Gauss-Newton run on every start at once.
 
     ``starts`` is ``(S, K)``; ``resid_jac(P) -> (residuals, jacobian)`` maps
@@ -184,7 +184,7 @@ def _lockstep_gauss_newton(resid_jac, starts, max_iter: int = 200, tol: float = 
     mu = np.full(len(P), 1e-4)
     diag = np.arange(P.shape[1])
     active = np.ones(len(P), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_FIT_MAX_ITER):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
@@ -219,7 +219,7 @@ def _lockstep_gauss_newton(resid_jac, starts, max_iter: int = 200, tol: float = 
             P_new[better], R_new[better], J_new[better], cost_new[better])
         mu[acc] = np.maximum(mu[acc] * 0.3, 1e-12)
         mu[rej] *= 10.0
-        active[acc[rel_drop < tol]] = False
+        active[acc[rel_drop < _FIT_TOL]] = False
         active[rej[mu[rej] > 1e12]] = False
     return P, cost, J
 
@@ -262,6 +262,8 @@ def _lateral_resid_jac(u, x_hat, y_gt):
 # Random starts per map of the regression fit, drawn from a fixed seed.
 _FIT_STARTS = 16
 _FIT_SEED = 0
+_FIT_MAX_ITER = 200  # damped Gauss-Newton iterations per start
+_FIT_TOL = 1e-10     # relative cost drop that stops a start
 
 # The calibration draw: samples, range band [m] and seed.
 _CALIBRATION_N = 320

@@ -96,12 +96,12 @@ class Scenario(Config):
     def __post_init__(self):
         super().__post_init__()
         self.quad_start = np.asarray(self.quad_start, dtype=float)
-        lo = self.map.origin
-        hi = self.map.origin + self.map.dims * self.map.resolution
         points = [("quad_start", self.quad_start)]
         points += [(f"target waypoint {i}", p) for i, p in enumerate(self.target.waypoints)]
-        problems = [f"{name} {p.tolist()} outside map bounds"
-                    for name, p in points if np.any(p < lo) or np.any(p > hi)]
+        # the grid's voxel rule, so a point on the map's upper face is outside
+        vox = [np.floor((p - self.map.origin) / self.map.resolution) for _, p in points]
+        problems = [f"{name} {p.tolist()} outside map bounds" for (name, p), v in zip(points, vox)
+                    if np.any(v < 0) or np.any(v >= self.map.dims)]
         speed, pred, hz = self.target.speed, self.prediction, self.tracker.replan_hz
         if speed > pred.v_max:
             problems.append(f"target speed {speed} exceeds prediction bound {pred.v_max}")

@@ -6,8 +6,14 @@ import numpy as np
 
 from .errors import DescentFailed, QPInfeasible
 
+_QP_TOL = 1e-10        # active_set_qp's step, multiplier and active-row tolerance
+_QP_MAX_ITER = 400
+_LBFGS_MEMORY = 10     # curvature pairs lbfgs_minimize keeps
+_ARMIJO_C1 = 1e-4
+_MAX_BACKTRACKS = 40   # step halvings per line search
 
-def active_set_qp(H, f, G, h, x0, tol: float = 1e-10, max_iter: int = 400):
+
+def active_set_qp(H, f, G, h, x0):
     """Minimize 1/2 x'Hx + f'x subject to Gx <= h with a primal active-set method.
 
     ``H`` must be positive definite and ``x0`` feasible. Returns ``(x, lam)``
@@ -24,32 +30,22 @@ def active_set_qp(H, f, G, h, x0, tol: float = 1e-10, max_iter: int = 400):
         raise QPInfeasible("active-set start point is infeasible")
 
     # working set: indices of constraints treated as equalities
-    work: list[int] = [i for i in range(m) if G[i] @ x > h[i] - tol]
-    lam_full = np.zeros(m)
-    for _ in range(max_iter):
-        if work:
-            Gw = G[work]
-            k = len(work)
-            kkt = np.zeros((len(x) + k, len(x) + k))
-            kkt[: len(x), : len(x)] = H
-            kkt[: len(x), len(x):] = Gw.T
-            kkt[len(x):, : len(x)] = Gw
-            rhs = np.concatenate([-(H @ x + f), np.zeros(k)])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            p = sol[: len(x)]
-            lam = sol[len(x):]
-        else:
-            p = np.linalg.solve(H, -(H @ x + f))
-            lam = np.zeros(0)
+    work: list[int] = [i for i in range(m) if G[i] @ x > h[i] - _QP_TOL]
+    for _ in range(_QP_MAX_ITER):
+        Gw = G[work]
+        kkt = np.block([[H, Gw.T], [Gw, np.zeros((len(work), len(work)))]])
+        rhs = np.concatenate([-(H @ x + f), np.zeros(len(work))])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        p = sol[: len(x)]
+        lam = sol[len(x):]
 
-        if np.linalg.norm(p, np.inf) < tol:
-            lam_full[:] = 0.0
-            if work:
-                lam_full[np.asarray(work)] = lam
-            if lam.size == 0 or lam.min() >= -tol:
+        if np.linalg.norm(p, np.inf) < _QP_TOL:
+            if np.all(lam >= -_QP_TOL):
+                lam_full = np.zeros(m)
+                lam_full[work] = lam
                 return x, lam_full
             work.pop(int(np.argmin(lam)))
             continue
@@ -59,7 +55,7 @@ def active_set_qp(H, f, G, h, x0, tol: float = 1e-10, max_iter: int = 400):
         blocking = -1
         Gp = G @ p
         for i in range(m):
-            if i in work or Gp[i] <= tol:
+            if i in work or Gp[i] <= _QP_TOL:
                 continue
             a_i = (h[i] - G[i] @ x) / Gp[i]
             if a_i < alpha - 1e-14:
@@ -81,8 +77,7 @@ def qp_kkt_residual(H, f, G, h, x, lam) -> float:
     return max(stationarity, primal, dual, comp)
 
 
-def lbfgs_minimize(fun, x0, grad_tol: float = 1e-4, max_iter: int = 200, memory: int = 10,
-                   c1: float = 1e-4, max_backtracks: int = 40):
+def lbfgs_minimize(fun, x0, grad_tol: float = 1e-4, max_iter: int = 200):
     """L-BFGS with Armijo backtracking; ``fun(x) -> (value, gradient)``.
 
     The objective may return ``inf`` outside its domain; the line search then
@@ -126,15 +121,13 @@ def lbfgs_minimize(fun, x0, grad_tol: float = 1e-4, max_iter: int = 200, memory:
             step = min(1.0, 4.0 * step_prev)
         else:
             step = min(1.0, 1.0 / (1.0 + float(np.linalg.norm(d))))
-        accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             x_new = x + step * d
             val_new, g_new = fun(x_new)
-            if np.isfinite(val_new) and val_new <= val + c1 * step * (d @ g):
-                accepted = True
+            if np.isfinite(val_new) and val_new <= val + _ARMIJO_C1 * step * (d @ g):
                 break
             step *= 0.5
-        if not accepted:
+        else:  # no step satisfied the Armijo condition
             break
         step_prev = step
         s_vec = x_new - x
@@ -142,7 +135,7 @@ def lbfgs_minimize(fun, x0, grad_tol: float = 1e-4, max_iter: int = 200, memory:
         if s_vec @ y_vec > 1e-12:
             s_list.append(s_vec)
             y_list.append(y_vec)
-            if len(s_list) > memory:
+            if len(s_list) > _LBFGS_MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
         rel_drop = (val - val_new) / max(abs(val), 1.0)

@@ -6,11 +6,13 @@ longer computes at all; none of them is used by the closed loop.
 
 from __future__ import annotations
 
+import heapq
 from math import comb
 
 import numpy as np
 
-from aerotrack.errors import SeedOccupied
+from aerotrack.errors import NoPath, SeedOccupied, StartOccupied
+from aerotrack.kino_search import KinoPath, _controls, _obvp_batch, reaches
 
 _SCAN_T = np.arange(1e-3, 20.0 + 1e-3, 1e-3)
 
@@ -298,3 +300,121 @@ def forest(raw_map: dict, seed: int, density: float, radius: float, keep_clear=(
     return [{"type": "cylinder", "center": [float(x), float(y)], "radius": radius}
             for x, y in xy
             if all(np.hypot(x - cx, y - cy) >= r + radius for cx, cy, r in keep_clear)]
+
+
+def eager_search(start, grid, w, goal, occlusion_target):
+    """``kino_search.search`` as it was when every pushed node got its
+    occlusion penalty at once: a frozen copy of the eager evaluation the
+    search replaced by adding the penalty when a node is popped.
+
+    The line of sight of a voxel is taken at the first position pushed into
+    it, the start's first, and a child's key is g + (heuristic + penalty).
+    """
+    start, goal = np.asarray(start, dtype=float), np.asarray(goal, dtype=float)
+    (p0, v0), (goal_p, goal_v) = start, goal
+    if grid.is_occupied(p0):
+        raise StartOccupied(f"search start {p0.tolist()} is occupied")
+    x_tp = np.asarray(occlusion_target, dtype=float)
+
+    res = grid.resolution
+    inv_res = 1.0 / res
+    inv_bin = 1.0 / w.vel_bin
+
+    def node_keys(p: np.ndarray, v: np.ndarray) -> list[tuple]:
+        """Voxel and velocity-bin identity of each row of ``p`` and ``v``."""
+        cells = np.concatenate(((p - grid.origin) * inv_res // 1, v * inv_bin // 1), axis=1)
+        return list(map(tuple, cells.astype(np.int64).tolist()))
+
+    occ_memo: dict[tuple, float] = {}
+
+    def occ_pen(p: np.ndarray, vox_key: tuple) -> float:
+        if w.p_occ == 0.0:
+            return 0.0
+        pen = occ_memo.get(vox_key)
+        if pen is None:
+            pen = 0.0 if grid.line_of_sight(p, x_tp) else w.p_occ
+            occ_memo[vox_key] = pen
+        return pen
+
+    controls = _controls(w)
+    tau = w.tau
+    control_costs = (np.sum(controls**2, axis=1) + w.rho) * tau
+    # collision sampling times, quarter-voxel spacing at the speed bound
+    n_samp = max(int(np.ceil(np.sqrt(3) * w.v_max * tau / (0.25 * res))), 4)
+    ts = np.linspace(0.0, tau, n_samp + 1)[1:]
+
+    node_p, node_v = np.empty((256, 3)), np.empty((256, 3))
+    node_g = np.empty(256)
+    parent, ctrl = np.empty(256, dtype=np.intp), np.empty(256, dtype=np.intp)
+    rows, open_heap = {}, []  # key -> row; (f, -g, key) entries
+
+    def admit(p, v, g, keys, from_row, via):
+        """Push rows ``p``, ``v``, ``g`` with keys ``keys``, reached from row
+        ``from_row`` by the controls ``via``, and store each at its key's row;
+        a key given twice keeps its last row."""
+        D, T_star = _obvp_batch(goal_p - p, v, goal_v, w.rho)
+        pen = [occ_pen(p_j, key[:3]) for p_j, key in zip(p, keys)]
+        f = g + (D + w.c_time * T_star + np.array(pen))
+        last = {}
+        for j, (key, f_j, g_j) in enumerate(zip(keys, f.tolist(), g.tolist())):
+            last[rows.setdefault(key, len(rows))] = j
+            heapq.heappush(open_heap, (f_j, -g_j, key))
+        dst = np.fromiter(last.keys(), np.intp, len(last))
+        src = np.fromiter(last.values(), np.intp, len(last))
+        node_p[dst], node_v[dst], node_g[dst] = p[src], v[src], g[src]
+        parent[dst], ctrl[dst] = from_row, via[src]
+
+    admit(start[:1], start[1:], np.zeros(1), node_keys(start[:1], start[1:]), -1, np.array([-1]))
+    expansions = 0
+    best_fb = (float(np.linalg.norm(p0 - goal_p)), 0.0, 0)
+    goal_row = None
+
+    while open_heap and expansions < w.node_budget:
+        f, neg_g, key = heapq.heappop(open_heap)
+        row = rows[key]
+        g, p, v = node_g[row], node_p[row], node_v[row]
+        if -neg_g < g - 1e-12:  # stale heap entry
+            continue
+        if reaches(p, v, goal, w):
+            goal_row = row
+            break
+        expansions += 1
+        dist = float(np.linalg.norm(p - goal_p))
+        if (dist, f) < (best_fb[0], best_fb[1]):
+            best_fb = (dist, f, row)
+
+        end_v = v[None, :] + controls * tau
+        feasible = np.all(np.abs(end_v) <= w.v_max + 1e-9, axis=1)
+        # sample all primitives at once: (n_ctrl, n_samp, 3)
+        pos = (p[None, None, :]
+               + v[None, None, :] * ts[None, :, None]
+               + 0.5 * controls[:, None, :] * (ts[None, :, None] ** 2))
+        kept = np.nonzero(feasible & ~grid.occupied_at(pos).any(axis=1))[0]
+        if not len(kept):
+            continue
+        # rows of the kept children; fancy indexing copies them out of pos
+        child_p, child_v = pos[kept, -1, :], end_v[kept]
+        child_g = g + control_costs[kept]
+        keys = node_keys(child_p, child_v)
+        # dominance check first; the heuristic is only solved for survivors
+        surv = [j for j, (ckey, g_child) in enumerate(zip(keys, child_g.tolist()))
+                if (r := rows.get(ckey)) is None or node_g[r] > g_child + 1e-12]
+        if not surv:
+            continue
+        while len(rows) + len(surv) > len(node_g):
+            node_p, node_v, node_g, parent, ctrl = (np.concatenate([a, np.empty_like(a)])
+                                                    for a in (node_p, node_v, node_g, parent, ctrl))
+        admit(child_p[surv], child_v[surv], child_g[surv], [keys[i] for i in surv], row, kept[surv])
+
+    if goal_row is None and len(rows) == 1:
+        raise NoPath("no primitive could be expanded from the start state")
+    final = goal_row if goal_row is not None else best_fb[2]
+
+    # reconstruct
+    chain = [final]
+    while parent[chain[-1]] >= 0:
+        chain.append(int(parent[chain[-1]]))
+    chain.reverse()
+    return KinoPath(node_p[chain], node_v[chain], controls[ctrl[chain[1:]]], tau,
+                    float(node_g[final]),
+                    info={"expansions": expansions, "reached_goal": goal_row is not None})

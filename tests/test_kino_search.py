@@ -217,6 +217,24 @@ class TestSearch:
             search_toward(np.array([(1.0, 1.0, 1.0), (0, 0, 0)], dtype=float), traj, g,
                           SearchWeights())
 
+    def test_occluded_start_still_returns_a_path(self):
+        # a wall hides the target from the start and the goal: the start is
+        # pushed back with its penalty, popped again and expanded
+        g = open_grid()
+        g.set_occupied_box((4.0, 1.0, 0.0), (4.2, 11.0, 3.0))
+        x_tp = np.array([6.0, 6.0, 1.0])
+        start = np.array([(2.0, 6.0, 1.0), (0.0, 0.0, 0.0)], dtype=float)
+        goal = np.array([(2.0, 3.0, 1.0), (0.0, 0.0, 0.0)], dtype=float)
+        w = SearchWeights()
+        assert not g.line_of_sight(start[0], x_tp)
+        path = search(start, g, w, goal, x_tp)
+        assert path.info["reached_goal"] and path.info["expansions"] > 0
+        assert np.array_equal(np.stack([path.p[0], path.v[0]]), start)
+        assert np.linalg.norm(path.p[-1] - goal[0]) <= w.r_goal
+        at_goal = search(goal, g, w, goal, x_tp)
+        assert at_goal.info == {"expansions": 0, "reached_goal": True}
+        assert len(at_goal.controls) == 0
+
     def test_start_pocket_without_exit_raises_no_path(self):
         g = open_grid()
         g.set_occupied_box((0.5, 0.5, 0.5), (1.5, 1.5, 1.5))

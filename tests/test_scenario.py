@@ -111,6 +111,10 @@ class TestFromDict:
         (with_search(vel_bin=0), "search: vel_bin must be a finite number > 0"),
         (dict(valid(), quad_start=[-5, 7, 1.3]),
          r"quad_start \[-5.0, 7.0, 1.3\] outside map bounds"),
+        (dict(valid(), quad_start=[1.0, 18.0, 1.3]),
+         r"quad_start \[1.0, 18.0, 1.3\] outside map bounds"),
+        (with_target(waypoints=[[2.5, 7.2, 0.9], [26.0, 7.2, 0.9]]),
+         r"target waypoint 1 \[26.0, 7.2, 0.9\] outside map bounds"),
         (with_search(v_max=0), "search: v_max must be a finite number > 0"),
         (with_search(u_grid=[]),
          "search: u_grid must be a list of finite numbers with a non-zero value"),
@@ -153,7 +157,8 @@ class TestFromDict:
             "target-smoothing-negative", "target-one-waypoint", "fov-bool", "duration-text-number",
             "quad-start-text-numbers", "node-budget-fraction", "freeze-z-int", "tau-w-0",
             "prediction-a-max-negative", "horizon-negative", "tau-0", "vel-bin-0",
-            "quad-start-outside-map", "search-v-max-0", "u-grid-empty", "u-grid-zero",
+            "quad-start-outside-map", "quad-start-on-upper-face", "waypoint-on-upper-face",
+            "search-v-max-0", "u-grid-empty", "u-grid-zero",
             "node-budget-0", "opt-v-max-0", "opt-a-max-0", "loss-timeout-0",
             "t-lookahead-negative", "t-min-negative", "yaw-rate-limit-negative",
             "yaw-rate-limit-0", "degree-beyond-window", "degree-beyond-short-window",
